@@ -91,25 +91,38 @@ def k_weighted_l1(e: WeightedSeq, t: float) -> float:
     return float(np.sum(c * np.minimum(np.asarray(e.w0), t * np.asarray(e.w1))))
 
 
-def _k_weighted_log(e: WeightedSeq, x):
-    x = np.asarray(x, dtype=float)
-    c = np.abs(np.asarray(e.coeffs))
-    w0 = np.asarray(e.w0)
-    w1 = np.asarray(e.w1)
+def _k_weighted_log(c, w0, w1, x):
+    """Σ c_i min(w0_i, e^x w1_i) at every x.
+
+    ``c`` is one coefficient vector (n,), or one per row (r, n) of an
+    (r, m) array x.
+    """
     with np.errstate(over="ignore", under="ignore"):
         t = np.exp(x)
-    return np.minimum(w0, t[..., None] * w1) @ c
+        # one (..., n) temporary, formed in place
+        m = np.multiply.outer(t, w1)
+    return _dot_last(np.minimum(w0, m, out=m), c)
 
 
-def _k_weighted_slope_log(e: WeightedSeq, x):
-    # K(t)/t = Σ |c_i| min(w0_i / t, w1_i), stable for arbitrarily deep x
-    x = np.asarray(x, dtype=float)
-    c = np.abs(np.asarray(e.coeffs))
-    w0 = np.asarray(e.w0)
-    w1 = np.asarray(e.w1)
+def _k_weighted_slope_log(c, w0, w1, x):
+    # K(t)/t = Σ c_i min(w0_i / t, w1_i), stable for arbitrarily deep x
     with np.errstate(over="ignore", under="ignore"):
         inv_t = np.exp(-x)
-    return np.minimum(w0 * inv_t[..., None], w1) @ c
+        # one (..., n) temporary, formed in place
+        m = np.multiply.outer(inv_t, w0)
+    return _dot_last(np.minimum(m, w1, out=m), c)
+
+
+def _weighted_arrays(e: WeightedSeq):
+    return np.abs(np.asarray(e.coeffs)), np.asarray(e.w0), np.asarray(e.w1)
+
+
+def _dot_last(m, c):
+    return m @ c if c.ndim == 1 else (m @ c[:, :, None])[..., 0]
+
+
+def _weighted_log_kinks(w0, w1):
+    return tuple(math.log(a / b) for a, b in zip(w0, w1))
 
 
 def k_step_l1_linf(e: StepFn, t: float) -> float:
@@ -196,11 +209,11 @@ class KProfile:
     def synthetic(self) -> bool:
         return self.element is None
 
-    def value_log(self, x):
-        """K(e^x), vectorized."""
+    def value_log(self, x, rows=None):
+        """K(e^x), vectorized (``rows`` is ignored: see WeightedProfiles)."""
         x = np.asarray(x, dtype=float)
         if isinstance(self.element, WeightedSeq):
-            return _k_weighted_log(self.element, x)
+            return _k_weighted_log(*_weighted_arrays(self.element), x)
         if isinstance(self.element, StepFn):
             with np.errstate(over="ignore", under="ignore"):
                 t = np.exp(x)
@@ -216,11 +229,11 @@ class KProfile:
                                 np.asarray(self.sample_t), ks)
         return out
 
-    def slope_log(self, x):
+    def slope_log(self, x, rows=None):
         """K(e^x)/e^x, computed in a form stable for deep negative x."""
         x = np.asarray(x, dtype=float)
         if isinstance(self.element, WeightedSeq):
-            return _k_weighted_slope_log(self.element, x)
+            return _k_weighted_slope_log(*_weighted_arrays(self.element), x)
         out = np.empty(x.shape, dtype=float)
         if isinstance(self.element, StepFn):
             lengths, values = self.element.rearrangement()
@@ -254,13 +267,47 @@ class KProfile:
     def log_kinks(self):
         """Log-abscissae where the profile is non-smooth (panel boundaries)."""
         if isinstance(self.element, WeightedSeq):
-            return tuple(math.log(w0 / w1)
-                         for w0, w1 in zip(self.element.w0, self.element.w1))
+            return _weighted_log_kinks(self.element.w0, self.element.w1)
         if isinstance(self.element, StepFn):
             lengths, _ = self.element.rearrangement()
             cum = np.cumsum(lengths)
             return tuple(math.log(c) for c in cum if c > 0.0)
         return tuple(math.log(t) for t in self.sample_t)
+
+
+@dataclass(frozen=True, eq=False)
+class WeightedProfiles:
+    """The K-profiles of weighted sequences with common weights, one per row.
+
+    ``value_log(x, rows)`` and ``slope_log(x, rows)`` evaluate, for each i,
+    the profile of sequence ``rows[i]`` at the points ``x[i]`` of an (r, m)
+    array, as ``KProfile`` does for one sequence; every row has the same
+    kinks.  A batched quadrature plan with one row per sequence integrates
+    all of them at once.
+    """
+
+    coeffs: np.ndarray  # (sequences, n), absolute values
+    w0: np.ndarray
+    w1: np.ndarray
+
+    @classmethod
+    def from_elements(cls, elements):
+        w0, w1 = elements[0].w0, elements[0].w1
+        if any(e.w0 != w0 or e.w1 != w1 for e in elements):
+            raise ValueError("weighted sequences must share w0 and w1")
+        return cls(np.abs(np.array([e.coeffs for e in elements], dtype=float)),
+                   np.asarray(w0), np.asarray(w1))
+
+    def value_log(self, x, rows):
+        return _k_weighted_log(self.coeffs[rows], self.w0, self.w1,
+                               np.asarray(x, dtype=float))
+
+    def slope_log(self, x, rows):
+        return _k_weighted_slope_log(self.coeffs[rows], self.w0, self.w1,
+                                     np.asarray(x, dtype=float))
+
+    def log_kinks(self):
+        return _weighted_log_kinks(self.w0, self.w1)
 
 
 @dataclass(frozen=True, eq=False)

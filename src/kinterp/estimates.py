@@ -25,29 +25,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import (DEFAULT_BUDGET, ConditionReport, check_C1, check_C2,
-                         check_C3, check_C4)
-from .couples import (KProfile, StepFn, WeightedSeq, ensure_valid_kprofile,
-                      optimal_split)
+                         check_C3, check_C4, rho_table)
+from .couples import (KProfile, StepFn, WeightedProfiles, WeightedSeq,
+                      ensure_valid_kprofile, optimal_split)
 from .errors import EmptyCandidateError, GuardError
-from .params import (PhiParam, require_membership, full_norm_profile,
-                     min_factor, norm_head_u, norm_tail_char,
-                     norm_trunc_profile)
+from .params import (PhiParam, full_norm_profile, full_norm_profiles,
+                     norm_head_u, norm_tail_char, norm_trunc_profile,
+                     require_membership)
 from .quadrature import LogGrid
 from .sv import Constant
+
+# Bound here though rho comes from conditions.rho_table: perfbench/spans.py
+# wraps this name at this layer boundary and reports a missing one.
+from .params import min_factor  # noqa: E402,F401
 
 VARIANTS = ("lemma", "thm_i", "thm_ii", "classical")
 _SPLIT_GRID_MAX_N = 6
 
 
-def _terms(p0: PhiParam, p1: PhiParam, rho_t: float, profile: KProfile,
-           t: float):
-    """The four building blocks shared by all right-hand sides."""
-    x = math.log(t)
-    k_t = float(profile.value_log(np.array([x]))[0])
-    a = norm_trunc_profile(p0, profile, "head", t)
-    b = rho_t * norm_trunc_profile(p1, profile, "tail", t)
-    c = norm_tail_char(p0, t) * k_t
-    d = rho_t * norm_head_u(p1, t) * k_t / t
+def _terms(p0: PhiParam, p1: PhiParam, rho_t, profile: KProfile, t):
+    """The four building blocks shared by all right-hand sides.
+
+    ``rho_t`` and ``t`` may be floats or arrays of one shape; each term is
+    evaluated for all of them in one batched call per parameter.
+    """
+    ts = np.asarray(t, dtype=float)
+    xs = np.log(ts)
+    k_t = np.asarray(profile.value_log(xs), dtype=float)
+    a = norm_trunc_profile(p0, profile, "head", ts)
+    b = rho_t * norm_trunc_profile(p1, profile, "tail", ts)
+    c = norm_tail_char(p0, ts) * k_t
+    d = rho_t * norm_head_u(p1, ts) * k_t / ts
     return a, b, c, d
 
 
@@ -67,11 +75,12 @@ def rhs_four_term(p0, p1, rho_t, profile, t) -> float:
 
 
 def classical_rhs(theta0: float, q0: float, theta1: float, q1: float,
-                  profile: KProfile, t: float) -> float:
+                  profile: KProfile, t):
     """Two-term estimate with the pure-power weight t^{theta1-theta0}.
 
     Valid for 0 < theta0 < theta1 < 1; agrees with the canonical two-term
     right-hand side for constant b up to the constant absorbed in rho.
+    ``t`` may be a float or an array.
     """
     if not (0.0 < theta0 < theta1 < 1.0):
         raise ValueError("classical form needs 0 < theta0 < theta1 < 1")
@@ -79,7 +88,7 @@ def classical_rhs(theta0: float, q0: float, theta1: float, q1: float,
     pb = PhiParam(theta1, q1, Constant(1.0))
     head = norm_trunc_profile(pa, profile, "head", t)
     tail = norm_trunc_profile(pb, profile, "tail", t)
-    return head + t ** (theta1 - theta0) * tail
+    return head + np.power(t, theta1 - theta0) * tail
 
 
 class DecompositionSearch:
@@ -112,10 +121,8 @@ class DecompositionSearch:
                 element, steps, required=(strategy == "split_grid")))
         if not pairs:
             raise EmptyCandidateError("no candidate decompositions generated")
-        self.a0 = np.array([full_norm_profile(p0, KProfile.from_element(f0))
-                            for f0, _ in pairs])
-        self.a1 = np.array([full_norm_profile(p1, KProfile.from_element(f1))
-                            for _, f1 in pairs])
+        self.a0 = _candidate_norms(p0, [f0 for f0, _ in pairs])
+        self.a1 = _candidate_norms(p1, [f1 for _, f1 in pairs])
 
     @staticmethod
     def _truncation_candidates(element, grid):
@@ -184,6 +191,18 @@ class DecompositionSearch:
             raise EmptyCandidateError(
                 "every candidate decomposition has infinite cost")
         return float(np.min(costs))
+
+
+def _candidate_norms(p: PhiParam, elements) -> np.ndarray:
+    """||K(·, f)|| of every candidate f.
+
+    Weighted sequences share their weights, so at finite q all of them are
+    integrated in one batched call; step functions and q = inf go one by one.
+    """
+    if isinstance(elements[0], WeightedSeq) and not p.sup_norm:
+        return full_norm_profiles(p, WeightedProfiles.from_elements(elements))
+    return np.array([full_norm_profile(p, KProfile.from_element(f))
+                     for f in elements])
 
 
 def lhs_outer_k(p0: PhiParam, p1: PhiParam, element, sigma: float,
@@ -281,14 +300,17 @@ def equivalence_report(p0: PhiParam, p1: PhiParam, element,
                        variants=("lemma", "thm_i", "thm_ii"),
                        conditions: dict | None = None,
                        scenario: str = "",
-                       steps: int | None = None) -> EquivalenceReport:
+                       steps: int | None = None,
+                       rho=None) -> EquivalenceReport:
     """Run the full comparison of lhs upper bound against all RHS variants.
 
     ``conditions`` may carry precomputed ConditionReports; missing gates are
-    evaluated here on the same grid.  A variant whose gate conditions fail is
-    reported "not_applicable" rather than failed.  Synthetic K-profiles have
-    no computable left-hand side: their report carries the rhs table (and the
-    pointwise ordering check) with NaN ratios.
+    evaluated here on the same grid.  ``rho`` may carry the canonical weight
+    on the grid (``conditions.rho_table``); it is computed when omitted.  A
+    variant whose gate conditions fail is reported "not_applicable" rather
+    than failed.  Synthetic K-profiles have no computable left-hand side:
+    their report carries the rhs table (and the pointwise ordering check)
+    with NaN ratios.
     """
     variants = tuple(variants)
     for v in variants:
@@ -305,41 +327,32 @@ def equivalence_report(p0: PhiParam, p1: PhiParam, element,
         profile, couple_element = KProfile.from_element(element), element
     ensure_valid_kprofile(profile, grid)
 
+    ts = grid.points()
+    rho = (rho_table(p0, p1, grid) if rho is None
+           else np.asarray(rho, dtype=float))
     cond_reports = dict(conditions or {})
     for cid in _needed_conditions(variants):
         if cid in cond_reports:
             continue
         if cid in ("C1_lower", "C1_upper"):
-            lo, up = check_C1(p0, p1, None, grid, budget=budget)
+            lo, up = check_C1(p0, p1, rho, grid, budget=budget)
             cond_reports.setdefault("C1_lower", lo)
             cond_reports.setdefault("C1_upper", up)
         elif cid == "C2":
-            cond_reports[cid] = check_C2(p0, p1, None, grid, budget=budget)
+            cond_reports[cid] = check_C2(p0, p1, rho, grid, budget=budget)
         elif cid == "C3":
-            cond_reports[cid] = check_C3(p0, p1, None, grid, budget=budget)
+            cond_reports[cid] = check_C3(p0, p1, rho, grid, budget=budget)
         elif cid == "C4":
-            cond_reports[cid] = check_C4(p0, p1, None, grid, budget=budget)
+            cond_reports[cid] = check_C4(p0, p1, rho, grid, budget=budget)
     cond_verdicts = {cid: rep.verdict for cid, rep in cond_reports.items()}
 
-    xs = grid.log_points()
-    ts = grid.points()
-    m0 = np.array([min_factor(p0, x) for x in xs])
-    m1 = np.array([min_factor(p1, x) for x in xs])
-    rho = np.exp((p1.theta - p0.theta) * xs) * m0 / m1
-
     n = len(ts)
-    rhs = {"lemma": np.empty(n), "thm_i": np.empty(n), "thm_ii": np.empty(n)}
+    a, b, c, d = _terms(p0, p1, rho, profile, ts)
+    rhs = {"lemma": ((a + b) + c) + d, "thm_i": (a + b) + c, "thm_ii": a + b}
     classical_ok = 0.0 < p0.theta < p1.theta < 1.0
     if "classical" in variants and classical_ok:
-        rhs["classical"] = np.empty(n)
-    for i, (t, r) in enumerate(zip(ts, rho)):
-        a, b, c, d = _terms(p0, p1, float(r), profile, float(t))
-        rhs["thm_ii"][i] = a + b
-        rhs["thm_i"][i] = (a + b) + c
-        rhs["lemma"][i] = ((a + b) + c) + d
-        if "classical" in rhs:
-            rhs["classical"][i] = classical_rhs(p0.theta, p0.q, p1.theta,
-                                                p1.q, profile, float(t))
+        rhs["classical"] = classical_rhs(p0.theta, p0.q, p1.theta, p1.q,
+                                         profile, ts)
 
     if couple_element is not None:
         search = DecompositionSearch(p0, p1, couple_element, grid,

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .couples import KProfile
-from .errors import MembershipError
-from .quadrature import (LogGrid, QuadResult, decay_product,
+from .couples import KProfile, WeightedProfiles
+from .errors import MembershipError, RangeError
+from .quadrature import (LogGrid, QuadPlan, QuadResult, decay_product,
                          integral_log, sup_log)
 from .sv import (Constant, SVDescriptor, eval_sv_log, shift_integral,
                  sv_from_json, sv_to_json)
@@ -46,6 +46,8 @@ class PhiParam:
     q: float
     b: SVDescriptor = Constant(1.0)
     grid_policy: LogGrid = field(default=_NORM_GRID)
+    #: how error messages refer to the parameter (its scenario field)
+    name: str = field(default="phi", compare=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 <= self.theta <= 1.0):
@@ -62,28 +64,74 @@ class PhiParam:
         return self.grid_policy.points_per_decade
 
 
+def qth_root(p: PhiParam, r: QuadResult):
+    """r.value ** (1/q) elementwise, +inf where r diverged.
+
+    Raises RangeError naming the parameter when a finite q-th power has no
+    finite root in double precision.
+    """
+    vals = np.where(r.diverged, math.inf, r.value)
+    with np.errstate(over="ignore"):
+        out = vals ** (1.0 / p.q)
+    if np.any(np.isinf(out) & np.isfinite(vals)):
+        raise RangeError(
+            f"{p.name}: ‖·‖^(1/q) left double range (q={p.q:g})")
+    return out
+
+
+def _shift_factors(p: PhiParam, xs, side: str) -> np.ndarray:
+    """H (head) or T (tail) at every x of xs; +inf on divergence."""
+    xs = np.asarray(xs, dtype=float)
+    c = 1.0 - p.theta if side == "head" else -p.theta
+    if not p.sup_norm:
+        return qth_root(p, shift_integral(p.b, p.q, xs, c * p.q, side, p.ppd))
+    lo, hi = (-math.inf, 0.0) if side == "head" else (0.0, math.inf)
+    out = np.empty(xs.shape)
+    for i, x in enumerate(xs.flat):  # q = inf: one supremum search per point
+
+        def fn(v, x=x):
+            return decay_product(c * v, eval_sv_log(p.b, x + v))
+
+        out.flat[i] = sup_log(fn, lo, hi, ppd=p.ppd, anchors=(-x, 0.0)).or_inf()
+    return out
+
+
+def head_factors(p: PhiParam, xs) -> np.ndarray:
+    """H at every x of xs (any shape); +inf on divergence."""
+    return _shift_factors(p, xs, "head")
+
+
+def tail_factors(p: PhiParam, xs) -> np.ndarray:
+    """T at every x of xs (any shape); +inf on divergence."""
+    return _shift_factors(p, xs, "tail")
+
+
+def min_factors(p: PhiParam, xs, *, method: str = "auto") -> np.ndarray:
+    """M at every x of xs (any shape); see ``min_factor``."""
+    if p.theta == 0.0:
+        return tail_factors(p, xs)
+    if p.theta == 1.0:
+        return head_factors(p, xs)
+    if method == "auto":
+        closed = _closed_min_factor(p)
+        if closed is not None:
+            return np.full(np.shape(xs), closed)
+    h = head_factors(p, xs)
+    t = tail_factors(p, xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = (np.maximum(h, t) if p.sup_norm
+             else (h ** p.q + t ** p.q) ** (1.0 / p.q))
+    return np.where(np.isinf(h) | np.isinf(t), math.inf, m)
+
+
 def head_factor(p: PhiParam, x: float) -> float:
     """H(x) with ||u χ_(0,t)|| = t^{1-theta} H(ln t); +inf on divergence."""
-    c = (1.0 - p.theta)
-    if p.sup_norm:
-        def fn(v):
-            return decay_product(c * v, eval_sv_log(p.b, x + v))
-        r = sup_log(fn, -math.inf, 0.0, ppd=p.ppd, anchors=(-x, 0.0))
-        return math.inf if r.diverged else r.value
-    r = shift_integral(p.b, p.q, x, c * p.q, "head", p.ppd)
-    return math.inf if r.diverged else r.value ** (1.0 / p.q)
+    return float(head_factors(p, x))
 
 
 def tail_factor(p: PhiParam, x: float) -> float:
     """T(x) with ||χ_(t,∞)|| = t^{-theta} T(ln t); +inf on divergence."""
-    c = -p.theta
-    if p.sup_norm:
-        def fn(v):
-            return decay_product(c * v, eval_sv_log(p.b, x + v))
-        r = sup_log(fn, 0.0, math.inf, ppd=p.ppd, anchors=(-x, 0.0))
-        return math.inf if r.diverged else r.value
-    r = shift_integral(p.b, p.q, x, c * p.q, "tail", p.ppd)
-    return math.inf if r.diverged else r.value ** (1.0 / p.q)
+    return float(tail_factors(p, x))
 
 
 def _closed_min_factor(p: PhiParam):
@@ -103,21 +151,7 @@ def min_factor(p: PhiParam, x: float, *, method: str = "auto") -> float:
     the closed form when b is constant and q finite (method="quadrature"
     forces the quadrature path for cross-checks).
     """
-    if p.theta == 0.0:
-        return tail_factor(p, x)
-    if p.theta == 1.0:
-        return head_factor(p, x)
-    if method == "auto":
-        closed = _closed_min_factor(p)
-        if closed is not None:
-            return closed
-    h = head_factor(p, x)
-    t = tail_factor(p, x)
-    if math.isinf(h) or math.isinf(t):
-        return math.inf
-    if p.sup_norm:
-        return max(h, t)
-    return (h ** p.q + t ** p.q) ** (1.0 / p.q)
+    return float(min_factors(p, x, method=method))
 
 
 _membership_cache: dict = {}
@@ -138,20 +172,30 @@ def require_membership(p: PhiParam):
             f"min(1, t) has infinite norm for theta={p.theta}, q={p.q}")
 
 
-def norm_head_u(p: PhiParam, t: float) -> float:
-    """||u χ_(0,t)(u)||; +inf on divergence."""
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    x = math.log(t)
-    return math.exp((1.0 - p.theta) * x) * head_factor(p, x)
+def norm_head_u(p: PhiParam, t):
+    """||u χ_(0,t)(u)||; +inf on divergence.
+
+    ``t`` may be a float (returns a float) or an array (returns an array).
+    """
+    ts = _positive(t)
+    x = np.log(ts)
+    out = np.exp((1.0 - p.theta) * x) * head_factors(p, x)
+    return out if ts.ndim else float(out)
 
 
-def norm_tail_char(p: PhiParam, t: float) -> float:
-    """||χ_(t,∞)||; +inf on divergence."""
-    if not t > 0.0:
+def norm_tail_char(p: PhiParam, t):
+    """||χ_(t,∞)||; +inf on divergence (float or array, as ``t``)."""
+    ts = _positive(t)
+    x = np.log(ts)
+    out = np.exp(-p.theta * x) * tail_factors(p, x)
+    return out if ts.ndim else float(out)
+
+
+def _positive(t) -> np.ndarray:
+    ts = np.asarray(t, dtype=float)
+    if not np.all(ts > 0.0):
         raise ValueError("t must be positive")
-    x = math.log(t)
-    return math.exp(-p.theta * x) * tail_factor(p, x)
+    return ts
 
 
 def norm_min(p: PhiParam, t: float, *, method: str = "auto") -> float:
@@ -207,9 +251,10 @@ def _integrand_slope_form(p, profile):
     # form, stable toward u -> 0 where K/u tends to a constant
     theta, q = p.theta, p.q
 
-    def fn(x):
+    def fn(x, rows=None):
         x = np.asarray(x, dtype=float)
-        core = eval_sv_log(p.b, x) * np.asarray(profile.slope_log(x), float)
+        core = (eval_sv_log(p.b, x)
+                * np.asarray(profile.slope_log(x, rows), float))
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             cq = core ** q
         cq = np.where(core == 0.0, 0.0, cq)
@@ -221,9 +266,10 @@ def _integrand_value_form(p, profile):
     # e^{-theta q x} (b * K)^q dx: stable toward u -> inf where K saturates
     theta, q = p.theta, p.q
 
-    def fn(x):
+    def fn(x, rows=None):
         x = np.asarray(x, dtype=float)
-        core = eval_sv_log(p.b, x) * np.asarray(profile.value_log(x), float)
+        core = (eval_sv_log(p.b, x)
+                * np.asarray(profile.value_log(x, rows), float))
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             cq = core ** q
         cq = np.where(core == 0.0, 0.0, cq)
@@ -231,48 +277,64 @@ def _integrand_value_form(p, profile):
     return fn
 
 
-def trunc_profile_pow(p: PhiParam, profile: KProfile, side: str, t: float):
-    """Raw q-th power of the truncated norm (QuadResult); finite q only."""
-    x_t = math.log(t)
+def trunc_profile_pow(p: PhiParam, profile: KProfile, side: str, t):
+    """Raw q-th power of the truncated norm; finite q only.
+
+    ``t`` may be a float or an array; the QuadResult holds values of its
+    shape.  ``profile`` is a KProfile, or a WeightedProfiles whose row i is
+    truncated at the i-th entry of t.
+    """
+    x_t = np.log(np.asarray(t, dtype=float))
     kinks = tuple(profile.log_kinks()) + (0.0,)
+    # the forms carry e^{(1-theta) q x} and e^{-theta q x}
+    slope_rate, value_rate = (1.0 - p.theta) * p.q, -p.theta * p.q
     if side == "head":
-        mid = min(x_t, 0.0)
-        r1 = integral_log(_integrand_slope_form(p, profile), -math.inf, mid,
-                          ppd=p.ppd, kinks=kinks)
-        r2 = integral_log(_integrand_value_form(p, profile), mid, x_t,
-                          ppd=p.ppd, kinks=kinks)
-        return QuadResult(r1.value + r2.value, r1.diverged or r2.diverged)
+        mid = np.minimum(x_t, 0.0)
+        r1 = QuadPlan(-math.inf, mid, ppd=p.ppd, kinks=kinks,
+                       exp_rate=slope_rate).apply(
+                           _integrand_slope_form(p, profile))
+        r2 = QuadPlan(mid, x_t, ppd=p.ppd, kinks=kinks,
+                       exp_rate=value_rate).apply(
+                           _integrand_value_form(p, profile))
+        return QuadResult(r1.value + r2.value, r1.diverged | r2.diverged)
     if side == "tail":
-        return integral_log(_integrand_value_form(p, profile), x_t, math.inf,
-                            ppd=p.ppd, kinks=kinks)
+        return QuadPlan(x_t, math.inf, ppd=p.ppd, kinks=kinks,
+                         exp_rate=value_rate).apply(
+                             _integrand_value_form(p, profile))
     raise ValueError("side must be 'head' or 'tail'")
 
 
-def norm_trunc_profile(p: PhiParam, profile: KProfile, side: str,
-                       t: float) -> float:
-    """Truncated norm of a K-profile: ||χ_(0,t) K||  or  ||χ_(t,∞) K||."""
-    if not t > 0.0:
-        raise ValueError("t must be positive")
+def norm_trunc_profile(p: PhiParam, profile: KProfile, side: str, t):
+    """Truncated norm of a K-profile: ||χ_(0,t) K||  or  ||χ_(t,∞) K||.
+
+    ``t`` may be a float (returns a float) or an array (returns an array).
+    """
+    ts = _positive(t)
+    if side not in ("head", "tail"):
+        raise ValueError("side must be 'head' or 'tail'")
     if p.sup_norm:
-        x_t = math.log(t)
-        anchors = tuple(profile.log_kinks()) + (0.0, x_t)
-        if side == "head":
-            def fn(x):
-                x = np.asarray(x, dtype=float)
-                core = eval_sv_log(p.b, x) * np.asarray(profile.slope_log(x), float)
-                return decay_product((1.0 - p.theta) * x, core)
-            r = sup_log(fn, -math.inf, x_t, ppd=p.ppd, anchors=anchors)
-        elif side == "tail":
-            def fn(x):
-                x = np.asarray(x, dtype=float)
-                core = eval_sv_log(p.b, x) * np.asarray(profile.value_log(x), float)
-                return decay_product(-p.theta * x, core)
-            r = sup_log(fn, x_t, math.inf, ppd=p.ppd, anchors=anchors)
-        else:
-            raise ValueError("side must be 'head' or 'tail'")
-        return r.or_inf()
-    r = trunc_profile_pow(p, profile, side, t)
-    return math.inf if r.diverged else r.value ** (1.0 / p.q)
+        out = np.empty(ts.shape)
+        for i, x_t in enumerate(np.log(ts).flat):  # q = inf: one search per t
+            out.flat[i] = _sup_trunc_profile(p, profile, side, float(x_t))
+    else:
+        out = qth_root(p, trunc_profile_pow(p, profile, side, ts))
+    return out if ts.ndim else float(out)
+
+
+def _sup_trunc_profile(p, profile, side, x_t):
+    anchors = tuple(profile.log_kinks()) + (0.0, x_t)
+    if side == "head":
+        def fn(x):
+            x = np.asarray(x, dtype=float)
+            core = eval_sv_log(p.b, x) * np.asarray(profile.slope_log(x), float)
+            return decay_product((1.0 - p.theta) * x, core)
+        return sup_log(fn, -math.inf, x_t, ppd=p.ppd, anchors=anchors).or_inf()
+
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        core = eval_sv_log(p.b, x) * np.asarray(profile.value_log(x), float)
+        return decay_product(-p.theta * x, core)
+    return sup_log(fn, x_t, math.inf, ppd=p.ppd, anchors=anchors).or_inf()
 
 
 def full_norm_profile(p: PhiParam, profile: KProfile) -> float:
@@ -281,11 +343,20 @@ def full_norm_profile(p: PhiParam, profile: KProfile) -> float:
         h = norm_trunc_profile(p, profile, "head", 1.0)
         t = norm_trunc_profile(p, profile, "tail", 1.0)
         return max(h, t)
-    rh = trunc_profile_pow(p, profile, "head", 1.0)
-    rt = trunc_profile_pow(p, profile, "tail", 1.0)
-    if rh.diverged or rt.diverged:
-        return math.inf
-    return (rh.value + rt.value) ** (1.0 / p.q)
+    return float(_full_norm_pow_root(p, profile, 1.0))
+
+
+def full_norm_profiles(p: PhiParam, profiles: WeightedProfiles) -> np.ndarray:
+    """``full_norm_profile`` of every row of ``profiles`` in batched passes;
+    finite q only."""
+    return _full_norm_pow_root(p, profiles, np.ones(len(profiles.coeffs)))
+
+
+def _full_norm_pow_root(p, profile, ones):
+    rh = trunc_profile_pow(p, profile, "head", ones)
+    rt = trunc_profile_pow(p, profile, "tail", ones)
+    return qth_root(p, QuadResult(rh.value + rt.value,
+                                  rh.diverged | rt.diverged))
 
 
 def phi_to_json(p: PhiParam) -> dict:
@@ -301,7 +372,7 @@ def phi_from_json(obj: dict, path: str = "phi") -> PhiParam:
         qraw = obj["q"]
         q = math.inf if qraw in ("inf", "Infinity") else float(qraw)
         return PhiParam(theta=float(obj["theta"]), q=q,
-                        b=sv_from_json(obj["b"], path + ".b"))
+                        b=sv_from_json(obj["b"], path + ".b"), name=path)
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -17,10 +17,11 @@ from importlib import resources
 from pathlib import Path
 
 from .conditions import (check_C1, check_C2, check_C3, check_C4,
-                         check_sv_sufficient)
+                         check_sv_sufficient, rho_table)
 from .couples import KProfile, ensure_valid_kprofile
 from .errors import KinterpError, ScenarioError
 from .estimates import equivalence_report
+from .params import require_membership
 from .scenario import Scenario, load_scenario
 
 EXIT_OK = 0
@@ -70,31 +71,38 @@ _KNOWN_CHECKS = ("C1", "C2", "C3", "C4", "SV_sufficient")
 
 
 def _run_checks(sc: Scenario, only=None):
+    """(condition reports, canonical rho table or None if no check used it)."""
     wanted = sc.checks if only is None else tuple(only)
     unknown = [c for c in wanted if c not in _KNOWN_CHECKS]
     if unknown:
         raise ScenarioError(f"checks: unknown condition(s) {unknown}; "
                             f"expected a subset of {_KNOWN_CHECKS}")
+    rho = None
+    if {"C1", "C2", "C3", "C4"} & set(wanted):
+        # computed once, for every check and the equivalence report
+        require_membership(sc.phi0)
+        require_membership(sc.phi1)
+        rho = rho_table(sc.phi0, sc.phi1, sc.grid)
     reports = {}
     for check in wanted:
         if check == "C1":
-            lo, up = check_C1(sc.phi0, sc.phi1, None, sc.grid,
+            lo, up = check_C1(sc.phi0, sc.phi1, rho, sc.grid,
                               budget=sc.budget)
             reports["C1_lower"], reports["C1_upper"] = lo, up
         elif check == "C2":
-            reports["C2"] = check_C2(sc.phi0, sc.phi1, None, sc.grid,
+            reports["C2"] = check_C2(sc.phi0, sc.phi1, rho, sc.grid,
                                      budget=sc.budget)
         elif check == "C3":
-            reports["C3"] = check_C3(sc.phi0, sc.phi1, None, sc.grid,
+            reports["C3"] = check_C3(sc.phi0, sc.phi1, rho, sc.grid,
                                      budget=sc.budget)
         elif check == "C4":
-            reports["C4"] = check_C4(sc.phi0, sc.phi1, None, sc.grid,
+            reports["C4"] = check_C4(sc.phi0, sc.phi1, rho, sc.grid,
                                      budget=sc.budget)
         elif check == "SV_sufficient":
             reports["SV_sufficient"] = check_sv_sufficient(
                 sc.phi0.b, sc.phi0.q, sc.phi1.b, sc.phi1.q, sc.sv_epsilon,
                 sc.grid, budget=sc.budget)
-    return reports
+    return reports, rho
 
 
 def run_scenario(sc: Scenario, out_dir: Path | str = "reports", *,
@@ -111,13 +119,13 @@ def run_scenario(sc: Scenario, out_dir: Path | str = "reports", *,
         profile = (sc.element if isinstance(sc.element, KProfile)
                    else KProfile.from_element(sc.element))
         ensure_valid_kprofile(profile, sc.grid)
-        cond_reports = _run_checks(sc, only=checks_only)
+        cond_reports, rho = _run_checks(sc, only=checks_only)
         equivalence = None
         if checks_only is None:
             equivalence = equivalence_report(
                 sc.phi0, sc.phi1, sc.element, sc.grid, budget=sc.budget,
                 variants=sc.variants, conditions=cond_reports,
-                scenario=sc.name)
+                scenario=sc.name, rho=rho)
     except KinterpError as exc:
         summary = {"scenario": sc.name, "status": "error",
                    "error": str(exc), "exit_code": EXIT_VALIDATION}
