@@ -92,7 +92,8 @@ def _shift_factors(p: PhiParam, xs, side: str) -> np.ndarray:
         def fn(v, x=x):
             return decay_product(c * v, eval_sv_log(p.b, x + v))
 
-        out.flat[i] = sup_log(fn, lo, hi, ppd=p.ppd, anchors=(-x, 0.0)).or_inf()
+        out.flat[i] = sup_log(fn, lo, hi, ppd=p.ppd, anchors=(-x, 0.0),
+                              rate=c).or_inf()
     return out
 
 

@@ -26,11 +26,18 @@ rather than an exception because +∞ is a legal quasi-norm value.
 ``QuadPlan`` applies this rule to many intervals at once: it lays out the
 nodes of a batch of rows as one matrix (pass by pass, ``CHUNK_ELEMS`` nodes
 at most), evaluates the integrand once per pass and reduces row by row.
-``integral_log`` is its one-row case.
+``integral_log`` is its one-row case.  Rows share the lattice, so most of
+their panels are whole lattice panels: a plan computes those once, in a
+table per segment (direct part, negative and positive far region), and per
+row only its own panels, the partial ones at its bounds and the ones its
+kinks split.  A pass is then gathered from the table and its rows' own
+panels by one index array; every row keeps the nodes, weights and column
+order it would get on its own.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -125,28 +132,36 @@ def decay_product(exponent, factor):
     return np.where(factor == 0.0, 0.0, out)
 
 
-def _segment(lo, hi, width, kinks):
-    """Gauss-Legendre nodes and weights on each row's lattice-snapped panels.
+#: lattice offsets from floor(p / width) that can hold the panel edges next
+#: to a bound or kink p: the lattice point below it and the two above it,
+#: allowing for rounding in p / width
+_NEAR = np.arange(-1.0, 3.0)
 
-    Row i covers [lo[i], hi[i]] (no panels where hi <= lo).  Its panel edges
-    are the lattice points k*width inside, its ``kinks`` (a row of the
-    (r, K) array, NaN for none) inside, and the two bounds; a point closer
-    than 1e-9*width to its predecessor is dropped, and the outer edges are
-    reset to lo and hi.  Returns (nodes, weights), each (r, GL_ORDER * P)
-    for the largest panel count P of any row; a row's columns past its own
-    panels belong to zero-width panels at hi (zero weight).
+
+def _near_edges(lo, hi, kinks, width):
+    """Panel edges of each row [lo[i], hi[i]] next to its bounds and kinks.
+
+    A row's panel edges are lo, hi, its ``kinks`` (a row of the (r, K)
+    array, NaN for none) strictly inside, and the lattice points k*width
+    strictly inside; sorted, a point closer than 1e-9*width to its
+    predecessor is dropped, and the last remaining point is reset to hi.
+    Away from the bounds and kinks the edges are consecutive lattice points,
+    so only the lattice points next to a bound or kink are placed here.
+
+    Returns (edges, index), each (r, E): a row's kept edges in order (NaN
+    past its last) and the lattice index k of each edge that equals
+    k*width (NaN for the others).  Two consecutive edges with indices a < b
+    enclose the whole lattice panels a..b-1; any other two consecutive
+    edges enclose one panel.
     """
     r = lo.size
-    k0 = np.floor(lo / width) + 1.0
-    inner = np.ceil(hi / width) - k0
-    j = np.arange(max(int(inner.max(initial=0.0)), 0))
-    lattice = (k0[:, None] + j) * width
-    lattice[j >= inner[:, None]] = np.nan
-    parts = [lo[:, None], lattice, hi[:, None]]
-    if kinks.shape[1]:
-        inside = (kinks > lo[:, None]) & (kinks < hi[:, None])
-        parts.insert(2, np.where(inside, kinks, np.nan))
-    pts = np.concatenate(parts, axis=1)
+    inside = (kinks > lo[:, None]) & (kinks < hi[:, None])
+    bound = np.column_stack([lo, np.where(inside, kinks, np.nan), hi])
+    k = (np.floor(bound / width)[:, :, None] + _NEAR).reshape(
+        r, _NEAR.size * bound.shape[1])
+    k[(k <= np.floor(lo / width)[:, None])
+      | (k >= np.ceil(hi / width)[:, None])] = np.nan
+    pts = np.concatenate([bound, k * width], axis=1)
     pts.sort(axis=1)
     keep = np.ones(pts.shape, dtype=bool)
     keep[:, 1:] = pts[:, 1:] - pts[:, :-1] > width * 1e-9
@@ -154,15 +169,27 @@ def _segment(lo, hi, width, kinks):
     pts.sort(axis=1)
     count = keep.sum(axis=1)
     edges = pts[:, :int(count.max(initial=1))]
-    edges[:, 0] = lo
     edges[np.arange(r), count - 1] = hi
-    edges = np.where(np.isnan(edges), hi[:, None], edges)
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-    nodes = np.multiply(half[:, None, :], _GL_X[:, None])
-    nodes += mid[:, None, :]
-    weights = np.multiply(half[:, None, :], _GL_W[:, None])
-    return nodes.reshape(r, -1), weights.reshape(r, -1)
+    k = np.floor(edges / width + 0.5)
+    return edges, np.where(k * width == edges, k, np.nan)
+
+
+def _gl_nodes(a, b, region):
+    """Gauss-Legendre nodes and weights, (m, GL_ORDER), of the panels
+    [a[j], b[j]]: in x for region 0 (the direct part); in y = ln|x|,
+    returned as x = -e^y (region 1) or e^y (region 2) with the weights
+    scaled by e^y, for the far regions."""
+    half = 0.5 * (b - a)[:, None]
+    mid = 0.5 * (b + a)[:, None]
+    x = half * _GL_X
+    x += mid
+    w = half * _GL_W
+    far = (region != 0)[:, None]
+    if far.any():
+        u = np.exp(x)
+        w = np.where(far, w * u, w)
+        x = np.where(far, np.where((region == 1)[:, None], -u, u), x)
+    return x, w
 
 
 def distinct(arrays) -> np.ndarray:
@@ -213,8 +240,18 @@ class QuadPlan:
     far panels past the first lattice edge beyond that point are skipped,
     which changes no node value and no divergence rule.
 
-    Nodes are generated pass by pass, at most about ``CHUNK_ELEMS`` of them
-    per pass, each time ``points`` or ``apply`` runs.
+    Layout.  Each of a row's three segments (the direct part in x, the
+    negative and the positive far region in y = ln|x|) is a run of whole
+    lattice panels, cut only at its two bounds and at its kinks.  The plan
+    computes the nodes and weights of each whole lattice panel once, in a
+    table per segment (the far ones already mapped back to x and scaled by
+    e^y).  A row keeps only its panel count per segment and its own panels:
+    the partial ones at its bounds and the ones its kinks split, at most
+    2 + 2 * (kink count) per segment; between two of them, and before the
+    first and after the last, lie runs of table panels.  Each time
+    ``apply`` runs, passes of at most about ``CHUNK_ELEMS`` nodes are
+    gathered from the table and their rows' own panels by one index array,
+    for the nodes and for the weights.
     """
 
     def __init__(self, lo, hi, *, ppd=DEFAULT_PPD, kinks=(), row_kinks=None,
@@ -223,11 +260,11 @@ class QuadPlan:
                                      np.asarray(hi, dtype=float))
         self.shape = lo.shape
         self.rows = np.flatnonzero(hi > lo)
-        self.lo, self.hi = lo.ravel()[self.rows], hi.ravel()[self.rows]
-        self.kinks = np.broadcast_to(np.asarray(kinks, dtype=float),
-                                     (self.rows.size, len(kinks)))
+        self.lo, self.hi = lo, hi = lo.ravel()[self.rows], hi.ravel()[self.rows]
+        kinks = np.broadcast_to(np.asarray(kinks, dtype=float),
+                                (self.rows.size, len(kinks)))
         if row_kinks is not None:
-            self.kinks = np.column_stack([self.kinks, np.asarray(
+            kinks = np.column_stack([kinks, np.asarray(
                 row_kinks, dtype=float).ravel()[self.rows]])
         self.width = LN10 / max(1, round(ppd / GL_ORDER))
         # y = ln|x| beyond which each far region's integrand is exactly 0
@@ -235,28 +272,42 @@ class QuadPlan:
         if exp_rate and EXP_ZERO / abs(exp_rate) < DEEP_LOG_RANGE:
             self.y_cut[exp_rate < 0.0] = self.width * math.ceil(
                 math.log(EXP_ZERO / abs(exp_rate)) / self.width)
-        # a bound on each row's node count, from the lengths of its three
-        # segments (built in blocks to keep the temporaries small)
-        span = np.empty(self.rows.size)
-        for start in range(0, self.rows.size, 1024):
-            block = np.arange(start, min(start + 1024, self.rows.size))
-            span[block] = sum(np.maximum(s_hi - s_lo, 0.0)
-                              for s_lo, s_hi, _ in self._segments(block))
-        self.cols = GL_ORDER * (span / self.width
-                                + 3 * (self.kinks.shape[1] + 1)) + 4
+        # far regions (columns) reaching DEEP_LOG_RANGE get the tail fit
+        self.unbounded = np.column_stack([-lo >= DEEP_LOG_RANGE,
+                                          hi >= DEEP_LOG_RANGE])
+        # per row: a bound on its node count (rows of similar width share
+        # a pass), its panel count and own panel count per segment, and its
+        # own panels (a, b) in order; laid out in blocks of rows, to keep
+        # the temporaries small
+        r = self.rows.size
+        self.cols = np.empty(r)
+        self.n = np.empty((r, 3), dtype=np.int64)
+        self.own_n = np.empty((r, 3), dtype=np.int64)
+        own, k_lo, k_hi = [], [], []
+        step = max(1, 16384 // (15 * kinks.shape[1] + 30))
+        for s in range(0, max(r, 1), step):
+            block = slice(s, s + step)
+            (self.cols[block], self.n[block], self.own_n[block], a, b, lo_k,
+             hi_k) = self._lay_out(lo[block], hi[block], kinks[block])
+            own.append(np.column_stack([a, b]))
+            k_lo.append(lo_k)
+            k_hi.append(hi_k)
+        self.own = np.concatenate(own)
+        count = self.own_n.sum(axis=1)
+        self.own_start = np.cumsum(count) - count
+        self._tabulate(np.min(k_lo, axis=0), np.max(k_hi, axis=0))
 
-    def _segments(self, idx):
-        """(lo, hi, kinks) of rows idx for the direct part in x and the
+    def _segments(self, lo, hi, kinks):
+        """(lo, hi, kinks) of rows for the direct part in x and the
         negative and positive far regions in y = ln|x|."""
-        lo, hi, kk = self.lo[idx], self.hi[idx], self.kinks[idx]
         a = np.maximum(lo, -SWITCH)
         b = np.minimum(hi, SWITCH)
-        out = [(a, np.where(b - a >= 1e-15, b, a), kk)]
+        out = [(a, np.where(b - a >= 1e-15, b, a), kinks)]
         with np.errstate(divide="ignore", invalid="ignore"):
             for present, u_min, u_top, ksign, y_cut in (
-                    (lo < -SWITCH, np.maximum(SWITCH, -hi), -lo, -kk,
+                    (lo < -SWITCH, np.maximum(SWITCH, -hi), -lo, -kinks,
                      self.y_cut[0]),
-                    (hi > SWITCH, np.maximum(SWITCH, lo), hi, kk,
+                    (hi > SWITCH, np.maximum(SWITCH, lo), hi, kinks,
                      self.y_cut[1])):
                 u_top = np.minimum(u_top, DEEP_LOG_RANGE)
                 y_lo = np.log(u_min)
@@ -266,76 +317,304 @@ class QuadPlan:
                             np.log(ksign)))
         return out
 
-    def _passes(self):
-        """(row indices, built points) per pass over the plan's rows."""
-        n = self.rows.size
-        # rows of similar width share a pass, so little of it is padding
-        order = np.argsort(self.cols, kind="stable")
-        cols = self.cols[order]
-        start = 0
-        while start < n:
-            fits = np.arange(1, n - start + 1) * cols[start:] <= CHUNK_ELEMS
-            stop = start + max(1, int(np.count_nonzero(fits)))
-            idx = order[start:stop]
-            yield idx, self._build(idx)
-            start = stop
+    def _lay_out(self, lo, hi, kinks):
+        """Layout of a block of rows: (node count bound, panel count and own
+        panel count per segment, own panels' a and b, and per segment the
+        lowest and highest lattice index any row reaches)."""
+        r = lo.size
+        segments = self._segments(lo, hi, kinks)
+        span = sum(np.maximum(s_hi - s_lo, 0.0) for s_lo, s_hi, _ in segments)
+        cols = GL_ORDER * (span / self.width + 3 * (kinks.shape[1] + 1)) + 4
+        k_lo, k_hi = np.full(3, np.inf), np.full(3, -np.inf)
+        # the segments some row has, for every row one after the other,
+        # each with the kinks inside some row of it
+        present = []
+        for seg, (s_lo, s_hi, kk) in enumerate(segments):
+            some = s_hi > s_lo
+            if some.any():
+                present.append(seg)
+                k_lo[seg] = np.floor(s_lo[some] / self.width).min()
+                k_hi[seg] = np.ceil(s_hi[some] / self.width).max()
+        present = present or [0]
+        s_lo, s_hi = (np.concatenate([segments[seg][i] for seg in present])
+                      for i in (0, 1))
+        s_hi = np.maximum(s_hi, s_lo)
+        kk = [k[:, ((k > a[:, None]) & (k < b[:, None])).any(axis=0)]
+              for a, b, k in (segments[seg] for seg in present)]
+        stacked = np.full((s_lo.size, max(k.shape[1] for k in kk)), np.nan)
+        for i, k in enumerate(kk):
+            stacked[i * r:(i + 1) * r, :k.shape[1]] = k
+        edges, index = _near_edges(s_lo, s_hi, stacked, self.width)
+        first, last = index[:, :-1], index[:, 1:]
+        table = last > first
+        own = ~table & (edges[:, 1:] > edges[:, :-1])
+        n = np.zeros((r, 3), dtype=np.int64)
+        n[:, present] = (np.where(table, last - first, own).sum(axis=1)
+                         .reshape(len(present), r).T)
+        own_n = np.zeros((r, 3), dtype=np.int64)
+        own_n[:, present] = own.sum(axis=1).reshape(len(present), r).T
+        # own panels row by row, each row's in segment order
+        at = np.nonzero(own.reshape(len(present), r, own.shape[1])
+                        .transpose(1, 0, 2))
+        flat = (at[1] * r + at[0], at[2])
+        return (cols, n, own_n, edges[:, :-1][flat], edges[:, 1:][flat],
+                k_lo, k_hi)
 
-    def _build(self, idx):
-        """Points of rows idx: (points, weights, valid, inc, unbounded).
+    def _tabulate(self, k_lo, k_hi):
+        """Nodes and weights of the table: per segment the lattice panels
+        k_lo..k_hi-1; lattice panel k of segment s is table panel k +
+        table_at[s]."""
+        xs, ws = [np.zeros((0, GL_ORDER))], [np.zeros((0, GL_ORDER))]
+        self.table_at = np.zeros(3, dtype=np.int64)
+        size = 0
+        for seg in range(3):
+            if k_hi[seg] > k_lo[seg]:
+                k0, k1 = int(k_lo[seg]), int(k_hi[seg])
+                edges = np.arange(k0, k1 + 1) * self.width
+                x, w = _gl_nodes(edges[:-1], edges[1:], np.full(k1 - k0, seg))
+                xs.append(x)
+                ws.append(w)
+                self.table_at[seg] = size - k0
+                size += k1 - k0
+        self.table_x = np.concatenate(xs)
+        self.table_w = np.concatenate(ws)
+
+    def _runs(self, rows, counts, fill):
+        """The source panels of rows' slots, as runs of consecutive panels.
+
+        Per row and segment: before each own panel the run of table panels
+        leading up to it, the own panel itself, the last run of table
+        panels, then ``counts`` - n unused slots (none if counts is None),
+        all holding the panel ``fill`` of the row.  Own panels are numbered
+        after the table, in the rows' order.  Returns (start, length, step)
+        per run (step 1 within a run, 0 for the unused slots), each row's
+        first run and the rows' own panels (a, b, segment).
+        """
+        r = rows.size
+        n = self.n[rows].ravel()
+        in_group = self.own_n[rows].ravel()  # per (row, segment)
+        group_end = np.cumsum(in_group)
+        m = int(group_end[-1])
+        count = in_group.reshape(r, 3).sum(axis=1)
+        end = np.cumsum(count)
+        a, b = self.own[np.repeat(self.own_start[rows] - (end - count), count)
+                        + np.arange(m)].T
+        group = np.repeat(np.arange(3 * r), in_group)
+        seg = group % 3
+        # each segment's lower bound (its first edge where it has panels)
+        lo, hi = self.lo[rows], self.hi[rows]
+        lower = np.column_stack([
+            np.minimum(np.maximum(lo, -SWITCH), SWITCH),
+            np.log(np.maximum(SWITCH, -hi)),
+            np.log(np.maximum(SWITCH, lo))]).ravel()
+        # table runs start and end on lattice points: their lattice index
+        # is edge / width, rounded
+        prev = np.empty(m)
+        prev[1:] = b[:-1]
+        fresh = np.ones(m, dtype=bool)
+        fresh[1:] = group[1:] != group[:-1]
+        prev[fresh] = lower[group[fresh]]
+        k_prev = np.floor(prev / self.width + 0.5).astype(np.int64)
+        before = np.floor(a / self.width + 0.5).astype(np.int64) - k_prev
+        last = np.where(in_group > 0, b[np.maximum(group_end - 1, 0)]
+                        if m else lower, lower)
+        at = self.table_at[np.arange(3 * r) % 3]
+        # per group: (run, own panel) per own panel, then the last run and
+        # the unused slots
+        size = 2 * in_group + 2
+        offset = np.cumsum(size) - size
+        start = np.empty(int(size.sum()), dtype=np.int64)
+        length = np.empty_like(start)
+        step = np.ones_like(start)
+        pos = offset[group] + 2 * (np.arange(m)
+                                   - (group_end - in_group)[group])
+        start[pos], length[pos] = k_prev + at[group], before
+        start[pos + 1] = self.table_x.shape[0] + np.arange(m)
+        length[pos + 1] = 1
+        pos = offset + 2 * in_group
+        start[pos] = np.floor(last / self.width + 0.5).astype(np.int64) + at
+        summed = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(before, out=summed[1:])
+        length[pos] = n - in_group - (summed[group_end]
+                                      - summed[group_end - in_group])
+        start[pos + 1], length[pos + 1], step[pos + 1] = (
+            np.repeat(fill, 3), 0 if counts is None else counts.ravel() - n, 0)
+        return start, length, step, offset[::3], (a, b, seg)
+
+    @staticmethod
+    def _slots(start, length, step):
+        """The panel in each slot of runs (start, length, step): a
+        cumulative sum of steps that jumps to each run's first panel."""
+        keep = length > 0
+        start, length, step = start[keep], length[keep], step[keep]
+        jump = start.copy()
+        jump[1:] -= start[:-1] + step[:-1] * (length[:-1] - 1)
+        panel = np.repeat(step, length)
+        panel[np.cumsum(length) - length] = jump
+        return np.cumsum(panel, out=panel)
+
+    def _passes(self):
+        """(row indices, (points, weights, inc, unbounded)) per pass over
+        the plan's rows.
 
         Columns are the direct nodes, the negative and the positive far
         nodes, then, when some row has an unbounded far region, the
         tail-fit probes u_ref, u_ref/2 of the negative and of the positive
-        region.  ``inc`` lists, per far region, (first column, mask) where
-        the mask marks the nodes that count toward that region's
-        last-doubling increment.  Columns a row does not use repeat one of
-        its own points, so the integrand sees no point outside the rule.
+        region; segment s takes GL_ORDER * N_s columns for the most panels
+        N_s of any row of the pass, node by node (column g * N_s + j holds
+        node g of panel j).  ``inc`` lists, per far region, (first column,
+        mask) where the mask marks the nodes that count toward that region's
+        last-doubling increment.  Columns a row does not use repeat its
+        first point with weight 0, so the integrand sees no point outside
+        the rule; a pass without nodes has one such column.
         """
-        r = idx.size
-        lo, hi = self.lo[idx], self.hi[idx]
-        xs, ws, inc = [], [], []
-        unbounded = np.stack([-lo >= DEEP_LOG_RANGE, hi >= DEEP_LOG_RANGE])
-        u_min = np.stack([np.maximum(SWITCH, -hi), np.maximum(SWITCH, lo)])
-        for k, (s_lo, s_hi, kk) in enumerate(self._segments(idx)):
-            if not (s_hi > s_lo).any():
-                continue
-            x, w = _segment(s_lo, s_hi, self.width, kk)
-            if k:
-                far = k - 1
-                u = np.exp(x, out=x)
-                w *= u
-                u_top = np.minimum(-lo if far == 0 else hi, DEEP_LOG_RANGE)
-                last = (unbounded[far] & (u_min[far] < u_top / 4.0))[:, None]
-                inc.append((sum(a.shape[1] for a in xs),
-                            last & (u > u_top[:, None] / 2.0)))
-                if far == 0:
-                    np.negative(u, out=u)
-            xs.append(x)
-            ws.append(w)
-        if not xs:  # only a direct part shorter than 1e-15: no nodes
-            xs, ws = [lo[:, None]], [np.zeros((r, 1))]
-        if unbounded.any():
-            u_ref = np.maximum(DEEP_LOG_RANGE, 2.0 * u_min)
-            xs.append(np.stack([-u_ref[0], -u_ref[0] / 2.0,
-                                u_ref[1], u_ref[1] / 2.0], axis=1))
-            ws.append(np.zeros((r, 4)))
-        points = np.concatenate(xs, axis=1)
-        weights = np.concatenate(ws, axis=1)
-        valid = weights > 0.0
-        if unbounded.any():
-            valid[:, -4:] = np.repeat(unbounded.T, 2, axis=1)
-        first = points[np.arange(r), np.argmax(valid, axis=1)]
-        points = np.where(valid, points, first[:, None])
-        points.flags.writeable = False
-        return points, weights, valid, inc, unbounded.T
+        n = self.rows.size
+        if not n:
+            return
+        # rows of similar width share a pass, so little of it is padding
+        order = np.argsort(self.cols, kind="stable")
+        cols = self.cols[order]
+        starts = []
+        start = 0
+        while start < n:
+            starts.append(start)
+            ahead = cols[start:start + CHUNK_ELEMS]
+            fits = np.arange(1, ahead.size + 1) * ahead <= CHUNK_ELEMS
+            start += max(1, int(np.count_nonzero(fits)))
+        bounds = starts + [n]
+        rows = np.array([b - a for a, b in zip(bounds, bounds[1:])])
+        passes = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+        counts = np.array([self.n[idx].max(axis=0) for idx in passes])
+        probes = [bool(self.unbounded[idx].any()) for idx in passes]
+        # consecutive passes are gathered from one source, about
+        # CHUNK_ELEMS panels at a time
+        end = np.cumsum(rows * counts.sum(axis=1)).tolist()
+        node = np.arange(GL_ORDER)[:, None]
+        first = 0
+        while first < len(starts):
+            room = (end[first - 1] if first else 0) + CHUNK_ELEMS
+            last = max(first + 1, bisect.bisect_right(end, room))
+            src_x, src_w, panel, probe, limit = self._gather(
+                order[bounds[first]:bounds[last]],
+                np.repeat(counts[first:last], rows[first:last], axis=0))
+            at = 0
+            for p in range(first, last):
+                r, c, idx = int(rows[p]), counts[p].tolist(), passes[p]
+                block = slice(bounds[p] - bounds[first],
+                              bounds[p + 1] - bounds[first])
+                total = sum(c)
+                slots = panel[at:at + r * total].reshape(r, total)
+                at += r * total
+                cols = GL_ORDER * total
+                extra = 4 if probes[p] else 0 if total else 1
+                take = np.empty((r, cols + extra), dtype=np.intp)
+                lo = 0
+                for k in c:
+                    if k:
+                        np.add(slots[:, None, lo:lo + k], node, out=take[
+                            :, GL_ORDER * lo:GL_ORDER * (lo + k)].reshape(
+                                r, GL_ORDER, k))
+                        lo += k
+                if extra:
+                    take[:, cols:] = probe[block, :extra]
+                points = src_x.take(take)
+                points.flags.writeable = False
+                inc = []
+                for far in (1, 2):
+                    start = GL_ORDER * sum(c[:far])
+                    stop = start + GL_ORDER * c[far]
+                    at_least = limit[block, far - 1]
+                    if stop > start and at_least.min() < math.inf:
+                        # |x| beyond the row's limit (x < 0 in the negative
+                        # region, > 0 in the positive one)
+                        nodes = points[:, start:stop]
+                        inc.append((start, nodes < -at_least[:, None]
+                                    if far == 1
+                                    else nodes > at_least[:, None]))
+                yield idx, (points, src_w.take(take), inc, self.unbounded[idx])
+            del src_x, src_w, panel  # before the next block's are built
+            first = last
+
+    def _gather(self, rows, counts):
+        """What consecutive passes gather from, and where.
+
+        ``counts`` gives, per row, the most panels per segment in its pass.
+        Returns the flat node and weight sources, (panels, GL_ORDER) arrays
+        holding the table, the rows' own panels and per row one panel of
+        probes and one of its first point (weight 0, for its unused
+        columns); the first source node of each of the rows' slots, one row
+        after the other; per row the flat index of its four probes; and per
+        row and far region the |x| beyond which its nodes make up the
+        last-doubling increment (inf: none).
+        """
+        r = rows.size
+        t = self.table_x.shape[0]
+        m = int(self.own_n[rows].sum())
+        probe, fill = t + m + np.arange(r), t + m + r + np.arange(r)
+        start, length, step, row_at, own = self._runs(rows, counts, fill)
+        own_x, own_w = _gl_nodes(*own)
+        src_x = np.zeros((t + m + 2 * r, GL_ORDER))
+        src_w = np.zeros((t + m + 2 * r, GL_ORDER))
+        src_x[:t], src_w[:t] = self.table_x, self.table_w
+        src_x[t:t + m], src_w[t:t + m] = own_x, own_w
+        # the tail-fit probes of unbounded regions
+        lo, hi, unbounded = self.lo[rows], self.hi[rows], self.unbounded[rows]
+        u_min = np.column_stack([np.maximum(SWITCH, -hi),
+                                 np.maximum(SWITCH, lo)])
+        u_top = np.column_stack([np.minimum(-lo, DEEP_LOG_RANGE),
+                                 np.minimum(hi, DEEP_LOG_RANGE)])
+        u_ref = np.maximum(DEEP_LOG_RANGE, 2.0 * u_min)
+        limit = np.where(unbounded & (u_min < u_top / 4.0), u_top / 2.0,
+                         math.inf)
+        # a row's first point: the first node of its first panel, else of
+        # its first probe, else its lower bound; its unused columns and the
+        # probes of a bounded region hold it
+        panels = (length > 0) & (step > 0)
+        found = np.flatnonzero(panels)
+        before = np.cumsum(panels) - panels
+        found = (found[np.minimum(before[row_at], found.size - 1)]
+                 if found.size else row_at)
+        has = self.n[rows].any(axis=1)
+        first = np.where(
+            has, src_x[np.where(has, start[found], 0), 0],
+            np.where(unbounded[:, 0], -u_ref[:, 0],
+                     np.where(unbounded[:, 1], u_ref[:, 1], lo)))
+        src_x[probe, :4] = np.where(
+            np.repeat(unbounded, 2, axis=1),
+            np.column_stack([-u_ref[:, 0], -u_ref[:, 0] / 2.0,
+                             u_ref[:, 1], u_ref[:, 1] / 2.0]),
+            first[:, None])
+        src_x[fill] = first[:, None]
+        panel = self._slots(start, length, step)
+        panel *= GL_ORDER
+        return (src_x.ravel(), src_w.ravel(), panel,
+                GL_ORDER * probe[:, None] + np.arange(4), limit)
 
     def points(self) -> np.ndarray:
-        """Sorted distinct points at which ``apply`` evaluates the integrand."""
-        # merged pass by pass: rows share most nodes, so the union stays small
-        found = np.zeros(0)
-        for _, built in self._passes():
-            found = distinct([found, built[0]])
-        return found
+        """Sorted distinct points at which ``apply`` evaluates the integrand:
+        the nodes of the table panels some row uses, the rows' own nodes,
+        the probes of unbounded regions and, for a row with no node, its
+        lower bound."""
+        t = self.table_x.shape[0]
+        found, used = np.zeros(0), np.zeros(t, dtype=bool)
+        block = CHUNK_ELEMS // GL_ORDER
+        for s in range(0, self.rows.size, block):
+            rows = np.arange(s, min(s + block, self.rows.size))
+            runs = self._runs(rows, None, rows)
+            panel = self._slots(*runs[:3])
+            used[panel[panel < t]] = True
+            # merged block by block: the union stays small where rows share
+            # nodes
+            found = distinct([found, _gl_nodes(*runs[4])[0]])
+        parts = [found, self.table_x[used]]
+        lo, hi, unbounded = self.lo, self.hi, self.unbounded
+        neg = np.maximum(DEEP_LOG_RANGE,
+                         2.0 * np.maximum(SWITCH, -hi[unbounded[:, 0]]))
+        pos = np.maximum(DEEP_LOG_RANGE,
+                         2.0 * np.maximum(SWITCH, lo[unbounded[:, 1]]))
+        parts += [-neg, -neg / 2.0, pos, pos / 2.0,
+                  lo[~(self.n.any(axis=1) | unbounded.any(axis=1))]]
+        return distinct(parts)
 
     def apply(self, fn) -> "QuadResult":
         """Integrate ``fn(points, rows)`` over every row.
@@ -347,11 +626,11 @@ class QuadPlan:
         """
         value = np.zeros(self.shape).ravel()
         diverged = np.zeros(value.shape, dtype=bool)
-        for idx, (points, weights, valid, inc, unbounded) in self._passes():
+        for idx, (points, weights, inc, unbounded) in self._passes():
             rows = self.rows[idx]
             vals = np.asarray(fn(points, rows), dtype=float)
             finite = np.isfinite(vals)
-            bad = (valid & ~finite).any(axis=1)
+            bad = ((weights > 0.0) & ~finite).any(axis=1)
             contrib = np.where(finite, vals, 0.0)
             with np.errstate(over="ignore", invalid="ignore"):
                 contrib *= weights
@@ -401,14 +680,43 @@ def _refine_max(fn, lo, hi, iters=80):
     return float(np.asarray(fn(np.array([mid])), dtype=float)[0])
 
 
+def _samples(lo, hi, step, refs, window):
+    """Sample points of [lo, hi] on a fixed step, except in a gap longer
+    than 2 * window between consecutive ``refs`` (anchors, bounds, cuts):
+    there the step holds only within window of the gap's two ends, and in
+    between the distance to the nearer end grows geometrically, by the same
+    step in its logarithm, as the far substitution of ``integral_log``
+    spaces its nodes."""
+    refs = sorted({a for a in refs if lo <= a <= hi})
+    gaps = [(a, b) for a, b in zip(refs, refs[1:]) if b - a > 2.0 * window]
+    if not gaps:
+        return np.append(np.arange(lo, hi, step), hi)
+    parts, start = [], lo
+    for a, b in gaps:
+        d = np.concatenate([np.arange(0.0, window, step), np.exp(
+            np.arange(math.log(window), math.log(0.5 * (b - a)), step))])
+        parts += [np.arange(start, a, step), a + d, b - d[::-1]]
+        start = b
+    parts.append(np.arange(start, hi, step))
+    return np.append(np.concatenate(parts), hi)
+
+
 def sup_log(fn, x_lo=-math.inf, x_hi=math.inf, *, ppd=DEFAULT_PPD, anchors=(),
-            max_rounds=3):
+            max_rounds=3, rate=None):
     """Supremum of fn over [x_lo, x_hi] in x = ln t coordinates.
 
     Infinite bounds are probed over successively wider windows; a supremum
     that keeps growing after ``max_rounds`` extensions is flagged divergent.
     Exact anchor points (kinks, truncation points) are always sampled, and
     the discrete argmax is polished by a local ternary search.
+
+    ``rate`` = a declares that fn carries the factor e^{a x} through
+    ``decay_product``.  Then fn is exactly 0.0 where a x < -EXP_ZERO, so the
+    search stops there, and gaps between anchors longer than two windows
+    are sampled at log spacing (``_samples``); the number of samples no
+    longer grows with the distance between the anchors.  Where every gap is
+    shorter and the cut lies outside the windows, the samples are those
+    taken without ``rate``.
     """
     step = LN10 / max(1, ppd)
     lo_inf = not math.isfinite(x_lo)
@@ -430,8 +738,16 @@ def sup_log(fn, x_lo=-math.inf, x_hi=math.inf, *, ppd=DEFAULT_PPD, anchors=(),
     for r in range(rounds + 1):
         lo = (center - window * (r + 1)) if lo_inf else x_lo
         hi = (center_hi + window * (r + 1)) if hi_inf else x_hi
-        xs = np.arange(lo, hi, step)
-        xs = np.append(xs, hi)
+        if rate is None:
+            xs = np.append(np.arange(lo, hi, step), hi)
+        else:
+            # where the decaying factor is exactly 0
+            cut = -EXP_ZERO / rate if rate else math.inf
+            if rate > 0.0:
+                lo = max(lo, min(cut, hi))
+            elif rate < 0.0:
+                hi = min(hi, max(cut, lo))
+            xs = _samples(lo, hi, step, finite_refs + [cut], window)
         extra = [a for a in anchors if lo <= a <= hi]
         if extra:
             xs = np.sort(np.concatenate([xs, np.asarray(extra, dtype=float)]))

@@ -49,13 +49,16 @@ WEIGHTS = {
 
 def _reference_factor(p, side, x):
     """H or T at x by the scalar rule, as the factors were computed before
-    batching (no panel skipped)."""
+    batching (no panel skipped).  For q = inf that is one supremum search,
+    told the decay rate (``test_sup_log_rate_keeps_short_searches`` pins it
+    to the search without it where |x| <= 50)."""
     c = 1.0 - p.theta if side == "head" else -p.theta
     lo, hi = (-math.inf, 0.0) if side == "head" else (0.0, math.inf)
     if p.sup_norm:
         def fn(v):
             return decay_product(c * v, p.b.eval_log(x + v))
-        return sup_log(fn, lo, hi, ppd=p.ppd, anchors=(-x, 0.0)).or_inf()
+        return sup_log(fn, lo, hi, ppd=p.ppd, anchors=(-x, 0.0),
+                       rate=c).or_inf()
     cq = c * p.q
     if cq == 0.0:
         def fn(w):
@@ -93,10 +96,34 @@ def _assert_matches_reference(p, xs):
 @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, math.inf])
 @pytest.mark.parametrize("theta", [0.0, 1e-3, 0.25, 0.75, 1.0])
 def test_factors_match_scalar_rule(theta, q, weight):
-    # q = inf searches a window reaching the anchor -x on a fixed step, so
-    # its cost grows with |x|
-    xs = XS if math.isfinite(q) else XS[np.abs(XS) <= 50.0]
-    _assert_matches_reference(PhiParam(theta, q, WEIGHTS[weight](q)), xs)
+    # q = inf: the search stops where e^{c v} is exactly 0 and samples long
+    # anchor gaps at log spacing, so its cost no longer grows with |x|
+    _assert_matches_reference(PhiParam(theta, q, WEIGHTS[weight](q)), XS)
+
+
+@pytest.mark.parametrize("weight", sorted(WEIGHTS))
+@pytest.mark.parametrize("theta", [0.0, 1e-3, 0.25, 1.0])
+def test_sup_log_rate_keeps_short_searches(theta, weight):
+    # where every anchor lies within the search window, telling sup_log
+    # the decay rate changes no sample
+    p = PhiParam(theta, math.inf, WEIGHTS[weight](math.inf))
+    for side, c, lo, hi in (("head", 1.0 - theta, -math.inf, 0.0),
+                            ("tail", -theta, 0.0, math.inf)):
+        for x in XS[np.abs(XS) <= 50.0]:
+            def fn(v, x=x):
+                return decay_product(c * v, p.b.eval_log(x + v))
+            assert sup_log(fn, lo, hi, ppd=p.ppd, anchors=(-x, 0.0)) == \
+                sup_log(fn, lo, hi, ppd=p.ppd, anchors=(-x, 0.0), rate=c)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.25, 1.0])
+def test_sup_factors_of_constant_weight_far_out(theta):
+    # H = sup_{v<0} e^{(1-theta) v} c0 = c0 and T = sup_{v>0} e^{-theta v}
+    # c0 = c0; at |x| = 1e12 the old search asked for about 1e14 samples
+    p = PhiParam(theta, math.inf, Constant(2.5))
+    xs = np.array([-1e12, -1e6, 1e6, 1e12])
+    assert np.array_equal(head_factors(p, xs), np.full(4, 2.5))
+    assert np.array_equal(tail_factors(p, xs), np.full(4, 2.5))
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.25, 1.0])

@@ -1,0 +1,143 @@
+"""QuadPlan's lattice-table layout against the layout it replaced.
+
+``reference_quadrature.ReferenceLayout`` computes every pass's panels from
+scratch; the plan gathers whole lattice panels from a table and computes
+only each row's own panels.  Row by row, the nonzero-weight (node, weight)
+sequence, the nodes of each far region's last-doubling increment and the
+tail-fit probes must be the same, bit for bit, and ``points()`` must be
+exactly the set of points the integrand sees.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_quadrature as ref
+from kinterp.quadrature import DEEP_LOG_RANGE, GL_ORDER, LN10, QuadPlan
+
+
+def _width(ppd):
+    return LN10 / max(1, round(ppd / GL_ORDER))
+
+
+def _per_row(passes, n):
+    """Row i's nonzero-weight nodes and weights, increment nodes per far
+    region and valid probes, in column order."""
+    out = [None] * n
+    for idx, built in passes:
+        points, weights, inc, unbounded = (built[0], built[1], built[-2],
+                                           built[-1])
+        for j, i in enumerate(idx):
+            used = weights[j] > 0.0
+            incs = []
+            for start, mask in inc:
+                cols = np.zeros(points.shape[1], dtype=bool)
+                cols[start:start + mask.shape[1]] = mask[j]
+                if (cols & used).any():
+                    incs.append(points[j][cols & used].tobytes())
+            probes = (points[j][-4:][np.repeat(unbounded[j], 2)].tobytes()
+                      if unbounded.any() else b"")
+            out[i] = (points[j][used].tobytes(), weights[j][used].tobytes(),
+                      incs, probes, tuple(unbounded[j]))
+    return out
+
+
+def _assert_same_layout(lo, hi, **kw):
+    plan = QuadPlan(lo, hi, **kw)
+    old = ref.ReferenceLayout(lo, hi, **kw)
+    assert np.array_equal(plan.rows, old.rows)
+    passes = list(plan._passes())
+    got = _per_row(passes, plan.rows.size)
+    want = _per_row(((idx, old.build(idx)) for idx, _ in passes),
+                    plan.rows.size)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, (i, plan.lo[i], plan.hi[i])
+    seen = [np.zeros(0)]
+    plan.apply(lambda x, rows: seen.append(x.ravel()) or np.ones(x.shape))
+    assert np.array_equal(plan.points(), np.unique(np.concatenate(seen)))
+
+
+def _bounds(ppd):
+    w = _width(ppd)
+    eps = 1e-10 * w
+    far = [math.exp(k * w) for k in (1, 7, 40)]
+    return sorted({-math.inf, math.inf, -DEEP_LOG_RANGE, DEEP_LOG_RANGE,
+                   -2.0 * DEEP_LOG_RANGE, 0.0, -1.0, 1.0, -1e6, 3e6,
+                   -w - eps, -w + eps, 2 * w - eps, 3 * w + eps, 1.0 + 1e-12,
+                   *(s * u * math.exp(d) for u in far for s in (-1.0, 1.0)
+                     for d in (-eps, 0.0, eps))})
+
+
+@pytest.mark.parametrize("ppd", [16, 64, 128])
+@pytest.mark.parametrize("exp_rate", [0.0, 0.7, -2.0, 2000.0])
+@pytest.mark.parametrize("kinks", ["none", "shared", "row"])
+def test_layout_matches_reference(ppd, exp_rate, kinks):
+    # every pair of bounds is a row, so passes mix rows of many widths
+    b = np.array(_bounds(ppd))
+    i, j = np.triu_indices(b.size, k=1)
+    lo, hi = b[i], b[j]
+    w = _width(ppd)
+    shared, row_kinks = (), None
+    if kinks == "shared":
+        # on a lattice point, within 1e-9 * width of one, and far out on
+        # the lattice in y = ln|x|
+        shared = (0.0, w, 2 * w + 0.5e-9 * w, -0.3, -math.exp(5 * w),
+                  math.exp(9 * w) * (1.0 + 1e-11), 40.0)
+    elif kinks == "row":
+        choice = np.array([np.nan, 0.0, -w, 3 * w - 0.5e-9 * w, 0.45,
+                           -math.exp(4 * w), math.exp(6 * w + 1e-10), -25.0])
+        row_kinks = np.where(np.isfinite(lo), lo, -7.0) / 3.0
+        row_kinks[::3] = choice[np.arange(row_kinks[::3].size) % choice.size]
+    _assert_same_layout(lo, hi, ppd=ppd, kinks=shared, row_kinks=row_kinks,
+                        exp_rate=exp_rate)
+
+
+def test_relative_factor_rows_match_reference():
+    # the rows of shift_integral's relative branch: (-inf, 0) with one
+    # kink at -x, and their mirror (0, inf)
+    x = np.concatenate([np.linspace(-60.0, 60.0, 241),
+                        [-1e12, -1e6, 1e6, 1e12],
+                        np.exp(np.arange(0.0, 28.0, _width(64)))])
+    for lo, hi, rate in ((-math.inf, 0.0, 0.75), (0.0, math.inf, -0.25),
+                         (-math.inf, 0.0, 1e-3)):
+        _assert_same_layout(np.full(x.shape, lo), np.full(x.shape, hi),
+                            ppd=64, row_kinks=-x, exp_rate=rate)
+
+
+_VALUE = st.one_of(
+    st.sampled_from([-math.inf, math.inf, -DEEP_LOG_RANGE, DEEP_LOG_RANGE,
+                     0.0, -1.0, 1.0]),
+    st.floats(-60.0, 60.0),
+    st.builds(lambda k, d, s: s * math.exp(k * _width(64) + d),
+              st.integers(0, 30), st.sampled_from([0.0, 1e-10, -1e-10]),
+              st.sampled_from([-1.0, 1.0])),
+    st.builds(lambda k, d: k * _width(64) + d * _width(64),
+              st.integers(-8, 8), st.sampled_from([0.0, 1e-10, -1e-10,
+                                                    5e-10, -2e-9])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_VALUE, _VALUE), min_size=1, max_size=12),
+       st.lists(_VALUE.filter(math.isfinite), max_size=3),
+       st.sampled_from([0.0, 3.0, -0.5, 1e-9]),
+       st.booleans())
+def test_random_plans_match_reference(bounds, kinks, exp_rate, row_kink):
+    lo = np.array([min(a, b) for a, b in bounds])
+    hi = np.array([max(a, b) for a, b in bounds])
+    row_kinks = np.where(np.isfinite(lo), -lo, np.nan) if row_kink else None
+    _assert_same_layout(lo, hi, ppd=64, kinks=tuple(kinks),
+                        row_kinks=row_kinks, exp_rate=exp_rate)
+
+
+def test_empty_far_segment_is_no_node():
+    # [1, 1 + 1e-12]: a far region narrower than 1e-9 panel widths, with
+    # no node; the layout it replaced failed here (argmax of an empty
+    # sequence)
+    plan = QuadPlan(1.0, 1.0 + 1e-12)
+    (idx, (points, weights, inc, unbounded)), = plan._passes()
+    assert not (weights > 0.0).any() and np.array_equal(points, [[1.0]])
+    r = plan.apply(lambda x, rows: np.ones(x.shape))
+    assert float(r.value) == 0.0 and not r.diverged

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kinterp import ScenarioError, load_scenario
+from kinterp import ScenarioError, load_scenario, sv
 from kinterp.cli import main
 from kinterp.runner import (EXIT_CONDITIONS, EXIT_OK, EXIT_VALIDATION,
                             bundled_scenario, bundled_scenario_dir,
@@ -225,3 +225,36 @@ class TestCli:
     def test_sv_check_bad_descriptor(self, capsys):
         code = main(["sv-check", "--b", '{"kind": "Qux"}', "--eps", "0.5"])
         assert code == EXIT_VALIDATION
+
+
+def test_suite_reports_do_not_depend_on_workers(tmp_path):
+    # the scenarios share a PrimitiveB weight, whose values sv caches per
+    # point in a module-level dict that run_suite's threads fill
+    base = {"kind": "BrokenLog", "a0": -2.0, "aInf": 0.5}
+    for i, (theta, q) in enumerate(((0.3, 1), (0.4, 2), (0.2, 1))):
+        scenario = {
+            "name": f"shared-{i}",
+            "phi0": {"theta": theta, "q": q,
+                     "b": {"kind": "PrimitiveB", "base": base}},
+            "phi1": {"theta": 0.8, "q": 1,
+                     "b": {"kind": "BrokenLog", "a0": 1, "aInf": -0.5}},
+            "element": {"kind": "WeightedSeq", "coeffs": [1, 2],
+                        "w0": [1, 3], "w1": [1, 0.5]},
+            "grid": {"t_min": 1e-2, "t_max": 1e2, "points_per_decade": 2},
+            "checks": ["C1", "C4"],
+            "variants": ["classical"],
+        }
+        (tmp_path / f"shared-{i}.json").write_text(json.dumps(scenario))
+    outs = []
+    for workers in (1, 2):
+        sv._primitive_cache.clear()
+        out = tmp_path / f"out-{workers}"
+        run_suite(tmp_path, out, workers=workers)
+        outs.append(out)
+    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*")
+                   if p.is_file())
+    assert len(files) > 3
+    assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*")
+                           if p.is_file())
+    for f in files:
+        assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes(), f
