@@ -20,6 +20,9 @@ the outer integrals of all grid points, at the working and at doubled
 density, share a node lattice, and the inner M is evaluated once, in one
 batched call, at the union of their nodes.  The doubled-density pass is the
 refinement check; its observed drift is recorded in the report metadata.
+
+``CHECKS`` is the one list of checks that scenarios and ``--only`` may name;
+``CONDITION_IDS`` follows from it, and ``estimates.run_checks`` runs them.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergentIntegralError
+from .errors import DivergentIntegralError, ScenarioError
 from .params import (PhiParam, head_factors, min_factor, min_factors,
                      qth_root, require_membership, tail_factors)
 from .quadrature import LogGrid, QuadPlan, decay_product, distinct, sup_log
@@ -43,7 +46,26 @@ from .quadrature import integral_log  # noqa: E402,F401
 DEFAULT_BUDGET = 64.0
 _REFINE_TOL = 1e-2
 
-CONDITION_IDS = ("C1_lower", "C1_upper", "C2", "C3", "C4", "SV_sufficient")
+#: check name -> (report ids, needs min(1, t) in both parameters and rho)
+CHECKS = {
+    "C1": (("C1_lower", "C1_upper"), True),
+    "C2": (("C2",), True),
+    "C3": (("C3",), True),
+    "C4": (("C4",), True),
+    "SV_sufficient": (("SV_sufficient",), False),
+}
+CONDITION_IDS = tuple(cid for ids, _ in CHECKS.values() for cid in ids)
+
+
+def check_names(names) -> tuple:
+    """``names`` as a tuple; ScenarioError unless a list of keys of CHECKS."""
+    if not isinstance(names, (list, tuple)):
+        raise ScenarioError(f"checks: expected a list of names, got {names!r}")
+    unknown = [c for c in names if not (isinstance(c, str) and c in CHECKS)]
+    if unknown:
+        raise ScenarioError(f"checks: unknown condition(s) {unknown}; "
+                            f"expected a subset of {tuple(CHECKS)}")
+    return tuple(names)
 
 
 @dataclass(frozen=True, eq=False)

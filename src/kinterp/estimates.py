@@ -14,6 +14,9 @@ terms is monotone).  The left-hand side is approximated *from above* by
 minimizing over an explicit family of decompositions f = f0 + f1 (truncation
 splits along the grid plus a coordinate split grid); the report carries both
 ratio directions so the one-sided bias stays visible.
+
+``run_checks`` runs the checks named in ``conditions.CHECKS``: the runner's
+and the gates (``_GATES``) that ``equivalence_report`` is not given.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import (DEFAULT_BUDGET, ConditionReport, check_C1, check_C2,
-                         check_C3, check_C4, rho_table)
+from .conditions import (CHECKS, DEFAULT_BUDGET, ConditionReport, check_C1,
+                         check_C2, check_C3, check_C4, check_names,
+                         check_sv_sufficient, rho_table)
 from .couples import (KProfile, StepFn, WeightedProfiles, WeightedSeq,
                       ensure_valid_kprofile, optimal_split)
 from .errors import EmptyCandidateError, GuardError
@@ -59,19 +63,23 @@ def _terms(p0: PhiParam, p1: PhiParam, rho_t, profile: KProfile, t):
     return a, b, c, d
 
 
+def _variant_sums(a, b, c, d) -> dict:
+    """Each variant's right-hand side from the terms of ``_terms``; every sum
+    extends the previous one, so four >= three >= two holds exactly."""
+    two = a + b
+    return {"lemma": (two + c) + d, "thm_i": two + c, "thm_ii": two}
+
+
 def rhs_two_term(p0, p1, rho_t, profile, t) -> float:
-    a, b, _, _ = _terms(p0, p1, rho_t, profile, t)
-    return a + b
+    return _variant_sums(*_terms(p0, p1, rho_t, profile, t))["thm_ii"]
 
 
 def rhs_three_term(p0, p1, rho_t, profile, t) -> float:
-    a, b, c, _ = _terms(p0, p1, rho_t, profile, t)
-    return (a + b) + c
+    return _variant_sums(*_terms(p0, p1, rho_t, profile, t))["thm_i"]
 
 
 def rhs_four_term(p0, p1, rho_t, profile, t) -> float:
-    a, b, c, d = _terms(p0, p1, rho_t, profile, t)
-    return ((a + b) + c) + d
+    return _variant_sums(*_terms(p0, p1, rho_t, profile, t))["lemma"]
 
 
 def classical_rhs(theta0: float, q0: float, theta1: float, q1: float,
@@ -272,10 +280,6 @@ class EquivalenceReport:
     def any_failed(self) -> bool:
         return any(v.verdict == "fail" for v in self.variants)
 
-    @property
-    def any_not_applicable(self) -> bool:
-        return any(v.verdict == "not_applicable" for v in self.variants)
-
 
 _GATES = {
     "lemma": ("C1_lower", "C1_upper", "C2", "C3"),
@@ -285,13 +289,32 @@ _GATES = {
 }
 
 
-def _needed_conditions(variants):
-    need = []
-    for v in variants:
-        for c in _GATES[v]:
-            if c not in need:
-                need.append(c)
-    return need
+def run_checks(p0: PhiParam, p1: PhiParam, names, grid: LogGrid, *,
+               budget: float, sv_epsilon: float, rho=None):
+    """Run each named condition check once, in the order first named.
+
+    Returns (reports by condition id, rho).  If a check needs rho and none is
+    given, both parameters must contain min(1, t), and rho is computed once.
+    """
+    todo = list(dict.fromkeys(check_names(names)))
+    if rho is None and any(CHECKS[name][1] for name in todo):
+        require_membership(p0)
+        require_membership(p1)
+        rho = rho_table(p0, p1, grid)
+    # each check's reports, in the order of its ids in CHECKS; the names are
+    # looked up at call time, so wrappers set on this module are called
+    run = {
+        "C1": lambda: check_C1(p0, p1, rho, grid, budget=budget),
+        "C2": lambda: (check_C2(p0, p1, rho, grid, budget=budget),),
+        "C3": lambda: (check_C3(p0, p1, rho, grid, budget=budget),),
+        "C4": lambda: (check_C4(p0, p1, rho, grid, budget=budget),),
+        "SV_sufficient": lambda: (check_sv_sufficient(
+            p0.b, p0.q, p1.b, p1.q, sv_epsilon, grid, budget=budget),),
+    }
+    reports = {}
+    for name in todo:
+        reports.update(zip(CHECKS[name][0], run[name]()))
+    return reports, rho
 
 
 def equivalence_report(p0: PhiParam, p1: PhiParam, element,
@@ -331,24 +354,17 @@ def equivalence_report(p0: PhiParam, p1: PhiParam, element,
     rho = (rho_table(p0, p1, grid) if rho is None
            else np.asarray(rho, dtype=float))
     cond_reports = dict(conditions or {})
-    for cid in _needed_conditions(variants):
-        if cid in cond_reports:
-            continue
-        if cid in ("C1_lower", "C1_upper"):
-            lo, up = check_C1(p0, p1, rho, grid, budget=budget)
-            cond_reports.setdefault("C1_lower", lo)
-            cond_reports.setdefault("C1_upper", up)
-        elif cid == "C2":
-            cond_reports[cid] = check_C2(p0, p1, rho, grid, budget=budget)
-        elif cid == "C3":
-            cond_reports[cid] = check_C3(p0, p1, rho, grid, budget=budget)
-        elif cid == "C4":
-            cond_reports[cid] = check_C4(p0, p1, rho, grid, budget=budget)
+    missing = {cid for v in variants for cid in _GATES[v]} - set(cond_reports)
+    gate_checks = [name for name, (ids, _) in CHECKS.items()
+                   if missing.intersection(ids)]
+    gates, _ = run_checks(p0, p1, gate_checks, grid, budget=budget,
+                          sv_epsilon=None, rho=rho)
+    for cid, rep in gates.items():
+        cond_reports.setdefault(cid, rep)
     cond_verdicts = {cid: rep.verdict for cid, rep in cond_reports.items()}
 
     n = len(ts)
-    a, b, c, d = _terms(p0, p1, rho, profile, ts)
-    rhs = {"lemma": ((a + b) + c) + d, "thm_i": (a + b) + c, "thm_ii": a + b}
+    rhs = _variant_sums(*_terms(p0, p1, rho, profile, ts))
     classical_ok = 0.0 < p0.theta < p1.theta < 1.0
     if "classical" in variants and classical_ok:
         rhs["classical"] = classical_rhs(p0.theta, p0.q, p1.theta, p1.q,
@@ -372,31 +388,25 @@ def equivalence_report(p0: PhiParam, p1: PhiParam, element,
 
     results = []
     for name in variants:
-        gate = _GATES[name]
-        failed_gate = [c for c in gate if cond_verdicts.get(c) == "fail"]
+        failed_gate = [c for c in _GATES[name]
+                       if cond_verdicts.get(c) == "fail"]
         if name == "classical" and not classical_ok:
-            results.append(VariantResult(name, False,
-                                         "needs 0 < theta0 < theta1 < 1",
-                                         math.nan, math.nan, "not_applicable"))
-            continue
-        if failed_gate:
-            results.append(VariantResult(
-                name, False, "conditions unmet: " + ",".join(failed_gate),
-                math.nan, math.nan, "not_applicable"))
-            continue
-        if couple_element is None:
-            results.append(VariantResult(
-                name, False, "synthetic profile has no left-hand side",
-                math.nan, math.nan, "not_applicable"))
-            continue
-        r = ratios[name]
-        if not np.isfinite(r).all():
+            reason = "needs 0 < theta0 < theta1 < 1"
+        elif failed_gate:
+            reason = "conditions unmet: " + ",".join(failed_gate)
+        elif couple_element is None:
+            reason = "synthetic profile has no left-hand side"
+        elif not np.isfinite(ratios[name]).all():
             # a divergent norm at some grid point makes the comparison
             # meaningless rather than violated
-            results.append(VariantResult(
-                name, False, "divergent norms at some grid points",
-                math.nan, math.nan, "not_applicable"))
+            reason = "divergent norms at some grid points"
+        else:
+            reason = ""
+        if reason:
+            results.append(VariantResult(name, False, reason, math.nan,
+                                         math.nan, "not_applicable"))
             continue
+        r = ratios[name]
         sup = float(np.max(r))
         inf = float(np.min(r))
         ok = (sup <= budget) and (inf >= 1.0 / budget)

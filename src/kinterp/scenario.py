@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .conditions import DEFAULT_BUDGET
+from .conditions import DEFAULT_BUDGET, check_names
 from .couples import KProfile, element_from_json, element_to_json
 from .errors import ScenarioError
 from .estimates import VARIANTS
@@ -16,7 +16,6 @@ from .quadrature import LogGrid
 
 _DEFAULT_GRID = LogGrid(1e-8, 1e8, 16)
 _DEFAULT_CHECKS = ("C1", "C2", "C3", "C4")
-_CHECK_NAMES = ("C1", "C2", "C3", "C4", "SV_sufficient")
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,11 +48,13 @@ def _grid_from_json(obj, path):
     if obj is None:
         return _DEFAULT_GRID
     try:
+        ppd = obj.get("points_per_decade", _DEFAULT_GRID.points_per_decade)
+        if isinstance(ppd, float) and not ppd.is_integer():
+            raise ValueError(
+                f"points_per_decade must be an integer, got {ppd!r}")
         return LogGrid(t_min=float(obj.get("t_min", _DEFAULT_GRID.t_min)),
                        t_max=float(obj.get("t_max", _DEFAULT_GRID.t_max)),
-                       points_per_decade=int(obj.get(
-                           "points_per_decade",
-                           _DEFAULT_GRID.points_per_decade)))
+                       points_per_decade=int(ppd))
     except (TypeError, ValueError, AttributeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
@@ -78,13 +79,12 @@ def scenario_from_json(obj: dict, *, name_hint: str = "") -> Scenario:
             and math.isfinite(budget)):
         raise ScenarioError("budget: must be a finite real > 1")
 
-    checks = tuple(obj.get("checks", _DEFAULT_CHECKS))
-    for c in checks:
-        if c not in _CHECK_NAMES:
-            raise ScenarioError(f"checks: unknown condition {c!r}; "
-                                f"expected one of {_CHECK_NAMES}")
+    checks = check_names(obj.get("checks", _DEFAULT_CHECKS))
 
-    variants = tuple(obj.get("variants", ("thm_ii",)))
+    variants = obj.get("variants", ("thm_ii",))
+    if not isinstance(variants, (list, tuple)):
+        raise ScenarioError(f"variants: expected a list, got {variants!r}")
+    variants = tuple(variants)
     if not variants:
         raise ScenarioError("variants: at least one variant is required")
     for v in variants:

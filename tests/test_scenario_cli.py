@@ -58,6 +58,22 @@ class TestScenarioParsing:
             scenario_from_json(small_scenario(element={"kind": "WeightedSeq",
                                                        "coeffs": [1]}))
 
+    @pytest.mark.parametrize("field, value", [
+        ("checks", 5), ("checks", None), ("checks", "C1"),
+        ("checks", [["C1"]]), ("variants", 5), ("variants", None),
+        ("variants", "thm_ii")])
+    def test_malformed_name_lists_name_the_field(self, field, value):
+        with pytest.raises(ScenarioError, match=field):
+            scenario_from_json(small_scenario(**{field: value}))
+
+    def test_fractional_points_per_decade_rejected(self):
+        grid = dict(SMALL_GRID, points_per_decade=1.5)
+        with pytest.raises(ScenarioError, match="points_per_decade"):
+            scenario_from_json(small_scenario(grid=grid))
+        grid = dict(SMALL_GRID, points_per_decade=4.0)
+        assert scenario_from_json(
+            small_scenario(grid=grid)).grid.points_per_decade == 4
+
 
 class TestRunScenario:
     def test_passing_scenario(self, tmp_path):
@@ -146,6 +162,18 @@ class TestSuite:
         assert by_name["bad"]["status"] == "error"
         assert (tmp_path / "out" / "good.summary.json").exists()
 
+    def test_malformed_checks_isolated(self, tmp_path):
+        (tmp_path / "good.json").write_text(json.dumps(small_scenario("good")))
+        (tmp_path / "bad.json").write_text(
+            json.dumps(small_scenario("bad", checks=5)))
+        summary, code = run_suite(tmp_path, tmp_path / "out", workers=1)
+        assert code == EXIT_VALIDATION
+        by_name = {r["name"]: r for r in summary["scenarios"]}
+        assert by_name["good"]["status"] == "pass"
+        assert by_name["bad"]["status"] == "error"
+        assert "checks" in by_name["bad"]["error"]
+        assert (tmp_path / "out" / "suite-summary.json").exists()
+
     def test_equivalence_violation_dominates_suite_exit(self, tmp_path):
         from kinterp.runner import EXIT_EQUIVALENCE
         (tmp_path / "ok.json").write_text(json.dumps(small_scenario("ok")))
@@ -159,6 +187,11 @@ class TestSuite:
 
     def test_worker_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KINTERP_WORKERS", "1")
+        from kinterp.runner import default_workers
+        assert default_workers() == 1
+
+    def test_serial_by_default(self, monkeypatch):
+        monkeypatch.delenv("KINTERP_WORKERS", raising=False)
         from kinterp.runner import default_workers
         assert default_workers() == 1
 
