@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -25,16 +26,33 @@ def _add_grid_args(p):
                    help="override grid points per decade")
 
 
+def _grid(args, base: LogGrid) -> LogGrid:
+    """``base`` with the grid flags applied; ScenarioError naming the flag."""
+    t_min = base.t_min if args.grid_min is None else args.grid_min
+    t_max = base.t_max if args.grid_max is None else args.grid_max
+    ppd = base.points_per_decade if args.ppd is None else args.ppd
+    for flag, v in (("--grid-min", t_min), ("--grid-max", t_max)):
+        if not 0.0 < v < math.inf:
+            raise ScenarioError(f"{flag}: must be a positive finite real, "
+                                f"got {v!r}")
+    if not t_min < t_max:
+        raise ScenarioError(f"--grid-min: must lie below --grid-max, got "
+                            f"{t_min!r} and {t_max!r}")
+    if ppd < 1:
+        raise ScenarioError(f"--ppd: must be at least 1, got {ppd}")
+    return LogGrid(t_min, t_max, ppd)
+
+
+def _budget(cmax: float) -> float:
+    """``--cmax`` under the rule scenario files apply to ``budget``."""
+    if not 1.0 < cmax < math.inf:
+        raise ScenarioError(f"--cmax: must be a finite real > 1, got {cmax!r}")
+    return cmax
+
+
 def _apply_overrides(sc, args):
-    grid = sc.grid
-    if any(v is not None for v in (args.grid_min, args.grid_max, args.ppd)):
-        grid = LogGrid(
-            t_min=args.grid_min if args.grid_min is not None else grid.t_min,
-            t_max=args.grid_max if args.grid_max is not None else grid.t_max,
-            points_per_decade=args.ppd if args.ppd is not None
-            else grid.points_per_decade)
-    budget = args.cmax if getattr(args, "cmax", None) is not None else sc.budget
-    return replace(sc, grid=grid, budget=budget)
+    budget = sc.budget if args.cmax is None else _budget(args.cmax)
+    return replace(sc, grid=_grid(args, sc.grid), budget=budget)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,11 +143,11 @@ def main(argv=None) -> int:
                 desc = sv_from_json(json.loads(raw))
             except (json.JSONDecodeError, ValueError) as exc:
                 raise ScenarioError(f"--b: {exc}") from exc
-            grid = LogGrid(
-                t_min=args.grid_min if args.grid_min is not None else 1e-8,
-                t_max=args.grid_max if args.grid_max is not None else 1e8,
-                points_per_decade=args.ppd if args.ppd is not None else 16)
-            rep = check_sv_envelope(desc, args.eps, grid, budget=args.cmax)
+            if not 0.0 < args.eps < math.inf:
+                raise ScenarioError(f"--eps: must be a positive finite real, "
+                                    f"got {args.eps!r}")
+            rep = check_sv_envelope(desc, args.eps, _grid(args, LogGrid()),
+                                    budget=_budget(args.cmax))
             print(json.dumps(rep.summary(), indent=2, sort_keys=True))
             return 0 if rep.passed else 3
     except KinterpError as exc:

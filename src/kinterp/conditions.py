@@ -14,12 +14,12 @@ ratio stays at or below the constant budget.  Budgets guard regressions:
 the underlying inequalities hold only up to unspecified constants, so the
 sup ratio itself is the interesting output.
 
-Every factor table is evaluated in batched passes over the whole grid.  The
-nested norms in C2/C3 are evaluated exactly at the outer quadrature nodes:
-the outer integrals of all grid points, at the working and at doubled
-density, share a node lattice, and the inner M is evaluated once, in one
-batched call, at the union of their nodes.  The doubled-density pass is the
-refinement check; its observed drift is recorded in the report metadata.
+Each parameter computes its factors on the grid once and keeps them, so
+rho, C1 and C4 read the same ones.  The nested norms in C2/C3 are evaluated
+at the outer quadrature nodes: the outer integrals of all grid points, at
+the working and at doubled density, share a node lattice, and the inner M is
+evaluated once, in one batched call, at the union of their nodes.  The
+doubled-density pass is the refinement check; its drift goes in the meta.
 
 ``CHECKS`` is the one list of checks that scenarios and ``--only`` may name;
 ``CONDITION_IDS`` follows from it, and ``estimates.run_checks`` runs them.
@@ -46,15 +46,15 @@ from .quadrature import integral_log  # noqa: E402,F401
 DEFAULT_BUDGET = 64.0
 _REFINE_TOL = 1e-2
 
-#: check name -> (report ids, needs min(1, t) in both parameters and rho)
+#: check name -> the ids of the reports it produces
 CHECKS = {
-    "C1": (("C1_lower", "C1_upper"), True),
-    "C2": (("C2",), True),
-    "C3": (("C3",), True),
-    "C4": (("C4",), True),
-    "SV_sufficient": (("SV_sufficient",), False),
+    "C1": ("C1_lower", "C1_upper"),
+    "C2": ("C2",),
+    "C3": ("C3",),
+    "C4": ("C4",),
+    "SV_sufficient": ("SV_sufficient",),
 }
-CONDITION_IDS = tuple(cid for ids, _ in CHECKS.values() for cid in ids)
+CONDITION_IDS = tuple(cid for ids in CHECKS.values() for cid in ids)
 
 
 def check_names(names) -> tuple:
@@ -135,14 +135,17 @@ def rho_canonical(p0: PhiParam, p1: PhiParam, t: float) -> float:
 
 
 def rho_table(p0: PhiParam, p1: PhiParam, grid: LogGrid) -> np.ndarray:
-    """The canonical rho at every grid point, from one batched M0 and M1."""
-    xs = grid.log_points()
-    return (np.exp((p1.theta - p0.theta) * xs)
-            * min_factors(p0, xs) / min_factors(p1, xs))
+    """The canonical rho at every grid point, from the M0 and M1 on the grid
+    that the parameters hold."""
+    return (np.exp((p1.theta - p0.theta) * grid.log_points())
+            * min_factors(p0, grid) / min_factors(p1, grid))
 
 
 def _rho_values(p0, p1, grid, rho):
-    """Evaluate the weight on the grid: canonical, callable, or table."""
+    """Require min(1, t) in both parameters, then evaluate the weight on the
+    grid: canonical, callable, or table."""
+    require_membership(p0)
+    require_membership(p1)
     ts = grid.points()
     if rho is None:
         return rho_table(p0, p1, grid)
@@ -157,19 +160,13 @@ def _rho_values(p0, p1, grid, rho):
 def check_C1(p0: PhiParam, p1: PhiParam, rho=None, grid: LogGrid = LogGrid(),
              *, budget: float = DEFAULT_BUDGET):
     """Both inequalities of C1; returns (lower_report, upper_report)."""
-    require_membership(p0)
-    require_membership(p1)
-    xs = grid.log_points()
+    rho_v = _rho_values(p0, p1, grid, rho)
     ts = grid.points()
-    t0 = tail_factors(p0, xs)
-    m1 = min_factors(p1, xs)
-    m0 = min_factors(p0, xs)
-    h1 = head_factors(p1, xs)
-    scale = np.exp((p1.theta - p0.theta) * xs)
-    rho_v = scale * m0 / m1 if rho is None else _rho_values(p0, p1, grid, rho)
-    lower = _finish("C1_lower", grid, ts, scale * t0 / m1, rho_v, budget)
-    upper = _finish("C1_upper", grid, ts, rho_v, scale * m0 / h1, budget)
-    return lower, upper
+    scale = np.exp((p1.theta - p0.theta) * grid.log_points())
+    lower = scale * tail_factors(p0, grid) / min_factors(p1, grid)
+    upper = scale * min_factors(p0, grid) / head_factors(p1, grid)
+    return (_finish("C1_lower", grid, ts, lower, rho_v, budget),
+            _finish("C1_upper", grid, ts, rho_v, upper, budget))
 
 
 def _outer_integrand(p_out, inner, c_exp):
@@ -222,65 +219,49 @@ def _outer_trunc_norms(p_out, p_inner, c_exp, side, xs, ppds):
 
 
 def _nested_condition(cond_id, p_out, p_inner, c_exp, side, target, grid,
-                      budget, refine):
-    xs = grid.log_points()
-    ts = grid.points()
+                      budget):
+    """The outer norms at the working density and at twice it; the report
+    carries the finer ones and the worst relative drift between the two."""
     ppd = p_out.ppd
-    lhs = _outer_trunc_norms(p_out, p_inner, c_exp, side, xs,
-                             (ppd, 2 * ppd) if refine else (ppd,))
-    meta = {}
-    if refine:
-        lhs, lhs2 = lhs
-        with np.errstate(divide="ignore", invalid="ignore"):
-            drift = np.abs(lhs2 - lhs) / np.where(lhs2 == 0.0, 1.0, np.abs(lhs2))
-        drift = drift[np.isfinite(drift)]
-        worst = float(np.max(drift)) if drift.size else 0.0
-        meta["refine_rel_change"] = worst
-        meta["refine_ok"] = worst < _REFINE_TOL
-        lhs = lhs2
-    else:
-        lhs = lhs[0]
-    return _finish(cond_id, grid, ts, lhs, target, budget, meta)
+    lhs, lhs2 = _outer_trunc_norms(p_out, p_inner, c_exp, side,
+                                   grid.log_points(), (ppd, 2 * ppd))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        drift = np.abs(lhs2 - lhs) / np.where(lhs2 == 0.0, 1.0, np.abs(lhs2))
+    drift = drift[np.isfinite(drift)]
+    worst = float(np.max(drift)) if drift.size else 0.0
+    meta = {"refine_rel_change": worst, "refine_ok": worst < _REFINE_TOL}
+    return _finish(cond_id, grid, grid.points(), lhs2, target, budget, meta)
 
 
 def check_C2(p0: PhiParam, p1: PhiParam, rho=None, grid: LogGrid = LogGrid(),
-             *, budget: float = DEFAULT_BUDGET, refine: bool = True):
+             *, budget: float = DEFAULT_BUDGET):
     """|| χ_(0,t)(u) u ||min(s,u)||_1^{-1} ||_0  ≲  rho(t)."""
-    require_membership(p0)
-    require_membership(p1)
     rho_v = _rho_values(p0, p1, grid, rho)
     # u / ||min(s,u)||_1 = e^{theta1 x} / M1(x), so the outer integrand carries
     # the exact exponent (theta1 - theta0) q0
     return _nested_condition("C2", p0, p1, p1.theta - p0.theta, "head",
-                             rho_v, grid, budget, refine)
+                             rho_v, grid, budget)
 
 
 def check_C3(p0: PhiParam, p1: PhiParam, rho=None, grid: LogGrid = LogGrid(),
-             *, budget: float = DEFAULT_BUDGET, refine: bool = True):
+             *, budget: float = DEFAULT_BUDGET):
     """|| χ_(t,∞)(u) u ||min(s,u)||_0^{-1} ||_1  ≲  1/rho(t)."""
-    require_membership(p0)
-    require_membership(p1)
     rho_v = _rho_values(p0, p1, grid, rho)
     with np.errstate(divide="ignore"):
         target = 1.0 / rho_v
     return _nested_condition("C3", p1, p0, p0.theta - p1.theta, "tail",
-                             target, grid, budget, refine)
+                             target, grid, budget)
 
 
 def check_C4(p0: PhiParam, p1: PhiParam, rho=None, grid: LogGrid = LogGrid(),
              *, budget: float = DEFAULT_BUDGET):
     """t ||χ_(t,∞)||_0  ≲  ||u χ_(0,t)||_0 + t rho(t) ||χ_(t,∞)||_1."""
-    require_membership(p0)
-    require_membership(p1)
+    rho_v = _rho_values(p0, p1, grid, rho)
     xs = grid.log_points()
     ts = grid.points()
-    rho_v = _rho_values(p0, p1, grid, rho)
-    t0 = tail_factors(p0, xs)
-    h0 = head_factors(p0, xs)
-    t1 = tail_factors(p1, xs)
-    lhs = np.exp((1.0 - p0.theta) * xs) * t0
-    rhs = (np.exp((1.0 - p0.theta) * xs) * h0
-           + ts * rho_v * np.exp(-p1.theta * xs) * t1)
+    lhs = np.exp((1.0 - p0.theta) * xs) * tail_factors(p0, grid)
+    rhs = (np.exp((1.0 - p0.theta) * xs) * head_factors(p0, grid)
+           + ts * rho_v * np.exp(-p1.theta * xs) * tail_factors(p1, grid))
     return _finish("C4", grid, ts, lhs, rhs, budget)
 
 

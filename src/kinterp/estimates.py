@@ -290,31 +290,27 @@ _GATES = {
 
 
 def run_checks(p0: PhiParam, p1: PhiParam, names, grid: LogGrid, *,
-               budget: float, sv_epsilon: float, rho=None):
-    """Run each named condition check once, in the order first named.
+               budget: float, sv_epsilon: float) -> dict:
+    """Run each named condition check once, in the order first named, and
+    return its reports by condition id.
 
-    Returns (reports by condition id, rho).  If a check needs rho and none is
-    given, both parameters must contain min(1, t), and rho is computed once.
+    C1-C4 require min(1, t) in both parameters.  They read rho and the
+    factors on the grid from the parameters, which compute each once.
     """
-    todo = list(dict.fromkeys(check_names(names)))
-    if rho is None and any(CHECKS[name][1] for name in todo):
-        require_membership(p0)
-        require_membership(p1)
-        rho = rho_table(p0, p1, grid)
     # each check's reports, in the order of its ids in CHECKS; the names are
     # looked up at call time, so wrappers set on this module are called
     run = {
-        "C1": lambda: check_C1(p0, p1, rho, grid, budget=budget),
-        "C2": lambda: (check_C2(p0, p1, rho, grid, budget=budget),),
-        "C3": lambda: (check_C3(p0, p1, rho, grid, budget=budget),),
-        "C4": lambda: (check_C4(p0, p1, rho, grid, budget=budget),),
+        "C1": lambda: check_C1(p0, p1, None, grid, budget=budget),
+        "C2": lambda: (check_C2(p0, p1, None, grid, budget=budget),),
+        "C3": lambda: (check_C3(p0, p1, None, grid, budget=budget),),
+        "C4": lambda: (check_C4(p0, p1, None, grid, budget=budget),),
         "SV_sufficient": lambda: (check_sv_sufficient(
             p0.b, p0.q, p1.b, p1.q, sv_epsilon, grid, budget=budget),),
     }
     reports = {}
-    for name in todo:
-        reports.update(zip(CHECKS[name][0], run[name]()))
-    return reports, rho
+    for name in dict.fromkeys(check_names(names)):
+        reports.update(zip(CHECKS[name], run[name]()))
+    return reports
 
 
 def equivalence_report(p0: PhiParam, p1: PhiParam, element,
@@ -323,17 +319,14 @@ def equivalence_report(p0: PhiParam, p1: PhiParam, element,
                        variants=("lemma", "thm_i", "thm_ii"),
                        conditions: dict | None = None,
                        scenario: str = "",
-                       steps: int | None = None,
-                       rho=None) -> EquivalenceReport:
+                       steps: int | None = None) -> EquivalenceReport:
     """Run the full comparison of lhs upper bound against all RHS variants.
 
     ``conditions`` may carry precomputed ConditionReports; missing gates are
-    evaluated here on the same grid.  ``rho`` may carry the canonical weight
-    on the grid (``conditions.rho_table``); it is computed when omitted.  A
-    variant whose gate conditions fail is reported "not_applicable" rather
-    than failed.  Synthetic K-profiles have no computable left-hand side:
-    their report carries the rhs table (and the pointwise ordering check)
-    with NaN ratios.
+    evaluated here on the same grid.  A variant whose gate conditions fail is
+    reported "not_applicable" rather than failed.  Synthetic K-profiles have
+    no computable left-hand side: their report carries the rhs table (and
+    the pointwise ordering check) with NaN ratios.
     """
     variants = tuple(variants)
     for v in variants:
@@ -351,14 +344,13 @@ def equivalence_report(p0: PhiParam, p1: PhiParam, element,
     ensure_valid_kprofile(profile, grid)
 
     ts = grid.points()
-    rho = (rho_table(p0, p1, grid) if rho is None
-           else np.asarray(rho, dtype=float))
+    rho = rho_table(p0, p1, grid)
     cond_reports = dict(conditions or {})
     missing = {cid for v in variants for cid in _GATES[v]} - set(cond_reports)
-    gate_checks = [name for name, (ids, _) in CHECKS.items()
+    gate_checks = [name for name, ids in CHECKS.items()
                    if missing.intersection(ids)]
-    gates, _ = run_checks(p0, p1, gate_checks, grid, budget=budget,
-                          sv_epsilon=None, rho=rho)
+    gates = run_checks(p0, p1, gate_checks, grid, budget=budget,
+                       sv_epsilon=None)
     for cid, rep in gates.items():
         cond_reports.setdefault(cid, rep)
     cond_verdicts = {cid: rep.verdict for cid, rep in cond_reports.items()}

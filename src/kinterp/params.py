@@ -48,6 +48,9 @@ class PhiParam:
     grid_policy: LogGrid = field(default=_NORM_GRID)
     #: how error messages refer to the parameter (its scenario field)
     name: str = field(default="phi", compare=False, repr=False)
+    #: kept values: membership of min(1, t), and H and T per (side, grid)
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     def __post_init__(self):
         if not (0.0 <= self.theta <= 1.0):
@@ -80,7 +83,16 @@ def qth_root(p: PhiParam, r: QuadResult):
 
 
 def _shift_factors(p: PhiParam, xs, side: str) -> np.ndarray:
-    """H (head) or T (tail) at every x of xs; +inf on divergence."""
+    """H (head) or T (tail) at every x of xs; +inf on divergence.  On a
+    LogGrid, p computes them once per grid and side, and keeps them read-only.
+    """
+    if isinstance(xs, LogGrid):
+        key = (side, xs)
+        if key not in p._memo:
+            vals = _shift_factors(p, xs.log_points(), side)
+            vals.setflags(write=False)
+            p._memo[key] = vals
+        return p._memo[key]
     xs = np.asarray(xs, dtype=float)
     c = 1.0 - p.theta if side == "head" else -p.theta
     if not p.sup_norm:
@@ -98,17 +110,17 @@ def _shift_factors(p: PhiParam, xs, side: str) -> np.ndarray:
 
 
 def head_factors(p: PhiParam, xs) -> np.ndarray:
-    """H at every x of xs (any shape); +inf on divergence."""
+    """H at every x of xs (any shape, or a LogGrid); +inf on divergence."""
     return _shift_factors(p, xs, "head")
 
 
 def tail_factors(p: PhiParam, xs) -> np.ndarray:
-    """T at every x of xs (any shape); +inf on divergence."""
+    """T at every x of xs (any shape, or a LogGrid); +inf on divergence."""
     return _shift_factors(p, xs, "tail")
 
 
 def min_factors(p: PhiParam, xs, *, method: str = "auto") -> np.ndarray:
-    """M at every x of xs (any shape); see ``min_factor``."""
+    """M at every x of xs (any shape, or a LogGrid); see ``min_factor``."""
     if p.theta == 0.0:
         return tail_factors(p, xs)
     if p.theta == 1.0:
@@ -116,7 +128,8 @@ def min_factors(p: PhiParam, xs, *, method: str = "auto") -> np.ndarray:
     if method == "auto":
         closed = _closed_min_factor(p)
         if closed is not None:
-            return np.full(np.shape(xs), closed)
+            pts = xs.log_points() if isinstance(xs, LogGrid) else xs
+            return np.full(np.shape(pts), closed)
     h = head_factors(p, xs)
     t = tail_factors(p, xs)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -155,16 +168,12 @@ def min_factor(p: PhiParam, x: float, *, method: str = "auto") -> float:
     return float(min_factors(p, x, method=method))
 
 
-_membership_cache: dict = {}
-
-
 def membership_min1(p: PhiParam) -> bool:
-    """True iff t ↦ min(1, t) has a finite norm under p."""
-    v = _membership_cache.get(p)
-    if v is None:
-        v = math.isfinite(head_factor(p, 0.0)) and math.isfinite(tail_factor(p, 0.0))
-        _membership_cache[p] = v
-    return v
+    """True iff t ↦ min(1, t) has a finite norm under p; decided once per p."""
+    if "min1" not in p._memo:
+        p._memo["min1"] = (math.isfinite(head_factor(p, 0.0))
+                           and math.isfinite(tail_factor(p, 0.0)))
+    return p._memo["min1"]
 
 
 def require_membership(p: PhiParam):

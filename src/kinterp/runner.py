@@ -84,15 +84,14 @@ def run_scenario(sc: Scenario, out_dir: Path | str = "reports", *,
                    else KProfile.from_element(sc.element))
         ensure_valid_kprofile(profile, sc.grid)
         wanted = sc.checks if checks_only is None else checks_only
-        cond_reports, rho = run_checks(sc.phi0, sc.phi1, wanted, sc.grid,
-                                       budget=sc.budget,
-                                       sv_epsilon=sc.sv_epsilon)
+        cond_reports = run_checks(sc.phi0, sc.phi1, wanted, sc.grid,
+                                  budget=sc.budget, sv_epsilon=sc.sv_epsilon)
         equivalence = None
         if checks_only is None:
             equivalence = equivalence_report(
                 sc.phi0, sc.phi1, sc.element, sc.grid, budget=sc.budget,
                 variants=sc.variants, conditions=cond_reports,
-                scenario=sc.name, rho=rho)
+                scenario=sc.name)
     except KinterpError as exc:
         summary = {"scenario": sc.name, "status": "error",
                    "error": str(exc), "exit_code": EXIT_VALIDATION}

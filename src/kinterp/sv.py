@@ -11,13 +11,14 @@ and the two primitives
 
 which are again slowly varying.  All evaluation happens in x = ln t
 coordinates so that descriptors stay finite far outside the representable
-range of t itself.
+range of t itself.  A primitive is itself an integral; each instance keeps
+the values it has computed, so equal instances share no state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,48 +111,44 @@ class Power(SVDescriptor):
             return self.base.eval_log(x) ** self.r
 
 
-_primitive_cache: dict = {}
-
-
-def _primitive_eval(desc, base, side, x):
-    xs = np.asarray(x, dtype=float)
-    keys = [(desc, v) for v in xs.ravel().tolist()]
-    missing = sorted({k[1] for k in keys if k not in _primitive_cache})
-    if missing:
-        r = shift_integral(base, 1.0, np.array(missing), 0.0, side)
-        for xi, v, d in zip(missing, r.value.tolist(), r.diverged.tolist()):
-            _primitive_cache[(desc, xi)] = math.inf if d else v
-    return np.array([_primitive_cache[k] for k in keys]).reshape(xs.shape)
-
-
 @dataclass(frozen=True)
-class PrimitiveB(SVDescriptor):
+class _Primitive(SVDescriptor):
+    """The primitive of ``base`` on the ``side`` a subclass names.  Each
+    instance keeps its values per x; a value does not depend on its batch."""
+
+    base: SVDescriptor
+    _values: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
+
+    def __post_init__(self):
+        if shift_integral(self.base, 1.0, 0.0, 0.0, self.side).diverged:
+            near = "0" if self.side == "head" else "inf"
+            raise DivergentIntegralError(
+                f"{type(self).__name__} requires a convergent integral of b "
+                f"near {near}")
+
+    def eval_log(self, x):
+        xs = np.asarray(x, dtype=float)
+        flat = xs.ravel().tolist()
+        missing = sorted(set(flat).difference(self._values))
+        if missing:
+            r = shift_integral(self.base, 1.0, np.array(missing), 0.0,
+                               self.side)
+            self._values.update(zip(missing, np.where(
+                r.diverged, math.inf, r.value).tolist()))
+        return np.array([self._values[v] for v in flat]).reshape(xs.shape)
+
+
+class PrimitiveB(_Primitive):
     """B(t) = ∫_0^t base(s) ds/s; constructible only when convergent at 0."""
 
-    base: SVDescriptor
-
-    def __post_init__(self):
-        if shift_integral(self.base, 1.0, 0.0, 0.0, "head").diverged:
-            raise DivergentIntegralError(
-                "PrimitiveB requires a convergent integral of b near 0")
-
-    def eval_log(self, x):
-        return np.asarray(_primitive_eval(self, self.base, "head", x))
+    side = "head"
 
 
-@dataclass(frozen=True)
-class PrimitiveBTilde(SVDescriptor):
+class PrimitiveBTilde(_Primitive):
     """B~(t) = ∫_t^∞ base(s) ds/s; constructible only when convergent at ∞."""
 
-    base: SVDescriptor
-
-    def __post_init__(self):
-        if shift_integral(self.base, 1.0, 0.0, 0.0, "tail").diverged:
-            raise DivergentIntegralError(
-                "PrimitiveBTilde requires a convergent integral of b near inf")
-
-    def eval_log(self, x):
-        return np.asarray(_primitive_eval(self, self.base, "tail", x))
+    side = "tail"
 
 
 def eval_sv_log(b: SVDescriptor, x) -> np.ndarray:

@@ -15,7 +15,7 @@ import reference_quadrature as ref
 from kinterp import (BrokenLog, Constant, DecompositionSearch, ExpLogPow,
                      KProfile, LogGrid, PhiParam, Power, PrimitiveB, Product,
                      RangeError, StepFn, WeightedSeq, norm_head_u,
-                     norm_tail_char, norm_trunc_profile, params, phi_norm, sv)
+                     norm_tail_char, norm_trunc_profile, params, phi_norm)
 from kinterp.couples import WeightedProfiles
 from kinterp.conditions import check_C2, check_C3
 from kinterp.params import (full_norm_profile, full_norm_profiles,
@@ -219,16 +219,14 @@ def test_factor_does_not_depend_on_its_batch(theta):
 
 
 def test_primitive_value_does_not_depend_on_the_missing_set():
-    # uncached primitive values are computed in one batch of whatever
-    # points are missing; a cached value must not depend on that batch
-    b = PrimitiveB(BrokenLog(-2.0, 0.5))
+    # a primitive computes the values it does not hold yet in one batch of
+    # whatever points are missing; a kept value must not depend on that batch
+    base = BrokenLog(-2.0, 0.5)
     xs = np.array([-30.0, -2.5, 0.0, 0.4, 12.0, 300.0])
-    sv._primitive_cache.clear()
-    together = b.eval_log(xs)
+    together = PrimitiveB(base).eval_log(xs)
     for i, x in enumerate(xs):
-        sv._primitive_cache.clear()
-        assert b.eval_log(np.array([x]))[0] == together[i]
-    sv._primitive_cache.clear()
+        assert PrimitiveB(base).eval_log(np.array([x]))[0] == together[i]
+    b = PrimitiveB(base)
     b.eval_log(xs[::2])
     assert np.array_equal(b.eval_log(xs), together)
 

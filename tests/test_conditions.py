@@ -120,8 +120,8 @@ class TestC3:
         p1 = PhiParam(0.75, 2.0, b1)
         r0 = PhiParam(0.75, 1.0, BrokenLog(-1.0, 1.0))
         r1 = PhiParam(0.25, 2.0, BrokenLog(0.0, 0.5))
-        c3 = check_C3(p0, p1, None, GRID, refine=False)
-        c2 = check_C2(r1, r0, None, GRID, refine=False)
+        c3 = check_C3(p0, p1, None, GRID)
+        c2 = check_C2(r1, r0, None, GRID)
         assert np.allclose(c3.ratio, c2.ratio[::-1], rtol=1e-6)
 
 
@@ -130,13 +130,13 @@ class TestSupNormOuter:
         # sup_{u<t} u^{1/2}/(16/3) = (3/16) t^{1/2} equals the canonical
         # weight exactly, so the ratio is identically one
         p0 = PhiParam(0.25, math.inf, Constant(1.0))
-        rep = check_C2(p0, P34, None, LogGrid(1e-2, 1e2, 4), refine=False)
+        rep = check_C2(p0, P34, None, LogGrid(1e-2, 1e2, 4))
         assert rep.passed
         assert rep.sup_ratio == pytest.approx(1.0, rel=1e-9)
 
     def test_C3_with_sup_outer(self):
         p1 = PhiParam(0.75, math.inf, Constant(1.0))
-        rep = check_C3(P14, p1, None, LogGrid(1e-2, 1e2, 4), refine=False)
+        rep = check_C3(P14, p1, None, LogGrid(1e-2, 1e2, 4))
         assert rep.passed
         assert rep.sup_ratio == pytest.approx(1.0, rel=1e-9)
 

@@ -1,0 +1,74 @@
+"""Values that are reused are kept by the object they describe."""
+
+from collections import Counter
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from kinterp import BrokenLog, LogGrid, PhiParam, PrimitiveB, PrimitiveBTilde
+from kinterp import params
+from kinterp.conditions import rho_table
+from kinterp.estimates import run_checks
+from kinterp.params import (head_factors, membership_min1, min_factors,
+                            tail_factors)
+
+GRID = LogGrid(1e-2, 1e2, 2)
+P0 = PhiParam(0.25, 1.0, BrokenLog(1.0, 2.0))
+P1 = PhiParam(0.75, 2.0, BrokenLog(-1.0, 0.5))
+
+
+def test_c1_c4_and_rho_evaluate_each_factor_on_the_grid_once(monkeypatch):
+    p0, p1 = replace(P0), replace(P1)
+    n = GRID.log_points().size
+    seen = Counter()
+    inner = params.shift_integral
+
+    def counted(*a, **kw):
+        if np.size(a[2]) == n:
+            seen[(a[0], a[4])] += 1  # (weight, side)
+        return inner(*a, **kw)
+
+    monkeypatch.setattr(params, "shift_integral", counted)
+    run_checks(p0, p1, ["C1", "C4"], GRID, budget=64.0, sv_epsilon=0.1)
+    rho_table(p0, p1, GRID)
+    assert set(seen) == {(p.b, side) for p in (p0, p1)
+                         for side in ("head", "tail")}
+    assert set(seen.values()) == {1}
+
+
+def test_kept_factors_are_read_only_and_equal_the_batched_ones():
+    p = replace(P0)
+    for kept, side in ((head_factors(p, GRID), head_factors),
+                       (tail_factors(p, GRID), tail_factors)):
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError):
+            kept[0] = 0.0
+        assert side(p, GRID) is kept
+        assert kept.tobytes() == side(p, GRID.log_points()).tobytes()
+    # at theta = 0, M is T itself
+    p_end = PhiParam(0.0, 1.0, BrokenLog(2.0, 2.0))
+    assert not min_factors(p_end, GRID).flags.writeable
+
+
+def test_equal_parameters_keep_their_own_values():
+    a, b = replace(P0), replace(P0)
+    assert a == b and hash(a) == hash(b)
+    assert membership_min1(a)
+    head_factors(a, GRID)
+    assert a._memo and not b._memo
+    assert not replace(a)._memo
+
+
+@pytest.mark.parametrize("kind, base", [
+    (PrimitiveB, BrokenLog(-2.0, 0.5)),
+    (PrimitiveBTilde, BrokenLog(0.5, -2.0)),
+])
+def test_equal_primitives_share_no_state_and_agree_bitwise(kind, base):
+    a, b = kind(base), kind(base)
+    assert a == b and hash(a) == hash(b)
+    xs = np.array([-30.0, -2.5, 0.0, 0.4, 12.0])
+    va = a.eval_log(xs)
+    assert len(a._values) == xs.size and not b._values
+    assert b.eval_log(xs).tobytes() == va.tobytes()
+    assert a._values is not b._values

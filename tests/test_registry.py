@@ -35,12 +35,12 @@ def scenario(name, **overrides):
 
 
 def test_every_condition_id_comes_from_exactly_one_check():
-    owners = Counter(cid for ids, _ in CHECKS.values() for cid in ids)
+    owners = Counter(cid for ids in CHECKS.values() for cid in ids)
     assert set(owners) == set(CONDITION_IDS)
     assert all(n == 1 for n in owners.values())
-    for name, (ids, _) in CHECKS.items():
-        reports, _ = estimates.run_checks(P0, P1, [name], GRID, budget=64.0,
-                                          sv_epsilon=0.1)
+    for name, ids in CHECKS.items():
+        reports = estimates.run_checks(P0, P1, [name], GRID, budget=64.0,
+                                       sv_epsilon=0.1)
         assert tuple(reports) == ids
         assert all(reports[cid].condition_id == cid for cid in ids)
 

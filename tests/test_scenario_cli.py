@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kinterp import ScenarioError, load_scenario, sv
+from kinterp import ScenarioError, load_scenario
 from kinterp.cli import main
 from kinterp.runner import (EXIT_CONDITIONS, EXIT_OK, EXIT_VALIDATION,
                             bundled_scenario, bundled_scenario_dir,
@@ -259,10 +259,42 @@ class TestCli:
         code = main(["sv-check", "--b", '{"kind": "Qux"}', "--eps", "0.5"])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("command", ["verify", "conditions", "sv-check"])
+    @pytest.mark.parametrize("flags, named", [
+        (["--grid-min", "0"], "--grid-min"),
+        (["--grid-min", "-1"], "--grid-min"),
+        (["--grid-max", "inf"], "--grid-max"),
+        (["--grid-min", "10", "--grid-max", "10"], "--grid-max"),
+        (["--grid-min", "1e9"], "--grid-max"),
+        (["--ppd", "0"], "--ppd"),
+        (["--cmax", "0.5"], "--cmax"),
+        (["--cmax", "1"], "--cmax"),
+        (["--cmax", "nan"], "--cmax"),
+    ])
+    def test_bad_grid_or_budget_flag_is_named(self, tmp_path, capsys,
+                                              command, flags, named):
+        p = tmp_path / "sc.json"
+        p.write_text(json.dumps(small_scenario("flags")))
+        if command == "sv-check":
+            argv = ["sv-check", "--b", '{"kind": "Constant", "c": 1}',
+                    "--eps", "0.5"]
+        else:
+            argv = [command, "--scenario", str(p), "--out",
+                    str(tmp_path / "out")]
+        assert main(argv + flags) == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sv_check_bad_eps_is_named(self, capsys):
+        code = main(["sv-check", "--b", '{"kind": "Constant", "c": 1}',
+                     "--eps", "0"])
+        assert code == EXIT_VALIDATION
+        assert "--eps" in capsys.readouterr().err
+
 
 def test_suite_reports_do_not_depend_on_workers(tmp_path):
-    # the scenarios share a PrimitiveB weight, whose values sv caches per
-    # point in a module-level dict that run_suite's threads fill
+    # the scenarios share a PrimitiveB weight; each scenario's instance
+    # keeps its own values, whichever thread computes them
     base = {"kind": "BrokenLog", "a0": -2.0, "aInf": 0.5}
     for i, (theta, q) in enumerate(((0.3, 1), (0.4, 2), (0.2, 1))):
         scenario = {
@@ -280,7 +312,6 @@ def test_suite_reports_do_not_depend_on_workers(tmp_path):
         (tmp_path / f"shared-{i}.json").write_text(json.dumps(scenario))
     outs = []
     for workers in (1, 2):
-        sv._primitive_cache.clear()
         out = tmp_path / f"out-{workers}"
         run_suite(tmp_path, out, workers=workers)
         outs.append(out)
