@@ -18,7 +18,11 @@ Each parameter computes its factors on the grid once and keeps them, so
 rho, C1 and C4 read the same ones.  The nested norms in C2/C3 are evaluated
 at the outer quadrature nodes: the outer integrals of all grid points, at
 the working and at doubled density, share a node lattice, and the inner M is
-evaluated once, in one batched call, at the union of their nodes.  The
+evaluated once at the sorted union of their nodes.  For a finite-q inner
+parameter with 0 < theta < 1, H^q and T^q there come from one sweep per side
+along the nodes (``params.swept_min_factors``), each node adding the
+integral over the gap to its neighbour; a swept value depends on the node
+set, which the grid fixes, so reports stay deterministic.  The
 doubled-density pass is the refinement check; its drift goes in the meta.
 
 ``CHECKS`` is the one list of checks that scenarios and ``--only`` may name;
@@ -34,7 +38,8 @@ import numpy as np
 
 from .errors import DivergentIntegralError, ScenarioError
 from .params import (PhiParam, head_factors, min_factor, min_factors,
-                     qth_root, require_membership, tail_factors)
+                     qth_root, require_membership, swept_min_factors,
+                     tail_factors)
 from .quadrature import LogGrid, QuadPlan, decay_product, distinct, sup_log
 from .sv import eval_sv_log, shift_integral
 
@@ -193,9 +198,11 @@ def _outer_trunc_norms(p_out, p_inner, c_exp, side, xs, ppds):
     """|| χ_side(u) e^{c_exp x} b_out(x) / M_inner(x) ||_out at each cutoff
     of xs, once per outer density in ppds.
 
-    For finite q_out the inner M is evaluated once, in one batched call, at
-    the union of every outer node; for q_out = inf each supremum search
-    evaluates it at the points it probes.
+    For finite q_out the inner M is evaluated once at the sorted union of
+    every outer node, by ``swept_min_factors``: where it sweeps, a node's
+    value depends on the other nodes, and the grid and ``ppds`` fix them.
+    For q_out = inf each supremum search evaluates M at the points it
+    probes, by the direct rule.
     """
     if p_out.sup_norm:
         fn = _outer_integrand(p_out, lambda x: min_factors(p_inner, x), c_exp)
@@ -213,7 +220,7 @@ def _outer_trunc_norms(p_out, p_inner, c_exp, side, xs, ppds):
     bounds = (-math.inf, xs) if side == "head" else (xs, math.inf)
     plans = [QuadPlan(*bounds, ppd=ppd, kinks=(0.0,)) for ppd in ppds]
     nodes = distinct([plan.points() for plan in plans])
-    m = min_factors(p_inner, nodes)
+    m = swept_min_factors(p_inner, nodes)
     fn = _outer_integrand(p_out, lambda x: m[np.searchsorted(nodes, x)], c_exp)
     return [qth_root(p_out, plan.apply(fn)) for plan in plans]
 

@@ -51,15 +51,20 @@ def _terms(p0: PhiParam, p1: PhiParam, rho_t, profile: KProfile, t):
     """The four building blocks shared by all right-hand sides.
 
     ``rho_t`` and ``t`` may be floats or arrays of one shape; each term is
-    evaluated for all of them in one batched call per parameter.
+    evaluated for all of them in one batched call per parameter.  ``t`` may
+    also be a LogGrid: then the c and d terms read the T0 and H1 that the
+    parameters keep on it.
     """
-    ts = np.asarray(t, dtype=float)
-    xs = np.log(ts)
+    if isinstance(t, LogGrid):
+        xs, ts = t.log_points(), t.points()
+    else:
+        ts = np.asarray(t, dtype=float)
+        xs = np.log(ts)
     k_t = np.asarray(profile.value_log(xs), dtype=float)
     a = norm_trunc_profile(p0, profile, "head", ts)
     b = rho_t * norm_trunc_profile(p1, profile, "tail", ts)
-    c = norm_tail_char(p0, ts) * k_t
-    d = rho_t * norm_head_u(p1, ts) * k_t / ts
+    c = norm_tail_char(p0, t) * k_t
+    d = rho_t * norm_head_u(p1, t) * k_t / ts
     return a, b, c, d
 
 
@@ -356,7 +361,7 @@ def equivalence_report(p0: PhiParam, p1: PhiParam, element,
     cond_verdicts = {cid: rep.verdict for cid, rep in cond_reports.items()}
 
     n = len(ts)
-    rhs = _variant_sums(*_terms(p0, p1, rho, profile, ts))
+    rhs = _variant_sums(*_terms(p0, p1, rho, profile, grid))
     classical_ok = 0.0 < p0.theta < p1.theta < 1.0
     if "classical" in variants and classical_ok:
         rhs["classical"] = classical_rhs(p0.theta, p0.q, p1.theta, p1.q,

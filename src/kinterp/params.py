@@ -32,8 +32,8 @@ from .couples import KProfile, WeightedProfiles
 from .errors import MembershipError, RangeError
 from .quadrature import (LogGrid, QuadPlan, QuadResult, decay_product,
                          integral_log, sup_log)
-from .sv import (Constant, SVDescriptor, eval_sv_log, shift_integral,
-                 sv_from_json, sv_to_json)
+from .sv import (Constant, SVDescriptor, eval_sv_log, relative_integral,
+                 shift_integral, sv_from_json, sv_to_json)
 
 _NORM_GRID = LogGrid(1e-8, 1e8, 64)
 
@@ -130,12 +130,79 @@ def min_factors(p: PhiParam, xs, *, method: str = "auto") -> np.ndarray:
         if closed is not None:
             pts = xs.log_points() if isinstance(xs, LogGrid) else xs
             return np.full(np.shape(pts), closed)
-    h = head_factors(p, xs)
-    t = tail_factors(p, xs)
+    return _combine(p, head_factors(p, xs), tail_factors(p, xs))
+
+
+def _combine(p: PhiParam, h, t) -> np.ndarray:
+    """M from H and T: (H^q + T^q)^{1/q}, max(H, T) at q = inf; +inf where
+    either is."""
     with np.errstate(over="ignore", invalid="ignore"):
         m = (np.maximum(h, t) if p.sup_norm
              else (h ** p.q + t ** p.q) ** (1.0 / p.q))
     return np.where(np.isinf(h) | np.isinf(t), math.inf, m)
+
+
+def swept_min_factors(p: PhiParam, xs: np.ndarray) -> np.ndarray:
+    """M at the sorted distinct points xs, from H^q and T^q by one sweep per
+    side (``_swept_powers``) for finite q and 0 < theta < 1 with no closed
+    form; otherwise ``min_factors``.  A swept value depends on the other
+    points of xs, so callers pass a node set that their input fixes.
+    """
+    if (p.sup_norm or not 0.0 < p.theta < 1.0
+            or _closed_min_factor(p) is not None):
+        return min_factors(p, xs)
+    return _combine(p, qth_root(p, _swept_powers(p, xs, "head")),
+                    qth_root(p, _swept_powers(p, xs, "tail")))
+
+
+#: increment rows per plan in a sweep, which bounds the layout temporaries
+_SWEEP_BLOCK = 512
+
+
+def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
+    """H^q (head) or T^q (tail) at the sorted distinct points xs.
+
+    The head G(x) = ∫_{w<x} e^{r(w-x)} b^q dw at rate r = (1-theta) q is
+    swept left to right, the tail (w > x, rate theta q) right to left: from
+    one point to the next, at distance d,
+
+        G_next = G e^{-r d} + ∫ e^{-r |w - x_next|} b^q dw  over the gap,
+
+    the increment by the rule of ``shift_integral`` on a bounded row in
+    relative coordinates (``relative_integral``).  The first point, and
+    every point where e^{-r d} is exactly 0.0, restarts from
+    ``shift_integral``.  A divergence flag, a restart's or an increment's,
+    carries along the sweep up to the next restart.
+    """
+    rate = (1.0 - p.theta) * p.q if side == "head" else p.theta * p.q
+    c, x = (rate, xs) if side == "head" else (-rate, xs[::-1])
+    gap = np.abs(np.diff(x))
+    with np.errstate(under="ignore"):
+        decay = np.exp(-rate * gap)
+    restart = np.concatenate(([True], decay == 0.0))[:x.size]
+    start = shift_integral(p.b, p.q, x[restart], c, side, p.ppd)
+    value, bad = np.empty(x.size), np.empty(x.size, dtype=bool)
+    value[restart], bad[restart] = start.value, start.diverged
+    # the increment of point k covers the gap before it, as v = w - x_k
+    at = np.flatnonzero(~restart)
+    span, zero = gap[at - 1], np.zeros(at.size)
+    lo, hi = (-span, zero) if side == "head" else (zero, span)
+    for s in range(0, at.size, _SWEEP_BLOCK):
+        block = slice(s, s + _SWEEP_BLOCK)
+        r = relative_integral(p.b, p.q, x[at[block]], c, lo[block],
+                              hi[block], p.ppd)
+        value[at[block]], bad[at[block]] = r.value, r.diverged
+    g, flag = 0.0, False
+    vals, flags = value.tolist(), bad.tolist()
+    for k, (fresh, e) in enumerate(zip(restart.tolist(),
+                                       [1.0] + decay.tolist())):
+        if fresh:
+            g, flag = vals[k], flags[k]
+        else:
+            g, flag = g * e + vals[k], flag or flags[k]
+        vals[k], flags[k] = g, flag
+    order = slice(None) if side == "head" else slice(None, None, -1)
+    return QuadResult(np.array(vals)[order], np.array(flags)[order])
 
 
 def head_factor(p: PhiParam, x: float) -> float:
@@ -185,20 +252,29 @@ def require_membership(p: PhiParam):
 def norm_head_u(p: PhiParam, t):
     """||u χ_(0,t)(u)||; +inf on divergence.
 
-    ``t`` may be a float (returns a float) or an array (returns an array).
+    ``t`` may be a float (returns a float), an array or a LogGrid (returns
+    an array; on a grid, from the H that p keeps there).
     """
-    ts = _positive(t)
-    x = np.log(ts)
-    out = np.exp((1.0 - p.theta) * x) * head_factors(p, x)
-    return out if ts.ndim else float(out)
+    x, at = _log_args(t)
+    out = np.exp((1.0 - p.theta) * x) * head_factors(p, at)
+    return out if x.ndim else float(out)
 
 
 def norm_tail_char(p: PhiParam, t):
-    """||χ_(t,∞)||; +inf on divergence (float or array, as ``t``)."""
-    ts = _positive(t)
-    x = np.log(ts)
-    out = np.exp(-p.theta * x) * tail_factors(p, x)
-    return out if ts.ndim else float(out)
+    """||χ_(t,∞)||; +inf on divergence (float, array or LogGrid, as in
+    ``norm_head_u``)."""
+    x, at = _log_args(t)
+    out = np.exp(-p.theta * x) * tail_factors(p, at)
+    return out if x.ndim else float(out)
+
+
+def _log_args(t):
+    """(ln t, where to read the factors): a LogGrid's log points and the
+    grid itself, else ln t twice."""
+    if isinstance(t, LogGrid):
+        return t.log_points(), t
+    x = np.log(_positive(t))
+    return x, x
 
 
 def _positive(t) -> np.ndarray:

@@ -487,8 +487,9 @@ class QuadPlan:
         counts = np.array([self.n[idx].max(axis=0) for idx in passes])
         probes = [bool(self.unbounded[idx].any()) for idx in passes]
         # consecutive passes are gathered from one source, about
-        # CHUNK_ELEMS panels at a time
-        end = np.cumsum(rows * counts.sum(axis=1)).tolist()
+        # CHUNK_ELEMS panels at a time: a row's slots, its probe panel and
+        # its fill panel
+        end = np.cumsum(rows * (counts.sum(axis=1) + 2)).tolist()
         node = np.arange(GL_ORDER)[:, None]
         first = 0
         while first < len(starts):

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_quadrature as ref
-from kinterp.quadrature import DEEP_LOG_RANGE, GL_ORDER, LN10, QuadPlan
+from kinterp.quadrature import (CHUNK_ELEMS, DEEP_LOG_RANGE, GL_ORDER, LN10,
+                                QuadPlan)
 
 
 def _width(ppd):
@@ -141,3 +142,21 @@ def test_empty_far_segment_is_no_node():
     assert not (weights > 0.0).any() and np.array_equal(points, [[1.0]])
     r = plan.apply(lambda x, rows: np.ones(x.shape))
     assert float(r.value) == 0.0 and not r.diverged
+
+
+def test_gather_budget_counts_probe_and_fill_panels():
+    # one-panel rows: besides its slot, each row gathers a probe panel and a
+    # fill panel, and the budget of about CHUNK_ELEMS panels counts all three
+    lo = np.linspace(0.0, 0.5, 3000)
+    plan = QuadPlan(lo, lo + 0.01)
+    gather, sizes = plan._gather, []
+
+    def spy(rows, counts):
+        out = gather(rows, counts)
+        sizes.append(out[2].size + 2 * rows.size)
+        return out
+
+    plan._gather = spy
+    r = plan.apply(lambda x, rows: np.ones(x.shape))
+    assert len(sizes) > 1 and max(sizes) <= CHUNK_ELEMS
+    np.testing.assert_allclose(r.value, 0.01, rtol=1e-12)
