@@ -13,7 +13,7 @@ from .conditions import DEFAULT_BUDGET
 from .errors import KinterpError, ScenarioError
 from .quadrature import LogGrid
 from .runner import EXIT_VALIDATION, run_scenario, run_suite
-from .scenario import load_scenario
+from .scenario import load_scenario, reject_booleans
 from .sv import check_sv_envelope, sv_from_json
 
 
@@ -140,8 +140,10 @@ def main(argv=None) -> int:
             if path.exists():
                 raw = path.read_text(encoding="utf-8")
             try:
-                desc = sv_from_json(json.loads(raw))
-            except (json.JSONDecodeError, ValueError) as exc:
+                obj = json.loads(raw)
+                reject_booleans(obj, "b")
+                desc = sv_from_json(obj)
+            except (json.JSONDecodeError, ValueError, ScenarioError) as exc:
                 raise ScenarioError(f"--b: {exc}") from exc
             if not 0.0 < args.eps < math.inf:
                 raise ScenarioError(f"--eps: must be a positive finite real, "

@@ -24,6 +24,8 @@ from .errors import GuardError, InvariantViolation
 from .quadrature import LogGrid
 
 _ORACLE_MAX_N = 8
+#: slack of validate_kprofile: absolute for K >= 0, relative for the orders
+_PROFILE_RTOL = 1e-12
 
 
 def _as_tuple(v, name):
@@ -320,8 +322,7 @@ class ValidationReport:
                 "failures": [{"t": t, "check": c} for t, c in self.failures]}
 
 
-def validate_kprofile(profile: KProfile, grid: LogGrid,
-                      rel_tol: float = 1e-12) -> ValidationReport:
+def validate_kprofile(profile: KProfile, grid: LogGrid) -> ValidationReport:
     """Check nonnegativity, monotonicity of K, and monotonicity of K(t)/t."""
     xs = grid.log_points()
     ts = grid.points()
@@ -329,14 +330,14 @@ def validate_kprofile(profile: KProfile, grid: LogGrid,
     slope = np.asarray(profile.slope_log(xs), dtype=float)
     failures = []
     for i, (t, v) in enumerate(zip(ts, k)):
-        if not (math.isfinite(v) and v >= -rel_tol):
+        if not (math.isfinite(v) and v >= -_PROFILE_RTOL):
             failures.append((float(t), "nonnegative"))
     for i in range(1, len(ts)):
         scale = max(abs(k[i]), abs(k[i - 1]))
-        if k[i] < k[i - 1] - rel_tol * scale:
+        if k[i] < k[i - 1] - _PROFILE_RTOL * scale:
             failures.append((float(ts[i]), "K nondecreasing"))
         sscale = max(abs(slope[i]), abs(slope[i - 1]))
-        if slope[i] > slope[i - 1] + rel_tol * sscale:
+        if slope[i] > slope[i - 1] + _PROFILE_RTOL * sscale:
             failures.append((float(ts[i]), "K/t nonincreasing"))
     return ValidationReport(ok=not failures, failures=tuple(failures))
 

@@ -13,7 +13,8 @@ four >= three >= two holds exactly (floating-point addition of nonnegative
 terms is monotone).  The left-hand side is approximated *from above* by
 minimizing over an explicit family of decompositions f = f0 + f1 (truncation
 splits along the grid plus a coordinate split grid); the report carries both
-ratio directions so the one-sided bias stays visible.
+ratio directions so the one-sided bias stays visible.  For a one-term
+sequence the trivial splits attain the minimum, min(N0, sigma N1).
 
 ``run_checks`` runs the checks named in ``conditions.CHECKS``: the runner's
 and the gates (``_GATES``) that ``equivalence_report`` is not given.
@@ -114,14 +115,15 @@ class DecompositionSearch:
     * ``truncation_family`` — the splits attaining the base K-functional at
       every grid scale (deduplicated: only coordinate-mask changes matter),
       plus the two trivial decompositions;
-    * ``split_grid`` — coordinate-wise fractional splits on a uniform grid
-      (weighted sequences with n <= 6 only);
+    * ``split_grid`` — coordinate-wise fractional splits a∘f + (1-a)∘f with
+      each a_i on a uniform grid of 9 steps for n <= 3 and 3 for n <= 6
+      (weighted sequences only; at n = 1 the grid holds a = 0 and a = 1,
+      whose two splits attain the minimum);
     * ``combined`` — both.
     """
 
     def __init__(self, p0: PhiParam, p1: PhiParam, element,
-                 grid: LogGrid = LogGrid(), strategy: str = "combined",
-                 steps: int | None = None):
+                 grid: LogGrid = LogGrid(), strategy: str = "combined"):
         if strategy not in ("truncation_family", "split_grid", "combined"):
             raise ValueError(f"unknown strategy {strategy!r}")
         self.p0, self.p1 = p0, p1
@@ -131,7 +133,7 @@ class DecompositionSearch:
             pairs.extend(self._truncation_candidates(element, grid))
         if strategy in ("split_grid", "combined"):
             pairs.extend(self._split_grid_candidates(
-                element, steps, required=(strategy == "split_grid")))
+                element, required=(strategy == "split_grid")))
         if not pairs:
             raise EmptyCandidateError("no candidate decompositions generated")
         self.a0 = _candidate_norms(p0, [f0 for f0, _ in pairs])
@@ -169,7 +171,7 @@ class DecompositionSearch:
         raise TypeError("decomposition search needs a couple element")
 
     @staticmethod
-    def _split_grid_candidates(element, steps, required):
+    def _split_grid_candidates(element, required):
         if not isinstance(element, WeightedSeq):
             if required:
                 raise GuardError("split_grid strategy needs a WeightedSeq")
@@ -180,11 +182,7 @@ class DecompositionSearch:
                 raise GuardError(
                     f"split_grid strategy limited to n <= {_SPLIT_GRID_MAX_N}")
             return []
-        if steps is None:
-            steps = 1001 if n == 1 else (9 if n <= 3 else 3)
-        if steps < 2:
-            raise ValueError("steps must be >= 2")
-        alphas = np.linspace(0.0, 1.0, steps)
+        alphas = np.linspace(0.0, 1.0, 9 if n <= 3 else 3)
         pairs = []
         for combo in itertools.product(alphas, repeat=n):
             f0 = tuple(a * c for a, c in zip(combo, element.coeffs))
@@ -219,10 +217,10 @@ def _candidate_norms(p: PhiParam, elements) -> np.ndarray:
 
 
 def lhs_outer_k(p0: PhiParam, p1: PhiParam, element, sigma: float,
-                strategy: str = "combined", *, steps: int | None = None,
+                strategy: str = "combined", *,
                 grid: LogGrid = LogGrid()) -> float:
     """One-shot upper bound on K(sigma, f; A_Phi0, A_Phi1)."""
-    return DecompositionSearch(p0, p1, element, grid, strategy, steps).lhs(sigma)
+    return DecompositionSearch(p0, p1, element, grid, strategy).lhs(sigma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,8 +321,7 @@ def equivalence_report(p0: PhiParam, p1: PhiParam, element,
                        budget: float = DEFAULT_BUDGET,
                        variants=("lemma", "thm_i", "thm_ii"),
                        conditions: dict | None = None,
-                       scenario: str = "",
-                       steps: int | None = None) -> EquivalenceReport:
+                       scenario: str = "") -> EquivalenceReport:
     """Run the full comparison of lhs upper bound against all RHS variants.
 
     ``conditions`` may carry precomputed ConditionReports; missing gates are
@@ -369,7 +366,7 @@ def equivalence_report(p0: PhiParam, p1: PhiParam, element,
 
     if couple_element is not None:
         search = DecompositionSearch(p0, p1, couple_element, grid,
-                                     "combined", steps)
+                                     "combined")
         lhs = np.array([search.lhs(float(r)) for r in rho])
     else:
         lhs = np.full(n, math.nan)

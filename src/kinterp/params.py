@@ -25,32 +25,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .couples import KProfile, WeightedProfiles
 from .errors import MembershipError, RangeError
-from .quadrature import (LogGrid, QuadPlan, QuadResult, decay_product,
-                         integral_log, sup_log)
+from .quadrature import (DEFAULT_PPD, LogGrid, QuadPlan, QuadResult,
+                         decay_product, integral_log, sup_log)
 from .sv import (Constant, SVDescriptor, eval_sv_log, relative_integral,
                  shift_integral, sv_from_json, sv_to_json)
-
-_NORM_GRID = LogGrid(1e-8, 1e8, 64)
 
 
 @dataclass(frozen=True)
 class PhiParam:
-    """One K-interpolation parameter: exponent, integrability, SV weight."""
+    """One K-interpolation parameter: exponent, integrability, SV weight.
+
+    Every quadrature of its norms runs at ``ppd`` points per decade.
+    """
 
     theta: float
     q: float
     b: SVDescriptor = Constant(1.0)
-    grid_policy: LogGrid = field(default=_NORM_GRID)
     #: how error messages refer to the parameter (its scenario field)
     name: str = field(default="phi", compare=False, repr=False)
     #: kept values: membership of min(1, t), and H and T per (side, grid)
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
+    ppd: ClassVar[int] = DEFAULT_PPD
 
     def __post_init__(self):
         if not (0.0 <= self.theta <= 1.0):
@@ -61,10 +63,6 @@ class PhiParam:
     @property
     def sup_norm(self) -> bool:
         return math.isinf(self.q)
-
-    @property
-    def ppd(self) -> int:
-        return self.grid_policy.points_per_decade
 
 
 def qth_root(p: PhiParam, r: QuadResult):
@@ -119,17 +117,16 @@ def tail_factors(p: PhiParam, xs) -> np.ndarray:
     return _shift_factors(p, xs, "tail")
 
 
-def min_factors(p: PhiParam, xs, *, method: str = "auto") -> np.ndarray:
+def min_factors(p: PhiParam, xs) -> np.ndarray:
     """M at every x of xs (any shape, or a LogGrid); see ``min_factor``."""
     if p.theta == 0.0:
         return tail_factors(p, xs)
     if p.theta == 1.0:
         return head_factors(p, xs)
-    if method == "auto":
-        closed = _closed_min_factor(p)
-        if closed is not None:
-            pts = xs.log_points() if isinstance(xs, LogGrid) else xs
-            return np.full(np.shape(pts), closed)
+    closed = _closed_min_factor(p)
+    if closed is not None:
+        pts = xs.log_points() if isinstance(xs, LogGrid) else xs
+        return np.full(np.shape(pts), closed)
     return _combine(p, head_factors(p, xs), tail_factors(p, xs))
 
 
@@ -224,15 +221,14 @@ def _closed_min_factor(p: PhiParam):
     return None
 
 
-def min_factor(p: PhiParam, x: float, *, method: str = "auto") -> float:
+def min_factor(p: PhiParam, x: float) -> float:
     """M(x) with ||min(u, t)|| = t^{1-theta} M(ln t).
 
     At theta = 0 this is the tail-dominated representative T, at theta = 1
-    the head-dominated H; for 0 < theta < 1 it combines both sides, using
-    the closed form when b is constant and q finite (method="quadrature"
-    forces the quadrature path for cross-checks).
+    the head-dominated H; for 0 < theta < 1 it is (H^q + T^q)^{1/q}
+    (max(H, T) at q = inf), in closed form when b is constant and q finite.
     """
-    return float(min_factors(p, x, method=method))
+    return float(min_factors(p, x))
 
 
 def membership_min1(p: PhiParam) -> bool:
@@ -284,13 +280,13 @@ def _positive(t) -> np.ndarray:
     return ts
 
 
-def norm_min(p: PhiParam, t: float, *, method: str = "auto") -> float:
+def norm_min(p: PhiParam, t: float) -> float:
     """||min(u, t)||; requires min(1, u) to be a member of the space."""
     if not t > 0.0:
         raise ValueError("t must be positive")
     require_membership(p)
     x = math.log(t)
-    return math.exp((1.0 - p.theta) * x) * min_factor(p, x, method=method)
+    return math.exp((1.0 - p.theta) * x) * min_factor(p, x)
 
 
 def phi_norm(p: PhiParam, g, support=(0.0, math.inf)) -> float:

@@ -64,6 +64,8 @@ EXP_ZERO = 746.0
 CHUNK_ELEMS = 4096
 
 DEFAULT_PPD = 64
+#: window extensions after which a growing supremum is flagged divergent
+_SUP_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -703,11 +705,11 @@ def _samples(lo, hi, step, refs, window):
 
 
 def sup_log(fn, x_lo=-math.inf, x_hi=math.inf, *, ppd=DEFAULT_PPD, anchors=(),
-            max_rounds=3, rate=None):
+            rate=None):
     """Supremum of fn over [x_lo, x_hi] in x = ln t coordinates.
 
     Infinite bounds are probed over successively wider windows; a supremum
-    that keeps growing after ``max_rounds`` extensions is flagged divergent.
+    that keeps growing after ``_SUP_ROUNDS`` extensions is flagged divergent.
     Exact anchor points (kinks, truncation points) are always sampled, and
     the discrete argmax is polished by a local ternary search.
 
@@ -733,7 +735,7 @@ def sup_log(fn, x_lo=-math.inf, x_hi=math.inf, *, ppd=DEFAULT_PPD, anchors=(),
 
     best = -math.inf
     diverged = False
-    rounds = max_rounds if (lo_inf or hi_inf) else 0
+    rounds = _SUP_ROUNDS if (lo_inf or hi_inf) else 0
     grew_last = False
     xs = None
     for r in range(rounds + 1):

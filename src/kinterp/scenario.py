@@ -44,6 +44,21 @@ class Scenario:
         }
 
 
+def reject_booleans(obj, path: str = ""):
+    """ScenarioError naming the first JSON boolean in obj.  No field of a
+    scenario or a weight descriptor is boolean, and Python's float() and
+    int() would read true as 1."""
+    if isinstance(obj, bool):
+        raise ScenarioError(f"{path}: expected a number or a string, got "
+                            f"{json.dumps(obj)}")
+    if isinstance(obj, dict):
+        for key, v in obj.items():
+            reject_booleans(v, f"{path}.{key}" if path else key)
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            reject_booleans(v, f"{path}[{i}]")
+
+
 def _grid_from_json(obj, path):
     if obj is None:
         return _DEFAULT_GRID
@@ -62,6 +77,7 @@ def _grid_from_json(obj, path):
 def scenario_from_json(obj: dict, *, name_hint: str = "") -> Scenario:
     if not isinstance(obj, dict):
         raise ScenarioError("scenario: expected a JSON object")
+    reject_booleans(obj)
     try:
         name = str(obj.get("name") or name_hint or "scenario")
         phi0 = phi_from_json(obj["phi0"], "phi0")

@@ -249,44 +249,42 @@ def eval_sv(b: SVDescriptor, t: float) -> float:
     return v
 
 
-def integral_B(b: SVDescriptor, t: float, *, ppd: int = DEFAULT_PPD) -> float:
+def integral_B(b: SVDescriptor, t: float) -> float:
     """B(t) = ∫_0^t b(s) ds/s."""
     _check_t(t)
-    r = shift_integral(b, 1.0, math.log(t), 0.0, "head", ppd)
+    r = shift_integral(b, 1.0, math.log(t), 0.0, "head")
     if r.diverged:
         raise DivergentIntegralError("∫_0^t b(s) ds/s diverges")
     return r.value
 
 
-def integral_BTilde(b: SVDescriptor, t: float, *, ppd: int = DEFAULT_PPD) -> float:
+def integral_BTilde(b: SVDescriptor, t: float) -> float:
     """B~(t) = ∫_t^∞ b(s) ds/s."""
     _check_t(t)
-    r = shift_integral(b, 1.0, math.log(t), 0.0, "tail", ppd)
+    r = shift_integral(b, 1.0, math.log(t), 0.0, "tail")
     if r.diverged:
         raise DivergentIntegralError("∫_t^∞ b(s) ds/s diverges")
     return r.value
 
 
-def power_integral_lower(b: SVDescriptor, alpha: float, t: float, *,
-                         ppd: int = DEFAULT_PPD) -> float:
+def power_integral_lower(b: SVDescriptor, alpha: float, t: float) -> float:
     """∫_0^t s^alpha b(s) ds/s, alpha > 0 (compares against t^alpha b(t))."""
     _check_t(t)
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    r = shift_integral(b, 1.0, math.log(t), alpha, "head", ppd)
+    r = shift_integral(b, 1.0, math.log(t), alpha, "head")
     v = t ** alpha * r.value
     if r.diverged or not (0.0 <= v < math.inf):
         raise RangeError("power integral left the representable range")
     return v
 
 
-def power_integral_upper(b: SVDescriptor, alpha: float, t: float, *,
-                         ppd: int = DEFAULT_PPD) -> float:
+def power_integral_upper(b: SVDescriptor, alpha: float, t: float) -> float:
     """∫_t^∞ s^{-alpha} b(s) ds/s, alpha > 0 (compares against t^{-alpha} b(t))."""
     _check_t(t)
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    r = shift_integral(b, 1.0, math.log(t), -alpha, "tail", ppd)
+    r = shift_integral(b, 1.0, math.log(t), -alpha, "tail")
     v = t ** (-alpha) * r.value
     if r.diverged or not (0.0 <= v < math.inf):
         raise RangeError("power integral left the representable range")

@@ -20,7 +20,7 @@ from kinterp.couples import WeightedProfiles
 from kinterp.conditions import check_C2, check_C3
 from kinterp.params import (full_norm_profile, full_norm_profiles,
                             head_factor, head_factors, min_factor,
-                            min_factors, tail_factor, tail_factors)
+                            tail_factor, tail_factors)
 from kinterp.quadrature import (GL_ORDER, LN10, QuadPlan, decay_product,
                                 integral_log, sup_log)
 from kinterp.runner import bundled_scenario, run_scenario, run_suite
@@ -296,8 +296,10 @@ def test_constant_weight_closed_forms(theta, q):
     m = c * (1.0 / ((1.0 - theta) * q) + 1.0 / (theta * q)) ** (1.0 / q)
     np.testing.assert_allclose(head_factors(p, xs), h, rtol=1e-12)
     np.testing.assert_allclose(tail_factors(p, xs), t, rtol=1e-12)
-    np.testing.assert_allclose(min_factors(p, xs, method="quadrature"), m,
-                               rtol=1e-12)
+    # M = (H^q + T^q)^{1/q} from the quadrature H and T
+    np.testing.assert_allclose(
+        (head_factors(p, xs) ** q + tail_factors(p, xs) ** q) ** (1.0 / q),
+        m, rtol=1e-12)
     assert min_factor(p, 0.3) == pytest.approx(m, rel=1e-15)
 
 

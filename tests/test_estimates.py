@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinterp import (Constant, DecompositionSearch, GuardError,
+from kinterp import (BrokenLog, Constant, DecompositionSearch, GuardError,
                      KProfile, LogGrid, PhiParam, StepFn, WeightedSeq,
                      classical_rhs, equivalence_report, lhs_outer_k,
                      norm_head_u, norm_tail_char, norm_trunc_profile,
@@ -113,9 +113,28 @@ class TestLhs:
     def test_single_coordinate_closed_form(self):
         for sigma in (0.1, 0.9, 1.0, 1.7, 50.0):
             got = lhs_outer_k(P14, P34, E_UNIT, sigma, "split_grid",
-                              steps=1001, grid=GRID)
+                              grid=GRID)
             assert got == pytest.approx((16.0 / 3.0) * min(1.0, sigma),
                                         rel=1e-6)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, math.inf])
+    def test_one_term_is_min_of_trivial_splits(self, q):
+        # at n = 1 the cost a N0 + sigma (1 - a) N1 is affine in a
+        p0 = PhiParam(0.25, q, BrokenLog(1.0, 2.0))
+        p1 = PhiParam(0.75, q, BrokenLog(-1.0, 0.5))
+        e = WeightedSeq((2.0,), (1.0,), (3.0,))
+        k = KProfile.from_element(e)
+        n0, n1 = full_norm_profile(p0, k), full_norm_profile(p1, k)
+        cross = n0 / n1
+        for sigma in (cross / 3.0, cross * 0.99, cross * 1.01, 3.0 * cross):
+            got = lhs_outer_k(p0, p1, e, sigma)
+            assert got == pytest.approx(min(n0, sigma * n1), rel=1e-14)
+
+    def test_one_term_search_is_small(self):
+        for strategy in ("combined", "split_grid"):
+            search = DecompositionSearch(P14, P34, E_UNIT, LogGrid(),
+                                         strategy)
+            assert len(search.a0) <= 13
 
     def test_sigma_to_zero(self):
         got = lhs_outer_k(P14, P34, E_UNIT, 1e-9, "truncation_family",

@@ -90,7 +90,9 @@ class TestNormMin:
         p = PhiParam(theta, q, Constant(1.0))
         for t in (1e-4, 1e-1, 1.0, 1e2, 1e4):
             closed = norm_min(p, t)
-            quad = norm_min(p, t, method="quadrature")
+            # ||min(u,t)||^q = ||u χ_(0,t)||^q + t^q ||χ_(t,∞)||^q
+            quad = (norm_head_u(p, t) ** q
+                    + t ** q * norm_tail_char(p, t) ** q) ** (1.0 / q)
             assert abs(quad / closed - 1.0) <= 1e-6
 
     def test_sup_norm_closed(self):

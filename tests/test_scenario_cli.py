@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -73,6 +74,30 @@ class TestScenarioParsing:
         grid = dict(SMALL_GRID, points_per_decade=4.0)
         assert scenario_from_json(
             small_scenario(grid=grid)).grid.points_per_decade == 4
+
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"phi0": {"theta": True, "q": 1, "b": {"kind": "Constant", "c": 1}}},
+         "phi0.theta"),
+        ({"phi1": {"theta": 0.75, "q": True,
+                   "b": {"kind": "Constant", "c": 1}}}, "phi1.q"),
+        ({"element": {"kind": "WeightedSeq", "coeffs": [True], "w0": [1],
+                      "w1": [1]}}, "element.coeffs[0]"),
+        ({"sv_epsilon": True}, "sv_epsilon"),
+        ({"grid": dict(SMALL_GRID, points_per_decade=True)},
+         "grid.points_per_decade"),
+    ])
+    def test_boolean_is_not_a_number(self, tmp_path, capsys, overrides,
+                                     named):
+        # json booleans would load as 1 through float() and int()
+        with pytest.raises(ScenarioError, match=re.escape(named)):
+            scenario_from_json(small_scenario(**overrides))
+        p = tmp_path / "sc.json"
+        p.write_text(json.dumps(small_scenario("bools", **overrides)))
+        assert main(["verify", "--scenario", str(p), "--out",
+                     str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunScenario:
@@ -258,6 +283,12 @@ class TestCli:
     def test_sv_check_bad_descriptor(self, capsys):
         code = main(["sv-check", "--b", '{"kind": "Qux"}', "--eps", "0.5"])
         assert code == EXIT_VALIDATION
+
+    def test_sv_check_boolean_is_named(self, capsys):
+        code = main(["sv-check", "--b", '{"kind": "Constant", "c": true}',
+                     "--eps", "0.5"])
+        assert code == EXIT_VALIDATION
+        assert "b.c" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["verify", "conditions", "sv-check"])
     @pytest.mark.parametrize("flags, named", [
