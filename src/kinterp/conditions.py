@@ -282,8 +282,8 @@ def check_sv_sufficient(b0, q0: float, b1, q1: float, eps: float,
     maximum), which is the sufficient condition for C2/C3 in the flat
     exponent regime theta0 = theta1 = 0.
     """
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     if math.isinf(q0) or math.isinf(q1):
         raise ValueError("the sufficient condition needs finite q0, q1")
     xs = grid.log_points()

@@ -292,14 +292,6 @@ class WeightedProfiles:
     w0: np.ndarray
     w1: np.ndarray
 
-    @classmethod
-    def from_elements(cls, elements):
-        w0, w1 = elements[0].w0, elements[0].w1
-        if any(e.w0 != w0 or e.w1 != w1 for e in elements):
-            raise ValueError("weighted sequences must share w0 and w1")
-        return cls(np.abs(np.array([e.coeffs for e in elements], dtype=float)),
-                   np.asarray(w0), np.asarray(w1))
-
     def value_log(self, x, rows):
         return _k_weighted_log(self.coeffs[rows], self.w0, self.w1,
                                np.asarray(x, dtype=float))

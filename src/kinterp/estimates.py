@@ -11,10 +11,13 @@ right-hand sides built from the base profile K(·, f):
 Each variant is a sub-sum of the next, so the pointwise ordering
 four >= three >= two holds exactly (floating-point addition of nonnegative
 terms is monotone).  The left-hand side is approximated *from above* by
-minimizing over an explicit family of decompositions f = f0 + f1 (truncation
-splits along the grid plus a coordinate split grid); the report carries both
-ratio directions so the one-sided bias stays visible.  For a one-term
-sequence the trivial splits attain the minimum, min(N0, sigma N1).
+minimizing over an explicit family of decompositions f = f0 + f1: for a
+weighted sequence the rows a of one fraction matrix, f0 = a∘f and
+f1 = (1 - a)∘f (the coordinate split grid for n <= 6, the truncation splits
+along the grid beyond), for a step function its level truncations.  The
+report carries both ratio directions so the one-sided bias stays visible.
+For a one-term sequence the trivial splits attain the minimum,
+min(N0, sigma N1).
 
 ``run_checks`` runs the checks named in ``conditions.CHECKS``: the runner's
 and the gates (``_GATES``) that ``equivalence_report`` is not given.
@@ -22,7 +25,6 @@ and the gates (``_GATES``) that ``equivalence_report`` is not given.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,8 +34,8 @@ from .conditions import (CHECKS, DEFAULT_BUDGET, ConditionReport, check_C1,
                          check_C2, check_C3, check_C4, check_names,
                          check_sv_sufficient, rho_table)
 from .couples import (KProfile, StepFn, WeightedProfiles, WeightedSeq,
-                      ensure_valid_kprofile, optimal_split)
-from .errors import EmptyCandidateError, GuardError
+                      ensure_valid_kprofile)
+from .errors import EmptyCandidateError
 from .params import (PhiParam, full_norm_profile, full_norm_profiles,
                      norm_head_u, norm_tail_char, norm_trunc_profile,
                      require_membership)
@@ -108,88 +110,39 @@ def classical_rhs(theta0: float, q0: float, theta1: float, q1: float,
 class DecompositionSearch:
     """Upper bound for the outer K-functional by explicit decompositions.
 
-    Candidate decompositions f = f0 + f1 are generated once; their norm pair
-    (||K(·,f0)||_0, ||K(·,f1)||_1) is cached so evaluating the bound at a new
-    scale costs one vectorized minimum.  Strategies:
+    The norm pair (||K(·,f0)||_0, ||K(·,f1)||_1) of every candidate
+    f = f0 + f1 is computed once, so the bound at a new scale costs one
+    vectorized minimum.  For a weighted sequence with coefficients c the
+    candidates are the rows a of one fraction matrix, f0 = a∘c and
+    f1 = (1 - a)∘c:
 
-    * ``truncation_family`` — the splits attaining the base K-functional at
-      every grid scale (deduplicated: only coordinate-mask changes matter),
-      plus the two trivial decompositions;
-    * ``split_grid`` — coordinate-wise fractional splits a∘f + (1-a)∘f with
-      each a_i on a uniform grid of 9 steps for n <= 3 and 3 for n <= 6
-      (weighted sequences only; at n = 1 the grid holds a = 0 and a = 1,
-      whose two splits attain the minimum);
-    * ``combined`` — both.
+    * n <= 6: the split grid, each a_i on a uniform grid of 9 steps for
+      n <= 3 and 3 for n <= 6.  Its 0/1 rows hold both trivial splits and
+      every truncation split (the split attaining the base K-functional at
+      a scale); at n = 1 the two trivial splits attain the minimum;
+    * n > 6: the distinct truncation masks w0 <= s w1 over the grid's
+      scales s, plus the all-ones and all-zeros rows.
+
+    A step function's candidates are its level truncations
+    f0 = (f - c)+, f1 = min(f, c), plus f0 = 0.
     """
 
     def __init__(self, p0: PhiParam, p1: PhiParam, element,
-                 grid: LogGrid = LogGrid(), strategy: str = "combined"):
-        if strategy not in ("truncation_family", "split_grid", "combined"):
-            raise ValueError(f"unknown strategy {strategy!r}")
+                 grid: LogGrid = LogGrid()):
         self.p0, self.p1 = p0, p1
         self.element = element
-        pairs = []
-        if strategy in ("truncation_family", "combined"):
-            pairs.extend(self._truncation_candidates(element, grid))
-        if strategy in ("split_grid", "combined"):
-            pairs.extend(self._split_grid_candidates(
-                element, required=(strategy == "split_grid")))
-        if not pairs:
-            raise EmptyCandidateError("no candidate decompositions generated")
-        self.a0 = _candidate_norms(p0, [f0 for f0, _ in pairs])
-        self.a1 = _candidate_norms(p1, [f1 for _, f1 in pairs])
-
-    @staticmethod
-    def _truncation_candidates(element, grid):
         if isinstance(element, WeightedSeq):
-            n = element.n
-            seen = {}
-            for s in grid.points():
-                mask = tuple(w0 <= s * w1
-                             for w0, w1 in zip(element.w0, element.w1))
-                if mask not in seen:
-                    seen[mask] = optimal_split(element, float(s))
-            zero = WeightedSeq((0.0,) * n, element.w0, element.w1)
-            pairs = list(seen.values())
-            pairs.append((element, zero))
-            pairs.append((zero, element))
-            return pairs
-        if isinstance(element, StepFn):
-            # level truncations: f0 = (f - c)+ concentrates the tall part
-            levels = sorted(set(element.values)) + [0.0]
-            pairs = []
-            for c in levels:
-                f0 = StepFn(element.breakpoints,
-                            tuple(max(v - c, 0.0) for v in element.values))
-                f1 = StepFn(element.breakpoints,
-                            tuple(min(v, c) for v in element.values))
-                pairs.append((f0, f1))
-            pairs.append((StepFn(element.breakpoints,
-                                 (0.0,) * len(element.values)),
-                          element))
-            return pairs
-        raise TypeError("decomposition search needs a couple element")
-
-    @staticmethod
-    def _split_grid_candidates(element, required):
-        if not isinstance(element, WeightedSeq):
-            if required:
-                raise GuardError("split_grid strategy needs a WeightedSeq")
-            return []
-        n = element.n
-        if n > _SPLIT_GRID_MAX_N:
-            if required:
-                raise GuardError(
-                    f"split_grid strategy limited to n <= {_SPLIT_GRID_MAX_N}")
-            return []
-        alphas = np.linspace(0.0, 1.0, 9 if n <= 3 else 3)
-        pairs = []
-        for combo in itertools.product(alphas, repeat=n):
-            f0 = tuple(a * c for a, c in zip(combo, element.coeffs))
-            f1 = tuple((1.0 - a) * c for a, c in zip(combo, element.coeffs))
-            pairs.append((WeightedSeq(f0, element.w0, element.w1),
-                          WeightedSeq(f1, element.w0, element.w1)))
-        return pairs
+            frac = _fractions(element, grid)
+            c = np.abs(np.asarray(element.coeffs))
+            w0, w1 = np.asarray(element.w0), np.asarray(element.w1)
+            self.a0 = _row_norms(p0, WeightedProfiles(frac * c, w0, w1))
+            self.a1 = _row_norms(p1, WeightedProfiles((1.0 - frac) * c,
+                                                      w0, w1))
+        elif isinstance(element, StepFn):
+            f0s, f1s = zip(*_level_splits(element))
+            self.a0, self.a1 = _norms(p0, f0s), _norms(p1, f1s)
+        else:
+            raise TypeError("decomposition search needs a couple element")
 
     def lhs(self, sigma: float) -> float:
         """min over candidates of ||K(·,f0)||_0 + sigma ||K(·,f1)||_1."""
@@ -204,23 +157,53 @@ class DecompositionSearch:
         return float(np.min(costs))
 
 
-def _candidate_norms(p: PhiParam, elements) -> np.ndarray:
-    """||K(·, f)|| of every candidate f.
+def _fractions(e: WeightedSeq, grid: LogGrid) -> np.ndarray:
+    """The fraction matrix of ``DecompositionSearch``, one candidate a row."""
+    n = e.n
+    if n <= _SPLIT_GRID_MAX_N:
+        steps = 9 if n <= 3 else 3
+        alphas = np.linspace(0.0, 1.0, steps)
+        return alphas[np.indices((steps,) * n).reshape(n, -1).T]
+    masks = np.asarray(e.w0) <= grid.points()[:, None] * np.asarray(e.w1)
+    # a mask only gains coordinates as s grows, so repeats are consecutive
+    new = np.any(masks[1:] != masks[:-1], axis=1)
+    return np.vstack([masks[np.r_[True, new]], np.ones(n),
+                      np.zeros(n)]).astype(float)
 
-    Weighted sequences share their weights, so at finite q all of them are
-    integrated in one batched call; step functions and q = inf go one by one.
-    """
-    if isinstance(elements[0], WeightedSeq) and not p.sup_norm:
-        return full_norm_profiles(p, WeightedProfiles.from_elements(elements))
+
+def _level_splits(element: StepFn):
+    # level truncations: f0 = (f - c)+ concentrates the tall part
+    levels = sorted(set(element.values)) + [0.0]
+    pairs = []
+    for c in levels:
+        f0 = StepFn(element.breakpoints,
+                    tuple(max(v - c, 0.0) for v in element.values))
+        f1 = StepFn(element.breakpoints,
+                    tuple(min(v, c) for v in element.values))
+        pairs.append((f0, f1))
+    pairs.append((StepFn(element.breakpoints, (0.0,) * len(element.values)),
+                  element))
+    return pairs
+
+
+def _row_norms(p: PhiParam, profiles: WeightedProfiles) -> np.ndarray:
+    """||K(·, f)|| of the sequence in each row: one batched plan at finite q,
+    one row at a time at q = inf."""
+    if not p.sup_norm:
+        return full_norm_profiles(p, profiles)
+    return _norms(p, [WeightedSeq(c, profiles.w0, profiles.w1)
+                      for c in profiles.coeffs])
+
+
+def _norms(p: PhiParam, elements) -> np.ndarray:
     return np.array([full_norm_profile(p, KProfile.from_element(f))
                      for f in elements])
 
 
-def lhs_outer_k(p0: PhiParam, p1: PhiParam, element, sigma: float,
-                strategy: str = "combined", *,
+def lhs_outer_k(p0: PhiParam, p1: PhiParam, element, sigma: float, *,
                 grid: LogGrid = LogGrid()) -> float:
     """One-shot upper bound on K(sigma, f; A_Phi0, A_Phi1)."""
-    return DecompositionSearch(p0, p1, element, grid, strategy).lhs(sigma)
+    return DecompositionSearch(p0, p1, element, grid).lhs(sigma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,8 +348,7 @@ def equivalence_report(p0: PhiParam, p1: PhiParam, element,
                                          profile, ts)
 
     if couple_element is not None:
-        search = DecompositionSearch(p0, p1, couple_element, grid,
-                                     "combined")
+        search = DecompositionSearch(p0, p1, couple_element, grid)
         lhs = np.array([search.lhs(float(r)) for r in rho])
     else:
         lhs = np.full(n, math.nan)

@@ -109,8 +109,8 @@ def scenario_from_json(obj: dict, *, name_hint: str = "") -> Scenario:
                                 f"expected one of {VARIANTS}")
 
     eps = obj.get("sv_epsilon", 0.1)
-    if not (isinstance(eps, (int, float)) and eps > 0.0):
-        raise ScenarioError("sv_epsilon: must be a positive real")
+    if not (isinstance(eps, (int, float)) and 0.0 < eps < math.inf):
+        raise ScenarioError("sv_epsilon: must be a positive finite real")
 
     return Scenario(name=name, phi0=phi0, phi1=phi1, element=element,
                     grid=grid, budget=float(budget), checks=checks,

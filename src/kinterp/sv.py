@@ -402,7 +402,12 @@ def sv_from_json(obj: dict, path: str = "b") -> SVDescriptor:
         if kind == "BrokenLog":
             return BrokenLog(float(obj["a0"]), float(obj["aInf"]))
         if kind == "ExpLogPow":
-            return ExpLogPow(float(obj["alpha"]), int(obj.get("sign", 1)))
+            sign = obj.get("sign", 1)
+            # int() would truncate a fractional sign such as -1.7 to -1
+            if isinstance(sign, bool) or sign not in (-1, 1):
+                raise ValueError(f"{path}.sign: must be +1 or -1, "
+                                 f"got {sign!r}")
+            return ExpLogPow(float(obj["alpha"]), int(sign))
         if kind == "Product":
             return Product(sv_from_json(obj["left"], path + ".left"),
                            sv_from_json(obj["right"], path + ".right"))

@@ -181,8 +181,7 @@ def test_criterion_6_holmstedt_equivalence(bundled_results):
     p0 = PhiParam(0.25, 1.0, Constant(1.0))
     p1 = PhiParam(0.75, 1.0, Constant(1.0))
     e = WeightedSeq((1.0,), (1.0,), (1.0,))
-    err = max(abs(lhs_outer_k(p0, p1, e, s, "split_grid",
-                              grid=LogGrid(1e-4, 1e4, 16))
+    err = max(abs(lhs_outer_k(p0, p1, e, s, grid=LogGrid(1e-4, 1e4, 16))
                   / ((16.0 / 3.0) * min(1.0, s)) - 1.0)
               for s in (0.1, 1.0, 3.0))
     elapsed = time.perf_counter() - start

@@ -190,6 +190,13 @@ class TestSvSufficient:
         with pytest.raises(ValueError):
             check_sv_sufficient(BL22, math.inf, BL22, 1.0, 0.1, GRID)
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1.0])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        # at eps = inf the exponent 1/(q0(1+eps)) is 0, so B~0^0 = 1 made
+        # every ratio 1 and the check pass
+        with pytest.raises(ValueError, match="eps"):
+            check_sv_sufficient(BL22, 1.0, BL44, 1.0, eps, GRID_W)
+
 
 class TestReportSurface:
     def test_csv_columns(self):

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinterp import (BrokenLog, Constant, DecompositionSearch, GuardError,
-                     KProfile, LogGrid, PhiParam, StepFn, WeightedSeq,
-                     classical_rhs, equivalence_report, lhs_outer_k,
-                     norm_head_u, norm_tail_char, norm_trunc_profile,
+from kinterp import (BrokenLog, Constant, DecompositionSearch, KProfile,
+                     LogGrid, PhiParam, StepFn, WeightedSeq, classical_rhs,
+                     equivalence_report, lhs_outer_k, norm_head_u,
+                     norm_tail_char, norm_trunc_profile, optimal_split,
                      rhs_four_term, rhs_three_term, rhs_two_term)
 from kinterp.errors import EmptyCandidateError
-from kinterp.estimates import full_norm_profile
+from kinterp.estimates import _fractions, full_norm_profile
 
 P14 = PhiParam(0.25, 1.0, Constant(1.0))
 P34 = PhiParam(0.75, 1.0, Constant(1.0))
@@ -112,8 +112,7 @@ class TestClassical:
 class TestLhs:
     def test_single_coordinate_closed_form(self):
         for sigma in (0.1, 0.9, 1.0, 1.7, 50.0):
-            got = lhs_outer_k(P14, P34, E_UNIT, sigma, "split_grid",
-                              grid=GRID)
+            got = lhs_outer_k(P14, P34, E_UNIT, sigma, grid=GRID)
             assert got == pytest.approx((16.0 / 3.0) * min(1.0, sigma),
                                         rel=1e-6)
 
@@ -131,14 +130,11 @@ class TestLhs:
             assert got == pytest.approx(min(n0, sigma * n1), rel=1e-14)
 
     def test_one_term_search_is_small(self):
-        for strategy in ("combined", "split_grid"):
-            search = DecompositionSearch(P14, P34, E_UNIT, LogGrid(),
-                                         strategy)
-            assert len(search.a0) <= 13
+        search = DecompositionSearch(P14, P34, E_UNIT, LogGrid())
+        assert len(search.a0) <= 13
 
     def test_sigma_to_zero(self):
-        got = lhs_outer_k(P14, P34, E_UNIT, 1e-9, "truncation_family",
-                          grid=GRID)
+        got = lhs_outer_k(P14, P34, E_UNIT, 1e-9, grid=GRID)
         assert got == pytest.approx((16.0 / 3.0) * 1e-9, rel=1e-9)
 
     def test_zero_element(self):
@@ -146,17 +142,17 @@ class TestLhs:
         assert lhs_outer_k(P14, P34, z, 1.0, grid=GRID) == 0.0
 
     def test_search_set_monotonicity(self):
+        # the search holds every truncation split, so each one's cost
+        # bounds its minimum
         e = WeightedSeq((1.0, 1.0), (1.0, 4.0), (1.0, 1.0))
         sigma = 1.3
-        combined = lhs_outer_k(P14, P34, e, sigma, "combined", grid=GRID)
-        trunc = lhs_outer_k(P14, P34, e, sigma, "truncation_family", grid=GRID)
-        assert combined <= trunc * (1.0 + 1e-12)
-        # any single truncation split is an upper bound for the family
-        from kinterp import optimal_split
-        f0, f1 = optimal_split(e, 4.0)
-        single = (full_norm_profile(P14, KProfile.from_element(f0))
-                  + sigma * full_norm_profile(P34, KProfile.from_element(f1)))
-        assert trunc <= single * (1.0 + 1e-12)
+        got = lhs_outer_k(P14, P34, e, sigma, grid=GRID)
+        for s in (*GRID.points(), 4.0):
+            f0, f1 = optimal_split(e, float(s))
+            single = (full_norm_profile(P14, KProfile.from_element(f0))
+                      + sigma * full_norm_profile(P34,
+                                                  KProfile.from_element(f1)))
+            assert got <= single * (1.0 + 1e-12)
 
     def test_trivial_decompositions_bound(self):
         e = WeightedSeq((1.0, 2.0), (1.0, 4.0), (1.0, 1.0))
@@ -164,30 +160,78 @@ class TestLhs:
         n0 = full_norm_profile(P14, k)
         n1 = full_norm_profile(P34, k)
         for sigma in (0.2, 1.0, 5.0):
-            got = lhs_outer_k(P14, P34, e, sigma, "combined", grid=GRID)
+            got = lhs_outer_k(P14, P34, e, sigma, grid=GRID)
             assert got <= min(n0, sigma * n1) * (1.0 + 1e-12)
 
     def test_step_element_supported(self):
         f = StepFn((0.0, 1.0, 2.0), (3.0, 1.0))
-        got = lhs_outer_k(P14, P34, f, 1.0, "truncation_family", grid=GRID)
+        got = lhs_outer_k(P14, P34, f, 1.0, grid=GRID)
         assert 0.0 < got < math.inf
 
-    def test_split_grid_guard(self):
-        e = WeightedSeq((1.0,) * 7, (1.0,) * 7, (1.0,) * 7)
-        with pytest.raises(GuardError):
-            lhs_outer_k(P14, P34, e, 1.0, "split_grid", grid=GRID)
-
     def test_empty_candidates_error(self):
-        search = DecompositionSearch(P14, P34, E_UNIT, GRID,
-                                     "truncation_family")
+        search = DecompositionSearch(P14, P34, E_UNIT, GRID)
         search.a0 = np.array([math.inf])
         search.a1 = np.array([math.inf])
         with pytest.raises(EmptyCandidateError):
             search.lhs(1.0)
 
-    def test_bad_strategy(self):
-        with pytest.raises(ValueError):
-            lhs_outer_k(P14, P34, E_UNIT, 1.0, "annealing", grid=GRID)
+    def test_unknown_element_rejected(self):
+        with pytest.raises(TypeError):
+            DecompositionSearch(P14, P34, K_UNIT, GRID)
+
+
+def _random_seq(rng, n):
+    return WeightedSeq(tuple(rng.uniform(-3.0, 3.0, n)),
+                       tuple(10.0 ** rng.uniform(-3.0, 3.0, n)),
+                       tuple(10.0 ** rng.uniform(-3.0, 3.0, n)))
+
+
+def _split_rows(e, frac):
+    """The candidates (|f0|, |f1|) of the rows of ``frac``, as tuples."""
+    c = np.abs(np.asarray(e.coeffs))
+    return {(tuple(f0), tuple(f1)) for f0, f1 in zip(frac * c,
+                                                      (1.0 - frac) * c)}
+
+
+def _abs_split(f0, f1):
+    return (tuple(abs(v) for v in f0.coeffs), tuple(abs(v) for v in f1.coeffs))
+
+
+class TestFractionMatrix:
+    @pytest.mark.parametrize("n, seed", [(1, 1), (2, 2), (3, 3), (3, 4),
+                                         (4, 5), (5, 6), (6, 7), (6, 8)])
+    def test_split_grid_holds_every_truncation_split(self, n, seed):
+        e = _random_seq(np.random.default_rng(seed), n)
+        frac = _fractions(e, GRID)
+        assert frac.shape == ((9 if n <= 3 else 3) ** n, n)
+        assert len(DecompositionSearch(P14, P34, e, GRID).a0) == len(frac)
+        rows = _split_rows(e, frac)
+        zero = WeightedSeq((0.0,) * n, e.w0, e.w1)
+        splits = [optimal_split(e, float(s)) for s in GRID.points()]
+        for f0, f1 in splits + [(e, zero), (zero, e)]:
+            assert _abs_split(f0, f1) in rows
+
+    def test_large_n_rows_are_the_distinct_masks(self):
+        n, sigmas = 7, (1e-3, 0.2, 1.0, 3.0, 1e3)
+        e = _random_seq(np.random.default_rng(17), n)
+        p0 = PhiParam(0.3, 2.0, BrokenLog(1.0, -0.5))
+        p1 = PhiParam(0.7, 0.5, Constant(2.0))
+        splits = [optimal_split(e, float(s)) for s in GRID.points()]
+        masks = {tuple(c != 0.0 for c in f0.coeffs) for f0, _ in splits}
+        frac = _fractions(e, GRID)
+        assert frac.shape == (len(masks) + 2, n)
+        assert {tuple(r) for r in frac[:-2].astype(bool)} == masks
+        assert frac[-2].all() and not frac[-1].any()
+        zero = WeightedSeq((0.0,) * n, e.w0, e.w1)
+        pairs = {_abs_split(*fs): fs for fs in splits + [(e, zero), (zero, e)]}
+        assert set(pairs) == _split_rows(e, frac)
+        norms = [(full_norm_profile(p0, KProfile.from_element(f0)),
+                  full_norm_profile(p1, KProfile.from_element(f1)))
+                 for f0, f1 in pairs.values()]
+        search = DecompositionSearch(p0, p1, e, GRID)
+        for sigma in sigmas:
+            want = min(n0 + sigma * n1 for n0, n1 in norms)
+            assert search.lhs(sigma) == pytest.approx(want, rel=1e-14)
 
 
 class TestEquivalenceReport:

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -97,6 +98,35 @@ class TestScenarioParsing:
         assert main(["verify", "--scenario", str(p), "--out",
                      str(tmp_path / "out")]) == EXIT_VALIDATION
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan])
+    def test_non_finite_sv_epsilon_is_named(self, tmp_path, capsys, eps):
+        # json's Infinity token passes eps > 0; SV_sufficient then passed
+        # with every ratio 1
+        with pytest.raises(ScenarioError, match="sv_epsilon"):
+            scenario_from_json(small_scenario(sv_epsilon=eps))
+        p = tmp_path / "sc.json"
+        p.write_text(json.dumps(small_scenario(
+            "eps", sv_epsilon=eps, checks=["SV_sufficient"])))
+        assert main(["verify", "--scenario", str(p), "--out",
+                     str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert "sv_epsilon" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sign", [-1.7, 1.9, 0.5])
+    def test_fractional_explogpow_sign_is_named(self, tmp_path, capsys,
+                                                sign):
+        # int() used to truncate -1.7 to a sign of -1
+        b = {"kind": "ExpLogPow", "alpha": 0.3, "sign": sign}
+        phi0 = {"theta": 0.25, "q": 1, "b": b}
+        with pytest.raises(ScenarioError, match=re.escape("phi0.b.sign")):
+            scenario_from_json(small_scenario(phi0=phi0))
+        p = tmp_path / "sc.json"
+        p.write_text(json.dumps(small_scenario("sign", phi0=phi0)))
+        assert main(["verify", "--scenario", str(p), "--out",
+                     str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert "phi0.b.sign" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

@@ -198,6 +198,19 @@ class TestEnvelope:
 
 
 class TestJson:
+    @pytest.mark.parametrize("sign", [-1.7, 1.9, -0.5, 2, True])
+    def test_explogpow_sign_must_be_unit(self, sign):
+        obj = {"kind": "ExpLogPow", "alpha": 0.3, "sign": sign}
+        with pytest.raises(ValueError, match=r"phi0\.b\.sign"):
+            sv_from_json(obj, "phi0.b")
+
+    def test_explogpow_sign_loads(self):
+        for sign in (-1, -1.0, 1, 1.0):
+            b = sv_from_json({"kind": "ExpLogPow", "alpha": 0.3,
+                              "sign": sign})
+            assert b == ExpLogPow(0.3, int(sign))
+        assert sv_from_json({"kind": "ExpLogPow", "alpha": 0.3}).sign == 1
+
     def test_roundtrip(self):
         b = Product(Power(BrokenLog(1.0, 2.0), 0.5),
                     PrimitiveBTilde(BrokenLog(-2.0, -2.0)))
