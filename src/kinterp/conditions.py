@@ -37,16 +37,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergentIntegralError, ScenarioError
-from .params import (PhiParam, head_factors, min_factor, min_factors,
-                     qth_root, require_membership, swept_min_factors,
-                     tail_factors)
-from .quadrature import LogGrid, QuadPlan, decay_product, distinct, sup_log
+from .params import (PhiParam, _norm_pow, _powered, head_factors,
+                     min_factor, min_factors, qth_root, require_membership,
+                     swept_min_factors, tail_factors)
+from .quadrature import LogGrid, QuadPlan, distinct
 from .sv import eval_sv_log, shift_integral
 
-# Bound here though only the batched forms are called: perfbench/spans.py
+# Bound here though this module calls none of them: perfbench/spans.py
 # wraps these names at this layer boundary and reports a missing one.
 from .params import head_factor, tail_factor  # noqa: E402,F401
-from .quadrature import integral_log  # noqa: E402,F401
+from .quadrature import integral_log, sup_log  # noqa: E402,F401
 
 DEFAULT_BUDGET = 64.0
 _REFINE_TOL = 1e-2
@@ -174,24 +174,18 @@ def check_C1(p0: PhiParam, p1: PhiParam, rho=None, grid: LogGrid = LogGrid(),
             _finish("C1_upper", grid, ts, rho_v, upper, budget))
 
 
-def _outer_integrand(p_out, inner, c_exp):
-    """e^{c_exp x} b_out(x) / inner(x), raised to q_out unless q_out = inf."""
+def _outer_core(p_out, inner):
+    """The core b_out(x) / inner(x) of the outer norm, 0 where inner is
+    +inf."""
 
-    def fn(x, rows=None):
-        x = np.asarray(x, dtype=float)
+    def core(x, rows):
         bv = eval_sv_log(p_out.b, x)
         mv = inner(x)
         with np.errstate(divide="ignore", invalid="ignore",
                          over="ignore", under="ignore"):
-            core = bv / mv
-        core = np.where(np.isinf(mv), 0.0, core)
-        if p_out.sup_norm:
-            return decay_product(c_exp * x, core)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            cq = core ** p_out.q
-        cq = np.where(core == 0.0, 0.0, cq)
-        return decay_product(c_exp * p_out.q * x, cq)
-    return fn
+            c = bv / mv
+        return np.where(np.isinf(mv), 0.0, c)
+    return core
 
 
 def _outer_trunc_norms(p_out, p_inner, c_exp, side, xs, ppds):
@@ -204,24 +198,19 @@ def _outer_trunc_norms(p_out, p_inner, c_exp, side, xs, ppds):
     For q_out = inf each supremum search evaluates M at the points it
     probes, by the direct rule.
     """
+    bounds = (-math.inf, xs) if side == "head" else (xs, math.inf)
     if p_out.sup_norm:
-        fn = _outer_integrand(p_out, lambda x: min_factors(p_inner, x), c_exp)
-        out = []
-        for ppd in ppds:
-            row = np.empty(xs.shape)
-            for i, x_t in enumerate(xs):  # q = inf: one supremum search per t
-                lo, hi = (-math.inf, x_t) if side == "head" else (x_t, math.inf)
-                row[i] = sup_log(fn, lo, hi, ppd=ppd,
-                                 anchors=(0.0, x_t)).or_inf()
-            out.append(row)
-        return out
+        core = _outer_core(p_out, lambda x: min_factors(p_inner, x))
+        return [qth_root(p_out, _norm_pow(p_out, *bounds, core, c_exp,
+                                          kinks=(0.0,), ppd=ppd))
+                for ppd in ppds]
     # no far panel is skipped here although e^{c_exp q x} vanishes far out:
     # M is evaluated at every outer node, so its range errors still surface
-    bounds = (-math.inf, xs) if side == "head" else (xs, math.inf)
     plans = [QuadPlan(*bounds, ppd=ppd, kinks=(0.0,)) for ppd in ppds]
     nodes = distinct([plan.points() for plan in plans])
     m = swept_min_factors(p_inner, nodes)
-    fn = _outer_integrand(p_out, lambda x: m[np.searchsorted(nodes, x)], c_exp)
+    fn = _powered(p_out, _outer_core(
+        p_out, lambda x: m[np.searchsorted(nodes, x)]), c_exp)
     return [qth_root(p_out, plan.apply(fn)) for plan in plans]
 
 

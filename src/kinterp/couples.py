@@ -357,20 +357,32 @@ def element_to_json(e) -> dict:
     raise TypeError(f"cannot serialize {type(e).__name__}")
 
 
+#: element kind -> its list fields, in constructor order
+_ELEMENT_LISTS = {"WeightedSeq": ("coeffs", "w0", "w1"),
+                  "StepFn": ("breaks", "values"),
+                  "SyntheticK": ("t", "K")}
+
+
 def element_from_json(obj: dict, path: str = "element"):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"{path}: expected an object with a 'kind' field")
     kind = obj["kind"]
+    if not (isinstance(kind, str) and kind in _ELEMENT_LISTS):
+        raise ValueError(f"{path}: unknown element kind {kind!r}")
+    lists = []
+    for name in _ELEMENT_LISTS[kind]:
+        if name not in obj:
+            raise ValueError(f"{path}: missing field {name!r}")
+        # tuple() would read a string as its characters
+        if not isinstance(obj[name], (list, tuple)):
+            raise ValueError(f"{path}.{name}: expected a list, got "
+                             f"{obj[name]!r}")
+        lists.append(tuple(obj[name]))
     try:
         if kind == "WeightedSeq":
-            return WeightedSeq(tuple(obj["coeffs"]), tuple(obj["w0"]),
-                               tuple(obj["w1"]))
+            return WeightedSeq(*lists)
         if kind == "StepFn":
-            return StepFn(tuple(obj["breaks"]), tuple(obj["values"]))
-        if kind == "SyntheticK":
-            return KProfile.from_samples(zip(obj["t"], obj["K"]))
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc}") from exc
+            return StepFn(*lists)
+        return KProfile.from_samples(zip(*lists))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    raise ValueError(f"{path}: unknown element kind {kind!r}")

@@ -135,9 +135,10 @@ class DecompositionSearch:
             frac = _fractions(element, grid)
             c = np.abs(np.asarray(element.coeffs))
             w0, w1 = np.asarray(element.w0), np.asarray(element.w1)
-            self.a0 = _row_norms(p0, WeightedProfiles(frac * c, w0, w1))
-            self.a1 = _row_norms(p1, WeightedProfiles((1.0 - frac) * c,
-                                                      w0, w1))
+            self.a0 = full_norm_profiles(p0, WeightedProfiles(
+                frac * c, w0, w1))
+            self.a1 = full_norm_profiles(p1, WeightedProfiles(
+                (1.0 - frac) * c, w0, w1))
         elif isinstance(element, StepFn):
             f0s, f1s = zip(*_level_splits(element))
             self.a0, self.a1 = _norms(p0, f0s), _norms(p1, f1s)
@@ -184,15 +185,6 @@ def _level_splits(element: StepFn):
     pairs.append((StepFn(element.breakpoints, (0.0,) * len(element.values)),
                   element))
     return pairs
-
-
-def _row_norms(p: PhiParam, profiles: WeightedProfiles) -> np.ndarray:
-    """||K(·, f)|| of the sequence in each row: one batched plan at finite q,
-    one row at a time at q = inf."""
-    if not p.sup_norm:
-        return full_norm_profiles(p, profiles)
-    return _norms(p, [WeightedSeq(c, profiles.w0, profiles.w1)
-                      for c in profiles.coeffs])
 
 
 def _norms(p: PhiParam, elements) -> np.ndarray:

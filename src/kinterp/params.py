@@ -19,6 +19,14 @@ deep.  At the endpoints the min-norm uses its dominated representative form
 a constant controlled by slow variation and makes the canonical weight take
 its endpoint-ratio shape exactly.  The full two-sided quadrature remains
 available through ``norm_head_u``/``norm_tail_char``.
+
+Every norm of a known core g (H and T at q = inf, the truncated and full
+norms of K(·, f), the outer norms of C2/C3) is ||χ_[lo,hi] e^{c x} g||,
+and ``_norm_pow`` computes it for a batch of rows before the q-th root: by
+one quadrature plan of e^{c q x} g^q for finite q (``_powered``), by one
+supremum search per row at q = inf.  ``_join`` adds two pieces, or takes
+their max at q = inf, and ``qth_root`` finishes.  ``phi_norm`` keeps its
+own integrand, because its g is an opaque callable of t.
 """
 
 from __future__ import annotations
@@ -66,12 +74,15 @@ class PhiParam:
 
 
 def qth_root(p: PhiParam, r: QuadResult):
-    """r.value ** (1/q) elementwise, +inf where r diverged.
+    """r.value ** (1/q) elementwise (r.value itself at q = inf), +inf where
+    r diverged.
 
     Raises RangeError naming the parameter when a finite q-th power has no
     finite root in double precision.
     """
     vals = np.where(r.diverged, math.inf, r.value)
+    if p.sup_norm:
+        return vals
     with np.errstate(over="ignore"):
         out = vals ** (1.0 / p.q)
     if np.any(np.isinf(out) & np.isfinite(vals)):
@@ -95,16 +106,12 @@ def _shift_factors(p: PhiParam, xs, side: str) -> np.ndarray:
     c = 1.0 - p.theta if side == "head" else -p.theta
     if not p.sup_norm:
         return qth_root(p, shift_integral(p.b, p.q, xs, c * p.q, side, p.ppd))
+    # q = inf: the supremum of e^{cv} b(x + v) over the side; v = -x is a kink
     lo, hi = (-math.inf, 0.0) if side == "head" else (0.0, math.inf)
-    out = np.empty(xs.shape)
-    for i, x in enumerate(xs.flat):  # q = inf: one supremum search per point
-
-        def fn(v, x=x):
-            return decay_product(c * v, eval_sv_log(p.b, x + v))
-
-        out.flat[i] = sup_log(fn, lo, hi, ppd=p.ppd, anchors=(-x, 0.0),
-                              rate=c).or_inf()
-    return out
+    at = xs.ravel()
+    return qth_root(p, _norm_pow(p, lo, hi,
+                                 lambda v, i: eval_sv_log(p.b, at[i] + v), c,
+                                 row_kinks=-xs))
 
 
 def head_factors(p: PhiParam, xs) -> np.ndarray:
@@ -328,62 +335,83 @@ def phi_norm(p: PhiParam, g, support=(0.0, math.inf)) -> float:
     return r.or_inf() ** (1.0 / q)
 
 
-def _integrand_slope_form(p, profile):
-    # [u^{-theta} b K]^q du/u as e^{(1-theta)q x} (b * K/u)^q dx: the slope
-    # form, stable toward u -> 0 where K/u tends to a constant
-    theta, q = p.theta, p.q
+def _powered(p: PhiParam, core, rate: float):
+    """The finite-q integrand e^{rate q x} core(x, rows)^q, 0 where the core
+    is; ``core`` returns the nonnegative core at the points x of the rows
+    ``rows`` (as ``QuadPlan.apply`` passes them)."""
 
     def fn(x, rows=None):
         x = np.asarray(x, dtype=float)
-        core = (eval_sv_log(p.b, x)
-                * np.asarray(profile.slope_log(x, rows), float))
+        c = core(x, rows)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            cq = core ** q
-        cq = np.where(core == 0.0, 0.0, cq)
-        return decay_product((1.0 - theta) * q * x, cq)
+            cq = c ** p.q
+        cq = np.where(c == 0.0, 0.0, cq)
+        return decay_product(rate * p.q * x, cq)
     return fn
 
 
-def _integrand_value_form(p, profile):
-    # e^{-theta q x} (b * K)^q dx: stable toward u -> inf where K saturates
-    theta, q = p.theta, p.q
+def _norm_pow(p: PhiParam, lo, hi, core, rate: float, *, kinks=(),
+              row_kinks=None, ppd=None) -> QuadResult:
+    """||χ_[lo_i, hi_i](x) e^{rate x} core(x)|| of every row i of the
+    broadcast bounds, before the q-th root; rows with hi <= lo are 0.
 
-    def fn(x, rows=None):
-        x = np.asarray(x, dtype=float)
-        core = (eval_sv_log(p.b, x)
-                * np.asarray(profile.value_log(x, rows), float))
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            cq = core ** q
-        cq = np.where(core == 0.0, 0.0, cq)
-        return decay_product(-theta * q * x, cq)
-    return fn
-
-
-def trunc_profile_pow(p: PhiParam, profile: KProfile, side: str, t):
-    """Raw q-th power of the truncated norm; finite q only.
-
-    ``t`` may be a float or an array; the QuadResult holds values of its
-    shape.  ``profile`` is a KProfile, or a WeightedProfiles whose row i is
-    truncated at the i-th entry of t.
+    Finite q: one ``QuadPlan`` of ``_powered``.  q = inf: one ``sup_log``
+    per row, on the points x (1-d) with ``core(x, i)`` for the row's flat
+    index i, anchored at the kinks, the row's kink and its finite bounds.
+    ``row_kinks`` holds one kink per row (NaN for none); ``ppd`` defaults to
+    p's.
     """
-    x_t = np.log(np.asarray(t, dtype=float))
+    ppd = p.ppd if ppd is None else ppd
+    if not p.sup_norm:
+        return QuadPlan(lo, hi, ppd=ppd, kinks=kinks, row_kinks=row_kinks,
+                        exp_rate=rate * p.q).apply(_powered(p, core, rate))
+    lo, hi, row = np.broadcast_arrays(
+        np.asarray(lo, dtype=float), np.asarray(hi, dtype=float),
+        np.asarray(math.nan if row_kinks is None else row_kinks, dtype=float))
+    value, diverged = np.zeros(lo.shape), np.zeros(lo.shape, dtype=bool)
+    for i in np.flatnonzero(hi > lo):
+        a, b = lo.flat[i], hi.flat[i]
+        anchors = tuple(kinks) + tuple(
+            v for v in (row.flat[i], a, b) if math.isfinite(v))
+        r = sup_log(lambda x: decay_product(rate * x, core(x, i)), a, b,
+                    ppd=ppd, anchors=anchors, rate=rate)
+        value.flat[i], diverged.flat[i] = r.value, r.diverged
+    return QuadResult(value, diverged)
+
+
+def _join(p: PhiParam, a: QuadResult, b: QuadResult) -> QuadResult:
+    """The norm before the root over the union of two pieces: the sum of
+    theirs, their max at q = inf."""
+    value = (np.maximum(a.value, b.value) if p.sup_norm
+             else a.value + b.value)
+    return QuadResult(value, a.diverged | b.diverged)
+
+
+def _profile_pow(p: PhiParam, profile, side: str, x_t) -> QuadResult:
+    """||χ_(0,t) K|| (head) or ||χ_(t,∞) K|| (tail) before the root, at every
+    x_t = ln t.  ``profile`` is a KProfile, or a WeightedProfiles whose row i
+    is truncated at the i-th entry of x_t.
+
+    [u^{-theta} b K]^q du/u is integrated in two forms: below
+    min(x_t, 0) the slope form e^{(1-theta) q x} (b K/u)^q, stable toward
+    u -> 0 where K/u tends to a constant; above it the value form
+    e^{-theta q x} (b K)^q, stable toward u -> inf where K saturates.
+    """
     kinks = tuple(profile.log_kinks()) + (0.0,)
-    # the forms carry e^{(1-theta) q x} and e^{-theta q x}
-    slope_rate, value_rate = (1.0 - p.theta) * p.q, -p.theta * p.q
-    if side == "head":
-        mid = np.minimum(x_t, 0.0)
-        r1 = QuadPlan(-math.inf, mid, ppd=p.ppd, kinks=kinks,
-                       exp_rate=slope_rate).apply(
-                           _integrand_slope_form(p, profile))
-        r2 = QuadPlan(mid, x_t, ppd=p.ppd, kinks=kinks,
-                       exp_rate=value_rate).apply(
-                           _integrand_value_form(p, profile))
-        return QuadResult(r1.value + r2.value, r1.diverged | r2.diverged)
+
+    def form(k):
+        return lambda x, rows: (eval_sv_log(p.b, x)
+                                * np.asarray(k(x, rows), dtype=float))
+
+    value = form(profile.value_log)
     if side == "tail":
-        return QuadPlan(x_t, math.inf, ppd=p.ppd, kinks=kinks,
-                         exp_rate=value_rate).apply(
-                             _integrand_value_form(p, profile))
-    raise ValueError("side must be 'head' or 'tail'")
+        return _norm_pow(p, x_t, math.inf, value, -p.theta, kinks=kinks)
+    if side != "head":
+        raise ValueError("side must be 'head' or 'tail'")
+    mid = np.minimum(x_t, 0.0)
+    return _join(p, _norm_pow(p, -math.inf, mid, form(profile.slope_log),
+                              1.0 - p.theta, kinks=kinks),
+                 _norm_pow(p, mid, x_t, value, -p.theta, kinks=kinks))
 
 
 def norm_trunc_profile(p: PhiParam, profile: KProfile, side: str, t):
@@ -392,53 +420,24 @@ def norm_trunc_profile(p: PhiParam, profile: KProfile, side: str, t):
     ``t`` may be a float (returns a float) or an array (returns an array).
     """
     ts = _positive(t)
-    if side not in ("head", "tail"):
-        raise ValueError("side must be 'head' or 'tail'")
-    if p.sup_norm:
-        out = np.empty(ts.shape)
-        for i, x_t in enumerate(np.log(ts).flat):  # q = inf: one search per t
-            out.flat[i] = _sup_trunc_profile(p, profile, side, float(x_t))
-    else:
-        out = qth_root(p, trunc_profile_pow(p, profile, side, ts))
+    out = qth_root(p, _profile_pow(p, profile, side, np.log(ts)))
     return out if ts.ndim else float(out)
-
-
-def _sup_trunc_profile(p, profile, side, x_t):
-    anchors = tuple(profile.log_kinks()) + (0.0, x_t)
-    if side == "head":
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            core = eval_sv_log(p.b, x) * np.asarray(profile.slope_log(x), float)
-            return decay_product((1.0 - p.theta) * x, core)
-        return sup_log(fn, -math.inf, x_t, ppd=p.ppd, anchors=anchors).or_inf()
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        core = eval_sv_log(p.b, x) * np.asarray(profile.value_log(x), float)
-        return decay_product(-p.theta * x, core)
-    return sup_log(fn, x_t, math.inf, ppd=p.ppd, anchors=anchors).or_inf()
 
 
 def full_norm_profile(p: PhiParam, profile: KProfile) -> float:
     """||K(·, f)|| over all of (0, ∞); +inf on divergence."""
-    if p.sup_norm:
-        h = norm_trunc_profile(p, profile, "head", 1.0)
-        t = norm_trunc_profile(p, profile, "tail", 1.0)
-        return max(h, t)
-    return float(_full_norm_pow_root(p, profile, 1.0))
+    return float(_full_norm(p, profile, 0.0))
 
 
 def full_norm_profiles(p: PhiParam, profiles: WeightedProfiles) -> np.ndarray:
-    """``full_norm_profile`` of every row of ``profiles`` in batched passes;
-    finite q only."""
-    return _full_norm_pow_root(p, profiles, np.ones(len(profiles.coeffs)))
+    """``full_norm_profile`` of every row of ``profiles``: batched passes at
+    finite q, one search per row at q = inf."""
+    return _full_norm(p, profiles, np.zeros(len(profiles.coeffs)))
 
 
-def _full_norm_pow_root(p, profile, ones):
-    rh = trunc_profile_pow(p, profile, "head", ones)
-    rt = trunc_profile_pow(p, profile, "tail", ones)
-    return qth_root(p, QuadResult(rh.value + rt.value,
-                                  rh.diverged | rt.diverged))
+def _full_norm(p, profile, x_t):
+    return qth_root(p, _join(p, _profile_pow(p, profile, "head", x_t),
+                             _profile_pow(p, profile, "tail", x_t)))
 
 
 def phi_to_json(p: PhiParam) -> dict:
@@ -451,11 +450,13 @@ def phi_from_json(obj: dict, path: str = "phi") -> PhiParam:
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected an object")
     try:
-        qraw = obj["q"]
-        q = math.inf if qraw in ("inf", "Infinity") else float(qraw)
-        return PhiParam(theta=float(obj["theta"]), q=q,
-                        b=sv_from_json(obj["b"], path + ".b"), name=path)
+        qraw, theta, b = obj["q"], obj["theta"], obj["b"]
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from exc
+    # its messages name their full path, path.b and below
+    b = sv_from_json(b, path + ".b")
+    try:
+        q = math.inf if qraw in ("inf", "Infinity") else float(qraw)
+        return PhiParam(theta=float(theta), q=q, b=b, name=path)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -78,8 +78,12 @@ def scenario_from_json(obj: dict, *, name_hint: str = "") -> Scenario:
     if not isinstance(obj, dict):
         raise ScenarioError("scenario: expected a JSON object")
     reject_booleans(obj)
+    name = str(obj.get("name") or name_hint or "scenario")
+    # the name becomes the stem of every report file in --out
+    if name in (".", "..") or any(c in name for c in "/\\\0"):
+        raise ScenarioError(f"name: {name!r} cannot name a report file "
+                            "(no '/', '\\' or NUL, and not '.' or '..')")
     try:
-        name = str(obj.get("name") or name_hint or "scenario")
         phi0 = phi_from_json(obj["phi0"], "phi0")
         phi1 = phi_from_json(obj["phi1"], "phi1")
         element = element_from_json(obj["element"], "element")

@@ -392,7 +392,8 @@ def sv_to_json(b: SVDescriptor) -> dict:
 
 
 def sv_from_json(obj: dict, path: str = "b") -> SVDescriptor:
-    """Parse a descriptor from its JSON expression tree."""
+    """Parse a descriptor from its JSON expression tree; a ValueError names
+    the field at fault by its full path, ``path`` and below."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"{path}: expected an object with a 'kind' field")
     kind = obj["kind"]
@@ -420,4 +421,10 @@ def sv_from_json(obj: dict, path: str = "b") -> SVDescriptor:
             return PrimitiveBTilde(sv_from_json(obj["base"], path + ".base"))
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        # a nested descriptor's message already names its own path
+        msg = str(exc)
+        if not msg.startswith(path + "."):
+            msg = f"{path}: {msg}"
+        raise ValueError(msg) from exc
     raise ValueError(f"{path}: unknown descriptor kind {kind!r}")

@@ -25,6 +25,7 @@ from kinterp.quadrature import (GL_ORDER, LN10, QuadPlan, decay_product,
                                 integral_log, sup_log)
 from kinterp.runner import bundled_scenario, run_scenario, run_suite
 from kinterp.scenario import scenario_from_json
+from kinterp.sv import eval_sv_log
 
 REL = 1e-14
 WIDTH = LN10 / round(64 / GL_ORDER)
@@ -165,8 +166,11 @@ def test_trunc_norms_match_scalar_rule(theta, q):
     p = PhiParam(theta, q, BrokenLog(1.0, -0.5))
     profile = KProfile.from_element(
         WeightedSeq((1.0, 0.5, 2.0), (1.0, 8.0, 0.2), (1.0, 1.0, 1.0)))
-    slope = params._integrand_slope_form(p, profile)
-    value = params._integrand_value_form(p, profile)
+    def form(k):
+        return lambda x, rows: eval_sv_log(p.b, x) * k(x, rows)
+
+    slope = params._powered(p, form(profile.slope_log), 1.0 - theta)
+    value = params._powered(p, form(profile.value_log), -theta)
     kinks = tuple(profile.log_kinks()) + (0.0,)
     ts = np.logspace(-6.0, 6.0, 13)
     heads = norm_trunc_profile(p, profile, "head", ts)

@@ -130,6 +130,57 @@ class TestScenarioParsing:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "a\u0000b",
+                                      ".", ".."])
+    def test_name_must_be_a_file_stem(self, tmp_path, capsys, name):
+        # the name is the stem of every report file: '../escaped' wrote
+        # them beside --out, and a NUL raised a bare ValueError
+        with pytest.raises(ScenarioError, match="name"):
+            scenario_from_json(small_scenario(name))
+        p = tmp_path / "sc.json"
+        p.write_text(json.dumps(small_scenario(name)))
+        assert main(["verify", "--scenario", str(p), "--out",
+                     str(tmp_path / "box" / "out")]) == EXIT_VALIDATION
+        assert "name" in capsys.readouterr().err
+        assert [q.name for q in tmp_path.rglob("*")] == ["sc.json"]
+
+    @pytest.mark.parametrize("element, field", [
+        ({"kind": "WeightedSeq", "coeffs": "123", "w0": [1, 1, 1],
+          "w1": [1, 1, 1]}, "element.coeffs"),
+        ({"kind": "WeightedSeq", "coeffs": [1], "w0": "1", "w1": [1]},
+         "element.w0"),
+        ({"kind": "WeightedSeq", "coeffs": [1], "w0": [1], "w1": "1"},
+         "element.w1"),
+        ({"kind": "StepFn", "breaks": "0123", "values": [1, 1, 1]},
+         "element.breaks"),
+        ({"kind": "StepFn", "breaks": [0, 1, 2, 3], "values": "111"},
+         "element.values"),
+        ({"kind": "SyntheticK", "t": "12", "K": [1, 2]}, "element.t"),
+        ({"kind": "SyntheticK", "t": [1, 2], "K": "12"}, "element.K"),
+    ])
+    def test_string_is_not_a_list(self, element, field):
+        # tuple() read "0123" as the breakpoints (0, 1, 2, 3)
+        with pytest.raises(ScenarioError,
+                           match=re.escape(field + ": expected a list")):
+            scenario_from_json(small_scenario(element=element))
+
+    @pytest.mark.parametrize("b, message", [
+        ({"kind": "Product", "left": {"kind": "Mystery"},
+          "right": {"kind": "Constant", "c": 1}},
+         "phi0.b.left: unknown descriptor kind 'Mystery'"),
+        ({"kind": "ExpLogPow", "alpha": 0.3, "sign": -1.7},
+         "phi0.b.sign: must be +1 or -1, got -1.7"),
+        ({"kind": "Power", "base": {"kind": "Constant", "c": -1}, "r": 2},
+         "phi0.b.base: Constant requires 0 < c < inf"),
+        ({"kind": "BrokenLog", "a0": 1}, "phi0.b: missing field 'aInf'"),
+    ])
+    def test_descriptor_error_names_its_path_once(self, b, message):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_json(small_scenario(
+                phi0={"theta": 0.25, "q": 1, "b": b}))
+        assert str(err.value) == message
+
+
 class TestRunScenario:
     def test_passing_scenario(self, tmp_path):
         sc = scenario_from_json(small_scenario())
@@ -216,6 +267,20 @@ class TestSuite:
         assert by_name["good"]["status"] == "pass"
         assert by_name["bad"]["status"] == "error"
         assert (tmp_path / "out" / "good.summary.json").exists()
+
+    def test_bad_name_isolated(self, tmp_path):
+        scen = tmp_path / "scen"
+        scen.mkdir()
+        (scen / "good.json").write_text(json.dumps(small_scenario("good")))
+        (scen / "nul.json").write_text(json.dumps(small_scenario("a\u0000b")))
+        (scen / "up.json").write_text(json.dumps(small_scenario("../up")))
+        summary, code = run_suite(scen, tmp_path / "out", workers=1)
+        assert code == EXIT_VALIDATION
+        by_name = {r["name"]: r for r in summary["scenarios"]}
+        assert by_name["good"]["status"] == "pass"
+        assert by_name["nul"]["status"] == by_name["up"]["status"] == "error"
+        assert "name" in by_name["up"]["error"]
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["out", "scen"]
 
     def test_malformed_checks_isolated(self, tmp_path):
         (tmp_path / "good.json").write_text(json.dumps(small_scenario("good")))
