@@ -7,10 +7,15 @@ Two couples are provided:
 * nonnegative step functions for (L¹, L∞), where K(t, f) = ∫_0^t f*(s) ds
   with f* the decreasing rearrangement.
 
-Both give closed-form quasi-concave K-profiles, so downstream equivalence
-tests measure formula error rather than K-computation error.  A brute-force
-split-grid oracle over coordinate-wise decompositions double-checks the
-weighted-ℓ¹ closed form.
+Both K-functionals are piecewise linear in t, and so is the chord through
+synthetic samples, so one type holds every profile: ``KProfile(knots,
+values)``, each row's K at the knots, linear in t between them.  An
+element's profile is ``coeffs @ basis`` over its atoms (``atoms``), and a
+candidate decomposition f = f0 + f1 over the same atoms is one more row, so
+a batch of candidates is one ``KProfile``.  The profiles are exact, so
+downstream equivalence tests measure formula error rather than
+K-computation error.  A brute-force split-grid oracle over coordinate-wise
+decompositions double-checks the weighted-ℓ¹ closed form.
 """
 
 from __future__ import annotations
@@ -21,11 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, InvariantViolation
-from .quadrature import LogGrid
+from .quadrature import LogGrid, distinct
 
 _ORACLE_MAX_N = 8
 #: slack of validate_kprofile: absolute for K >= 0, relative for the orders
 _PROFILE_RTOL = 1e-12
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 def _as_tuple(v, name):
@@ -70,8 +76,8 @@ class StepFn:
                            _as_tuple(self.breakpoints, "breakpoints"))
         object.__setattr__(self, "values", _as_tuple(self.values, "values"))
         br = self.breakpoints
-        if len(br) != len(self.values) + 1:
-            raise ValueError("need len(breakpoints) == len(values) + 1")
+        if len(br) != len(self.values) + 1 or not self.values:
+            raise ValueError("need len(breakpoints) == len(values) + 1 >= 2")
         if br[0] < 0.0 or any(b1 <= b0 for b0, b1 in zip(br, br[1:])):
             raise ValueError("breakpoints must be nonnegative and increasing")
         if any(v < 0.0 for v in self.values):
@@ -91,40 +97,6 @@ def k_weighted_l1(e: WeightedSeq, t: float) -> float:
         raise ValueError("t must be positive")
     c = np.abs(np.asarray(e.coeffs))
     return float(np.sum(c * np.minimum(np.asarray(e.w0), t * np.asarray(e.w1))))
-
-
-def _k_weighted_log(c, w0, w1, x):
-    """Σ c_i min(w0_i, e^x w1_i) at every x.
-
-    ``c`` is one coefficient vector (n,), or one per row (r, n) of an
-    (r, m) array x.
-    """
-    with np.errstate(over="ignore", under="ignore"):
-        t = np.exp(x)
-        # one (..., n) temporary, formed in place
-        m = np.multiply.outer(t, w1)
-    return _dot_last(np.minimum(w0, m, out=m), c)
-
-
-def _k_weighted_slope_log(c, w0, w1, x):
-    # K(t)/t = Σ c_i min(w0_i / t, w1_i), stable for arbitrarily deep x
-    with np.errstate(over="ignore", under="ignore"):
-        inv_t = np.exp(-x)
-        # one (..., n) temporary, formed in place
-        m = np.multiply.outer(inv_t, w0)
-    return _dot_last(np.minimum(m, w1, out=m), c)
-
-
-def _weighted_arrays(e: WeightedSeq):
-    return np.abs(np.asarray(e.coeffs)), np.asarray(e.w0), np.asarray(e.w1)
-
-
-def _dot_last(m, c):
-    return m @ c if c.ndim == 1 else (m @ c[:, :, None])[..., 0]
-
-
-def _weighted_log_kinks(w0, w1):
-    return tuple(math.log(a / b) for a, b in zip(w0, w1))
 
 
 def k_step_l1_linf(e: StepFn, t: float) -> float:
@@ -177,131 +149,117 @@ def optimal_split(e: WeightedSeq, s: float):
 
 @dataclass(frozen=True, eq=False)
 class KProfile:
-    """The map t ↦ K(t, f), exact from an element or interpolated samples.
+    """Piecewise-linear K-profiles t ↦ K(t), one per row.
 
-    Synthetic profiles interpolate linearly in t between samples (the chord
-    of a quasi-concave function keeps K nondecreasing and K/t nonincreasing
-    whenever the samples do, which interpolation linear in ln t does not),
-    and are extended by K(t) = K(t_min) t/t_min below the sample range and
-    K(t) = K(t_max) above it, the extremal quasi-concave extension.
+    ``knots`` (k,) are the t > 0 where K may bend, increasing; ``values``
+    (r, k) holds each row's K at the knots.  Between knots K is linear in t,
+    below the first it is values[i, 0] t/knots[0] and past the last it is
+    values[i, -1].  Every profile of this package has that form: an
+    element's exactly (``from_element``), synthetic samples by their chord,
+    which keeps K nondecreasing and K/t nonincreasing whenever the samples
+    do, with the extremal quasi-concave extension beyond them.
+
+    ``value_log(x, rows)`` and ``slope_log(x, rows)`` evaluate row
+    ``rows[i]`` at the points ``x[i]`` of an (r, m) array (row ``rows`` at
+    the points x for an integer); a one-row profile serves every row.
     """
 
-    element: object = None
-    sample_t: tuple = ()
-    sample_k: tuple = ()
+    knots: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        knots = np.asarray(self.knots, dtype=float)
+        values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        if knots.ndim != 1 or values.shape[1:] != knots.shape:
+            raise ValueError("values must hold one K per knot in each row")
+        # on segment j = searchsorted(ln knots, x, "right"), between knots
+        # (0 and +inf at the ends), K = at_left[j] + slope[j] (t - left[j])
+        left = np.concatenate(([0.0], knots))
+        at_left = np.hstack([np.zeros((len(values), 1)), values])
+        slope = np.hstack([np.diff(at_left) / np.diff(left),
+                           np.zeros((len(values), 1))])
+        for name, v in (("knots", knots), ("values", values),
+                        ("_log_knots", np.log(knots)), ("_left", left),
+                        ("_at_left", at_left), ("_slope", slope)):
+            object.__setattr__(self, name, v)
 
     @classmethod
     def from_element(cls, element):
-        if not isinstance(element, (WeightedSeq, StepFn)):
-            raise TypeError("element must be a WeightedSeq or StepFn")
-        return cls(element=element)
+        """The exact profile of a WeightedSeq or StepFn, ``coeffs @ basis``
+        over its atoms (see ``atoms``)."""
+        coeffs, knots, basis = atoms(element)
+        return cls(knots, coeffs @ basis)
 
     @classmethod
     def from_samples(cls, samples):
         pts = sorted((float(t), float(k)) for t, k in samples)
         if len(pts) < 2:
             raise ValueError("synthetic profile needs at least two samples")
-        ts = tuple(t for t, _ in pts)
-        ks = tuple(k for _, k in pts)
-        if any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])) or ts[0] <= 0.0:
+        ts, ks = np.array(pts).T
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("samples must be finite reals")
+        if np.any(ts[1:] <= ts[:-1]) or ts[0] <= 0.0:
             raise ValueError("sample abscissae must be positive and distinct")
-        return cls(sample_t=ts, sample_k=ks)
+        return cls(ts, ks)
 
-    @property
-    def synthetic(self) -> bool:
-        return self.element is None
+    def _eval(self, x, rows):
+        """(K(e^x), its segment's slope, the segment) at every x."""
+        x = np.asarray(x, dtype=float)
+        j = np.searchsorted(self._log_knots, x, side="right")
+        if len(self.values) == 1:
+            rows = 0
+
+        def pick(a):
+            a = a[rows]
+            return a[j] if a.ndim == 1 else np.take_along_axis(a, j, axis=-1)
+
+        s = pick(self._slope)
+        with np.errstate(under="ignore"):
+            t = np.exp(np.minimum(x, self._log_knots[-1]))
+        return pick(self._at_left) + s * (t - self._left[j]), s, j
 
     def value_log(self, x, rows=None):
-        """K(e^x), vectorized (``rows`` is ignored: see WeightedProfiles)."""
-        x = np.asarray(x, dtype=float)
-        if isinstance(self.element, WeightedSeq):
-            return _k_weighted_log(*_weighted_arrays(self.element), x)
-        if isinstance(self.element, StepFn):
-            with np.errstate(over="ignore", under="ignore"):
-                t = np.exp(x)
-            return self._step_value(t)
-        xs = np.log(self.sample_t)
-        ks = np.asarray(self.sample_k)
-        out = np.empty(x.shape, dtype=float)
-        below = x < xs[0]
-        inside = ~below
-        with np.errstate(under="ignore"):
-            out[below] = ks[0] * np.exp(x[below] - xs[0])
-        out[inside] = np.interp(np.exp(np.minimum(x[inside], xs[-1])),
-                                np.asarray(self.sample_t), ks)
-        return out
+        """K(e^x), vectorized."""
+        return self._eval(x, rows)[0]
 
     def slope_log(self, x, rows=None):
-        """K(e^x)/e^x, computed in a form stable for deep negative x."""
-        x = np.asarray(x, dtype=float)
-        if isinstance(self.element, WeightedSeq):
-            return _k_weighted_slope_log(*_weighted_arrays(self.element), x)
-        out = np.empty(x.shape, dtype=float)
-        if isinstance(self.element, StepFn):
-            lengths, values = self.element.rearrangement()
-            top = values[0] if len(values) else 0.0
-            first = math.log(lengths[0]) if len(lengths) else -math.inf
-            flat = x <= first
-            out[flat] = top
-            with np.errstate(under="ignore"):
-                out[~flat] = (self._step_value(np.exp(x[~flat]))
-                              * np.exp(-x[~flat]))
-            return out
-        xs = np.log(self.sample_t)
-        below = x < xs[0]
-        out[below] = self.sample_k[0] / self.sample_t[0]
-        with np.errstate(under="ignore"):
-            out[~below] = self.value_log(x[~below]) * np.exp(-x[~below])
-        return out
-
-    def _step_value(self, t):
-        lengths, values = self.element.rearrangement()
-        cum = np.cumsum(lengths)
-        edges = np.concatenate([[0.0], cum])
-        kcum = np.concatenate([[0.0], np.cumsum(values * lengths)])
-        t = np.minimum(np.nan_to_num(np.asarray(t, dtype=float),
-                                     posinf=cum[-1] if len(cum) else 0.0),
-                       cum[-1] if len(cum) else 0.0)
-        i = np.searchsorted(cum, t, side="left")
-        i = np.minimum(i, len(values) - 1) if len(values) else i
-        return kcum[i] + values[i] * (t - edges[i])
+        """K(e^x)/e^x, stable for arbitrarily deep x of either sign."""
+        k, s, j = self._eval(x, rows)
+        with np.errstate(over="ignore", under="ignore", divide="ignore",
+                         invalid="ignore"):
+            return np.where(j == 0, s, k / np.exp(x))
 
     def log_kinks(self):
         """Log-abscissae where the profile is non-smooth (panel boundaries)."""
-        if isinstance(self.element, WeightedSeq):
-            return _weighted_log_kinks(self.element.w0, self.element.w1)
-        if isinstance(self.element, StepFn):
-            lengths, _ = self.element.rearrangement()
-            cum = np.cumsum(lengths)
-            return tuple(math.log(c) for c in cum if c > 0.0)
-        return tuple(math.log(t) for t in self.sample_t)
+        return tuple(self._log_knots.tolist())
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedProfiles:
-    """The K-profiles of weighted sequences with common weights, one per row.
+def atoms(element):
+    """(coeffs, knots, basis) of a couple element: K(knots[j]) of the
+    element with nonnegative atom coefficients F is (F @ basis)[j].
 
-    ``value_log(x, rows)`` and ``slope_log(x, rows)`` evaluate, for each i,
-    the profile of sequence ``rows[i]`` at the points ``x[i]`` of an (r, m)
-    array, as ``KProfile`` does for one sequence; every row has the same
-    kinks.  A batched quadrature plan with one row per sequence integrates
-    all of them at once.
+    * WeightedSeq: the atoms are the coordinates, coeffs = |c|, the knots
+      the distinct w0/w1 and basis[i, j] = min(w0_i, knot_j w1_i);
+    * StepFn: the atoms are the pieces of the decreasing rearrangement,
+      coeffs their values, the knots their cumulative lengths and
+      basis[i, j] = clip(knot_j - start_i, 0, length_i).  A truncation that
+      keeps the order of the values, (v - c)+ or min(v, c), has the same
+      rearrangement, so its K is F @ basis too.
     """
-
-    coeffs: np.ndarray  # (sequences, n), absolute values
-    w0: np.ndarray
-    w1: np.ndarray
-
-    def value_log(self, x, rows):
-        return _k_weighted_log(self.coeffs[rows], self.w0, self.w1,
-                               np.asarray(x, dtype=float))
-
-    def slope_log(self, x, rows):
-        return _k_weighted_slope_log(self.coeffs[rows], self.w0, self.w1,
-                                     np.asarray(x, dtype=float))
-
-    def log_kinks(self):
-        return _weighted_log_kinks(self.w0, self.w1)
+    if isinstance(element, WeightedSeq):
+        w0, w1 = np.asarray(element.w0), np.asarray(element.w1)
+        with np.errstate(over="ignore", under="ignore"):
+            # a ratio beyond double range bends K where no t is a double
+            knots = distinct([np.clip(w0 / w1, _TINY, _HUGE)])
+            basis = np.minimum(w0[:, None], knots * w1[:, None])
+        return np.abs(np.asarray(element.coeffs)), knots, basis
+    if isinstance(element, StepFn):
+        lengths, values = element.rearrangement()
+        knots = np.cumsum(lengths)
+        start = np.concatenate(([0.0], knots[:-1]))
+        return values, knots, np.clip(knots - start[:, None], 0.0,
+                                      lengths[:, None])
+    raise TypeError("element must be a WeightedSeq or StepFn")
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,9 +309,9 @@ def element_to_json(e) -> dict:
     if isinstance(e, StepFn):
         return {"kind": "StepFn", "breaks": list(e.breakpoints),
                 "values": list(e.values)}
-    if isinstance(e, KProfile) and e.synthetic:
-        return {"kind": "SyntheticK", "t": list(e.sample_t),
-                "K": list(e.sample_k)}
+    if isinstance(e, KProfile) and len(e.values) == 1:
+        return {"kind": "SyntheticK", "t": e.knots.tolist(),
+                "K": e.values[0].tolist()}
     raise TypeError(f"cannot serialize {type(e).__name__}")
 
 
@@ -378,6 +336,8 @@ def element_from_json(obj: dict, path: str = "element"):
             raise ValueError(f"{path}.{name}: expected a list, got "
                              f"{obj[name]!r}")
         lists.append(tuple(obj[name]))
+    if kind == "SyntheticK":
+        _check_samples(*lists, path)
     try:
         if kind == "WeightedSeq":
             return WeightedSeq(*lists)
@@ -386,3 +346,18 @@ def element_from_json(obj: dict, path: str = "element"):
         return KProfile.from_samples(zip(*lists))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _check_samples(t, k, path):
+    """Name the field of a SyntheticK sample list that is not one finite
+    real per abscissa."""
+    if len(k) != len(t):
+        raise ValueError(f"{path}.K: expected {len(t)} values, one per "
+                         f"{path}.t entry, got {len(k)}")
+    for name, vals in (("t", t), ("K", k)):
+        try:
+            ok = all(math.isfinite(float(v)) for v in vals)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValueError(f"{path}.{name}: expected finite reals")

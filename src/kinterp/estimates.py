@@ -13,7 +13,7 @@ four >= three >= two holds exactly (floating-point addition of nonnegative
 terms is monotone).  The left-hand side is approximated *from above* by
 minimizing over an explicit family of decompositions f = f0 + f1: for a
 weighted sequence the rows a of one fraction matrix, f0 = a∘f and
-f1 = (1 - a)∘f (the coordinate split grid for n <= 6, the truncation splits
+f1 = f - f0 (the coordinate split grid for n <= 6, the truncation splits
 along the grid beyond), for a step function its level truncations.  The
 report carries both ratio directions so the one-sided bias stays visible.
 For a one-term sequence the trivial splits attain the minimum,
@@ -33,18 +33,17 @@ import numpy as np
 from .conditions import (CHECKS, DEFAULT_BUDGET, ConditionReport, check_C1,
                          check_C2, check_C3, check_C4, check_names,
                          check_sv_sufficient, rho_table)
-from .couples import (KProfile, StepFn, WeightedProfiles, WeightedSeq,
-                      ensure_valid_kprofile)
+from .couples import KProfile, WeightedSeq, atoms, ensure_valid_kprofile
 from .errors import EmptyCandidateError
-from .params import (PhiParam, full_norm_profile, full_norm_profiles,
-                     norm_head_u, norm_tail_char, norm_trunc_profile,
-                     require_membership)
+from .params import (PhiParam, full_norm_profiles, norm_head_u,
+                     norm_tail_char, norm_trunc_profile, require_membership)
 from .quadrature import LogGrid
 from .sv import Constant
 
-# Bound here though rho comes from conditions.rho_table: perfbench/spans.py
-# wraps this name at this layer boundary and reports a missing one.
-from .params import min_factor  # noqa: E402,F401
+# Bound here though rho comes from conditions.rho_table and the candidates'
+# norms from full_norm_profiles: perfbench/spans.py wraps these names at this
+# layer boundary and reports a missing one.
+from .params import full_norm_profile, min_factor  # noqa: E402,F401
 
 VARIANTS = ("lemma", "thm_i", "thm_ii", "classical")
 _SPLIT_GRID_MAX_N = 6
@@ -112,9 +111,11 @@ class DecompositionSearch:
 
     The norm pair (||K(·,f0)||_0, ||K(·,f1)||_1) of every candidate
     f = f0 + f1 is computed once, so the bound at a new scale costs one
-    vectorized minimum.  For a weighted sequence with coefficients c the
-    candidates are the rows a of one fraction matrix, f0 = a∘c and
-    f1 = (1 - a)∘c:
+    vectorized minimum.  Every candidate is a row f0 over the element's
+    atoms with coefficients c (``couples.atoms``) and f1 = c - f0, so the
+    candidates' profiles are the rows of one KProfile, and their norms one
+    batched plan per parameter.  For a weighted sequence the rows are
+    f0 = a∘c for the rows a of one fraction matrix:
 
     * n <= 6: the split grid, each a_i on a uniform grid of 9 steps for
       n <= 3 and 3 for n <= 6.  Its 0/1 rows hold both trivial splits and
@@ -124,26 +125,19 @@ class DecompositionSearch:
       scales s, plus the all-ones and all-zeros rows.
 
     A step function's candidates are its level truncations
-    f0 = (f - c)+, f1 = min(f, c), plus f0 = 0.
+    f0 = (f - c)+, f1 = f - f0 = min(f, c), plus f0 = 0.
     """
 
     def __init__(self, p0: PhiParam, p1: PhiParam, element,
                  grid: LogGrid = LogGrid()):
         self.p0, self.p1 = p0, p1
         self.element = element
-        if isinstance(element, WeightedSeq):
-            frac = _fractions(element, grid)
-            c = np.abs(np.asarray(element.coeffs))
-            w0, w1 = np.asarray(element.w0), np.asarray(element.w1)
-            self.a0 = full_norm_profiles(p0, WeightedProfiles(
-                frac * c, w0, w1))
-            self.a1 = full_norm_profiles(p1, WeightedProfiles(
-                (1.0 - frac) * c, w0, w1))
-        elif isinstance(element, StepFn):
-            f0s, f1s = zip(*_level_splits(element))
-            self.a0, self.a1 = _norms(p0, f0s), _norms(p1, f1s)
-        else:
-            raise TypeError("decomposition search needs a couple element")
+        coeffs, knots, basis = atoms(element)
+        f0 = (_fractions(element, grid) * coeffs
+              if isinstance(element, WeightedSeq) else _level_rows(coeffs))
+        self.a0 = full_norm_profiles(p0, KProfile(knots, f0 @ basis))
+        self.a1 = full_norm_profiles(p1, KProfile(knots,
+                                                  (coeffs - f0) @ basis))
 
     def lhs(self, sigma: float) -> float:
         """min over candidates of ||K(·,f0)||_0 + sigma ||K(·,f1)||_1."""
@@ -172,24 +166,13 @@ def _fractions(e: WeightedSeq, grid: LogGrid) -> np.ndarray:
                       np.zeros(n)]).astype(float)
 
 
-def _level_splits(element: StepFn):
-    # level truncations: f0 = (f - c)+ concentrates the tall part
-    levels = sorted(set(element.values)) + [0.0]
-    pairs = []
-    for c in levels:
-        f0 = StepFn(element.breakpoints,
-                    tuple(max(v - c, 0.0) for v in element.values))
-        f1 = StepFn(element.breakpoints,
-                    tuple(min(v, c) for v in element.values))
-        pairs.append((f0, f1))
-    pairs.append((StepFn(element.breakpoints, (0.0,) * len(element.values)),
-                  element))
-    return pairs
-
-
-def _norms(p: PhiParam, elements) -> np.ndarray:
-    return np.array([full_norm_profile(p, KProfile.from_element(f))
-                     for f in elements])
+def _level_rows(values: np.ndarray) -> np.ndarray:
+    """f0 of a step function's candidates, over the atoms of its values: the
+    level truncations (f - c)+, which concentrate the tall part, at each of
+    its levels c and at 0, and f0 = 0."""
+    levels = np.array(sorted(set(values.tolist())) + [0.0])
+    return np.vstack([np.maximum(values - levels[:, None], 0.0),
+                      np.zeros(values.size)])
 
 
 def lhs_outer_k(p0: PhiParam, p1: PhiParam, element, sigma: float, *,

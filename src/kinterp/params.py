@@ -37,7 +37,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .couples import KProfile, WeightedProfiles
+from .couples import KProfile
 from .errors import MembershipError, RangeError
 from .quadrature import (DEFAULT_PPD, LogGrid, QuadPlan, QuadResult,
                          decay_product, integral_log, sup_log)
@@ -389,8 +389,8 @@ def _join(p: PhiParam, a: QuadResult, b: QuadResult) -> QuadResult:
 
 def _profile_pow(p: PhiParam, profile, side: str, x_t) -> QuadResult:
     """||χ_(0,t) K|| (head) or ||χ_(t,∞) K|| (tail) before the root, at every
-    x_t = ln t.  ``profile`` is a KProfile, or a WeightedProfiles whose row i
-    is truncated at the i-th entry of x_t.
+    x_t = ln t.  ``profile`` is a KProfile: with one row it serves every
+    x_t, with several its row i is truncated at the i-th entry of x_t.
 
     [u^{-theta} b K]^q du/u is integrated in two forms: below
     min(x_t, 0) the slope form e^{(1-theta) q x} (b K/u)^q, stable toward
@@ -429,10 +429,10 @@ def full_norm_profile(p: PhiParam, profile: KProfile) -> float:
     return float(_full_norm(p, profile, 0.0))
 
 
-def full_norm_profiles(p: PhiParam, profiles: WeightedProfiles) -> np.ndarray:
+def full_norm_profiles(p: PhiParam, profiles: KProfile) -> np.ndarray:
     """``full_norm_profile`` of every row of ``profiles``: batched passes at
     finite q, one search per row at q = inf."""
-    return _full_norm(p, profiles, np.zeros(len(profiles.coeffs)))
+    return _full_norm(p, profiles, np.zeros(len(profiles.values)))
 
 
 def _full_norm(p, profile, x_t):

@@ -16,7 +16,7 @@ from kinterp import (BrokenLog, Constant, DecompositionSearch, ExpLogPow,
                      KProfile, LogGrid, PhiParam, Power, PrimitiveB, Product,
                      RangeError, StepFn, WeightedSeq, norm_head_u,
                      norm_tail_char, norm_trunc_profile, params, phi_norm)
-from kinterp.couples import WeightedProfiles
+from kinterp.couples import atoms
 from kinterp.conditions import check_C2, check_C3
 from kinterp.params import (full_norm_profile, full_norm_profiles,
                             head_factor, head_factors, min_factor,
@@ -258,10 +258,10 @@ def test_candidate_norms_match_one_by_one():
     rows = [WeightedSeq(tuple(a * c for a, c in zip(alphas, e.coeffs)),
                         e.w0, e.w1)
             for alphas in ((0.0, 0.0, 0.0), (0.5, 1.0, 0.25), (1.0, 1.0, 1.0))]
+    _, knots, basis = atoms(e)
     for p in (p0, p1):
-        got = full_norm_profiles(p, WeightedProfiles(
-            np.abs(np.array([f.coeffs for f in rows])), np.asarray(e.w0),
-            np.asarray(e.w1)))
+        got = full_norm_profiles(p, KProfile(
+            knots, np.abs(np.array([f.coeffs for f in rows])) @ basis))
         want = [full_norm_profile(p, KProfile.from_element(f)) for f in rows]
         np.testing.assert_allclose(got, want, rtol=REL, atol=0.0)
     f0, f1 = (WeightedSeq(c, e.w0, e.w1) for c in ((1.0, 2.0, 0.0),
@@ -271,12 +271,39 @@ def test_candidate_norms_match_one_by_one():
     assert search.lhs(3.0) <= want * (1.0 + REL)
 
 
+def _old_level_splits(element):
+    # the candidates as StepFn pairs, each normed on its own rearrangement
+    pairs = [(StepFn(element.breakpoints,
+                     tuple(max(v - c, 0.0) for v in element.values)),
+              StepFn(element.breakpoints,
+                     tuple(min(v, c) for v in element.values)))
+             for c in sorted(set(element.values)) + [0.0]]
+    return pairs + [(StepFn(element.breakpoints, (0.0,) * len(element.values)),
+                     element)]
+
+
 def test_step_candidates_still_searched():
     e = StepFn((0.0, 1.0, 2.5), (3.0, 1.0))
     p0, p1 = PhiParam(0.25, 1.0), PhiParam(0.75, 2.0)
     search = DecompositionSearch(p0, p1, e, LogGrid(1e-2, 1e2, 4))
     assert search.a0.shape == search.a1.shape == (4,)
     assert np.isfinite(search.lhs(1.0))
+    # the batched rows against each candidate normed on its own
+    # rearrangement; with ties and zeros, (f - c)+ and min(f, c) tie values
+    # that f does not, and their rearrangements order the pieces otherwise
+    breaks = (0.0, 0.3, 1.3, 1.8, 3.8, 4.5)
+    for values in ((2.0, 1.0, 2.0, 0.0, 1.0), (0.0, 3.0, 0.5, 3.0),
+                   (1.0, 1.0, 4.0)):
+        e = StepFn(breaks[:len(values) + 1], values)
+        f0s, f1s = zip(*_old_level_splits(e))
+        for q in (0.5, 1.0, 2.0, math.inf):
+            p0 = PhiParam(0.3, q, BrokenLog(1.0, -0.5))
+            p1 = PhiParam(0.7, q, Constant(2.0))
+            search = DecompositionSearch(p0, p1, e, LogGrid(1e-2, 1e2, 4))
+            for got, p, fs in ((search.a0, p0, f0s), (search.a1, p1, f1s)):
+                want = [full_norm_profile(p, KProfile.from_element(f))
+                        for f in fs]
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_head_and_tail_norms_take_arrays():

@@ -181,6 +181,61 @@ class TestKProfile:
         assert float(p.value_log(np.array([math.log(1.5)]))[0]) == pytest.approx(3.5)
         assert float(p.slope_log(np.array([-900.0]))[0]) == pytest.approx(3.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_every_kind_matches_its_closed_form(self):
+        # K and K/t of each kind on both sides of every knot, and their
+        # limits at deep x: K -> 0 and K/t -> K'(0+) below, K -> K(inf) and
+        # K/t -> 0 above
+        rng = np.random.default_rng(20261018)
+        deep = np.array([-1e12, -800.0, 800.0, 1e12])
+        for i in range(40):
+            n = int(rng.integers(1, 13))
+            seq = WeightedSeq(rng.uniform(-5.0, 5.0, n),
+                              np.exp(rng.uniform(-7.0, 7.0, n)),
+                              np.exp(rng.uniform(-7.0, 7.0, n)))
+            c = np.abs(np.asarray(seq.coeffs))
+            # every other step function has tied and zero values
+            values = (rng.choice([0.0, 0.5, 2.0], n) if i % 2
+                      else rng.uniform(0.0, 4.0, n))
+            step = StepFn(np.cumsum(np.r_[rng.uniform(0.0, 2.0),
+                                          np.exp(rng.uniform(-3.0, 3.0, n))]),
+                          values)
+            lengths, v = step.rearrangement()
+            for e, k, slope0, total in (
+                    (seq, k_weighted_l1, np.sum(c * seq.w1),
+                     np.sum(c * seq.w0)),
+                    (step, k_step_l1_linf, v[0], np.sum(v * lengths))):
+                p = KProfile.from_element(e)
+                xs = (np.array(p.log_kinks())[:, None]
+                      + np.array([-1e-9, 0.0, 1e-9])).ravel()
+                ts = np.exp(xs)
+                want = np.array([k(e, float(t)) for t in ts])
+                np.testing.assert_allclose(p.value_log(xs), want,
+                                           rtol=1e-15, atol=0.0)
+                np.testing.assert_allclose(p.slope_log(xs), want / ts,
+                                           rtol=1e-15, atol=0.0)
+                np.testing.assert_allclose(p.value_log(deep),
+                                           [0.0, 0.0, total, total],
+                                           rtol=1e-15, atol=0.0)
+                np.testing.assert_allclose(p.slope_log(deep),
+                                           [slope0, slope0, 0.0, 0.0],
+                                           rtol=1e-15, atol=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w0, w1", [((1e300, 1.0), (1e-300, 1.0)),
+                                        ((1e-300, 1.0), (1e300, 1.0))])
+    def test_weight_ratio_beyond_double_range(self, w0, w1):
+        # w0/w1 overflows (the first coordinate never saturates at a
+        # double t) or underflows (it saturates below every normal t)
+        e = WeightedSeq((1.0, 2.0), w0, w1)
+        p = KProfile.from_element(e)
+        xs = np.log([1e-300, 1e-3, 2.0, 1e100, 1e300])
+        ts = np.exp(xs)
+        with np.errstate(over="ignore"):
+            want = np.array([k_weighted_l1(e, float(t)) for t in ts])
+        np.testing.assert_allclose(p.value_log(xs), want, rtol=1e-15)
+        np.testing.assert_allclose(p.slope_log(xs), want / ts, rtol=1e-15)
+
     def test_json_roundtrip(self):
         for e in (WeightedSeq((1.0, -2.0), (1.0, 4.0), (2.0, 1.0)),
                   StepFn((0.0, 1.0, 2.0), (3.0, 1.0)),

@@ -164,6 +164,35 @@ class TestScenarioParsing:
                            match=re.escape(field + ": expected a list")):
             scenario_from_json(small_scenario(element=element))
 
+    def test_step_function_needs_a_piece(self, tmp_path, capsys):
+        # K of no pieces ended in an IndexError traceback
+        element = {"kind": "StepFn", "breaks": [0], "values": []}
+        p = tmp_path / "sc.json"
+        p.write_text(json.dumps(small_scenario("empty", element=element)))
+        assert main(["verify", "--scenario", str(p), "--out",
+                     str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert "element: need len(breakpoints) == len(values) + 1 >= 2" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t, k, field", [
+        ([1, 2, 3], [1, 2], "element.K"),
+        ([1, math.inf], [1, 2], "element.t"),
+        ([1, 2], [1, math.inf], "element.K"),
+    ])
+    def test_bad_synthetic_samples_are_named(self, tmp_path, capsys, t, k,
+                                             field):
+        # zip() truncated unequal lists, an infinite t reached np.interp,
+        # and an infinite K was reported as a quasi-concavity violation
+        element = {"kind": "SyntheticK", "t": t, "K": k}
+        with pytest.raises(ScenarioError, match=re.escape(field + ": ")):
+            scenario_from_json(small_scenario(element=element))
+        p = tmp_path / "sc.json"
+        p.write_text(json.dumps(small_scenario("synthetic", element=element)))
+        assert main(["verify", "--scenario", str(p), "--out",
+                     str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert field + ": " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("b, message", [
         ({"kind": "Product", "left": {"kind": "Mystery"},
           "right": {"kind": "Constant", "c": 1}},
