@@ -147,17 +147,14 @@ def rho_table(p0: PhiParam, p1: PhiParam, grid: LogGrid) -> np.ndarray:
 
 
 def _rho_values(p0, p1, grid, rho):
-    """Require min(1, t) in both parameters, then evaluate the weight on the
-    grid: canonical, callable, or table."""
+    """Require min(1, t) in both parameters, then the weight on the grid:
+    the canonical one for None, else ``rho`` as a table."""
     require_membership(p0)
     require_membership(p1)
-    ts = grid.points()
     if rho is None:
         return rho_table(p0, p1, grid)
-    if callable(rho):
-        return np.asarray([float(rho(t)) for t in ts], dtype=float)
     vals = np.asarray(rho, dtype=float)
-    if vals.shape != ts.shape:
+    if vals.shape != grid.log_points().shape:
         raise ValueError("rho table must match the grid length")
     return vals
 

@@ -19,8 +19,8 @@ report carries both ratio directions so the one-sided bias stays visible.
 For a one-term sequence the trivial splits attain the minimum,
 min(N0, sigma N1).
 
-``run_checks`` runs the checks named in ``conditions.CHECKS``: the runner's
-and the gates (``_GATES``) that ``equivalence_report`` is not given.
+``run_checks`` and ``equivalence_report`` take a ``scenario.Scenario``; it
+keeps the K-profile, rho on the grid and the condition reports they use.
 """
 
 from __future__ import annotations
@@ -30,18 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import (CHECKS, DEFAULT_BUDGET, ConditionReport, check_C1,
-                         check_C2, check_C3, check_C4, check_names,
-                         check_sv_sufficient, rho_table)
-from .couples import KProfile, WeightedSeq, atoms, ensure_valid_kprofile
+from .conditions import (CHECKS, check_C1, check_C2, check_C3, check_C4,
+                         check_names, check_sv_sufficient)
+from .couples import KProfile, WeightedSeq, atoms
 from .errors import EmptyCandidateError
 from .params import (PhiParam, full_norm_profiles, norm_head_u,
-                     norm_tail_char, norm_trunc_profile, require_membership)
+                     norm_tail_char, norm_trunc_profile)
 from .quadrature import LogGrid
 from .sv import Constant
 
-# Bound here though rho comes from conditions.rho_table and the candidates'
-# norms from full_norm_profiles: perfbench/spans.py wraps these names at this
+# Bound here though rho comes from the scenario and the candidates' norms
+# from full_norm_profiles: perfbench/spans.py wraps these names at this
 # layer boundary and reports a missing one.
 from .params import full_norm_profile, min_factor  # noqa: E402,F401
 
@@ -242,91 +241,75 @@ class EquivalenceReport:
         return any(v.verdict == "fail" for v in self.variants)
 
 
+#: variant -> the checks whose failure makes it not applicable
 _GATES = {
-    "lemma": ("C1_lower", "C1_upper", "C2", "C3"),
+    "lemma": ("C1", "C2", "C3"),
     "thm_i": ("C2", "C3"),
     "thm_ii": ("C2", "C3", "C4"),
     "classical": (),
 }
 
 
-def run_checks(p0: PhiParam, p1: PhiParam, names, grid: LogGrid, *,
-               budget: float, sv_epsilon: float) -> dict:
-    """Run each named condition check once, in the order first named, and
-    return its reports by condition id.
-
-    C1-C4 require min(1, t) in both parameters.  They read rho and the
-    factors on the grid from the parameters, which compute each once.
+def run_checks(sc, names) -> dict:
+    """The reports of the named checks (of ``conditions.CHECKS``) on the
+    scenario ``sc`` by condition id, in the order first named.  A check runs
+    once per scenario: ``sc.reports`` keeps its reports.  C1-C4 read
+    ``sc.rho`` and the factors on the grid that the parameters keep.
     """
+    p0, p1, grid, budget = sc.phi0, sc.phi1, sc.grid, sc.budget
     # each check's reports, in the order of its ids in CHECKS; the names are
     # looked up at call time, so wrappers set on this module are called
     run = {
-        "C1": lambda: check_C1(p0, p1, None, grid, budget=budget),
-        "C2": lambda: (check_C2(p0, p1, None, grid, budget=budget),),
-        "C3": lambda: (check_C3(p0, p1, None, grid, budget=budget),),
-        "C4": lambda: (check_C4(p0, p1, None, grid, budget=budget),),
+        "C1": lambda: check_C1(p0, p1, sc.rho, grid, budget=budget),
+        "C2": lambda: (check_C2(p0, p1, sc.rho, grid, budget=budget),),
+        "C3": lambda: (check_C3(p0, p1, sc.rho, grid, budget=budget),),
+        "C4": lambda: (check_C4(p0, p1, sc.rho, grid, budget=budget),),
         "SV_sufficient": lambda: (check_sv_sufficient(
-            p0.b, p0.q, p1.b, p1.q, sv_epsilon, grid, budget=budget),),
+            p0.b, p0.q, p1.b, p1.q, sc.sv_epsilon, grid, budget=budget),),
     }
     reports = {}
     for name in dict.fromkeys(check_names(names)):
-        reports.update(zip(CHECKS[name], run[name]()))
+        if CHECKS[name][0] not in sc.reports:
+            sc.reports.update(zip(CHECKS[name], run[name]()))
+        reports.update((cid, sc.reports[cid]) for cid in CHECKS[name])
     return reports
 
 
-def equivalence_report(p0: PhiParam, p1: PhiParam, element,
-                       grid: LogGrid = LogGrid(), *,
-                       budget: float = DEFAULT_BUDGET,
-                       variants=("lemma", "thm_i", "thm_ii"),
-                       conditions: dict | None = None,
-                       scenario: str = "") -> EquivalenceReport:
-    """Run the full comparison of lhs upper bound against all RHS variants.
+def equivalence_report(sc) -> EquivalenceReport:
+    """Compare the left-hand side upper bound of the scenario ``sc`` against
+    the right-hand sides of all variants.
 
-    ``conditions`` may carry precomputed ConditionReports; missing gates are
-    evaluated here on the same grid.  A variant whose gate conditions fail is
-    reported "not_applicable" rather than failed.  Synthetic K-profiles have
-    no computable left-hand side: their report carries the rhs table (and
-    the pointwise ordering check) with NaN ratios.
+    Its conditions are the reports of the scenario's checks and of its
+    variants' gates.  A variant whose gate conditions fail is reported
+    "not_applicable" rather than failed.  Synthetic K-profiles have no
+    computable left-hand side: their report carries the rhs table (and the
+    pointwise ordering check) with NaN ratios.
     """
-    variants = tuple(variants)
+    variants = tuple(sc.variants)
     for v in variants:
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}")
     if not variants:
         raise ValueError("at least one variant is required")
-    require_membership(p0)
-    require_membership(p1)
+    p0, p1, grid, budget = sc.phi0, sc.phi1, sc.grid, sc.budget
+    profile, rho, ts = sc.profile, sc.rho, grid.points()
+    gates = [name for v in variants for name in _GATES[v]]
+    cond_verdicts = {cid: rep.verdict for cid, rep
+                     in run_checks(sc, [*sc.checks, *gates]).items()}
 
-    if isinstance(element, KProfile):
-        profile, couple_element = element, None
-    else:
-        profile, couple_element = KProfile.from_element(element), element
-    ensure_valid_kprofile(profile, grid)
-
-    ts = grid.points()
-    rho = rho_table(p0, p1, grid)
-    cond_reports = dict(conditions or {})
-    missing = {cid for v in variants for cid in _GATES[v]} - set(cond_reports)
-    gate_checks = [name for name, ids in CHECKS.items()
-                   if missing.intersection(ids)]
-    gates = run_checks(p0, p1, gate_checks, grid, budget=budget,
-                       sv_epsilon=None)
-    for cid, rep in gates.items():
-        cond_reports.setdefault(cid, rep)
-    cond_verdicts = {cid: rep.verdict for cid, rep in cond_reports.items()}
-
-    n = len(ts)
     rhs = _variant_sums(*_terms(p0, p1, rho, profile, grid))
     classical_ok = 0.0 < p0.theta < p1.theta < 1.0
     if "classical" in variants and classical_ok:
         rhs["classical"] = classical_rhs(p0.theta, p0.q, p1.theta, p1.q,
                                          profile, ts)
 
-    if couple_element is not None:
-        search = DecompositionSearch(p0, p1, couple_element, grid)
-        lhs = np.array([search.lhs(float(r)) for r in rho])
+    # a synthetic profile is its own element and has no decompositions
+    synthetic = profile is sc.element
+    if synthetic:
+        lhs = np.full(len(ts), math.nan)
     else:
-        lhs = np.full(n, math.nan)
+        search = DecompositionSearch(p0, p1, sc.element, grid)
+        lhs = np.array([search.lhs(float(r)) for r in rho])
 
     ratios = {}
     for name, vals in rhs.items():
@@ -339,13 +322,13 @@ def equivalence_report(p0: PhiParam, p1: PhiParam, element,
 
     results = []
     for name in variants:
-        failed_gate = [c for c in _GATES[name]
-                       if cond_verdicts.get(c) == "fail"]
+        failed_gate = [cid for gate in _GATES[name] for cid in CHECKS[gate]
+                       if cond_verdicts[cid] == "fail"]
         if name == "classical" and not classical_ok:
             reason = "needs 0 < theta0 < theta1 < 1"
         elif failed_gate:
             reason = "conditions unmet: " + ",".join(failed_gate)
-        elif couple_element is None:
+        elif synthetic:
             reason = "synthetic profile has no left-hand side"
         elif not np.isfinite(ratios[name]).all():
             # a divergent norm at some grid point makes the comparison
@@ -365,6 +348,6 @@ def equivalence_report(p0: PhiParam, p1: PhiParam, element,
                                      "pass" if ok else "fail"))
 
     return EquivalenceReport(
-        scenario=scenario, grid=grid, t=ts, rho=rho, lhs_upper=lhs, rhs=rhs,
+        scenario=sc.name, grid=grid, t=ts, rho=rho, lhs_upper=lhs, rhs=rhs,
         ratios=ratios, variants=tuple(results), conditions=cond_verdicts,
         budget=float(budget), ordering_ok=ordering_ok)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .couples import KProfile, ensure_valid_kprofile
 from .errors import KinterpError, ScenarioError
 from .estimates import equivalence_report, run_checks
 from .scenario import Scenario, load_scenario
@@ -75,23 +74,17 @@ def run_scenario(sc: Scenario, out_dir: Path | str = "reports", *,
 
     Writes one CSV per condition, the equivalence CSV, and a JSON summary
     into ``out_dir``.  ``checks_only`` restricts the run to condition checks
-    (no equivalence), as used by the ``conditions`` CLI command.
+    (no equivalence), as used by the ``conditions`` CLI command.  ``sc``
+    keeps what the run computes, so a later run on it reuses that.
     """
     out_dir = Path(out_dir)
     files = []
     try:
-        profile = (sc.element if isinstance(sc.element, KProfile)
-                   else KProfile.from_element(sc.element))
-        ensure_valid_kprofile(profile, sc.grid)
-        wanted = sc.checks if checks_only is None else checks_only
-        cond_reports = run_checks(sc.phi0, sc.phi1, wanted, sc.grid,
-                                  budget=sc.budget, sv_epsilon=sc.sv_epsilon)
-        equivalence = None
-        if checks_only is None:
-            equivalence = equivalence_report(
-                sc.phi0, sc.phi1, sc.element, sc.grid, budget=sc.budget,
-                variants=sc.variants, conditions=cond_reports,
-                scenario=sc.name)
+        sc.profile  # an invalid element fails before any check runs
+        cond_reports = run_checks(
+            sc, sc.checks if checks_only is None else checks_only)
+        equivalence = (equivalence_report(sc) if checks_only is None
+                       else None)
     except KinterpError as exc:
         summary = {"scenario": sc.name, "status": "error",
                    "error": str(exc), "exit_code": EXIT_VALIDATION}

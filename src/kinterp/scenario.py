@@ -5,13 +5,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
-from .conditions import DEFAULT_BUDGET, check_names
-from .couples import KProfile, element_from_json, element_to_json
+from .conditions import DEFAULT_BUDGET, check_names, rho_table
+from .couples import (KProfile, element_from_json, element_to_json,
+                      ensure_valid_kprofile)
 from .errors import ScenarioError
 from .estimates import VARIANTS
-from .params import PhiParam, phi_from_json, phi_to_json
+from .params import PhiParam, phi_from_json, phi_to_json, require_membership
 from .quadrature import LogGrid
 
 _DEFAULT_GRID = LogGrid(1e-8, 1e8, 16)
@@ -20,6 +22,8 @@ _DEFAULT_CHECKS = ("C1", "C2", "C3", "C4")
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
+    """A scenario, keeping the K-profile, rho and reports its runs use."""
+
     name: str
     phi0: PhiParam
     phi1: PhiParam
@@ -29,6 +33,26 @@ class Scenario:
     checks: tuple = _DEFAULT_CHECKS
     variants: tuple = ("thm_ii",)
     sv_epsilon: float = 0.1
+    #: condition id -> its report, kept the first time its check runs
+    reports: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def profile(self) -> KProfile:
+        """The element's K-profile (a synthetic one is its own), validated
+        on the grid: InvariantViolation unless quasi-concave there."""
+        profile = (self.element if isinstance(self.element, KProfile)
+                   else KProfile.from_element(self.element))
+        return ensure_valid_kprofile(profile, self.grid)
+
+    @cached_property
+    def rho(self):
+        """The canonical weight on the grid as a read-only array;
+        MembershipError unless min(1, t) lies in both parameters."""
+        require_membership(self.phi0)
+        require_membership(self.phi1)
+        rho = rho_table(self.phi0, self.phi1, self.grid)
+        rho.setflags(write=False)
+        return rho
 
     def to_json(self) -> dict:
         return {
@@ -104,13 +128,13 @@ def scenario_from_json(obj: dict, *, name_hint: str = "") -> Scenario:
     variants = obj.get("variants", ("thm_ii",))
     if not isinstance(variants, (list, tuple)):
         raise ScenarioError(f"variants: expected a list, got {variants!r}")
-    variants = tuple(variants)
     if not variants:
         raise ScenarioError("variants: at least one variant is required")
     for v in variants:
         if v not in VARIANTS:
             raise ScenarioError(f"variants: unknown variant {v!r}; "
                                 f"expected one of {VARIANTS}")
+    variants = tuple(dict.fromkeys(variants))  # one row per variant
 
     eps = obj.get("sv_epsilon", 0.1)
     if not (isinstance(eps, (int, float)) and 0.0 < eps < math.inf):

@@ -47,14 +47,14 @@ class TestC1:
         assert np.allclose(up.ratio, 0.75, rtol=1e-9)
 
     def test_inflated_weight_fails_upper_at_large_t(self):
-        rho = lambda t: math.sqrt(t) * t ** 0.5
-        lo, up = check_C1(P14, P34, rho, GRID_W)
+        # the weight sqrt(t) t^0.5 = t as a table
+        lo, up = check_C1(P14, P34, GRID_W.points(), GRID_W)
         assert not up.passed
         assert up.sup_ratio > up.budget
 
     def test_identical_parameters(self):
         p = PhiParam(0.5, 1.0, Constant(1.0))
-        lo, up = check_C1(p, p, lambda t: 1.0, GRID)
+        lo, up = check_C1(p, p, np.ones(GRID.points().size), GRID)
         assert lo.passed and up.passed
         assert lo.sup_ratio <= 1.0 + 1e-9
         assert up.sup_ratio <= 1.0 + 1e-9

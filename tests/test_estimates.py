@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinterp import (BrokenLog, Constant, DecompositionSearch, KProfile,
-                     LogGrid, PhiParam, StepFn, WeightedSeq, classical_rhs,
-                     equivalence_report, lhs_outer_k, norm_head_u,
-                     norm_tail_char, norm_trunc_profile, optimal_split,
-                     rhs_four_term, rhs_three_term, rhs_two_term)
+                     LogGrid, PhiParam, Scenario, StepFn, WeightedSeq,
+                     classical_rhs, equivalence_report, lhs_outer_k,
+                     norm_head_u, norm_tail_char, norm_trunc_profile,
+                     optimal_split, rhs_four_term, rhs_three_term,
+                     rhs_two_term)
 from kinterp.errors import EmptyCandidateError
 from kinterp.estimates import _fractions, full_norm_profile
 
@@ -234,10 +235,16 @@ class TestFractionMatrix:
             assert search.lhs(sigma) == pytest.approx(want, rel=1e-14)
 
 
+def gates_only(name, p0, p1, element, grid, variants):
+    """A scenario that names no checks: its report runs only the gates."""
+    return Scenario(name, p0, p1, element, grid, checks=(),
+                    variants=variants)
+
+
 class TestEquivalenceReport:
     def test_single_coordinate_ratio_two_at_one(self):
-        rep = equivalence_report(P14, P34, E_UNIT, GRID,
-                                 variants=("thm_ii",), scenario="unit")
+        rep = equivalence_report(gates_only("unit", P14, P34, E_UNIT, GRID,
+                                            ("thm_ii",)))
         i = int(np.argmin(np.abs(rep.t - 1.0)))
         assert rep.lhs_upper[i] == pytest.approx(16.0 / 3.0, rel=1e-6)
         assert rep.rhs["thm_ii"][i] == pytest.approx(8.0 / 3.0, rel=1e-6)
@@ -247,8 +254,8 @@ class TestEquivalenceReport:
 
     def test_conditions_gate_marks_not_applicable(self):
         p = PhiParam(0.5, 1.0, Constant(1.0))
-        rep = equivalence_report(p, p, E_UNIT, LogGrid(1e-2, 1e2, 4),
-                                 variants=("thm_ii",), scenario="gate")
+        rep = equivalence_report(gates_only(
+            "gate", p, p, E_UNIT, LogGrid(1e-2, 1e2, 4), ("thm_ii",)))
         v = rep.variant_result("thm_ii")
         assert v.verdict == "not_applicable"
         assert "C2" in v.reason
@@ -257,24 +264,30 @@ class TestEquivalenceReport:
     def test_synthetic_profile_rhs_only(self):
         prof = KProfile.from_samples(
             [(float(t), min(1.0, float(t))) for t in GRID.points()])
-        rep = equivalence_report(P14, P34, prof, GRID, variants=("thm_ii",),
-                                 scenario="synthetic")
+        rep = equivalence_report(gates_only("synthetic", P14, P34, prof,
+                                            GRID, ("thm_ii",)))
         assert np.all(np.isnan(rep.lhs_upper))
         assert rep.variant_result("thm_ii").verdict == "not_applicable"
         assert rep.ordering_ok
 
     def test_csv_columns_pinned(self):
-        rep = equivalence_report(P14, P34, E_UNIT, LogGrid(0.1, 10.0, 2),
-                                 variants=("thm_ii", "classical"),
-                                 scenario="csv")
+        rep = equivalence_report(gates_only(
+            "csv", P14, P34, E_UNIT, LogGrid(0.1, 10.0, 2),
+            ("thm_ii", "classical")))
         header = rep.to_csv_text().splitlines()[0]
         assert header == ("t,rho,lhs_upper,rhs_lemma,rhs_i,rhs_ii,"
                           "r_lemma,r_i,r_ii,rhs_classical,r_classical")
 
     def test_summary_shape(self):
-        rep = equivalence_report(P14, P34, E_UNIT, LogGrid(0.1, 10.0, 2),
-                                 variants=("thm_i",), scenario="sum")
+        rep = equivalence_report(gates_only(
+            "sum", P14, P34, E_UNIT, LogGrid(0.1, 10.0, 2), ("thm_i",)))
         rows = rep.summary()
         assert rows[0]["variant"] == "thm_i"
         assert set(rows[0]) == {"variant", "sup_ratio", "inf_ratio",
                                 "conditions", "verdict"}
+
+    @pytest.mark.parametrize("variants", [("thm_ii", "fancy"), ()])
+    def test_unknown_or_no_variant_is_rejected(self, variants):
+        with pytest.raises(ValueError, match="variant"):
+            equivalence_report(gates_only(
+                "bad", P14, P34, E_UNIT, LogGrid(0.1, 10.0, 2), variants))

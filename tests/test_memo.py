@@ -6,12 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kinterp import BrokenLog, LogGrid, PhiParam, PrimitiveB, PrimitiveBTilde
-from kinterp import params
+from kinterp import (BrokenLog, KProfile, LogGrid, PhiParam, PrimitiveB,
+                     PrimitiveBTilde, Scenario, WeightedSeq, conditions,
+                     couples, params, scenario)
 from kinterp.conditions import rho_table
 from kinterp.estimates import run_checks
 from kinterp.params import (head_factors, membership_min1, min_factors,
                             tail_factors)
+from kinterp.runner import bundled_scenario, bundled_scenario_dir, run_scenario
 
 GRID = LogGrid(1e-2, 1e2, 2)
 P0 = PhiParam(0.25, 1.0, BrokenLog(1.0, 2.0))
@@ -30,11 +32,36 @@ def test_c1_c4_and_rho_evaluate_each_factor_on_the_grid_once(monkeypatch):
         return inner(*a, **kw)
 
     monkeypatch.setattr(params, "shift_integral", counted)
-    run_checks(p0, p1, ["C1", "C4"], GRID, budget=64.0, sv_epsilon=0.1)
+    sc = Scenario("memo", p0, p1, WeightedSeq((1.0,), (1.0,), (1.0,)), GRID)
+    run_checks(sc, ["C1", "C4"])
     rho_table(p0, p1, GRID)
     assert set(seen) == {(p.b, side) for p in (p0, p1)
                          for side in ("head", "tail")}
     assert set(seen.values()) == {1}
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.stem for p in bundled_scenario_dir().glob("*.json")))
+def test_one_run_builds_the_profile_and_rho_once(tmp_path, monkeypatch, name):
+    seen = Counter()
+
+    def counting(key, inner):
+        def counted(*a, **kw):
+            seen[key] += 1
+            return inner(*a, **kw)
+        return counted
+
+    monkeypatch.setattr(KProfile, "from_element", classmethod(counting(
+        "from_element", KProfile.from_element.__func__)))
+    monkeypatch.setattr(couples, "validate_kprofile",
+                        counting("validate_kprofile", couples.validate_kprofile))
+    rho = counting("rho_table", conditions.rho_table)
+    monkeypatch.setattr(conditions, "rho_table", rho)
+    monkeypatch.setattr(scenario, "rho_table", rho)
+    sc = bundled_scenario(name)
+    run_scenario(sc, tmp_path)
+    assert seen == {"from_element": 1, "validate_kprofile": 1, "rho_table": 1}
+    assert not sc.rho.flags.writeable
 
 
 def test_kept_factors_are_read_only_and_equal_the_batched_ones():

@@ -5,8 +5,8 @@ from collections import Counter
 
 import pytest
 
-from kinterp import (CONDITION_IDS, BrokenLog, LogGrid, PhiParam,
-                     equivalence_report, estimates)
+from kinterp import (CONDITION_IDS, BrokenLog, LogGrid, PhiParam, Scenario,
+                     WeightedSeq, equivalence_report, estimates)
 from kinterp.cli import main
 from kinterp.conditions import CHECKS
 from kinterp.runner import EXIT_VALIDATION, run_scenario
@@ -39,8 +39,9 @@ def test_every_condition_id_comes_from_exactly_one_check():
     assert set(owners) == set(CONDITION_IDS)
     assert all(n == 1 for n in owners.values())
     for name, ids in CHECKS.items():
-        reports = estimates.run_checks(P0, P1, [name], GRID, budget=64.0,
-                                       sv_epsilon=0.1)
+        sc = Scenario(name, P0, P1, WeightedSeq((1.0,), (1.0,), (1.0,)),
+                      GRID, budget=64.0, sv_epsilon=0.1)
+        reports = estimates.run_checks(sc, [name])
         assert tuple(reports) == ids
         assert all(reports[cid].condition_id == cid for cid in ids)
 
@@ -62,11 +63,9 @@ def test_repeated_check_runs_once(tmp_path, monkeypatch):
 
 
 def test_equivalence_report_runs_missing_gates_itself(tmp_path):
-    sc = scenario("gates")
-    res = run_scenario(sc, tmp_path)
-    alone = equivalence_report(sc.phi0, sc.phi1, sc.element, sc.grid,
-                               budget=sc.budget, variants=sc.variants,
-                               scenario=sc.name)
+    res = run_scenario(scenario("gates"), tmp_path)
+    # a fresh copy, on which no check has run
+    alone = equivalence_report(scenario("gates"))
     assert alone.conditions == res.equivalence.conditions
     assert (json.dumps(alone.summary(), sort_keys=True)
             == json.dumps(res.equivalence.summary(), sort_keys=True))

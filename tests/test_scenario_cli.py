@@ -255,6 +255,41 @@ class TestRunScenario:
         summary = json.loads((tmp_path / "badprof.summary.json").read_text())
         assert summary["status"] == "error"
 
+    def test_invalid_profile_fails_a_conditions_only_run(self, tmp_path):
+        sc = scenario_from_json(small_scenario(
+            name="badprof",
+            element={"kind": "SyntheticK", "t": [0.1, 1.0, 10.0],
+                     "K": [0.01, 1.0, 100.0]}))
+        res = run_scenario(sc, tmp_path, checks_only=("C4",))
+        assert res.exit_code == EXIT_VALIDATION
+        assert "quasi-concavity" in res.error
+        assert not sc.reports  # no check ran
+
+    def test_conditions_then_full_run_equals_a_fresh_full_run(self, tmp_path):
+        # endpoint-01 names neither check, and neither gates its variants
+        sc = bundled_scenario("endpoint-01")
+        first = run_scenario(sc, tmp_path / "first",
+                             checks_only=("SV_sufficient", "C4"))
+        assert set(first.condition_reports) == {"SV_sufficient", "C4"}
+        run_scenario(sc, tmp_path / "a")
+        run_scenario(bundled_scenario("endpoint-01"), tmp_path / "b")
+        a, b = ({f.name: f.read_bytes() for f in (tmp_path / d).iterdir()}
+                for d in ("a", "b"))
+        assert a == b
+
+    def test_repeated_variant_gives_one_row(self, tmp_path, capsys):
+        p = tmp_path / "dup.json"
+        p.write_text(json.dumps(small_scenario(
+            name="dup", variants=["thm_ii", "classical", "thm_ii"])))
+        assert load_scenario(p).variants == ("thm_ii", "classical")
+        assert main(["verify", "--scenario", str(p), "--out",
+                     str(tmp_path / "out")]) == EXIT_OK
+        summary = json.loads((tmp_path / "out" / "dup.summary.json")
+                             .read_text())
+        assert ([row["variant"] for row in summary["equivalence"]]
+                == ["thm_ii", "classical"])
+        assert capsys.readouterr().out.count("dup: thm_ii ") == 1
+
     def test_membership_failure_is_validation_error(self, tmp_path):
         obj = small_scenario(
             name="nomember",
@@ -272,9 +307,10 @@ class TestRunScenario:
         assert res.exit_code == EXIT_OK
 
     def test_determinism_bitwise(self, tmp_path):
-        sc = scenario_from_json(small_scenario())
-        run_scenario(sc, tmp_path / "a")
-        run_scenario(sc, tmp_path / "b")
+        # loaded twice: a scenario keeps its reports, so a second run on the
+        # same object would replay the first
+        run_scenario(scenario_from_json(small_scenario()), tmp_path / "a")
+        run_scenario(scenario_from_json(small_scenario()), tmp_path / "b")
         for name in ("small.equivalence.csv", "small.C2.csv",
                      "small.summary.json"):
             assert ((tmp_path / "a" / name).read_bytes()
