@@ -192,8 +192,8 @@ def _outer_trunc_norms(p_out, p_inner, c_exp, side, xs, ppds):
     For finite q_out the inner M is evaluated once at the sorted union of
     every outer node, by ``swept_min_factors``: where it sweeps, a node's
     value depends on the other nodes, and the grid and ``ppds`` fix them.
-    For q_out = inf each supremum search evaluates M at the points it
-    probes, by the direct rule.
+    For q_out = inf the supremum evaluates M at the points it samples, by
+    the direct rule.
     """
     bounds = (-math.inf, xs) if side == "head" else (xs, math.inf)
     if p_out.sup_norm:

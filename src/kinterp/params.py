@@ -20,12 +20,13 @@ a constant controlled by slow variation and makes the canonical weight take
 its endpoint-ratio shape exactly.  The full two-sided quadrature remains
 available through ``norm_head_u``/``norm_tail_char``.
 
-Every norm of a known core g (H and T at q = inf, the truncated and full
-norms of K(·, f), the outer norms of C2/C3) is ||χ_[lo,hi] e^{c x} g||,
-and ``_norm_pow`` computes it for a batch of rows before the q-th root: by
-one quadrature plan of e^{c q x} g^q for finite q (``_powered``), by one
-supremum search per row at q = inf.  ``_join`` adds two pieces, or takes
-their max at q = inf, and ``qth_root`` finishes.  ``phi_norm`` keeps its
+Every norm of a known core g (H and T at q = inf, the increments of their
+sweep at finite q, the truncated and full norms of K(·, f), the outer norms
+of C2/C3) is ||χ_[lo,hi] e^{c x} g||, and ``_norm_pow`` computes it for a
+batch of rows before the q-th root, by one quadrature plan: the integral of
+e^{c q x} g^q for finite q (``_powered``), the supremum of e^{c x} g over
+the plan's own nodes at q = inf.  ``_join`` adds two pieces, or takes their
+max at q = inf, and ``qth_root`` finishes.  ``phi_norm`` keeps its
 own integrand, because its g is an opaque callable of t.
 """
 
@@ -41,8 +42,8 @@ from .couples import KProfile
 from .errors import MembershipError, RangeError
 from .quadrature import (DEFAULT_PPD, LogGrid, QuadPlan, QuadResult,
                          decay_product, integral_log, sup_log)
-from .sv import (Constant, SVDescriptor, eval_sv_log, relative_integral,
-                 shift_integral, sv_from_json, sv_to_json)
+from .sv import (Constant, SVDescriptor, eval_sv_log, shift_integral,
+                 sv_from_json, sv_to_json)
 
 
 @dataclass(frozen=True)
@@ -107,11 +108,12 @@ def _shift_factors(p: PhiParam, xs, side: str) -> np.ndarray:
     if not p.sup_norm:
         return qth_root(p, shift_integral(p.b, p.q, xs, c * p.q, side, p.ppd))
     # q = inf: the supremum of e^{cv} b(x + v) over the side; v = -x is a kink
-    lo, hi = (-math.inf, 0.0) if side == "head" else (0.0, math.inf)
+    bounds = (-math.inf, 0.0) if side == "head" else (0.0, math.inf)
+    lo, hi = (np.full(xs.shape, v) for v in bounds)
     at = xs.ravel()
-    return qth_root(p, _norm_pow(p, lo, hi,
-                                 lambda v, i: eval_sv_log(p.b, at[i] + v), c,
-                                 row_kinks=-xs))
+    return qth_root(p, _norm_pow(
+        p, lo, hi, lambda v, rows: eval_sv_log(p.b, at[rows, None] + v), c,
+        row_kinks=-xs))
 
 
 def head_factors(p: PhiParam, xs) -> np.ndarray:
@@ -173,18 +175,20 @@ def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
         G_next = G e^{-r d} + ∫ e^{-r |w - x_next|} b^q dw  over the gap,
 
     the increment by the rule of ``shift_integral`` on a bounded row in
-    relative coordinates (``relative_integral``).  The first point, and
-    every point where e^{-r d} is exactly 0.0, restarts from
-    ``shift_integral``.  A divergence flag, a restart's or an increment's,
-    carries along the sweep up to the next restart.
+    relative coordinates v = w - x_next (``_norm_pow``, with the weight's
+    kink w = 0 at v = -x_next).  The first point, and every point where
+    e^{-r d} is exactly 0.0, restarts from ``shift_integral``.  A
+    divergence flag, a restart's or an increment's, carries along the sweep
+    up to the next restart.
     """
-    rate = (1.0 - p.theta) * p.q if side == "head" else p.theta * p.q
-    c, x = (rate, xs) if side == "head" else (-rate, xs[::-1])
+    c = 1.0 - p.theta if side == "head" else -p.theta
+    rate = abs(c) * p.q
+    x = xs if side == "head" else xs[::-1]
     gap = np.abs(np.diff(x))
     with np.errstate(under="ignore"):
         decay = np.exp(-rate * gap)
     restart = np.concatenate(([True], decay == 0.0))[:x.size]
-    start = shift_integral(p.b, p.q, x[restart], c, side, p.ppd)
+    start = shift_integral(p.b, p.q, x[restart], c * p.q, side, p.ppd)
     value, bad = np.empty(x.size), np.empty(x.size, dtype=bool)
     value[restart], bad[restart] = start.value, start.diverged
     # the increment of point k covers the gap before it, as v = w - x_k
@@ -193,8 +197,10 @@ def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
     lo, hi = (-span, zero) if side == "head" else (zero, span)
     for s in range(0, at.size, _SWEEP_BLOCK):
         block = slice(s, s + _SWEEP_BLOCK)
-        r = relative_integral(p.b, p.q, x[at[block]], c, lo[block],
-                              hi[block], p.ppd)
+        xb = x[at[block]]
+        r = _norm_pow(p, lo[block], hi[block],
+                      lambda v, rows: eval_sv_log(p.b, xb[rows, None] + v), c,
+                      row_kinks=-xb)
         value[at[block]], bad[at[block]] = r.value, r.diverged
     g, flag = 0.0, False
     vals, flags = value.tolist(), bad.tolist()
@@ -355,28 +361,18 @@ def _norm_pow(p: PhiParam, lo, hi, core, rate: float, *, kinks=(),
     """||χ_[lo_i, hi_i](x) e^{rate x} core(x)|| of every row i of the
     broadcast bounds, before the q-th root; rows with hi <= lo are 0.
 
-    Finite q: one ``QuadPlan`` of ``_powered``.  q = inf: one ``sup_log``
-    per row, on the points x (1-d) with ``core(x, i)`` for the row's flat
-    index i, anchored at the kinks, the row's kink and its finite bounds.
-    ``row_kinks`` holds one kink per row (NaN for none); ``ppd`` defaults to
-    p's.
+    One ``QuadPlan``, with ``core(x, rows)`` at the points x of the rows
+    ``rows`` (as the plan passes them): ``apply`` of ``_powered`` for finite
+    q, ``sup`` of e^{rate x} core at q = inf.  ``row_kinks`` holds one kink
+    per row (NaN for none); ``ppd`` defaults to p's.
     """
     ppd = p.ppd if ppd is None else ppd
-    if not p.sup_norm:
+    if p.sup_norm:
         return QuadPlan(lo, hi, ppd=ppd, kinks=kinks, row_kinks=row_kinks,
-                        exp_rate=rate * p.q).apply(_powered(p, core, rate))
-    lo, hi, row = np.broadcast_arrays(
-        np.asarray(lo, dtype=float), np.asarray(hi, dtype=float),
-        np.asarray(math.nan if row_kinks is None else row_kinks, dtype=float))
-    value, diverged = np.zeros(lo.shape), np.zeros(lo.shape, dtype=bool)
-    for i in np.flatnonzero(hi > lo):
-        a, b = lo.flat[i], hi.flat[i]
-        anchors = tuple(kinks) + tuple(
-            v for v in (row.flat[i], a, b) if math.isfinite(v))
-        r = sup_log(lambda x: decay_product(rate * x, core(x, i)), a, b,
-                    ppd=ppd, anchors=anchors, rate=rate)
-        value.flat[i], diverged.flat[i] = r.value, r.diverged
-    return QuadResult(value, diverged)
+                        exp_rate=rate).sup(
+            lambda x, rows: decay_product(rate * x, core(x, rows)))
+    return QuadPlan(lo, hi, ppd=ppd, kinks=kinks, row_kinks=row_kinks,
+                    exp_rate=rate * p.q).apply(_powered(p, core, rate))
 
 
 def _join(p: PhiParam, a: QuadResult, b: QuadResult) -> QuadResult:
@@ -430,8 +426,8 @@ def full_norm_profile(p: PhiParam, profile: KProfile) -> float:
 
 
 def full_norm_profiles(p: PhiParam, profiles: KProfile) -> np.ndarray:
-    """``full_norm_profile`` of every row of ``profiles``: batched passes at
-    finite q, one search per row at q = inf."""
+    """``full_norm_profile`` of every row of ``profiles``, in batched
+    passes."""
     return _full_norm(p, profiles, np.zeros(len(profiles.values)))
 
 

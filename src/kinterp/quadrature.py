@@ -33,6 +33,12 @@ row only its own panels, the partial ones at its bounds and the ones its
 kinks split.  A pass is then gathered from the table and its rows' own
 panels by one index array; every row keeps the nodes, weights and column
 order it would get on its own.
+
+A supremum takes the same layout: ``QuadPlan.sup`` reduces each row to the
+largest of its samples (the points ``apply`` evaluates, its finite bounds
+and its kinks), polished by a ternary search, and ``sup_log`` is its one-row
+case.  It diverges where a sample is not finite, or where the function
+still grows between the tail-fit probes of an infinite bound.
 """
 
 from __future__ import annotations
@@ -64,8 +70,8 @@ EXP_ZERO = 746.0
 CHUNK_ELEMS = 4096
 
 DEFAULT_PPD = 64
-#: window extensions after which a growing supremum is flagged divergent
-_SUP_ROUNDS = 3
+#: ternary-search steps that polish the largest sample of a supremum
+_POLISH_ITERS = 80
 
 
 @dataclass(frozen=True)
@@ -253,7 +259,8 @@ class QuadPlan:
     first and after the last, lie runs of table panels.  Each time
     ``apply`` runs, passes of at most about ``CHUNK_ELEMS`` nodes are
     gathered from the table and their rows' own panels by one index array,
-    for the nodes and for the weights.
+    for the nodes and for the weights.  ``sup`` reduces the same passes to
+    each row's maximum.
     """
 
     def __init__(self, lo, hi, *, ppd=DEFAULT_PPD, kinks=(), row_kinks=None,
@@ -268,6 +275,7 @@ class QuadPlan:
         if row_kinks is not None:
             kinks = np.column_stack([kinks, np.asarray(
                 row_kinks, dtype=float).ravel()[self.rows]])
+        self.kinks = kinks
         self.width = LN10 / max(1, round(ppd / GL_ORDER))
         # y = ln|x| beyond which each far region's integrand is exactly 0
         self.y_cut = [math.inf, math.inf]
@@ -653,6 +661,61 @@ class QuadPlan:
             diverged[rows] = bad
         return QuadResult(value.reshape(self.shape), diverged.reshape(self.shape))
 
+    def sup(self, fn) -> "QuadResult":
+        """Supremum of ``fn(points, rows)`` over every row; ``fn`` is called
+        as by ``apply``, and rows with hi <= lo are 0.
+
+        A row is sampled at the points ``apply`` evaluates for it (its
+        nodes, its tail-fit probes and the unused columns, which repeat its
+        first point) and at its finite bounds and kinks.  Its largest sample
+        is polished by a ternary search between the nearest samples strictly
+        below and above it.  A row diverges where a sample is not finite,
+        and where, in a far region with an infinite bound, fn at the probe
+        u_ref exceeds fn at u_ref/2 by more than 1e-12 relative: it still
+        grows out there.
+        """
+        value = np.zeros(self.shape).ravel()
+        diverged = np.zeros(value.shape, dtype=bool)
+        for idx, (points, _, _, unbounded) in self._passes():
+            rows = self.rows[idx]
+            lo, hi = self.lo[idx, None], self.hi[idx, None]
+            x = np.concatenate([points, lo, hi, self.kinks[idx]], axis=1)
+            # a bound beyond DEEP_LOG_RANGE can leave probes outside the row
+            inside = np.isfinite(x) & (x >= lo) & (x <= hi)
+            x = np.where(inside, x, points[:, :1])
+            vals = np.asarray(fn(x, rows), dtype=float)
+            bad = (inside & ~np.isfinite(vals)).any(axis=1)
+            if unbounded.any():
+                n = points.shape[1]
+                grows = vals[:, n - 4:n:2] > vals[:, n - 3:n:2] * (1.0 + 1e-12)
+                open_end = np.column_stack([np.isneginf(lo), np.isposinf(hi)])
+                bad |= (open_end & grows).any(axis=1)
+            vals = np.where(inside & np.isfinite(vals), vals, -math.inf)
+            best = vals.max(axis=1)
+            # the argmax (the least x among equal maxima) and its neighbours
+            at = np.where(vals == best[:, None], x, math.inf).min(
+                axis=1, keepdims=True)
+            a = np.where(inside & (x < at), x, -math.inf).max(axis=1)
+            b = np.where(inside & (x > at), x, math.inf).min(axis=1)
+            a = np.where(a > -math.inf, a, at[:, 0])
+            b = np.where(b < math.inf, b, at[:, 0])
+            polish = np.flatnonzero(best > 0.0)
+            if polish.size:
+                a, b, at_rows = a[polish], b[polish], rows[polish]
+                for _ in range(_POLISH_ITERS):
+                    m1 = a + (b - a) / 3.0
+                    m2 = b - (b - a) / 3.0
+                    v = np.asarray(fn(np.column_stack([m1, m2]), at_rows),
+                                   dtype=float)
+                    left = v[:, 0] < v[:, 1]
+                    a, b = np.where(left, m1, a), np.where(left, b, m2)
+                v = np.asarray(fn(0.5 * (a + b)[:, None], at_rows),
+                               dtype=float)[:, 0]
+                best[polish] = np.where(v > best[polish], v, best[polish])
+            value[rows] = np.where(best > -math.inf, best, 0.0)
+            diverged[rows] = bad
+        return QuadResult(value.reshape(self.shape), diverged.reshape(self.shape))
+
 
 def integral_log(fn, x_lo=-math.inf, x_hi=math.inf, *, ppd=DEFAULT_PPD, kinks=()):
     """``∫ fn(x) dx`` over [x_lo, x_hi]; either bound may be infinite.
@@ -669,108 +732,18 @@ def integral_log(fn, x_lo=-math.inf, x_hi=math.inf, *, ppd=DEFAULT_PPD, kinks=()
     return QuadResult(float(r.value), bool(r.diverged))
 
 
-def _refine_max(fn, lo, hi, iters=80):
-    """Ternary search for the max of fn on [lo, hi] (locally unimodal)."""
-    for _ in range(iters):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        v = np.asarray(fn(np.array([m1, m2])), dtype=float)
-        if v[0] < v[1]:
-            lo = m1
-        else:
-            hi = m2
-    mid = 0.5 * (lo + hi)
-    return float(np.asarray(fn(np.array([mid])), dtype=float)[0])
-
-
-def _samples(lo, hi, step, refs, window):
-    """Sample points of [lo, hi] on a fixed step, except in a gap longer
-    than 2 * window between consecutive ``refs`` (anchors, bounds, cuts):
-    there the step holds only within window of the gap's two ends, and in
-    between the distance to the nearer end grows geometrically, by the same
-    step in its logarithm, as the far substitution of ``integral_log``
-    spaces its nodes."""
-    refs = sorted({a for a in refs if lo <= a <= hi})
-    gaps = [(a, b) for a, b in zip(refs, refs[1:]) if b - a > 2.0 * window]
-    if not gaps:
-        return np.append(np.arange(lo, hi, step), hi)
-    parts, start = [], lo
-    for a, b in gaps:
-        d = np.concatenate([np.arange(0.0, window, step), np.exp(
-            np.arange(math.log(window), math.log(0.5 * (b - a)), step))])
-        parts += [np.arange(start, a, step), a + d, b - d[::-1]]
-        start = b
-    parts.append(np.arange(start, hi, step))
-    return np.append(np.concatenate(parts), hi)
-
-
 def sup_log(fn, x_lo=-math.inf, x_hi=math.inf, *, ppd=DEFAULT_PPD, anchors=(),
-            rate=None):
-    """Supremum of fn over [x_lo, x_hi] in x = ln t coordinates.
+            rate=0.0):
+    """Supremum of fn over [x_lo, x_hi] in x = ln t coordinates; either
+    bound may be infinite.
 
-    Infinite bounds are probed over successively wider windows; a supremum
-    that keeps growing after ``_SUP_ROUNDS`` extensions is flagged divergent.
-    Exact anchor points (kinks, truncation points) are always sampled, and
-    the discrete argmax is polished by a local ternary search.
-
-    ``rate`` = a declares that fn carries the factor e^{a x} through
-    ``decay_product``.  Then fn is exactly 0.0 where a x < -EXP_ZERO, so the
-    search stops there, and gaps between anchors longer than two windows
-    are sampled at log spacing (``_samples``); the number of samples no
-    longer grows with the distance between the anchors.  Where every gap is
-    shorter and the cut lies outside the windows, the samples are those
-    taken without ``rate``.
+    ``fn`` must be vectorized over x.  The ``anchors`` (kinks, truncation
+    points) become kinks of the plan, so each is sampled; ``rate`` = a
+    declares that fn carries the factor e^{a x} through ``decay_product``,
+    so the far panels on which it is exactly 0.0 are skipped.  This is the
+    one-row case of ``QuadPlan.sup``, whose rule flags a function that is
+    not finite or still grows far out.
     """
-    step = LN10 / max(1, ppd)
-    lo_inf = not math.isfinite(x_lo)
-    hi_inf = not math.isfinite(x_hi)
-    finite_refs = [a for a in anchors if math.isfinite(a)]
-    if not lo_inf:
-        finite_refs.append(x_lo)
-    if not hi_inf:
-        finite_refs.append(x_hi)
-    center = 0.0 if not finite_refs else min(finite_refs + [0.0])
-    center_hi = 0.0 if not finite_refs else max(finite_refs + [0.0])
-    window = 46.0  # 20 decades
-
-    best = -math.inf
-    diverged = False
-    rounds = _SUP_ROUNDS if (lo_inf or hi_inf) else 0
-    grew_last = False
-    xs = None
-    for r in range(rounds + 1):
-        lo = (center - window * (r + 1)) if lo_inf else x_lo
-        hi = (center_hi + window * (r + 1)) if hi_inf else x_hi
-        if rate is None:
-            xs = np.append(np.arange(lo, hi, step), hi)
-        else:
-            # where the decaying factor is exactly 0
-            cut = -EXP_ZERO / rate if rate else math.inf
-            if rate > 0.0:
-                lo = max(lo, min(cut, hi))
-            elif rate < 0.0:
-                hi = min(hi, max(cut, lo))
-            xs = _samples(lo, hi, step, finite_refs + [cut], window)
-        extra = [a for a in anchors if lo <= a <= hi]
-        if extra:
-            xs = np.sort(np.concatenate([xs, np.asarray(extra, dtype=float)]))
-        vals = np.asarray(fn(xs), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            diverged = True
-            vals = np.nan_to_num(vals, nan=-math.inf, posinf=-math.inf)
-        m = float(np.max(vals)) if vals.size else -math.inf
-        grew_last = m > best * (1.0 + 1e-12) + _TINY_POS if best > 0 else m > best
-        if not grew_last and r > 0:
-            break
-        if m > best:
-            best = m
-            best_xs, best_vals = xs, vals
-    if (lo_inf or hi_inf) and grew_last:
-        diverged = True
-    if best > 0 and math.isfinite(best):
-        i = int(np.argmax(best_vals))
-        lo_b = best_xs[max(i - 1, 0)]
-        hi_b = best_xs[min(i + 1, len(best_xs) - 1)]
-        if hi_b > lo_b:
-            best = max(best, _refine_max(fn, lo_b, hi_b))
-    return QuadResult(best if best > -math.inf else 0.0, diverged)
+    r = QuadPlan(x_lo, x_hi, ppd=ppd, kinks=anchors, exp_rate=rate).sup(
+        lambda x, rows: np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape))
+    return QuadResult(float(r.value), bool(r.diverged))

@@ -178,6 +178,7 @@ def shift_integral(b: SVDescriptor, qpow: float, x, c: float,
     flat = xs.ravel()
     inf = np.full(flat.shape, math.inf)
 
+    # per row, the weight's own kink w = 0 (at v = -x in relative coordinates)
     if c == 0.0:
 
         def fn(w, rows):
@@ -185,15 +186,17 @@ def shift_integral(b: SVDescriptor, qpow: float, x, c: float,
                 return eval_sv_log(b, w) ** qpow
 
         lo, hi = (-inf, flat) if side == "head" else (flat, inf)
-        kinks = (0.0,)
+        kinks = np.zeros(flat.shape)
     else:
         zero = np.zeros(flat.shape)
         lo, hi = (-inf, zero) if side == "head" else (zero, inf)
-        if xs.ndim:
-            return relative_integral(b, qpow, xs, c, lo.reshape(xs.shape),
-                                     hi.reshape(xs.shape), ppd)
-        fn = _relative_integrand(b, qpow, flat, c)
-        kinks = (-float(flat[0]),) if math.isfinite(flat[0]) else ()
+
+        def fn(v, rows):
+            with np.errstate(over="ignore"):
+                bq = eval_sv_log(b, flat[rows, None] + v) ** qpow
+            return decay_product(c * v, bq)
+
+        kinks = -flat
 
     if xs.ndim == 0:
         # one point: integral_log, the one-row case of the same rule.  It
@@ -203,36 +206,10 @@ def shift_integral(b: SVDescriptor, qpow: float, x, c: float,
         # integral_log calls at this layer boundary.
         row = np.zeros(1, dtype=np.intp)
         return integral_log(lambda v: fn(v[None], row)[0], float(lo[0]),
-                            float(hi[0]), ppd=ppd, kinks=kinks)
+                            float(hi[0]), ppd=ppd,
+                            kinks=tuple(kinks[np.isfinite(kinks)]))
     return QuadPlan(lo.reshape(xs.shape), hi.reshape(xs.shape), ppd=ppd,
-                    kinks=kinks).apply(fn)
-
-
-def _relative_integrand(b, qpow, flat, c):
-    """e^{c v} b(e^{x+v})^qpow at the relative points v of the rows of the
-    flat array of x."""
-
-    def fn(v, rows):
-        with np.errstate(over="ignore"):
-            bq = eval_sv_log(b, flat[rows, None] + v) ** qpow
-        return decay_product(c * v, bq)
-    return fn
-
-
-def relative_integral(b: SVDescriptor, qpow: float, x, c: float, lo, hi,
-                      ppd: int = DEFAULT_PPD) -> QuadResult:
-    """``∫ e^{c v} b(e^{x+v})^qpow dv`` over [lo, hi] for each x, c != 0.
-
-    ``x``, ``lo`` and ``hi`` are arrays of one shape; the bounds are in the
-    relative coordinate v, and may be infinite.  This is the rule of
-    ``shift_integral`` (whose c != 0 rows are [-inf, 0] and [0, inf]): the
-    weight's own kink w = 0 lies at v = -x, non-finite samples flag, and the
-    far panels on which e^{c v} is exactly 0.0 are skipped.
-    """
-    flat = np.asarray(x, dtype=float).ravel()
-    return QuadPlan(lo, hi, ppd=ppd,
-                    row_kinks=np.where(np.isfinite(flat), -flat, np.nan),
-                    exp_rate=c).apply(_relative_integrand(b, qpow, flat, c))
+                    row_kinks=kinks, exp_rate=c).apply(fn)
 
 
 def _check_t(t: float):

@@ -97,8 +97,8 @@ def _assert_matches_reference(p, xs):
 @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, math.inf])
 @pytest.mark.parametrize("theta", [0.0, 1e-3, 0.25, 0.75, 1.0])
 def test_factors_match_scalar_rule(theta, q, weight):
-    # q = inf: the search stops where e^{c v} is exactly 0 and samples long
-    # anchor gaps at log spacing, so its cost no longer grows with |x|
+    # q = inf: the reference is sup_log, the one-row case of QuadPlan.sup;
+    # the far nodes are spaced in ln|x|, so its cost does not grow with |x|
     _assert_matches_reference(PhiParam(theta, q, WEIGHTS[weight](q)), XS)
 
 
@@ -206,6 +206,68 @@ def test_row_value_does_not_depend_on_its_batch():
         alone = QuadPlan(lo[i], hi[i], kinks=(0.5,),
                          row_kinks=lo[i:i + 1] / 3.0).apply(
                              lambda x, rows: fn(x))
+        assert alone.value == batch.value[i]
+        assert alone.diverged == batch.diverged[i]
+
+
+# rows for QuadPlan.sup: per row a smooth bump at M and a cusp at its row
+# kink K, of height C against the bump's 1; the bumps lie inside, at and
+# outside the rows' finite and infinite bounds
+SUP_LO = np.array([-math.inf, -math.inf, -3.0, 0.5, -40.0, -2e12, 2.0, -7.0])
+SUP_HI = np.array([math.inf, 1.5, 30.0, math.inf, 9.0, 5.0, 2.5, -6.5])
+SUP_M = np.array([0.3, -12.7, 17.3, 25.1, -33.3, 3.7, 2.31, -6.0])
+SUP_K = np.array([-20.0, 1.2, -2.0, 0.9, 8.5, -30.0, 2.2, -6.8])
+SUP_C = np.array([0.5, 2.0, 0.7, 1.5, 0.3, 0.9, 1.2, 0.4])
+
+
+def _sup_rows(rate):
+    def fn(x, rows):
+        m, k, c = (a[rows, None] for a in (SUP_M, SUP_K, SUP_C))
+        with np.errstate(under="ignore"):
+            g = np.exp(-((x - m) / 4.0) ** 2) + c * np.exp(-np.abs(x - k))
+        return decay_product(rate * x, g)
+    return fn
+
+
+def _dense_sup(f, lo, hi, kink):
+    """The largest of 1e6 even samples over the row's part of [-100, 100]
+    (outside it every row is below 1e-8 of its maximum), its finite bounds
+    and its kink, refined by 1001 samples within one step of the best."""
+    a, b = max(lo, -100.0), min(hi, 100.0)
+    x = np.concatenate([np.linspace(a, b, 10 ** 6), [lo, hi, kink]])
+    x = x[np.isfinite(x) & (x >= lo) & (x <= hi)]
+    v = f(x)
+    step = (b - a) / 1e6
+    best = x[np.argmax(v)]
+    fine = np.linspace(max(a, best - step), min(b, best + step), 1001)
+    return max(v.max(), f(fine).max())
+
+
+@pytest.mark.parametrize("rate", [0.0, -0.5, 0.5])
+def test_plan_sup_matches_dense_search(rate):
+    # rate != 0: e^{rate x} is exactly 0.0 past |x| = 1492 on one side,
+    # and the plan skips the far panels there
+    fn = _sup_rows(rate)
+    got = QuadPlan(SUP_LO, SUP_HI, row_kinks=SUP_K, exp_rate=rate).sup(fn)
+    assert not got.diverged.any()
+    for i in range(SUP_LO.size):
+        want = _dense_sup(lambda x: fn(x[None], np.array([i]))[0],
+                          SUP_LO[i], SUP_HI[i], SUP_K[i])
+        assert got.value[i] == pytest.approx(want, rel=1e-12, abs=0.0), i
+
+
+@pytest.mark.parametrize("rate", [0.0, -0.5, 2.0])
+def test_plan_sup_row_does_not_depend_on_its_batch(rate):
+    # rate 2.0 makes the rows with an infinite upper bound grow: e^{2x}
+    # over the cusp's e^{-x} overflows far out
+    fn = _sup_rows(rate)
+    batch = QuadPlan(SUP_LO, SUP_HI, kinks=(0.5,), row_kinks=SUP_K,
+                     exp_rate=rate).sup(fn)
+    assert batch.diverged.any() == (rate == 2.0)
+    for i in range(SUP_LO.size):
+        alone = QuadPlan(SUP_LO[i], SUP_HI[i], kinks=(0.5,),
+                         row_kinks=SUP_K[i:i + 1], exp_rate=rate).sup(
+                             lambda x, rows, i=i: fn(x, rows + i))
         assert alone.value == batch.value[i]
         assert alone.diverged == batch.diverged[i]
 

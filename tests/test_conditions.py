@@ -134,6 +134,24 @@ class TestSupNormOuter:
         assert rep.passed
         assert rep.sup_ratio == pytest.approx(1.0, rel=1e-9)
 
+    def test_C2_interior_maximum_is_finite(self):
+        # the outer supremum lies between samples; a search whose samples
+        # moved with its window read it as growth, +inf at t = 2
+        rep = check_C2(PhiParam(0.3, math.inf, BrokenLog(1.0, -0.5)),
+                       PhiParam(0.7, 2.0, BrokenLog(-0.5, 0.5)),
+                       grid=LogGrid(0.5, 2.0, 1))
+        assert np.all(np.isfinite(rep.lhs))
+        assert rep.meta["refine_ok"]
+
+    def test_C2_sup_outer_is_nondecreasing(self):
+        # a supremum over (0, t) grows with t; a windowed search read +inf
+        # at four points of this grid, where the maximum is interior
+        rep = check_C2(PhiParam(0.25, math.inf, BrokenLog(1.0, -0.5)),
+                       PhiParam(0.75, 2.0, Constant(1.0)),
+                       grid=LogGrid(1e-2, 1e2, 4))
+        assert np.all(np.isfinite(rep.lhs))
+        assert np.all(np.diff(rep.lhs) >= 0.0)
+
     def test_C3_with_sup_outer(self):
         p1 = PhiParam(0.75, math.inf, Constant(1.0))
         rep = check_C3(P14, p1, None, LogGrid(1e-2, 1e2, 4))

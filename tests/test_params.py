@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinterp import (BrokenLog, Constant, KProfile, LogGrid, MembershipError,
-                     PhiParam, WeightedSeq, membership_min1, norm_head_u,
+from kinterp import (BrokenLog, Constant, ExpLogPow, KProfile, LogGrid,
+                     MembershipError, PhiParam, WeightedSeq, membership_min1, norm_head_u,
                      norm_min, norm_tail_char, norm_trunc_profile, phi_norm)
 from kinterp.params import full_norm_profile, phi_from_json, phi_to_json
 
@@ -141,6 +141,17 @@ class TestMembership:
         assert not membership_min1(PhiParam(0.0, 1.0, Constant(1.0)))
         assert membership_min1(PhiParam(0.0, 1.0, BL22))
         assert not membership_min1(PhiParam(1.0, 1.0, Constant(1.0)))
+
+    @pytest.mark.parametrize("b, member", [
+        (BrokenLog(3.0, 0.0), True),
+        (Constant(2.0), True),
+        (BrokenLog(3.0, 0.01), False),
+        (ExpLogPow(0.3, 1), False),
+    ])
+    def test_sup_norm_at_theta_zero(self, b, member):
+        # at theta = 0, q = inf, min(1, t) is a member iff b is bounded at
+        # infinity; b grows like (ln t)^0.01 or exp((ln t)^0.3) in the last two
+        assert membership_min1(PhiParam(0.0, math.inf, b)) is member
 
 
 class TestTruncProfile:

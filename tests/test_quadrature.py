@@ -96,10 +96,33 @@ def test_sup_log_respects_finite_bounds():
     assert r.value == pytest.approx(1.0, rel=1e-9)
 
 
+def _overflowing_exp(x):
+    with np.errstate(over="ignore"):
+        return np.exp(x)
+
+
 def test_sup_log_flags_growth():
+    # unbounded on [0, inf): still growing far out, or not finite
+    for fn in (lambda x: 1.0 + x, lambda x: (1.0 + x) ** 0.01,
+               _overflowing_exp):
+        r = sup_log(fn, 0.0, math.inf)
+        assert r.diverged
+
+
+def test_sup_log_takes_a_bounded_rise():
+    # e^{min(x, 700)} rises to e^700 and stays there: bounded, so its
+    # supremum is a value, not a divergence
     r = sup_log(lambda x: np.exp(np.minimum(np.asarray(x, float), 700.0)),
                 0.0, math.inf)
-    assert r.diverged
+    assert not r.diverged
+    assert r.value == pytest.approx(math.exp(700.0), rel=1e-12)
+
+
+def test_sup_log_samples_only_inside_deep_bounds():
+    # bounds past DEEP_LOG_RANGE put the rule's tail-fit probes at 2e12
+    r = sup_log(lambda x: np.asarray(x, dtype=float), 1e12, 1.5e12)
+    assert not r.diverged
+    assert r.value == 1.5e12
 
 
 def test_decay_product_masks_joint_decay():
