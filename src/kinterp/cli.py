@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="monotone-envelope scan of a slowly varying "
                               "function descriptor")
     svc.add_argument("--b", type=str, required=True,
-                     help="descriptor JSON (inline or a file path)")
+                     help="descriptor JSON: an inline object or a file path")
     svc.add_argument("--eps", type=float, required=True)
     _add_grid_args(svc)
     svc.add_argument("--cmax", type=float, default=DEFAULT_BUDGET)
@@ -118,6 +118,8 @@ def main(argv=None) -> int:
             return result.exit_code
 
         if args.command == "suite":
+            if not args.dir.is_dir():
+                raise ScenarioError(f"--dir: not a directory: {args.dir}")
             summary, code = run_suite(args.dir, args.out,
                                       workers=args.workers)
             for row in summary["scenarios"]:
@@ -136,14 +138,14 @@ def main(argv=None) -> int:
 
         if args.command == "sv-check":
             raw = args.b
-            path = Path(raw)
-            if path.exists():
-                raw = path.read_text(encoding="utf-8")
             try:
+                # a descriptor is a JSON object; anything else names a file
+                if not raw.lstrip().startswith("{"):
+                    raw = Path(raw).read_text(encoding="utf-8")
                 obj = json.loads(raw)
                 reject_booleans(obj, "b")
                 desc = sv_from_json(obj)
-            except (json.JSONDecodeError, ValueError, ScenarioError) as exc:
+            except (OSError, ValueError, ScenarioError) as exc:
                 raise ScenarioError(f"--b: {exc}") from exc
             if not 0.0 < args.eps < math.inf:
                 raise ScenarioError(f"--eps: must be a positive finite real, "

@@ -37,10 +37,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergentIntegralError, ScenarioError
-from .params import (PhiParam, _norm_pow, _powered, head_factors,
-                     min_factor, min_factors, qth_root, require_membership,
-                     swept_min_factors, tail_factors)
-from .quadrature import LogGrid, QuadPlan, distinct
+from .params import (PhiParam, head_factors, min_factor, min_factors,
+                     qth_root, require_membership, swept_min_factors,
+                     tail_factors)
+from .quadrature import LogGrid, QuadPlan, distinct, norm_pow, powered
 from .sv import eval_sv_log, shift_integral
 
 # Bound here though this module calls none of them: perfbench/spans.py
@@ -198,16 +198,16 @@ def _outer_trunc_norms(p_out, p_inner, c_exp, side, xs, ppds):
     bounds = (-math.inf, xs) if side == "head" else (xs, math.inf)
     if p_out.sup_norm:
         core = _outer_core(p_out, lambda x: min_factors(p_inner, x))
-        return [qth_root(p_out, _norm_pow(p_out, *bounds, core, c_exp,
-                                          kinks=(0.0,), ppd=ppd))
+        return [qth_root(p_out, norm_pow(*bounds, core, c_exp, p_out.q,
+                                         ppd=ppd, kinks=(0.0,)))
                 for ppd in ppds]
     # no far panel is skipped here although e^{c_exp q x} vanishes far out:
     # M is evaluated at every outer node, so its range errors still surface
     plans = [QuadPlan(*bounds, ppd=ppd, kinks=(0.0,)) for ppd in ppds]
     nodes = distinct([plan.points() for plan in plans])
     m = swept_min_factors(p_inner, nodes)
-    fn = _powered(p_out, _outer_core(
-        p_out, lambda x: m[np.searchsorted(nodes, x)]), c_exp)
+    fn = powered(_outer_core(p_out, lambda x: m[np.searchsorted(nodes, x)]),
+                 c_exp, p_out.q)
     return [qth_root(p_out, plan.apply(fn)) for plan in plans]
 
 

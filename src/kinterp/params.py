@@ -20,14 +20,12 @@ a constant controlled by slow variation and makes the canonical weight take
 its endpoint-ratio shape exactly.  The full two-sided quadrature remains
 available through ``norm_head_u``/``norm_tail_char``.
 
-Every norm of a known core g (H and T at q = inf, the increments of their
-sweep at finite q, the truncated and full norms of K(·, f), the outer norms
-of C2/C3) is ||χ_[lo,hi] e^{c x} g||, and ``_norm_pow`` computes it for a
-batch of rows before the q-th root, by one quadrature plan: the integral of
-e^{c q x} g^q for finite q (``_powered``), the supremum of e^{c x} g over
-the plan's own nodes at q = inf.  ``_join`` adds two pieces, or takes their
-max at q = inf, and ``qth_root`` finishes.  ``phi_norm`` keeps its
-own integrand, because its g is an opaque callable of t.
+Every norm here is ||χ_[lo,hi] e^{c x} g|| of some core g, and
+``quadrature.norm_pow`` computes it for a batch of rows before the q-th
+root, for every q in (0, ∞]: H and T through ``sv.shift_integral``, the
+increments of their sweep, the truncated and full norms of K(·, f), and
+``phi_norm`` with g(e^x) b(e^x) as its core.  ``_join`` adds two pieces, or
+takes their max at q = inf, and ``qth_root`` finishes.
 """
 
 from __future__ import annotations
@@ -40,10 +38,13 @@ import numpy as np
 
 from .couples import KProfile
 from .errors import MembershipError, RangeError
-from .quadrature import (DEFAULT_PPD, LogGrid, QuadPlan, QuadResult,
-                         decay_product, integral_log, sup_log)
+from .quadrature import DEFAULT_PPD, LogGrid, QuadResult, norm_pow
 from .sv import (Constant, SVDescriptor, eval_sv_log, shift_integral,
                  sv_from_json, sv_to_json)
+
+# Bound here though this module calls neither: perfbench/spans.py wraps
+# these names at this layer boundary and reports a missing one.
+from .quadrature import integral_log, sup_log  # noqa: E402,F401
 
 
 @dataclass(frozen=True)
@@ -103,17 +104,9 @@ def _shift_factors(p: PhiParam, xs, side: str) -> np.ndarray:
             vals.setflags(write=False)
             p._memo[key] = vals
         return p._memo[key]
-    xs = np.asarray(xs, dtype=float)
     c = 1.0 - p.theta if side == "head" else -p.theta
-    if not p.sup_norm:
-        return qth_root(p, shift_integral(p.b, p.q, xs, c * p.q, side, p.ppd))
-    # q = inf: the supremum of e^{cv} b(x + v) over the side; v = -x is a kink
-    bounds = (-math.inf, 0.0) if side == "head" else (0.0, math.inf)
-    lo, hi = (np.full(xs.shape, v) for v in bounds)
-    at = xs.ravel()
-    return qth_root(p, _norm_pow(
-        p, lo, hi, lambda v, rows: eval_sv_log(p.b, at[rows, None] + v), c,
-        row_kinks=-xs))
+    return qth_root(p, shift_integral(p.b, p.q, np.asarray(xs, dtype=float),
+                                      c, side, p.ppd))
 
 
 def head_factors(p: PhiParam, xs) -> np.ndarray:
@@ -175,7 +168,7 @@ def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
         G_next = G e^{-r d} + ∫ e^{-r |w - x_next|} b^q dw  over the gap,
 
     the increment by the rule of ``shift_integral`` on a bounded row in
-    relative coordinates v = w - x_next (``_norm_pow``, with the weight's
+    relative coordinates v = w - x_next (``norm_pow``, with the weight's
     kink w = 0 at v = -x_next).  The first point, and every point where
     e^{-r d} is exactly 0.0, restarts from ``shift_integral``.  A
     divergence flag, a restart's or an increment's, carries along the sweep
@@ -188,7 +181,7 @@ def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
     with np.errstate(under="ignore"):
         decay = np.exp(-rate * gap)
     restart = np.concatenate(([True], decay == 0.0))[:x.size]
-    start = shift_integral(p.b, p.q, x[restart], c * p.q, side, p.ppd)
+    start = shift_integral(p.b, p.q, x[restart], c, side, p.ppd)
     value, bad = np.empty(x.size), np.empty(x.size, dtype=bool)
     value[restart], bad[restart] = start.value, start.diverged
     # the increment of point k covers the gap before it, as v = w - x_k
@@ -198,9 +191,9 @@ def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
     for s in range(0, at.size, _SWEEP_BLOCK):
         block = slice(s, s + _SWEEP_BLOCK)
         xb = x[at[block]]
-        r = _norm_pow(p, lo[block], hi[block],
-                      lambda v, rows: eval_sv_log(p.b, xb[rows, None] + v), c,
-                      row_kinks=-xb)
+        r = norm_pow(lo[block], hi[block],
+                     lambda v, rows: eval_sv_log(p.b, xb[rows, None] + v), c,
+                     p.q, ppd=p.ppd, row_kinks=-xb)
         value[at[block]], bad[at[block]] = r.value, r.diverged
     g, flag = 0.0, False
     vals, flags = value.tolist(), bad.tolist()
@@ -307,72 +300,26 @@ def phi_norm(p: PhiParam, g, support=(0.0, math.inf)) -> float:
 
     ``g`` is evaluated on quadrature nodes and must tolerate the limit
     arguments t == 0.0 and t == inf, which appear when nodes probe far
-    outside double range.  Returns +inf when divergence is detected;
-    divergence is a value here, not an exception.
+    outside double range.  The norm is one ``norm_pow`` of the core
+    b(e^x) g(e^x) (0 where g is) at rate -theta, and its q-th root.
+    Returns +inf when divergence is detected; divergence is a value here,
+    not an exception.  Raises RangeError when a finite q-th power has no
+    finite root in double precision.
     """
     lo, hi = support
     if not (0.0 <= lo < hi):
         raise ValueError("support must be a nonempty subinterval of (0, inf)")
     x_lo = math.log(lo) if lo > 0.0 else -math.inf
     x_hi = math.log(hi) if math.isfinite(hi) else math.inf
-    theta, q = p.theta, p.q
 
-    def raw(x):
-        with np.errstate(over="ignore", under="ignore"):
-            u = np.exp(np.asarray(x, dtype=float))
-        gv = np.asarray(g(u), dtype=float)
-        bv = eval_sv_log(p.b, x)
-        return gv, bv
-
-    if p.sup_norm:
-        def fn(x):
-            gv, bv = raw(x)
-            return decay_product(-theta * np.asarray(x, dtype=float), bv * gv)
-        return sup_log(fn, x_lo, x_hi, ppd=p.ppd, anchors=(0.0,)).or_inf()
-
-    def fn(x):
-        gv, bv = raw(x)
+    def core(x, rows):
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            core = (bv * gv) ** q
-        core = np.where(gv == 0.0, 0.0, core)
-        return decay_product(-theta * q * np.asarray(x, dtype=float), core)
+            gv = np.asarray(g(np.exp(x).ravel()),
+                            dtype=float).reshape(x.shape)
+            return np.where(gv == 0.0, 0.0, eval_sv_log(p.b, x) * gv)
 
-    r = integral_log(fn, x_lo, x_hi, ppd=p.ppd, kinks=(0.0,))
-    return r.or_inf() ** (1.0 / q)
-
-
-def _powered(p: PhiParam, core, rate: float):
-    """The finite-q integrand e^{rate q x} core(x, rows)^q, 0 where the core
-    is; ``core`` returns the nonnegative core at the points x of the rows
-    ``rows`` (as ``QuadPlan.apply`` passes them)."""
-
-    def fn(x, rows=None):
-        x = np.asarray(x, dtype=float)
-        c = core(x, rows)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            cq = c ** p.q
-        cq = np.where(c == 0.0, 0.0, cq)
-        return decay_product(rate * p.q * x, cq)
-    return fn
-
-
-def _norm_pow(p: PhiParam, lo, hi, core, rate: float, *, kinks=(),
-              row_kinks=None, ppd=None) -> QuadResult:
-    """||χ_[lo_i, hi_i](x) e^{rate x} core(x)|| of every row i of the
-    broadcast bounds, before the q-th root; rows with hi <= lo are 0.
-
-    One ``QuadPlan``, with ``core(x, rows)`` at the points x of the rows
-    ``rows`` (as the plan passes them): ``apply`` of ``_powered`` for finite
-    q, ``sup`` of e^{rate x} core at q = inf.  ``row_kinks`` holds one kink
-    per row (NaN for none); ``ppd`` defaults to p's.
-    """
-    ppd = p.ppd if ppd is None else ppd
-    if p.sup_norm:
-        return QuadPlan(lo, hi, ppd=ppd, kinks=kinks, row_kinks=row_kinks,
-                        exp_rate=rate).sup(
-            lambda x, rows: decay_product(rate * x, core(x, rows)))
-    return QuadPlan(lo, hi, ppd=ppd, kinks=kinks, row_kinks=row_kinks,
-                    exp_rate=rate * p.q).apply(_powered(p, core, rate))
+    return float(qth_root(p, norm_pow(x_lo, x_hi, core, -p.theta, p.q,
+                                      ppd=p.ppd, kinks=(0.0,))))
 
 
 def _join(p: PhiParam, a: QuadResult, b: QuadResult) -> QuadResult:
@@ -396,18 +343,24 @@ def _profile_pow(p: PhiParam, profile, side: str, x_t) -> QuadResult:
     kinks = tuple(profile.log_kinks()) + (0.0,)
 
     def form(k):
-        return lambda x, rows: (eval_sv_log(p.b, x)
-                                * np.asarray(k(x, rows), dtype=float))
+        def core(x, rows):
+            # 0 where K is, also where b overflows to +inf
+            kv = np.asarray(k(x, rows), dtype=float)
+            return np.multiply(eval_sv_log(p.b, x), kv,
+                               out=np.zeros(kv.shape), where=kv != 0.0)
+        return core
 
     value = form(profile.value_log)
     if side == "tail":
-        return _norm_pow(p, x_t, math.inf, value, -p.theta, kinks=kinks)
+        return norm_pow(x_t, math.inf, value, -p.theta, p.q, ppd=p.ppd,
+                        kinks=kinks)
     if side != "head":
         raise ValueError("side must be 'head' or 'tail'")
     mid = np.minimum(x_t, 0.0)
-    return _join(p, _norm_pow(p, -math.inf, mid, form(profile.slope_log),
-                              1.0 - p.theta, kinks=kinks),
-                 _norm_pow(p, mid, x_t, value, -p.theta, kinks=kinks))
+    return _join(p, norm_pow(-math.inf, mid, form(profile.slope_log),
+                             1.0 - p.theta, p.q, ppd=p.ppd, kinks=kinks),
+                 norm_pow(mid, x_t, value, -p.theta, p.q, ppd=p.ppd,
+                          kinks=kinks))
 
 
 def norm_trunc_profile(p: PhiParam, profile: KProfile, side: str, t):

@@ -39,6 +39,11 @@ largest of its samples (the points ``apply`` evaluates, its finite bounds
 and its kinks), polished by a ternary search, and ``sup_log`` is its one-row
 case.  It diverges where a sample is not finite, or where the function
 still grows between the tail-fit probes of an infinite bound.
+
+Every norm in the package, ||χ_[lo,hi](x) e^{c x} g(x)||_q for q in (0, ∞],
+is ``norm_pow``: one plan whose ``apply`` integrates e^{c q x} g^q
+(``powered``) for finite q, and whose ``sup`` takes the supremum of
+e^{c x} g at q = ∞.
 """
 
 from __future__ import annotations
@@ -715,6 +720,38 @@ class QuadPlan:
             value[rows] = np.where(best > -math.inf, best, 0.0)
             diverged[rows] = bad
         return QuadResult(value.reshape(self.shape), diverged.reshape(self.shape))
+
+
+def powered(core, rate: float, q: float):
+    """The finite-q integrand e^{rate q x} core(x, rows)^q; ``core``
+    returns the nonnegative core at the points x of the rows ``rows`` (as
+    ``QuadPlan.apply`` passes them), +0.0 where it is zero.  At rate 0 the
+    factor e^0 = 1 is left out, which changes no value."""
+
+    def fn(x, rows=None):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            cq = core(x, rows) ** q
+        return decay_product(rate * q * x, cq) if rate else cq
+    return fn
+
+
+def norm_pow(lo, hi, core, rate: float, q: float, *, ppd: int, kinks=(),
+             row_kinks=None) -> QuadResult:
+    """||χ_[lo_i, hi_i](x) e^{rate x} core(x)||_q of every row i of the
+    broadcast bounds, before the q-th root; rows with hi <= lo are 0.
+
+    For finite q that is the integral of e^{rate q x} core^q (``powered``),
+    at q = inf the supremum of e^{rate x} core; either is one ``QuadPlan``
+    told the decay rate, which calls ``core(x, rows)`` at the points x of
+    the rows ``rows``.  ``row_kinks`` holds one kink per row (NaN for none).
+    """
+    if math.isinf(q):
+        return QuadPlan(lo, hi, ppd=ppd, kinks=kinks, row_kinks=row_kinks,
+                        exp_rate=rate).sup(
+            lambda x, rows: decay_product(rate * x, core(x, rows)))
+    return QuadPlan(lo, hi, ppd=ppd, kinks=kinks, row_kinks=row_kinks,
+                    exp_rate=rate * q).apply(powered(core, rate, q))
 
 
 def integral_log(fn, x_lo=-math.inf, x_hi=math.inf, *, ppd=DEFAULT_PPD, kinks=()):

@@ -149,7 +149,7 @@ def load_scenario(path: Path | str) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     try:
         obj = json.loads(text)

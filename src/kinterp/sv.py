@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergentIntegralError, RangeError
-from .quadrature import (DEFAULT_PPD, LogGrid, QuadPlan, QuadResult,
-                         decay_product, integral_log)
+from .quadrature import (DEFAULT_PPD, LogGrid, QuadResult, integral_log,
+                         norm_pow, powered)
 
 _DEFAULT_ENVELOPE_BUDGET = 64.0
 
@@ -156,21 +156,24 @@ def eval_sv_log(b: SVDescriptor, x) -> np.ndarray:
     return np.asarray(b.eval_log(np.asarray(x, dtype=float)), dtype=float)
 
 
-def shift_integral(b: SVDescriptor, qpow: float, x, c: float,
+def shift_integral(b: SVDescriptor, q: float, x, c: float,
                    side: str, ppd: int = DEFAULT_PPD) -> QuadResult:
-    """``∫ e^{c v} b(e^{x+v})^qpow dv`` over v < 0 (head) or v > 0 (tail).
+    """``||χ_side(v) e^{c v} b(e^{x+v})||_q`` over v < 0 (head) or v > 0
+    (tail), before the q-th root, for every q in (0, ∞]: ``∫ e^{c q v}
+    b(e^{x+v})^q dv`` for finite q, the supremum of e^{c v} b(e^{x+v}) at
+    q = inf.
 
     This is the shifted form of every weighted integral of a slowly varying
-    function used in the package; it stays numerically stable for |x| far
-    beyond the representable range of t = e^x.  For c = 0 the exponential
-    factor is absent and the integral is evaluated in absolute coordinates
-    w = x + v (resolving the weight's own scale around w = 0); for c != 0
-    relative coordinates keep the exponential factor centred where it
-    matters, and where it decays the far panels on which e^{c v} is exactly
-    0.0 are skipped.
+    function used in the package, by ``quadrature.norm_pow``; it stays
+    numerically stable for |x| far beyond the representable range of
+    t = e^x.  For c = 0 the exponential factor is absent and the norm is
+    taken in absolute coordinates w = x + v (resolving the weight's own
+    scale around w = 0); for c != 0 relative coordinates keep the
+    exponential factor centred where it matters, and where it decays the
+    far panels on which e^{c v} is exactly 0.0 are skipped.
 
-    ``x`` may be a float (returns floats) or an array (returns a QuadResult
-    of arrays of that shape, evaluated in batched passes).
+    ``x`` may be a float or an array; the QuadResult holds arrays of its
+    shape, evaluated in batched passes (floats for one point at finite q).
     """
     if side not in ("head", "tail"):
         raise ValueError("side must be 'head' or 'tail'")
@@ -180,36 +183,32 @@ def shift_integral(b: SVDescriptor, qpow: float, x, c: float,
 
     # per row, the weight's own kink w = 0 (at v = -x in relative coordinates)
     if c == 0.0:
-
-        def fn(w, rows):
-            with np.errstate(over="ignore", under="ignore"):
-                return eval_sv_log(b, w) ** qpow
-
         lo, hi = (-inf, flat) if side == "head" else (flat, inf)
         kinks = np.zeros(flat.shape)
+
+        def core(w, rows):
+            return eval_sv_log(b, w)
     else:
         zero = np.zeros(flat.shape)
         lo, hi = (-inf, zero) if side == "head" else (zero, inf)
-
-        def fn(v, rows):
-            with np.errstate(over="ignore"):
-                bq = eval_sv_log(b, flat[rows, None] + v) ** qpow
-            return decay_product(c * v, bq)
-
         kinks = -flat
 
-    if xs.ndim == 0:
+        def core(v, rows):
+            return eval_sv_log(b, flat[rows, None] + v)
+
+    if xs.ndim == 0 and not math.isinf(q):
         # one point: integral_log, the one-row case of the same rule.  It
         # skips no panel, but the skipped panels add exact zeros to a
         # left-to-right sum, so the value equals the batched one bit for
         # bit.  The branch exists because perfbench/spans.py counts
         # integral_log calls at this layer boundary.
         row = np.zeros(1, dtype=np.intp)
+        fn = powered(core, c, q)
         return integral_log(lambda v: fn(v[None], row)[0], float(lo[0]),
                             float(hi[0]), ppd=ppd,
                             kinks=tuple(kinks[np.isfinite(kinks)]))
-    return QuadPlan(lo.reshape(xs.shape), hi.reshape(xs.shape), ppd=ppd,
-                    row_kinks=kinks, exp_rate=c).apply(fn)
+    return norm_pow(lo.reshape(xs.shape), hi.reshape(xs.shape), core, c, q,
+                    ppd=ppd, row_kinks=kinks)
 
 
 def _check_t(t: float):

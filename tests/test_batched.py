@@ -15,14 +15,14 @@ import reference_quadrature as ref
 from kinterp import (BrokenLog, Constant, DecompositionSearch, ExpLogPow,
                      KProfile, LogGrid, PhiParam, Power, PrimitiveB, Product,
                      RangeError, StepFn, WeightedSeq, norm_head_u,
-                     norm_tail_char, norm_trunc_profile, params, phi_norm)
+                     norm_tail_char, norm_trunc_profile, phi_norm)
 from kinterp.couples import atoms
 from kinterp.conditions import check_C2, check_C3
 from kinterp.params import (full_norm_profile, full_norm_profiles,
                             head_factor, head_factors, min_factor,
                             tail_factor, tail_factors)
 from kinterp.quadrature import (GL_ORDER, LN10, QuadPlan, decay_product,
-                                integral_log, sup_log)
+                                integral_log, powered, sup_log)
 from kinterp.runner import bundled_scenario, run_scenario, run_suite
 from kinterp.scenario import scenario_from_json
 from kinterp.sv import eval_sv_log
@@ -52,9 +52,14 @@ def _reference_factor(p, side, x):
     """H or T at x by the scalar rule, as the factors were computed before
     batching (no panel skipped).  For q = inf that is one supremum search,
     told the decay rate (``test_sup_log_rate_keeps_short_searches`` pins it
-    to the search without it where |x| <= 50)."""
+    to the search without it where |x| <= 50); at c = 0, as for finite q,
+    over the absolute bounds (-inf, x) or (x, inf), anchored at w = 0."""
     c = 1.0 - p.theta if side == "head" else -p.theta
     lo, hi = (-math.inf, 0.0) if side == "head" else (0.0, math.inf)
+    if p.sup_norm and c == 0.0:
+        bounds = (-math.inf, x) if side == "head" else (x, math.inf)
+        return sup_log(p.b.eval_log, *bounds, ppd=p.ppd,
+                       anchors=(0.0,)).or_inf()
     if p.sup_norm:
         def fn(v):
             return decay_product(c * v, p.b.eval_log(x + v))
@@ -169,8 +174,8 @@ def test_trunc_norms_match_scalar_rule(theta, q):
     def form(k):
         return lambda x, rows: eval_sv_log(p.b, x) * k(x, rows)
 
-    slope = params._powered(p, form(profile.slope_log), 1.0 - theta)
-    value = params._powered(p, form(profile.value_log), -theta)
+    slope = powered(form(profile.slope_log), 1.0 - theta, q)
+    value = powered(form(profile.value_log), -theta, q)
     kinks = tuple(profile.log_kinks()) + (0.0,)
     ts = np.logspace(-6.0, 6.0, 13)
     heads = norm_trunc_profile(p, profile, "head", ts)

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinterp import (BrokenLog, Constant, ExpLogPow, KProfile, LogGrid,
-                     MembershipError, PhiParam, WeightedSeq, membership_min1, norm_head_u,
-                     norm_min, norm_tail_char, norm_trunc_profile, phi_norm)
-from kinterp.params import full_norm_profile, phi_from_json, phi_to_json
+                     MembershipError, PhiParam, Product, RangeError,
+                     WeightedSeq, membership_min1, norm_head_u, norm_min,
+                     norm_tail_char, norm_trunc_profile, phi_norm)
+from kinterp.params import (full_norm_profile, full_norm_profiles,
+                            head_factor, phi_from_json, phi_to_json,
+                            tail_factor)
 
 from helpers import simpson_log
 
@@ -61,6 +64,13 @@ class TestPhiNorm:
         n_lo = phi_norm(p, lambda u: np.minimum(u, lo))
         n_hi = phi_norm(p, lambda u: np.minimum(u, hi))
         assert n_lo <= n_hi * (1.0 + 1e-12)
+
+
+    def test_root_overflow_is_a_range_error(self):
+        # ||min(1, t)||^q is finite, its 4th power leaves double range
+        p = PhiParam(0.5, 0.25, Constant(1e306))
+        with pytest.raises(RangeError, match=r"phi: ‖·‖\^\(1/q\) left double"):
+            phi_norm(p, lambda t: np.minimum(1.0, t))
 
 
 class TestNormMin:
@@ -135,6 +145,43 @@ class TestHeadTail:
             assert 1.0 - 1e-9 <= ratio <= math.sqrt(2.0) + 1e-9
 
 
+def _sup_brokenlog(b, lo, hi):
+    """sup of (1 + |w|)^{a0 or aInf} over (lo, hi): +inf where a side with
+    an infinite bound grows, else the largest of its values at the finite
+    bounds and at the kink w = 0 (it is monotone on each side of 0)."""
+    if (lo == -math.inf and b.a0 > 0.0) or (hi == math.inf and b.a_inf > 0.0):
+        return math.inf
+    at = [w for w in (lo, hi) if math.isfinite(w)] + ([0.0] if lo < 0.0 < hi
+                                                       else [])
+    return max(float(b.eval_log(w)) for w in at)
+
+
+class TestSupFactorsFarOut:
+    """H and T at q = inf and rate 0 (theta = 1 and theta = 0), at
+    |x| = 1e12, against their closed forms."""
+
+    @pytest.mark.parametrize("factor, theta, b, x", [
+        ("tail", 0.0, BrokenLog(1.0, 2.0), -1e12),
+        ("tail", 0.0, BrokenLog(-1.0, 0.0), -1e12),
+        ("head", 1.0, BrokenLog(-0.5, -1.0), 1e12),
+        ("tail", 0.0, BrokenLog(-1.0, -0.5), 1e12),
+        ("head", 1.0, BrokenLog(2.0, -0.5), -1e12),
+    ])
+    def test_brokenlog(self, factor, theta, b, x):
+        p = PhiParam(theta, math.inf, b)
+        if factor == "head":
+            got, want = head_factor(p, x), _sup_brokenlog(b, -math.inf, x)
+        else:
+            got, want = tail_factor(p, x), _sup_brokenlog(b, x, math.inf)
+        assert got == pytest.approx(want, rel=1e-14)
+
+    def test_product(self):
+        # (1 + |w|)^-1 e^{-|w|^0.2} for w <= 0 and (1 + w)^0.5 e^{-w^0.2}
+        # for w > 0 are at most 1, the value at w = 0
+        b = Product(BrokenLog(-1.0, 0.5), ExpLogPow(0.2, -1))
+        assert head_factor(PhiParam(1.0, math.inf, b), 1e12) == 1.0
+
+
 class TestMembership:
     def test_examples(self):
         assert membership_min1(PhiParam(0.5, 2.0, Constant(1.0)))
@@ -168,6 +215,13 @@ class TestTruncProfile:
         assert norm_trunc_profile(P14, z, "head", 1.0) == 0.0
         assert norm_trunc_profile(P14, z, "tail", 1.0) == 0.0
         assert full_norm_profile(P14, z) == 0.0
+
+    def test_zero_row_under_an_infinite_weight_is_zero(self):
+        # b(u) = exp(|ln u|^0.9) overflows to +inf far out, where the zero
+        # row's K is 0: the integrand is 0 there, not 0 * inf = NaN
+        p = PhiParam(0.3, 1.0, ExpLogPow(0.9, 1))
+        rows = KProfile([1.0, 2.0], [[0.0, 0.0], [1.0, 1.0]])
+        assert full_norm_profiles(p, rows)[0] == 0.0
 
     def test_lattice_monotonicity(self):
         ts = LogGrid(1e-3, 1e3, 4).points()

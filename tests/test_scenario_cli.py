@@ -333,6 +333,23 @@ class TestSuite:
         assert by_name["bad"]["status"] == "error"
         assert (tmp_path / "out" / "good.summary.json").exists()
 
+    def test_non_utf8_scenario_isolated(self, tmp_path, capsys):
+        (tmp_path / "good.json").write_text(json.dumps(small_scenario("good")))
+        (tmp_path / "bad.json").write_bytes(b'\xff\xfe{"name": "bad"}')
+        with pytest.raises(ScenarioError, match="bad.json"):
+            load_scenario(tmp_path / "bad.json")
+        code = main(["suite", "--dir", str(tmp_path), "--out",
+                     str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        summary = json.loads((tmp_path / "out" / "suite-summary.json")
+                             .read_text(encoding="utf-8"))
+        by_name = {r["name"]: r for r in summary["scenarios"]}
+        assert by_name["good"]["status"] == "pass"
+        assert by_name["bad"]["status"] == "error"
+        assert "bad.json" in by_name["bad"]["error"]
+        assert (tmp_path / "out" / "good.summary.json").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_bad_name_isolated(self, tmp_path):
         scen = tmp_path / "scen"
         scen.mkdir()
@@ -431,6 +448,51 @@ class TestCli:
                      str(tmp_path / "out"), "--workers", "1"])
         assert code == 0
         assert "one: pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("target", ["missing", "file", "empty"])
+    def test_suite_dir_must_be_a_directory(self, tmp_path, capsys, target):
+        # an empty directory runs no scenario and exits 0
+        path = tmp_path / "x.json"
+        if target == "file":
+            path.write_text(json.dumps(small_scenario("x")))
+        elif target == "empty":
+            path.mkdir()
+        code = main(["suite", "--dir", str(path), "--out",
+                     str(tmp_path / "out")])
+        if target == "empty":
+            assert code == EXIT_OK
+            assert "0 scenario(s), exit 0" in capsys.readouterr().out
+        else:
+            assert code == EXIT_VALIDATION
+            assert "--dir" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    def test_sv_check_directory_is_named(self, tmp_path, capsys):
+        code = main(["sv-check", "--b", str(tmp_path), "--eps", "0.5"])
+        assert code == EXIT_VALIDATION
+        assert "--b" in capsys.readouterr().err
+
+    def test_sv_check_non_utf8_file_is_named(self, tmp_path, capsys):
+        path = tmp_path / "b.json"
+        path.write_bytes(b'\xff{"kind": "Constant", "c": 1}')
+        code = main(["sv-check", "--b", str(path), "--eps", "0.5"])
+        assert code == EXIT_VALIDATION
+        assert "--b" in capsys.readouterr().err
+
+    def test_sv_check_reads_a_file_and_a_long_inline_object(self, tmp_path,
+                                                            capsys):
+        # an inline object longer than a file name is not taken for a path
+        b = {"kind": "Constant", "c": 1}
+        for _ in range(8):
+            b = {"kind": "Product", "left": b,
+                 "right": {"kind": "Constant", "c": 1}}
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(b), encoding="utf-8")
+        assert len(json.dumps(b)) > 255
+        for arg in (str(path), json.dumps(b)):
+            assert main(["sv-check", "--b", arg, "--eps", "0.5",
+                         "--ppd", "2"]) == 0
+            assert json.loads(capsys.readouterr().out)["passed"] is True
 
     def test_sv_check(self, capsys):
         code = main(["sv-check", "--b",

@@ -45,7 +45,7 @@ def nodes():
 
 
 def _rule(p, xs, side, ppd):
-    c = (1.0 - p.theta) * p.q if side == "head" else -p.theta * p.q
+    c = 1.0 - p.theta if side == "head" else -p.theta
     return shift_integral(p.b, p.q, xs, c, side, ppd)
 
 
