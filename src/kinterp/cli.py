@@ -50,6 +50,17 @@ def _budget(cmax: float) -> float:
     return cmax
 
 
+def _out_dir(path: Path) -> Path:
+    """``--out``, created if missing; ScenarioError naming the flag where it
+    cannot be a directory (an existing file, say)."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"--out: cannot create the directory {path}: "
+                            f"{exc.strerror or exc}") from exc
+    return path
+
+
 def _apply_overrides(sc, args):
     budget = sc.budget if args.cmax is None else _budget(args.cmax)
     return replace(sc, grid=_grid(args, sc.grid), budget=budget)
@@ -113,14 +124,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             sc = _apply_overrides(load_scenario(args.scenario), args)
-            result = run_scenario(sc, args.out)
+            result = run_scenario(sc, _out_dir(args.out))
             _print_result(result)
             return result.exit_code
 
         if args.command == "suite":
             if not args.dir.is_dir():
                 raise ScenarioError(f"--dir: not a directory: {args.dir}")
-            summary, code = run_suite(args.dir, args.out,
+            summary, code = run_suite(args.dir, _out_dir(args.out),
                                       workers=args.workers)
             for row in summary["scenarios"]:
                 print(f"{row['name']}: {row['status']}")
@@ -132,7 +143,8 @@ def main(argv=None) -> int:
             only = None
             if args.only:
                 only = tuple(s.strip() for s in args.only.split(",") if s.strip())
-            result = run_scenario(sc, args.out, checks_only=only or sc.checks)
+            result = run_scenario(sc, _out_dir(args.out),
+                                  checks_only=only or sc.checks)
             _print_result(result)
             return result.exit_code
 

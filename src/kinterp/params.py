@@ -12,12 +12,15 @@ factored as an exact power of t times a slowly varying factor,
     ||χ_(t,∞)||          = t^{-theta}  * T(ln t)
     ||min(u, t)||        = t^{1-theta} * M(ln t)
 
-with H, T, M computed by shifted quadrature that stays finite for |ln t| far
-beyond the representable range of t — the nested condition checks probe that
-deep.  At the endpoints the min-norm uses its dominated representative form
-(M = T at theta = 0, M = H at theta = 1), which matches the full norm up to
-a constant controlled by slow variation and makes the canonical weight take
-its endpoint-ratio shape exactly.  The full two-sided quadrature remains
+with H, T, M computed by ``sv.shift_integral``, which stays finite for |ln t|
+far beyond the representable range of t — the nested condition checks probe
+that deep.  At rate 0 (H at theta = 1, T at theta = 0) a weight made of
+Constant, BrokenLog, Product and Power nodes takes the exact closed form of
+``sv.rate0_integral``, divergence included; every other factor is shifted
+quadrature.  At the endpoints the min-norm uses its dominated representative
+form (M = T at theta = 0, M = H at theta = 1), which matches the full norm
+up to a constant controlled by slow variation and makes the canonical weight
+take its endpoint-ratio shape exactly.  The full two-sided quadrature remains
 available through ``norm_head_u``/``norm_tail_char``.
 
 Every norm here is ||χ_[lo,hi] e^{c x} g|| of some core g, and

@@ -156,6 +156,85 @@ def eval_sv_log(b: SVDescriptor, x) -> np.ndarray:
     return np.asarray(b.eval_log(np.asarray(x, dtype=float)), dtype=float)
 
 
+def log_power_form(b: SVDescriptor):
+    """(C, a0, aInf) with b(e^w) = C (1 + |w|)^{a0 for w <= 0, aInf for
+    w > 0} for a tree of Constant, BrokenLog, Product and Power nodes
+    (products add the exponents, powers scale them); None for any other
+    descriptor, or where C or an exponent leaves double range."""
+    if isinstance(b, Constant):
+        form = (b.c, 0.0, 0.0)
+    elif isinstance(b, BrokenLog):
+        form = (1.0, b.a0, b.a_inf)
+    elif isinstance(b, Product):
+        left, right = log_power_form(b.left), log_power_form(b.right)
+        if left is None or right is None:
+            return None
+        form = (left[0] * right[0], left[1] + right[1], left[2] + right[2])
+    elif isinstance(b, Power):
+        base = log_power_form(b.base)
+        if base is None:
+            return None
+        with np.errstate(over="ignore", under="ignore"):
+            form = (float(np.power(base[0], b.r)), base[1] * b.r,
+                    base[2] * b.r)
+    else:
+        return None
+    c, a0, a_inf = form
+    ok = 0.0 < c < math.inf and math.isfinite(a0) and math.isfinite(a_inf)
+    return form if ok else None
+
+
+def rate0_integral(b: SVDescriptor, q: float, x, side: str):
+    """``shift_integral`` at c = 0 in closed form for a weight with a
+    ``log_power_form``, for every q in (0, ∞]; None for any other weight,
+    or where C^q leaves double range.
+
+    With A = a q, b^q = C^q (1 + |w|)^A, and its tail from x is
+    C^q (1 + x)^{A∞+1} / (-A∞-1) for x >= 0 and
+    C^q ([(1 - x)^{A0+1} - 1] / (A0+1) + 1 / (-A∞-1)) for x < 0, with
+    ln(1 - x) as the first term at A0 = -1; it is +inf, flagged divergent,
+    exactly when A∞ >= -1.  At q = inf the supremum over [x, ∞) is the
+    larger of b at x and, for x < 0, at the kink w = 0; +inf, flagged,
+    when aInf > 0.  The head mirrors the tail (w -> -w swaps a0 and aInf).
+    A finite value beyond double range reads +inf, unflagged.
+    """
+    form = log_power_form(b)
+    if form is None:
+        return None
+    c, a0, a_inf = form
+    xs = np.asarray(x, dtype=float)
+    # contiguous and 1-d, so that numpy takes one path for every batch
+    w = xs.ravel()
+    if side == "head":
+        w, a0, a_inf = -w, a_inf, a0
+    right, base = w >= 0.0, 1.0 + np.abs(w)
+    sup = math.isinf(q)
+    with np.errstate(over="ignore", under="ignore"):
+        scale = c if sup else float(np.power(c, q))
+        if not 0.0 < scale < math.inf:
+            return None
+        s0, s_inf = (a0, a_inf) if sup else (a0 * q + 1.0, a_inf * q + 1.0)
+        diverged = s_inf > 0.0 if sup else s_inf >= 0.0
+        if diverged:
+            value = np.full(w.shape, math.inf)
+        elif sup:
+            value = c * np.where(right, base ** a_inf,
+                                 np.maximum(base ** a0, 1.0))
+        else:
+            # [(1 - x)^s0 - 1] / s0 for x < 0, and its limit ln(1 - x) at
+            # s0 = 0; expm1 where the power is near 1, the power itself
+            # (rounded once) where it is large
+            ln1 = np.log1p(np.abs(w))
+            near = (np.where(s0 * ln1 > 1.0, base ** s0 - 1.0,
+                             np.expm1(s0 * ln1)) / s0 if s0 != 0.0 else ln1)
+            value = scale * np.where(right, base ** s_inf / -s_inf,
+                                     near + 1.0 / -s_inf)
+    value = value.reshape(xs.shape)
+    if xs.ndim == 0:
+        return QuadResult(float(value), bool(diverged))
+    return QuadResult(value, np.full(xs.shape, diverged))
+
+
 def shift_integral(b: SVDescriptor, q: float, x, c: float,
                    side: str, ppd: int = DEFAULT_PPD) -> QuadResult:
     """``||χ_side(v) e^{c v} b(e^{x+v})||_q`` over v < 0 (head) or v > 0
@@ -164,19 +243,28 @@ def shift_integral(b: SVDescriptor, q: float, x, c: float,
     q = inf.
 
     This is the shifted form of every weighted integral of a slowly varying
-    function used in the package, by ``quadrature.norm_pow``; it stays
-    numerically stable for |x| far beyond the representable range of
-    t = e^x.  For c = 0 the exponential factor is absent and the norm is
-    taken in absolute coordinates w = x + v (resolving the weight's own
-    scale around w = 0); for c != 0 relative coordinates keep the
-    exponential factor centred where it matters, and where it decays the
-    far panels on which e^{c v} is exactly 0.0 are skipped.
+    function used in the package.  At c = 0 (H at theta = 1, T at
+    theta = 0, their endpoint M, and B and B~) a weight made of Constant,
+    BrokenLog, Product and Power nodes takes the exact value and divergence
+    flag of ``rate0_integral``.  Every other norm is taken by
+    ``quadrature.norm_pow``, which stays numerically stable for |x| far
+    beyond the representable range of t = e^x.  For c = 0 the exponential
+    factor is absent and the norm is taken in absolute coordinates
+    w = x + v (resolving the weight's own scale around w = 0); for c != 0
+    relative coordinates keep the exponential factor centred where it
+    matters, and where it decays the far panels on which e^{c v} is
+    exactly 0.0 are skipped.
 
     ``x`` may be a float or an array; the QuadResult holds arrays of its
-    shape, evaluated in batched passes (floats for one point at finite q).
+    shape, evaluated in batched passes (floats for one point at finite q,
+    and for one point in closed form).
     """
     if side not in ("head", "tail"):
         raise ValueError("side must be 'head' or 'tail'")
+    if c == 0.0:
+        exact = rate0_integral(b, q, x, side)
+        if exact is not None:
+            return exact
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
     inf = np.full(flat.shape, math.inf)
@@ -369,7 +457,8 @@ def sv_to_json(b: SVDescriptor) -> dict:
 
 def sv_from_json(obj: dict, path: str = "b") -> SVDescriptor:
     """Parse a descriptor from its JSON expression tree; a ValueError names
-    the field at fault by its full path, ``path`` and below."""
+    the field at fault by its full path, ``path`` and below, also for a
+    primitive whose base does not converge."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"{path}: expected an object with a 'kind' field")
     kind = obj["kind"]
@@ -397,7 +486,7 @@ def sv_from_json(obj: dict, path: str = "b") -> SVDescriptor:
             return PrimitiveBTilde(sv_from_json(obj["base"], path + ".base"))
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DivergentIntegralError) as exc:
         # a nested descriptor's message already names its own path
         msg = str(exc)
         if not msg.startswith(path + "."):

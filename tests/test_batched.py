@@ -83,9 +83,14 @@ def _reference_factor(p, side, x):
         return float(np.float64(r.value) ** (1.0 / p.q))
 
 
-def _assert_matches_reference(p, xs):
+def _assert_matches_reference(p, xs, exact=None):
+    """``exact`` maps (side, x) to a closed form that replaces the rule's
+    value at a point where the rule is wrong."""
+    exact = exact or {}
     for side, batched in (("head", head_factors), ("tail", tail_factors)):
-        want = np.array([_reference_factor(p, side, float(x)) for x in xs])
+        want = np.array([exact[side, x] if (side, x) in exact
+                         else _reference_factor(p, side, x)
+                         for x in xs.tolist()])
         finite_root = np.isfinite(want)
         try:
             got = batched(p, xs)
@@ -98,13 +103,22 @@ def _assert_matches_reference(p, xs):
                                    rtol=REL, atol=0.0, err_msg=side)
 
 
+# H of BrokenLog(-1, -0.5) at theta = 1, q = 2 is exact (sv.rate0_integral);
+# at |x| = 1e12 the rule reads +inf and 7.07e-7.  H^2 is ∫_{w<x} b^2 =
+# 1/(1 - x) for x <= 0, and 1 + ln(1 + x) for x > 0.
+_RULE_WRONG = {(1.0, 2.0, "brokenlog-edge"): {
+    ("head", 1e12): math.sqrt(1.0 + math.log1p(1e12)),
+    ("head", -1e12): 1.0 / math.sqrt(1.0 + 1e12)}}
+
+
 @pytest.mark.parametrize("weight", sorted(WEIGHTS))
 @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, math.inf])
 @pytest.mark.parametrize("theta", [0.0, 1e-3, 0.25, 0.75, 1.0])
 def test_factors_match_scalar_rule(theta, q, weight):
     # q = inf: the reference is sup_log, the one-row case of QuadPlan.sup;
     # the far nodes are spaced in ln|x|, so its cost does not grow with |x|
-    _assert_matches_reference(PhiParam(theta, q, WEIGHTS[weight](q)), XS)
+    _assert_matches_reference(PhiParam(theta, q, WEIGHTS[weight](q)), XS,
+                              _RULE_WRONG.get((theta, q, weight)))
 
 
 @pytest.mark.parametrize("weight", sorted(WEIGHTS))

@@ -202,6 +202,15 @@ class TestScenarioParsing:
         ({"kind": "Power", "base": {"kind": "Constant", "c": -1}, "r": 2},
          "phi0.b.base: Constant requires 0 < c < inf"),
         ({"kind": "BrokenLog", "a0": 1}, "phi0.b: missing field 'aInf'"),
+        # a primitive whose base does not converge, also nested
+        ({"kind": "PrimitiveB",
+          "base": {"kind": "BrokenLog", "a0": -0.5, "aInf": 0}},
+         "phi0.b: PrimitiveB requires a convergent integral of b near 0"),
+        ({"kind": "Product", "left": {"kind": "Constant", "c": 1},
+          "right": {"kind": "PrimitiveBTilde",
+                    "base": {"kind": "BrokenLog", "a0": 0, "aInf": -1}}},
+         "phi0.b.right: PrimitiveBTilde requires a convergent integral of b "
+         "near inf"),
     ])
     def test_descriptor_error_names_its_path_once(self, b, message):
         with pytest.raises(ScenarioError) as err:
@@ -350,6 +359,24 @@ class TestSuite:
         assert (tmp_path / "out" / "good.summary.json").exists()
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_divergent_primitive_isolated(self, tmp_path, capsys):
+        (tmp_path / "good.json").write_text(json.dumps(small_scenario("good")))
+        (tmp_path / "bad.json").write_text(json.dumps(small_scenario(
+            "bad", phi0={"theta": 0.25, "q": 1, "b": {
+                "kind": "PrimitiveB",
+                "base": {"kind": "BrokenLog", "a0": -0.5, "aInf": 0}}})))
+        code = main(["suite", "--dir", str(tmp_path), "--out",
+                     str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        summary = json.loads((tmp_path / "out" / "suite-summary.json")
+                             .read_text(encoding="utf-8"))
+        by_name = {r["name"]: r for r in summary["scenarios"]}
+        assert by_name["good"]["status"] == "pass"
+        assert by_name["bad"]["status"] == "error"
+        assert by_name["bad"]["error"].startswith("phi0.b: PrimitiveB")
+        assert (tmp_path / "out" / "good.summary.json").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_bad_name_isolated(self, tmp_path):
         scen = tmp_path / "scen"
         scen.mkdir()
@@ -466,6 +493,20 @@ class TestCli:
             assert code == EXIT_VALIDATION
             assert "--dir" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "conditions", "suite"])
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_must_be_a_directory(self, tmp_path, capsys, command, out):
+        p = tmp_path / "sc.json"
+        p.write_text(json.dumps(small_scenario("outx")))
+        (tmp_path / "afile").write_text("")
+        where = ["--dir", str(tmp_path)] if command == "suite" \
+            else ["--scenario", str(p)]
+        code = main([command, *where, "--out", str(tmp_path / out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out: ") and "Traceback" not in err
+        assert (tmp_path / "afile").read_text() == ""
 
     def test_sv_check_directory_is_named(self, tmp_path, capsys):
         code = main(["sv-check", "--b", str(tmp_path), "--eps", "0.5"])
