@@ -9,29 +9,25 @@ K-interpolation spaces through the base couple's K-profile.
 
 from .conditions import (CONDITION_IDS, DEFAULT_BUDGET, ConditionReport,
                          check_C1, check_C2, check_C3, check_C4,
-                         check_sv_sufficient, rho_canonical)
+                         check_sv_sufficient)
 from .couples import (KProfile, StepFn, ValidationReport, WeightedSeq,
-                      element_from_json, element_to_json, k_oracle_bruteforce,
-                      k_step_l1_linf, k_weighted_l1, optimal_split,
-                      validate_kprofile)
-from .errors import (DivergentIntegralError, EmptyCandidateError, GuardError,
+                      element_from_json, element_to_json, k_step_l1_linf,
+                      k_weighted_l1, validate_kprofile)
+from .errors import (DivergentIntegralError, EmptyCandidateError,
                      InvariantViolation, KinterpError, MembershipError,
                      RangeError, ScenarioError)
 from .estimates import (DecompositionSearch, EquivalenceReport, VariantResult,
-                        classical_rhs, equivalence_report, lhs_outer_k,
-                        rhs_four_term, rhs_three_term, rhs_two_term)
+                        classical_rhs, equivalence_report)
 from .params import (PhiParam, full_norm_profile, membership_min1,
-                     norm_head_u, norm_min, norm_tail_char,
-                     norm_trunc_profile, phi_from_json, phi_norm, phi_to_json)
+                     norm_head_u, norm_tail_char, norm_trunc_profile,
+                     phi_from_json, phi_norm, phi_to_json)
 from .quadrature import LogGrid, QuadResult, integral_log, sup_log
 from .runner import (ScenarioResult, bundled_scenario, bundled_scenario_dir,
                      run_scenario, run_suite)
 from .scenario import Scenario, load_scenario, scenario_from_json
 from .sv import (BrokenLog, Constant, EnvelopeReport, ExpLogPow, Power,
                  PrimitiveB, PrimitiveBTilde, Product, SVDescriptor,
-                 check_sv_envelope, eval_sv, integral_B, integral_BTilde,
-                 power_integral_lower, power_integral_upper, sv_from_json,
-                 sv_to_json)
+                 check_sv_envelope, sv_from_json, sv_to_json)
 
 __version__ = "0.1.0"
 
@@ -39,20 +35,18 @@ __all__ = [
     "BrokenLog", "CONDITION_IDS", "Constant", "ConditionReport",
     "DEFAULT_BUDGET", "DecompositionSearch", "DivergentIntegralError",
     "EmptyCandidateError", "EnvelopeReport", "EquivalenceReport",
-    "ExpLogPow", "GuardError", "InvariantViolation", "KProfile",
-    "KinterpError", "LogGrid", "MembershipError", "PhiParam", "Power",
-    "PrimitiveB", "PrimitiveBTilde", "Product", "QuadResult", "RangeError",
-    "SVDescriptor", "Scenario", "ScenarioError", "ScenarioResult", "StepFn",
-    "ValidationReport", "VariantResult", "WeightedSeq", "bundled_scenario",
-    "bundled_scenario_dir", "check_C1", "check_C2", "check_C3", "check_C4",
-    "check_sv_envelope", "check_sv_sufficient", "classical_rhs",
-    "element_from_json", "element_to_json", "equivalence_report", "eval_sv",
-    "full_norm_profile", "integral_B", "integral_BTilde", "integral_log",
-    "k_oracle_bruteforce", "k_step_l1_linf", "k_weighted_l1", "lhs_outer_k",
-    "load_scenario", "membership_min1", "norm_head_u", "norm_min",
-    "norm_tail_char", "norm_trunc_profile", "optimal_split", "phi_from_json",
-    "phi_norm", "phi_to_json", "power_integral_lower", "power_integral_upper",
-    "rho_canonical", "rhs_four_term", "rhs_three_term", "rhs_two_term",
-    "run_scenario", "run_suite", "scenario_from_json", "sup_log",
-    "sv_from_json", "sv_to_json", "validate_kprofile",
+    "ExpLogPow", "InvariantViolation", "KProfile", "KinterpError",
+    "LogGrid", "MembershipError", "PhiParam", "Power", "PrimitiveB",
+    "PrimitiveBTilde", "Product", "QuadResult", "RangeError",
+    "SVDescriptor", "Scenario", "ScenarioError", "ScenarioResult",
+    "StepFn", "ValidationReport", "VariantResult", "WeightedSeq",
+    "bundled_scenario", "bundled_scenario_dir", "check_C1", "check_C2",
+    "check_C3", "check_C4", "check_sv_envelope", "check_sv_sufficient",
+    "classical_rhs", "element_from_json", "element_to_json",
+    "equivalence_report", "full_norm_profile", "integral_log",
+    "k_step_l1_linf", "k_weighted_l1", "load_scenario", "membership_min1",
+    "norm_head_u", "norm_tail_char", "norm_trunc_profile", "phi_from_json",
+    "phi_norm", "phi_to_json", "run_scenario", "run_suite",
+    "scenario_from_json", "sup_log", "sv_from_json", "sv_to_json",
+    "validate_kprofile",
 ]

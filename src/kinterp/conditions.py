@@ -37,15 +37,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergentIntegralError, ScenarioError
-from .params import (PhiParam, head_factors, min_factor, min_factors,
-                     qth_root, require_membership, swept_min_factors,
-                     tail_factors)
+from .params import (PhiParam, head_factors, min_factors, qth_root,
+                     require_membership, swept_min_factors, tail_factors)
 from .quadrature import LogGrid, QuadPlan, distinct, norm_pow, powered
 from .sv import eval_sv_log, shift_integral
 
 # Bound here though this module calls none of them: perfbench/spans.py
 # wraps these names at this layer boundary and reports a missing one.
-from .params import head_factor, tail_factor  # noqa: E402,F401
+from .params import head_factor, min_factor, tail_factor  # noqa: E402,F401
 from .quadrature import integral_log, sup_log  # noqa: E402,F401
 
 DEFAULT_BUDGET = 64.0
@@ -126,17 +125,6 @@ def _finish(condition_id, grid, ts, lhs, rhs, budget, meta=None):
     return ConditionReport(condition_id=condition_id, t=ts, lhs=lhs, rhs=rhs,
                            ratio=ratio, sup_ratio=sup, budget=float(budget),
                            verdict=verdict, grid=grid, meta=meta or {})
-
-
-def rho_canonical(p0: PhiParam, p1: PhiParam, t: float) -> float:
-    """rho(t) = ||min(u,t)||_0 / ||min(u,t)||_1 (both memberships required)."""
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    require_membership(p0)
-    require_membership(p1)
-    x = math.log(t)
-    return (math.exp((p1.theta - p0.theta) * x)
-            * min_factor(p0, x) / min_factor(p1, x))
 
 
 def rho_table(p0: PhiParam, p1: PhiParam, grid: LogGrid) -> np.ndarray:

@@ -14,8 +14,7 @@ element's profile is ``coeffs @ basis`` over its atoms (``atoms``), and a
 candidate decomposition f = f0 + f1 over the same atoms is one more row, so
 a batch of candidates is one ``KProfile``.  The profiles are exact, so
 downstream equivalence tests measure formula error rather than
-K-computation error.  A brute-force split-grid oracle over coordinate-wise
-decompositions double-checks the weighted-ℓ¹ closed form.
+K-computation error.
 """
 
 from __future__ import annotations
@@ -25,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuardError, InvariantViolation
+from .errors import InvariantViolation
 from .quadrature import LogGrid, distinct
 
-_ORACLE_MAX_N = 8
 #: slack of validate_kprofile: absolute for K >= 0, relative for the orders
 _PROFILE_RTOL = 1e-12
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
@@ -112,39 +110,6 @@ def k_step_l1_linf(e: StepFn, t: float) -> float:
         prev = cum[idx - 1] if idx > 0 else 0.0
         k += values[idx] * (t - prev)
     return k
-
-
-def k_oracle_bruteforce(e: WeightedSeq, t: float, steps: int) -> float:
-    """Grid-search the decomposition infimum over coordinate-wise splits.
-
-    Minimizes ||f0||_{ℓ¹(w0)} + t ||f1||_{ℓ¹(w1)} over f0_i = a_i c_i with
-    each a_i on a uniform grid in [0, 1].  The objective is separable in the
-    a_i, so scanning each coordinate's grid exhaustively yields exactly the
-    minimum over the full cartesian grid while staying feasible for n = 8.
-    """
-    if e.n > _ORACLE_MAX_N:
-        raise GuardError(f"brute-force oracle limited to n <= {_ORACLE_MAX_N}")
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    alphas = np.linspace(0.0, 1.0, steps)
-    mins = np.empty(e.n)
-    for i in range(e.n):
-        ci = abs(e.coeffs[i])
-        costs = alphas * (ci * e.w0[i]) + t * ((1.0 - alphas) * (ci * e.w1[i]))
-        mins[i] = costs.min()
-    return float(np.sum(mins))
-
-
-def optimal_split(e: WeightedSeq, s: float):
-    """Decomposition attaining k_weighted_l1(e, s): keep cheap-in-A0 coordinates."""
-    if not s > 0.0:
-        raise ValueError("s must be positive")
-    keep = [w0 <= s * w1 for w0, w1 in zip(e.w0, e.w1)]
-    f0 = tuple(c if k else 0.0 for c, k in zip(e.coeffs, keep))
-    f1 = tuple(0.0 if k else c for c, k in zip(e.coeffs, keep))
-    return (WeightedSeq(f0, e.w0, e.w1), WeightedSeq(f1, e.w0, e.w1))
 
 
 @dataclass(frozen=True, eq=False)

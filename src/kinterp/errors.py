@@ -17,10 +17,6 @@ class MembershipError(KinterpError):
     """min(1, t) does not belong to the requested function-norm space."""
 
 
-class GuardError(KinterpError):
-    """A combinatorial guard was violated (problem too large for the oracle)."""
-
-
 class InvariantViolation(KinterpError):
     """A profile or report failed a structural invariant check."""
 

@@ -48,24 +48,19 @@ VARIANTS = ("lemma", "thm_i", "thm_ii", "classical")
 _SPLIT_GRID_MAX_N = 6
 
 
-def _terms(p0: PhiParam, p1: PhiParam, rho_t, profile: KProfile, t):
-    """The four building blocks shared by all right-hand sides.
-
-    ``rho_t`` and ``t`` may be floats or arrays of one shape; each term is
-    evaluated for all of them in one batched call per parameter.  ``t`` may
-    also be a LogGrid: then the c and d terms read the T0 and H1 that the
-    parameters keep on it.
+def _terms(p0: PhiParam, p1: PhiParam, rho_t, profile: KProfile,
+           grid: LogGrid):
+    """The four building blocks shared by all right-hand sides, at every
+    point of the grid, with ``rho_t`` a float or an array over it.  Each term
+    is one batched call per parameter; the c and d terms read the T0 and H1
+    that the parameters keep on the grid.
     """
-    if isinstance(t, LogGrid):
-        xs, ts = t.log_points(), t.points()
-    else:
-        ts = np.asarray(t, dtype=float)
-        xs = np.log(ts)
+    xs, ts = grid.log_points(), grid.points()
     k_t = np.asarray(profile.value_log(xs), dtype=float)
     a = norm_trunc_profile(p0, profile, "head", ts)
     b = rho_t * norm_trunc_profile(p1, profile, "tail", ts)
-    c = norm_tail_char(p0, t) * k_t
-    d = rho_t * norm_head_u(p1, t) * k_t / ts
+    c = norm_tail_char(p0, grid) * k_t
+    d = rho_t * norm_head_u(p1, grid) * k_t / ts
     return a, b, c, d
 
 
@@ -74,18 +69,6 @@ def _variant_sums(a, b, c, d) -> dict:
     extends the previous one, so four >= three >= two holds exactly."""
     two = a + b
     return {"lemma": (two + c) + d, "thm_i": two + c, "thm_ii": two}
-
-
-def rhs_two_term(p0, p1, rho_t, profile, t) -> float:
-    return _variant_sums(*_terms(p0, p1, rho_t, profile, t))["thm_ii"]
-
-
-def rhs_three_term(p0, p1, rho_t, profile, t) -> float:
-    return _variant_sums(*_terms(p0, p1, rho_t, profile, t))["thm_i"]
-
-
-def rhs_four_term(p0, p1, rho_t, profile, t) -> float:
-    return _variant_sums(*_terms(p0, p1, rho_t, profile, t))["lemma"]
 
 
 def classical_rhs(theta0: float, q0: float, theta1: float, q1: float,
@@ -172,12 +155,6 @@ def _level_rows(values: np.ndarray) -> np.ndarray:
     levels = np.array(sorted(set(values.tolist())) + [0.0])
     return np.vstack([np.maximum(values - levels[:, None], 0.0),
                       np.zeros(values.size)])
-
-
-def lhs_outer_k(p0: PhiParam, p1: PhiParam, element, sigma: float, *,
-                grid: LogGrid = LogGrid()) -> float:
-    """One-shot upper bound on K(sigma, f; A_Phi0, A_Phi1)."""
-    return DecompositionSearch(p0, p1, element, grid).lhs(sigma)
 
 
 @dataclass(frozen=True, eq=False)

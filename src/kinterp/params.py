@@ -289,15 +289,6 @@ def _positive(t) -> np.ndarray:
     return ts
 
 
-def norm_min(p: PhiParam, t: float) -> float:
-    """||min(u, t)||; requires min(1, u) to be a member of the space."""
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    require_membership(p)
-    x = math.log(t)
-    return math.exp((1.0 - p.theta) * x) * min_factor(p, x)
-
-
 def phi_norm(p: PhiParam, g, support=(0.0, math.inf)) -> float:
     """Quasi-norm of a nonnegative function given as a vectorized callable of t.
 

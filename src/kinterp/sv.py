@@ -299,62 +299,6 @@ def shift_integral(b: SVDescriptor, q: float, x, c: float,
                     ppd=ppd, row_kinks=kinks)
 
 
-def _check_t(t: float):
-    if not (isinstance(t, (int, float)) and 0.0 < t < math.inf):
-        raise ValueError(f"t must be a positive finite real, got {t!r}")
-
-
-def eval_sv(b: SVDescriptor, t: float) -> float:
-    """b(t) for t > 0; raises RangeError on overflow to +inf or underflow to 0."""
-    _check_t(t)
-    v = float(eval_sv_log(b, math.log(t)))
-    if not (0.0 < v < math.inf) or math.isnan(v):
-        raise RangeError(f"b(t) left the representable positive range at t={t!r}")
-    return v
-
-
-def integral_B(b: SVDescriptor, t: float) -> float:
-    """B(t) = ∫_0^t b(s) ds/s."""
-    _check_t(t)
-    r = shift_integral(b, 1.0, math.log(t), 0.0, "head")
-    if r.diverged:
-        raise DivergentIntegralError("∫_0^t b(s) ds/s diverges")
-    return r.value
-
-
-def integral_BTilde(b: SVDescriptor, t: float) -> float:
-    """B~(t) = ∫_t^∞ b(s) ds/s."""
-    _check_t(t)
-    r = shift_integral(b, 1.0, math.log(t), 0.0, "tail")
-    if r.diverged:
-        raise DivergentIntegralError("∫_t^∞ b(s) ds/s diverges")
-    return r.value
-
-
-def power_integral_lower(b: SVDescriptor, alpha: float, t: float) -> float:
-    """∫_0^t s^alpha b(s) ds/s, alpha > 0 (compares against t^alpha b(t))."""
-    _check_t(t)
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
-    r = shift_integral(b, 1.0, math.log(t), alpha, "head")
-    v = t ** alpha * r.value
-    if r.diverged or not (0.0 <= v < math.inf):
-        raise RangeError("power integral left the representable range")
-    return v
-
-
-def power_integral_upper(b: SVDescriptor, alpha: float, t: float) -> float:
-    """∫_t^∞ s^{-alpha} b(s) ds/s, alpha > 0 (compares against t^{-alpha} b(t))."""
-    _check_t(t)
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
-    r = shift_integral(b, 1.0, math.log(t), -alpha, "tail")
-    v = t ** (-alpha) * r.value
-    if r.diverged or not (0.0 <= v < math.inf):
-        raise RangeError("power integral left the representable range")
-    return v
-
-
 @dataclass(frozen=True, eq=False)
 class EnvelopeReport:
     """Monotone-envelope equivalence scan of t^{±eps} b(t) over a grid.

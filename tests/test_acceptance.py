@@ -10,14 +10,17 @@ import time
 import numpy as np
 import pytest
 
-from kinterp import (BrokenLog, Constant, ExpLogPow, LogGrid, PhiParam, Power,
-                     Product, WeightedSeq, check_C1, check_C2, check_C3,
-                     check_C4, check_sv_sufficient, eval_sv,
-                     k_oracle_bruteforce, k_weighted_l1,
-                     lhs_outer_k, membership_min1, norm_head_u, norm_min,
-                     norm_tail_char, power_integral_lower, power_integral_upper,
-                     rho_canonical)
+from kinterp import (BrokenLog, Constant, DecompositionSearch, ExpLogPow,
+                     LogGrid, PhiParam, Power, Product, WeightedSeq, check_C1,
+                     check_C2, check_C3, check_C4, check_sv_sufficient,
+                     k_weighted_l1, membership_min1, norm_head_u,
+                     norm_tail_char)
+from kinterp.conditions import rho_table
+from kinterp.params import min_factors
 from kinterp.runner import bundled_scenario, run_scenario
+from kinterp.sv import eval_sv_log, shift_integral
+
+from helpers import k_oracle_bruteforce
 
 BL22 = BrokenLog(-2.0, -2.0)
 BL44 = BrokenLog(-4.0, -4.0)
@@ -52,23 +55,26 @@ def test_criterion_1_sv_calculus_brackets():
         Power(BrokenLog(3.0, -1.0), 0.5),
     ]
     grid = LogGrid(1e-6, 1e6, 8)
-    ts = grid.points()
+    ts, xs = grid.points(), grid.log_points()
     worst = 0.0
+    # ∫_0^t s^a b(s) ds/s = t^a [head shift integral at rate a], and
+    # ∫_t^∞ s^-a b(s) ds/s = t^-a [tail shift integral at rate -a]
     for b in weights:
+        bv = eval_sv_log(b, xs)
         for alpha in (0.25, 1.0, 2.0):
-            lower = np.array([power_integral_lower(b, alpha, float(t))
-                              for t in ts])
-            upper = np.array([power_integral_upper(b, alpha, float(t))
-                              for t in ts])
-            bv = np.array([eval_sv(b, float(t)) for t in ts])
+            head = shift_integral(b, 1.0, xs, alpha, "head")
+            tail = shift_integral(b, 1.0, xs, -alpha, "tail")
+            if head.diverged.any() or tail.diverged.any():
+                _verdict(1, False, f"divergent integral for {b}, a={alpha}")
+            lower, upper = ts ** alpha * head.value, ts ** -alpha * tail.value
             r_lo = lower / (ts ** alpha * bv)
             r_up = upper / (ts ** -alpha * bv)
             for r in (r_lo, r_up):
                 if not (np.all(np.isfinite(r)) and r.min() > 0.0):
                     _verdict(1, False, f"unbounded bracket for {b}, a={alpha}")
                 worst = max(worst, r.max() / r.min())
-    exact = np.array([power_integral_lower(Constant(1.0), 1.0, float(t)) / t
-                      for t in ts])
+    lower = ts * shift_integral(Constant(1.0), 1.0, xs, 1.0, "head").value
+    exact = lower / ts
     dev = float(np.max(np.abs(exact - 1.0)))
     elapsed = time.perf_counter() - start
     ok = dev <= 1e-9 and elapsed < 10.0
@@ -84,10 +90,12 @@ def test_criterion_2_exact_closed_forms():
     err_norm = abs(quad / 4.0 - 1.0)
     p0 = PhiParam(0.25, 1.0, Constant(1.0))
     p1 = PhiParam(0.75, 1.0, Constant(1.0))
-    err_rho = max(abs(rho_canonical(p0, p1, t) / math.sqrt(t) - 1.0)
-                  for t in (1e-4, 1e-1, 1.0, 1e2, 1e4))
+    grid = LogGrid(1e-4, 1e4, 1)
+    ok_members = membership_min1(p0) and membership_min1(p1)
+    err_rho = float(np.max(np.abs(rho_table(p0, p1, grid)
+                                  / np.sqrt(grid.points()) - 1.0)))
     elapsed = time.perf_counter() - start
-    ok = err_norm <= 1e-6 and err_rho <= 1e-6 and elapsed < 1.0
+    ok = ok_members and err_norm <= 1e-6 and err_rho <= 1e-6 and elapsed < 1.0
     _verdict(2, ok, f"||min(u,1)|| = 4 (err {err_norm:.2e}), rho = sqrt(t) "
                     f"(err {err_rho:.2e}), {elapsed:.2f}s < 1s")
 
@@ -181,8 +189,8 @@ def test_criterion_6_holmstedt_equivalence(bundled_results):
     p0 = PhiParam(0.25, 1.0, Constant(1.0))
     p1 = PhiParam(0.75, 1.0, Constant(1.0))
     e = WeightedSeq((1.0,), (1.0,), (1.0,))
-    err = max(abs(lhs_outer_k(p0, p1, e, s, grid=LogGrid(1e-4, 1e4, 16))
-                  / ((16.0 / 3.0) * min(1.0, s)) - 1.0)
+    search = DecompositionSearch(p0, p1, e, LogGrid(1e-4, 1e4, 16))
+    err = max(abs(search.lhs(s) / ((16.0 / 3.0) * min(1.0, s)) - 1.0)
               for s in (0.1, 1.0, 3.0))
     elapsed = time.perf_counter() - start
     ok &= err <= 1e-6
@@ -200,8 +208,9 @@ def test_criterion_7_endpoint_regime(bundled_results):
     ok &= c2.passed and c3.passed
     v = res.equivalence.variant_result("thm_i")
     ok &= v.verdict == "pass"
-    err_bt = abs(norm_min(p0, 1.0) - 1.0)
-    err_b = abs(norm_min(p1, 1.0) - 1.0)
+    # ||min(u, 1)|| = M(0): B~(1) at theta = 0 and B(1) at theta = 1
+    err_bt = abs(float(min_factors(p0, 0.0)) - 1.0)
+    err_b = abs(float(min_factors(p1, 0.0)) - 1.0)
     ok &= err_bt <= 1e-6 and err_b <= 1e-6
     _verdict(7, ok, f"memberships pass, C2/C3 pass, three-term ratio in "
                     f"[{v.inf_ratio:.3g}, {v.sup_ratio:.3g}] within budget; "

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from kinterp import (BrokenLog, Constant, DivergentIntegralError, LogGrid,
-                     MembershipError, PhiParam, check_C1, check_C2, check_C3,
-                     check_C4, check_sv_sufficient, integral_B,
-                     integral_BTilde, rho_canonical)
+                     MembershipError, PhiParam, PrimitiveB, PrimitiveBTilde,
+                     Scenario, WeightedSeq, check_C1, check_C2, check_C3,
+                     check_C4, check_sv_sufficient)
+from kinterp.conditions import rho_table
 
 P14 = PhiParam(0.25, 1.0, Constant(1.0))
 P34 = PhiParam(0.75, 1.0, Constant(1.0))
@@ -18,25 +19,28 @@ GRID_W = LogGrid(1e-8, 1e8, 8)
 
 class TestRho:
     def test_classical_pair_is_sqrt(self):
-        for t in (1e-4, 0.3, 1.0, 9.0, 1e4):
-            assert rho_canonical(P14, P34, t) == pytest.approx(math.sqrt(t),
-                                                               rel=1e-12)
+        assert rho_table(P14, P34, GRID) == pytest.approx(
+            np.sqrt(GRID.points()), rel=1e-12)
 
     def test_equal_params_give_one(self):
         p = PhiParam(0.4, 2.0, BrokenLog(1.0, -0.5))
-        for t in (1e-3, 1.0, 1e3):
-            assert rho_canonical(p, p, t) == pytest.approx(1.0, rel=1e-12)
+        assert rho_table(p, p, LogGrid(1e-3, 1e3, 1)) == pytest.approx(
+            1.0, rel=1e-12)
 
     def test_endpoint_pair_matches_primitives(self):
         p0 = PhiParam(0.0, 1.0, BL22)
         p1 = PhiParam(1.0, 1.0, BL22)
-        for t in (0.1, 1.0, 10.0):
-            expected = t * integral_BTilde(BL22, t) / integral_B(BL22, t)
-            assert rho_canonical(p0, p1, t) == pytest.approx(expected, rel=1e-9)
+        grid = LogGrid(0.1, 10.0, 1)
+        xs = grid.log_points()
+        expected = (grid.points() * PrimitiveBTilde(BL22).eval_log(xs)
+                    / PrimitiveB(BL22).eval_log(xs))
+        assert rho_table(p0, p1, grid) == pytest.approx(expected, rel=1e-9)
 
     def test_membership_gate(self):
+        sc = Scenario("gate", PhiParam(0.0, 1.0, Constant(1.0)), P34,
+                      WeightedSeq((1.0,), (1.0,), (1.0,)), GRID)
         with pytest.raises(MembershipError):
-            rho_canonical(PhiParam(0.0, 1.0, Constant(1.0)), P34, 1.0)
+            sc.rho
 
 
 class TestC1:

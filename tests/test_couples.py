@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinterp import (GuardError, KProfile, LogGrid, StepFn, WeightedSeq,
-                     k_oracle_bruteforce, k_step_l1_linf, k_weighted_l1,
-                     optimal_split, validate_kprofile)
+from kinterp import (KProfile, LogGrid, StepFn, WeightedSeq, k_step_l1_linf,
+                     k_weighted_l1, validate_kprofile)
 from kinterp.couples import element_from_json, element_to_json
+
+from helpers import k_oracle_bruteforce, optimal_split
 
 GRID = LogGrid(1e-6, 1e6, 8)
 
@@ -109,7 +110,7 @@ class TestOracle:
 
     def test_guard(self):
         e = WeightedSeq((1.0,) * 9, (1.0,) * 9, (1.0,) * 9)
-        with pytest.raises(GuardError):
+        with pytest.raises(ValueError, match=r"limited to n <= 8"):
             k_oracle_bruteforce(e, 1.0, 11)
         good = WeightedSeq((1.0,) * 8, (1.0,) * 8, (1.0,) * 8)
         assert k_oracle_bruteforce(good, 1.0, 3) == pytest.approx(8.0)

@@ -7,64 +7,74 @@ from hypothesis import strategies as st
 
 from kinterp import (BrokenLog, Constant, DecompositionSearch, KProfile,
                      LogGrid, PhiParam, Scenario, StepFn, WeightedSeq,
-                     classical_rhs, equivalence_report, lhs_outer_k,
-                     norm_head_u, norm_tail_char, norm_trunc_profile,
-                     optimal_split, rhs_four_term, rhs_three_term,
-                     rhs_two_term)
+                     classical_rhs, equivalence_report, norm_head_u,
+                     norm_tail_char, norm_trunc_profile)
 from kinterp.errors import EmptyCandidateError
-from kinterp.estimates import _fractions, full_norm_profile
+from kinterp.estimates import (_fractions, _terms, _variant_sums,
+                               full_norm_profile)
+
+from helpers import optimal_split
 
 P14 = PhiParam(0.25, 1.0, Constant(1.0))
 P34 = PhiParam(0.75, 1.0, Constant(1.0))
 E_UNIT = WeightedSeq((1.0,), (1.0,), (1.0,))
 K_UNIT = KProfile.from_element(E_UNIT)
 GRID = LogGrid(1e-4, 1e4, 8)
+#: 0.1, 1 and 10, with t = 1 exact (ln 1 = 0 is a grid point)
+GRID_1 = LogGrid(0.1, 10.0, 1)
+
+
+def rhs(p0, p1, rho_t, profile, grid):
+    """Each variant's right-hand side on the grid, as a report builds it."""
+    return _variant_sums(*_terms(p0, p1, rho_t, profile, grid))
 
 
 class TestRhsValues:
+    # rhs(...)[variant][1] is the value at t = 1 of GRID_1
     def test_two_term_at_one(self):
         # 4/3 + 1 * 4/3
-        got = rhs_two_term(P14, P34, 1.0, K_UNIT, 1.0)
+        got = rhs(P14, P34, 1.0, K_UNIT, GRID_1)["thm_ii"][1]
         assert got == pytest.approx(8.0 / 3.0, rel=1e-9)
 
     def test_three_term_at_one(self):
         # + ||χ_(1,∞)||_0 K(1) = + 4
-        got = rhs_three_term(P14, P34, 1.0, K_UNIT, 1.0)
+        got = rhs(P14, P34, 1.0, K_UNIT, GRID_1)["thm_i"][1]
         assert got == pytest.approx(20.0 / 3.0, rel=1e-9)
 
     def test_four_term_at_one(self):
         # + rho ||u χ_(0,1)||_1 K(1)/1 with ||u χ_(0,1)||_{theta=3/4,q=1} =
         # ∫_0^1 u^{1/4} du/u = 4, so the full sum is 4/3 + 4/3 + 4 + 4
-        got = rhs_four_term(P14, P34, 1.0, K_UNIT, 1.0)
+        got = rhs(P14, P34, 1.0, K_UNIT, GRID_1)["lemma"][1]
         assert got == pytest.approx(32.0 / 3.0, rel=1e-9)
 
     def test_zero_profile(self):
         z = KProfile.from_element(WeightedSeq((0.0,), (1.0,), (1.0,)))
-        assert rhs_four_term(P14, P34, 1.0, z, 1.0) == 0.0
-        assert rhs_two_term(P14, P34, 1.0, z, 1.0) == 0.0
+        vals = rhs(P14, P34, 1.0, z, GRID_1)
+        assert vals["lemma"][1] == 0.0
+        assert vals["thm_ii"][1] == 0.0
 
     def test_three_term_limit_is_head_norm(self):
         # as t grows the tail terms die and the head term fills to ||K||_0
-        vals = [rhs_three_term(P14, P34, math.sqrt(t), K_UNIT, t)
-                for t in (1e4, 1e6, 1e8)]
+        grid = LogGrid(1e4, 1e8, 1)
+        vals = rhs(P14, P34, np.sqrt(grid.points()), K_UNIT, grid)["thm_i"]
         assert abs(vals[-1] - 16.0 / 3.0) < 0.06
         assert abs(vals[-1] - 16.0 / 3.0) < abs(vals[0] - 16.0 / 3.0)
 
     def test_scaling_in_profile(self):
         e2 = WeightedSeq((2.5,), (1.0,), (1.0,))
         k2 = KProfile.from_element(e2)
-        base = rhs_two_term(P14, P34, 0.4, K_UNIT, 2.0)
-        assert rhs_two_term(P14, P34, 0.4, k2, 2.0) == pytest.approx(
+        grid = LogGrid(2.0, 20.0, 1)
+        base = rhs(P14, P34, 0.4, K_UNIT, grid)["thm_ii"]
+        assert rhs(P14, P34, 0.4, k2, grid)["thm_ii"] == pytest.approx(
             2.5 * base, rel=1e-12)
 
     @given(st.floats(min_value=1e-3, max_value=1e3),
            st.floats(min_value=1e-2, max_value=1e2))
     @settings(max_examples=30, deadline=None)
     def test_pointwise_ordering(self, t, rho_t):
-        four = rhs_four_term(P14, P34, rho_t, K_UNIT, t)
-        three = rhs_three_term(P14, P34, rho_t, K_UNIT, t)
-        two = rhs_two_term(P14, P34, rho_t, K_UNIT, t)
-        assert four >= three >= two
+        vals = rhs(P14, P34, rho_t, K_UNIT, LogGrid(t, 10.0 * t, 1))
+        four, three, two = vals["lemma"], vals["thm_i"], vals["thm_ii"]
+        assert np.all((four >= three) & (three >= two))
 
 
 class TestMonotoneReductions:
@@ -97,11 +107,11 @@ class TestClassical:
         for q in (1.0, 2.0):
             pa = PhiParam(0.25, q, Constant(1.0))
             pb = PhiParam(0.75, q, Constant(1.0))
-            for t in (1e-3, 0.7, 1.0, 40.0, 1e3):
-                rho_t = math.sqrt(t)
-                a = rhs_two_term(pa, pb, rho_t, K_UNIT, t)
-                b = classical_rhs(0.25, q, 0.75, q, K_UNIT, t)
-                assert a == pytest.approx(b, rel=1e-9)
+            grid = LogGrid(1e-3, 1e3, 4)
+            ts = grid.points()
+            a = rhs(pa, pb, np.sqrt(ts), K_UNIT, grid)["thm_ii"]
+            b = classical_rhs(0.25, q, 0.75, q, K_UNIT, ts)
+            assert a == pytest.approx(b, rel=1e-9)
 
     def test_range_guard(self):
         with pytest.raises(ValueError):
@@ -112,8 +122,9 @@ class TestClassical:
 
 class TestLhs:
     def test_single_coordinate_closed_form(self):
+        search = DecompositionSearch(P14, P34, E_UNIT, GRID)
         for sigma in (0.1, 0.9, 1.0, 1.7, 50.0):
-            got = lhs_outer_k(P14, P34, E_UNIT, sigma, grid=GRID)
+            got = search.lhs(sigma)
             assert got == pytest.approx((16.0 / 3.0) * min(1.0, sigma),
                                         rel=1e-6)
 
@@ -126,8 +137,9 @@ class TestLhs:
         k = KProfile.from_element(e)
         n0, n1 = full_norm_profile(p0, k), full_norm_profile(p1, k)
         cross = n0 / n1
+        search = DecompositionSearch(p0, p1, e)
         for sigma in (cross / 3.0, cross * 0.99, cross * 1.01, 3.0 * cross):
-            got = lhs_outer_k(p0, p1, e, sigma)
+            got = search.lhs(sigma)
             assert got == pytest.approx(min(n0, sigma * n1), rel=1e-14)
 
     def test_one_term_search_is_small(self):
@@ -135,19 +147,19 @@ class TestLhs:
         assert len(search.a0) <= 13
 
     def test_sigma_to_zero(self):
-        got = lhs_outer_k(P14, P34, E_UNIT, 1e-9, grid=GRID)
+        got = DecompositionSearch(P14, P34, E_UNIT, GRID).lhs(1e-9)
         assert got == pytest.approx((16.0 / 3.0) * 1e-9, rel=1e-9)
 
     def test_zero_element(self):
         z = WeightedSeq((0.0,), (1.0,), (1.0,))
-        assert lhs_outer_k(P14, P34, z, 1.0, grid=GRID) == 0.0
+        assert DecompositionSearch(P14, P34, z, GRID).lhs(1.0) == 0.0
 
     def test_search_set_monotonicity(self):
         # the search holds every truncation split, so each one's cost
         # bounds its minimum
         e = WeightedSeq((1.0, 1.0), (1.0, 4.0), (1.0, 1.0))
         sigma = 1.3
-        got = lhs_outer_k(P14, P34, e, sigma, grid=GRID)
+        got = DecompositionSearch(P14, P34, e, GRID).lhs(sigma)
         for s in (*GRID.points(), 4.0):
             f0, f1 = optimal_split(e, float(s))
             single = (full_norm_profile(P14, KProfile.from_element(f0))
@@ -160,13 +172,14 @@ class TestLhs:
         k = KProfile.from_element(e)
         n0 = full_norm_profile(P14, k)
         n1 = full_norm_profile(P34, k)
+        search = DecompositionSearch(P14, P34, e, GRID)
         for sigma in (0.2, 1.0, 5.0):
-            got = lhs_outer_k(P14, P34, e, sigma, grid=GRID)
+            got = search.lhs(sigma)
             assert got <= min(n0, sigma * n1) * (1.0 + 1e-12)
 
     def test_step_element_supported(self):
         f = StepFn((0.0, 1.0, 2.0), (3.0, 1.0))
-        got = lhs_outer_k(P14, P34, f, 1.0, grid=GRID)
+        got = DecompositionSearch(P14, P34, f, GRID).lhs(1.0)
         assert 0.0 < got < math.inf
 
     def test_empty_candidates_error(self):

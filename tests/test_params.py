@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from kinterp import (BrokenLog, Constant, ExpLogPow, KProfile, LogGrid,
                      MembershipError, PhiParam, Product, RangeError,
-                     WeightedSeq, membership_min1, norm_head_u, norm_min,
+                     WeightedSeq, membership_min1, norm_head_u,
                      norm_tail_char, norm_trunc_profile, phi_norm)
 from kinterp.params import (full_norm_profile, full_norm_profiles,
-                            head_factor, phi_from_json, phi_to_json,
-                            tail_factor)
+                            head_factor, min_factors, phi_from_json,
+                            phi_to_json, require_membership, tail_factor)
 
 from helpers import simpson_log
 
@@ -74,48 +74,53 @@ class TestPhiNorm:
 
 
 class TestNormMin:
+    # ||min(u, t)|| = t^{1-theta} M(ln t), min(1, u) a member
     def test_closed_half(self):
-        assert norm_min(P12, 1.0) == pytest.approx(4.0)
+        assert min_factors(P12, 0.0) == pytest.approx(4.0)
 
     def test_closed_quarter_scaling(self):
         # (16/3) t^{3/4}
-        for t in (1e-3, 1.0, 7.0, 1e3):
-            assert norm_min(P14, t) == pytest.approx((16.0 / 3.0) * t ** 0.75,
-                                                     rel=1e-12)
+        ts = np.array([1e-3, 1.0, 7.0, 1e3])
+        assert ts ** 0.75 * min_factors(P14, np.log(ts)) == pytest.approx(
+            (16.0 / 3.0) * ts ** 0.75, rel=1e-12)
 
     def test_endpoint_representative(self):
         p = PhiParam(0.0, 1.0, BL22)
-        assert norm_min(p, 1.0) == pytest.approx(1.0, rel=1e-9)
+        require_membership(p)
+        assert min_factors(p, 0.0) == pytest.approx(1.0, rel=1e-9)
         p1 = PhiParam(1.0, 1.0, BL22)
-        assert norm_min(p1, 1.0) == pytest.approx(1.0, rel=1e-9)
+        require_membership(p1)
+        assert min_factors(p1, 0.0) == pytest.approx(1.0, rel=1e-9)
 
     def test_membership_gate(self):
         p = PhiParam(0.0, 1.0, Constant(1.0))
         with pytest.raises(MembershipError):
-            norm_min(p, 1.0)
+            require_membership(p)
 
     @pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("q", [1.0, 2.0])
     def test_closed_vs_quadrature(self, theta, q):
         p = PhiParam(theta, q, Constant(1.0))
-        for t in (1e-4, 1e-1, 1.0, 1e2, 1e4):
-            closed = norm_min(p, t)
-            # ||min(u,t)||^q = ||u χ_(0,t)||^q + t^q ||χ_(t,∞)||^q
-            quad = (norm_head_u(p, t) ** q
-                    + t ** q * norm_tail_char(p, t) ** q) ** (1.0 / q)
-            assert abs(quad / closed - 1.0) <= 1e-6
+        ts = np.array([1e-4, 1e-1, 1.0, 1e2, 1e4])
+        closed = ts ** (1.0 - theta) * min_factors(p, np.log(ts))
+        # ||min(u,t)||^q = ||u χ_(0,t)||^q + t^q ||χ_(t,∞)||^q
+        quad = (norm_head_u(p, ts) ** q
+                + ts ** q * norm_tail_char(p, ts) ** q) ** (1.0 / q)
+        assert np.all(np.abs(quad / closed - 1.0) <= 1e-6)
 
     def test_sup_norm_closed(self):
         p = PhiParam(0.5, math.inf, Constant(1.0))
-        assert norm_min(p, 4.0) == pytest.approx(2.0, rel=1e-9)
+        assert 4.0 ** 0.5 * min_factors(p, math.log(4.0)) == pytest.approx(
+            2.0, rel=1e-9)
 
     @pytest.mark.parametrize("b", [BrokenLog(1.0, 2.0), BrokenLog(-1.0, 0.5)])
     def test_asymptotic_form_bracket(self, b):
         # ||min(u,t)|| stays within a fixed bracket of t^{1-theta} b(t)
         p = PhiParam(0.25, 1.0, b)
-        ts = LogGrid(1e-6, 1e6, 4).points()
-        ratios = [norm_min(p, float(t)) / (t ** 0.75 * float(b.eval_log(np.log(t))))
-                  for t in ts]
+        grid = LogGrid(1e-6, 1e6, 4)
+        ts, xs = grid.points(), grid.log_points()
+        ratios = (ts ** 0.75 * min_factors(p, grid)
+                  / (ts ** 0.75 * b.eval_log(xs)))
         assert 0.0 < min(ratios) and max(ratios) < math.inf
         assert max(ratios) / min(ratios) < 50.0
 
@@ -135,14 +140,14 @@ class TestHeadTail:
 
     def test_three_term_splitting_bracket(self):
         # head + t*tail against the min-norm: equality at q=1, fixed bracket at q=2
-        for t in (0.01, 1.0, 100.0):
-            s = norm_head_u(P14, t) + t * norm_tail_char(P14, t)
-            assert s == pytest.approx(norm_min(P14, t), rel=1e-9)
+        ts = np.array([0.01, 1.0, 100.0])
+        s = norm_head_u(P14, ts) + ts * norm_tail_char(P14, ts)
+        assert s == pytest.approx(ts ** 0.75 * min_factors(P14, np.log(ts)),
+                                  rel=1e-9)
         p2 = PhiParam(0.5, 2.0, Constant(1.0))
-        for t in (0.01, 1.0, 100.0):
-            s = norm_head_u(p2, t) + t * norm_tail_char(p2, t)
-            ratio = s / norm_min(p2, t)
-            assert 1.0 - 1e-9 <= ratio <= math.sqrt(2.0) + 1e-9
+        s = norm_head_u(p2, ts) + ts * norm_tail_char(p2, ts)
+        ratio = s / (ts ** 0.5 * min_factors(p2, np.log(ts)))
+        assert np.all((1.0 - 1e-9 <= ratio) & (ratio <= math.sqrt(2.0) + 1e-9))
 
 
 def _sup_brokenlog(b, lo, hi):

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from kinterp import (BrokenLog, Constant, DivergentIntegralError, ExpLogPow,
                      LogGrid, Power, PrimitiveB, PrimitiveBTilde, Product,
-                     RangeError, check_sv_envelope, eval_sv, integral_B,
-                     integral_BTilde, power_integral_lower,
-                     power_integral_upper, sv_from_json, sv_to_json)
-from kinterp.sv import eval_sv_log
+                     RangeError, check_sv_envelope, sv_from_json, sv_to_json)
+from kinterp.sv import eval_sv_log, shift_integral
 
 from helpers import simpson_log
 
@@ -19,40 +17,55 @@ BL22 = BrokenLog(-2.0, -2.0)
 GRID = LogGrid(1e-6, 1e6, 8)
 
 
+def power_integrals(b, alpha, ts):
+    """∫_0^t s^alpha b(s) ds/s and ∫_t^∞ s^{-alpha} b(s) ds/s at every t of
+    ts, by one batched shift_integral per side; both must converge."""
+    xs = np.log(ts)
+    lower = shift_integral(b, 1.0, xs, alpha, "head")
+    upper = shift_integral(b, 1.0, xs, -alpha, "tail")
+    assert not (lower.diverged.any() or upper.diverged.any())
+    return ts ** alpha * lower.value, ts ** -alpha * upper.value
+
+
 class TestEval:
+    # b(t) is eval_sv_log(b, ln t)
     def test_broken_log_at_one(self):
-        assert eval_sv(BrokenLog(1.0, 2.0), 1.0) == 1.0
+        assert eval_sv_log(BrokenLog(1.0, 2.0), 0.0) == 1.0
 
     def test_broken_log_above_one(self):
         # (1 + ln e)^2 = 4
-        assert eval_sv(BrokenLog(1.0, 2.0), math.e) == pytest.approx(4.0)
+        assert eval_sv_log(BrokenLog(1.0, 2.0), 1.0) == pytest.approx(4.0)
 
     def test_broken_log_below_one(self):
         # (1 - ln e^{-1})^1 = 2
-        assert eval_sv(BrokenLog(1.0, 2.0), 1.0 / math.e) == pytest.approx(2.0)
+        assert eval_sv_log(BrokenLog(1.0, 2.0), -1.0) == pytest.approx(2.0)
 
     def test_broken_log_continuity_at_one(self):
         b = BrokenLog(3.0, -5.0)
-        for delta in (1e-3, 1e-6, 1e-9):
-            assert eval_sv(b, 1.0 + delta) == pytest.approx(1.0, abs=1e-2)
-            assert eval_sv(b, 1.0 - delta) == pytest.approx(1.0, abs=1e-2)
-        assert abs(eval_sv(b, 1.0 + 1e-9) - 1.0) < abs(eval_sv(b, 1.1) - 1.0)
+        deltas = np.array([1e-3, 1e-6, 1e-9])
+        assert eval_sv_log(b, np.log(1.0 + deltas)) == pytest.approx(
+            1.0, abs=1e-2)
+        assert eval_sv_log(b, np.log(1.0 - deltas)) == pytest.approx(
+            1.0, abs=1e-2)
+        near, far = eval_sv_log(b, np.log([1.0 + 1e-9, 1.1]))
+        assert abs(near - 1.0) < abs(far - 1.0)
 
     def test_exp_log_pow_at_one(self):
-        assert eval_sv(ExpLogPow(0.5, 1), 1.0) == 1.0
+        assert eval_sv_log(ExpLogPow(0.5, 1), 0.0) == 1.0
 
     def test_exp_log_pow_values(self):
-        assert eval_sv(ExpLogPow(0.5, 1), math.exp(4.0)) == pytest.approx(math.exp(2.0))
-        assert eval_sv(ExpLogPow(0.5, -1), math.exp(4.0)) == pytest.approx(math.exp(-2.0))
+        assert eval_sv_log(ExpLogPow(0.5, 1), 4.0) == pytest.approx(math.exp(2.0))
+        assert eval_sv_log(ExpLogPow(0.5, -1), 4.0) == pytest.approx(math.exp(-2.0))
 
     def test_range_error_on_overflow(self):
+        # b is 1 at t = 1 and overflows to +inf before t = 1e300
         b = Power(BrokenLog(400.0, 400.0), 4.0)
         with pytest.raises(RangeError):
-            eval_sv(b, 1e300)
+            check_sv_envelope(b, 0.1, LogGrid(1.0, 1e300, 1))
 
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
-            eval_sv(BL22, 0.0)
+            LogGrid(0.0, 1.0)
 
     @given(st.floats(min_value=-3, max_value=3),
            st.floats(min_value=-3, max_value=3),
@@ -61,7 +74,9 @@ class TestEval:
     def test_product_is_pointwise_product(self, a0, a1, t):
         b1 = BrokenLog(a0, a1)
         b2 = ExpLogPow(0.5, -1)
-        assert eval_sv(Product(b1, b2), t) == eval_sv(b1, t) * eval_sv(b2, t)
+        x = math.log(t)
+        assert (float(eval_sv_log(Product(b1, b2), x))
+                == float(eval_sv_log(b1, x)) * float(eval_sv_log(b2, x)))
 
     @given(st.floats(min_value=-2, max_value=2),
            st.floats(min_value=-3, max_value=3),
@@ -69,7 +84,9 @@ class TestEval:
     @settings(max_examples=50, deadline=None)
     def test_power_is_pointwise_power(self, r, a, t):
         b = BrokenLog(a, -a)
-        assert eval_sv(Power(b, r), t) == eval_sv(b, t) ** r
+        x = math.log(t)
+        assert (float(eval_sv_log(Power(b, r), x))
+                == float(eval_sv_log(b, x)) ** r)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -85,27 +102,31 @@ class TestPrimitives:
         # substitute w = 1 - ln s: ∫_0^t (1-ln s)^{-2} ds/s = 1/(1 - ln t), t <= 1
         oracle = simpson_log(lambda x: (1.0 - x) ** -2.0, -60.0, 0.0)
         assert oracle == pytest.approx(1.0, abs=2e-2)  # window-truncated
-        assert integral_B(BL22, 1.0) == pytest.approx(1.0, rel=1e-9)
-        assert integral_B(BL22, math.exp(-1.0)) == pytest.approx(0.5, rel=1e-9)
+        big_b = PrimitiveB(BL22)
+        assert big_b.eval_log(0.0) == pytest.approx(1.0, rel=1e-9)
+        assert big_b.eval_log(-1.0) == pytest.approx(0.5, rel=1e-9)
 
     def test_integral_B_vanishes_at_zero(self):
-        vals = [integral_B(BL22, t) for t in (1e-2, 1e-6, 1e-12, 1e-24)]
-        assert all(v2 < v1 for v1, v2 in zip(vals, vals[1:]))
+        vals = PrimitiveB(BL22).eval_log(np.log([1e-2, 1e-6, 1e-12, 1e-24]))
+        assert np.all(np.diff(vals) < 0.0)
         assert vals[-1] < 0.05
 
     def test_integral_BTilde_closed_form(self):
         # mirror under s -> 1/s: ∫_t^∞ (1+ln s)^{-2} ds/s = 1/(1 + ln t), t >= 1
-        assert integral_BTilde(BL22, 1.0) == pytest.approx(1.0, rel=1e-9)
-        assert integral_BTilde(BL22, math.e) == pytest.approx(0.5, rel=1e-9)
+        big_bt = PrimitiveBTilde(BL22)
+        assert big_bt.eval_log(0.0) == pytest.approx(1.0, rel=1e-9)
+        assert big_bt.eval_log(1.0) == pytest.approx(0.5, rel=1e-9)
 
     def test_b_below_BTilde(self):
-        ts = GRID.points()
-        ratios = [integral_BTilde(BL22, t) / eval_sv(BL22, t) for t in ts]
+        xs = GRID.log_points()
+        ratios = PrimitiveBTilde(BL22).eval_log(xs) / eval_sv_log(BL22, xs)
+        assert np.all(np.isfinite(ratios))
         assert min(ratios) >= 1.0 - 1e-9
 
     def test_b_below_B(self):
-        ts = GRID.points()
-        ratios = [integral_B(BL22, t) / eval_sv(BL22, t) for t in ts]
+        xs = GRID.log_points()
+        ratios = PrimitiveB(BL22).eval_log(xs) / eval_sv_log(BL22, xs)
+        assert np.all(np.isfinite(ratios))
         assert min(ratios) >= 1.0 - 1e-9
 
     def test_divergent_construction_rejected(self):
@@ -117,33 +138,38 @@ class TestPrimitives:
     def test_primitive_descriptors_evaluate(self):
         pb = PrimitiveB(BL22)
         pbt = PrimitiveBTilde(BL22)
-        assert eval_sv(pb, math.exp(-1.0)) == pytest.approx(0.5, rel=1e-9)
-        assert eval_sv(pbt, math.e) == pytest.approx(0.5, rel=1e-9)
+        assert eval_sv_log(pb, -1.0) == pytest.approx(0.5, rel=1e-9)
+        assert eval_sv_log(pbt, 1.0) == pytest.approx(0.5, rel=1e-9)
         # primitives compose: B is itself slowly varying
         prod = Product(pb, BL22)
-        assert eval_sv(prod, 1.0) == pytest.approx(eval_sv(pb, 1.0), rel=1e-12)
+        assert eval_sv_log(prod, 0.0) == pytest.approx(eval_sv_log(pb, 0.0),
+                                                      rel=1e-12)
 
 
 class TestPowerIntegrals:
     def test_lower_constant_exact(self):
         # ∫_0^5 ds = 5, ratio to t^alpha b(t) exactly 1
-        assert power_integral_lower(Constant(1.0), 1.0, 5.0) == pytest.approx(5.0, rel=1e-12)
+        lower, _ = power_integrals(Constant(1.0), 1.0, np.array([5.0]))
+        assert lower[0] == pytest.approx(5.0, rel=1e-12)
 
     def test_lower_log_weight(self):
         # ∫_0^1 (1 - ln s) ds = [2s - s ln s] = 2
         oracle = simpson_log(lambda x: np.exp(x) * (1.0 - x), -40.0, 0.0)
         assert oracle == pytest.approx(2.0, rel=1e-8)
-        assert power_integral_lower(BrokenLog(1.0, 1.0), 1.0, 1.0) == pytest.approx(2.0, rel=1e-10)
+        lower, _ = power_integrals(BrokenLog(1.0, 1.0), 1.0, np.array([1.0]))
+        assert lower[0] == pytest.approx(2.0, rel=1e-10)
 
     def test_upper_constant_exact(self):
         # ∫_2^∞ s^{-2} ds = 1/2
-        assert power_integral_upper(Constant(1.0), 1.0, 2.0) == pytest.approx(0.5, rel=1e-12)
+        _, upper = power_integrals(Constant(1.0), 1.0, np.array([2.0]))
+        assert upper[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_upper_log_weight(self):
         # ∫_1^∞ s^{-2}(1 + ln s) ds = 2
         oracle = simpson_log(lambda x: np.exp(-x) * (1.0 + x), 0.0, 60.0)
         assert oracle == pytest.approx(2.0, rel=1e-8)
-        assert power_integral_upper(BrokenLog(1.0, 1.0), 1.0, 1.0) == pytest.approx(2.0, rel=1e-10)
+        _, upper = power_integrals(BrokenLog(1.0, 1.0), 1.0, np.array([1.0]))
+        assert upper[0] == pytest.approx(2.0, rel=1e-10)
 
     @pytest.mark.parametrize("b,alpha", [
         (BrokenLog(3.0, 3.0), 0.5),
@@ -152,10 +178,10 @@ class TestPowerIntegrals:
     ])
     def test_bounded_brackets(self, b, alpha):
         ts = GRID.points()
-        lower = np.array([power_integral_lower(b, alpha, t) for t in ts])
-        upper = np.array([power_integral_upper(b, alpha, t) for t in ts])
-        ref = np.array([t ** alpha * eval_sv(b, t) for t in ts])
-        ref_u = np.array([t ** -alpha * eval_sv(b, t) for t in ts])
+        lower, upper = power_integrals(b, alpha, ts)
+        bv = eval_sv_log(b, np.log(ts))
+        ref = ts ** alpha * bv
+        ref_u = ts ** -alpha * bv
         for vals, r in ((lower, ref), (upper, ref_u)):
             ratio = vals / r
             assert np.all(np.isfinite(ratio))
@@ -225,7 +251,7 @@ class TestJson:
         b = sv_from_json({"kind": "Product",
                           "left": {"kind": "Constant", "c": 2},
                           "right": {"kind": "BrokenLog", "a0": 0, "aInf": 1}})
-        assert eval_sv(b, math.e) == pytest.approx(4.0)
+        assert eval_sv_log(b, 1.0) == pytest.approx(4.0)
 
     def test_error_paths(self):
         with pytest.raises(ValueError, match="kind"):
