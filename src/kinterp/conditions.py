@@ -18,7 +18,9 @@ Each parameter computes its factors on the grid once and keeps them, so
 rho, C1 and C4 read the same ones.  The nested norms in C2/C3 are evaluated
 at the outer quadrature nodes: the outer integrals of all grid points, at
 the working and at doubled density, share a node lattice, and the inner M is
-evaluated once at the sorted union of their nodes.  For a finite-q inner
+evaluated once at the sorted union of their nodes.  The outer plans skip the
+far panels on which the outer weight e^{c q x} is exactly 0.0, so M is not
+evaluated there, nor can it leave double range there.  For a finite-q inner
 parameter with 0 < theta < 1, H^q and T^q there come from one sweep per side
 along the nodes (``params.swept_min_factors``), each node adding the
 integral over the gap to its neighbour; a swept value depends on the node
@@ -189,9 +191,8 @@ def _outer_trunc_norms(p_out, p_inner, c_exp, side, xs, ppds):
         return [qth_root(p_out, norm_pow(*bounds, core, c_exp, p_out.q,
                                          ppd=ppd, kinks=(0.0,)))
                 for ppd in ppds]
-    # no far panel is skipped here although e^{c_exp q x} vanishes far out:
-    # M is evaluated at every outer node, so its range errors still surface
-    plans = [QuadPlan(*bounds, ppd=ppd, kinks=(0.0,)) for ppd in ppds]
+    plans = [QuadPlan(*bounds, ppd=ppd, kinks=(0.0,), exp_rate=c_exp * p_out.q)
+             for ppd in ppds]
     nodes = distinct([plan.points() for plan in plans])
     m = swept_min_factors(p_inner, nodes)
     fn = powered(_outer_core(p_out, lambda x: m[np.searchsorted(nodes, x)]),
@@ -242,7 +243,7 @@ def check_C4(p0: PhiParam, p1: PhiParam, rho=None, grid: LogGrid = LogGrid(),
     ts = grid.points()
     lhs = np.exp((1.0 - p0.theta) * xs) * tail_factors(p0, grid)
     rhs = (np.exp((1.0 - p0.theta) * xs) * head_factors(p0, grid)
-           + ts * rho_v * np.exp(-p1.theta * xs) * tail_factors(p1, grid))
+           + rho_v * np.exp((1.0 - p1.theta) * xs) * tail_factors(p1, grid))
     return _finish("C4", grid, ts, lhs, rhs, budget)
 
 

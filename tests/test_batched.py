@@ -16,11 +16,12 @@ from kinterp import (BrokenLog, Constant, DecompositionSearch, ExpLogPow,
                      KProfile, LogGrid, PhiParam, Power, PrimitiveB, Product,
                      RangeError, StepFn, WeightedSeq, norm_head_u,
                      norm_tail_char, norm_trunc_profile, phi_norm)
+from kinterp import conditions
 from kinterp.couples import atoms
 from kinterp.conditions import check_C2, check_C3
 from kinterp.params import (full_norm_profile, full_norm_profiles,
                             head_factor, head_factors, min_factor,
-                            tail_factor, tail_factors)
+                            swept_min_factors, tail_factor, tail_factors)
 from kinterp.quadrature import (GL_ORDER, LN10, QuadPlan, decay_product,
                                 integral_log, powered, sup_log)
 from kinterp.runner import bundled_scenario, run_scenario, run_suite
@@ -433,9 +434,37 @@ def test_nested_sup_ratios_pinned(name, cid, want):
     assert rep.meta["refine_ok"]
 
 
-_OVERFLOW = {
-    "name": "overflow",
-    # T(x)^q of this weight is finite but its 1/q-th power is not
+def test_nested_checks_skip_the_nodes_of_zero_outer_weight(monkeypatch):
+    """C2 and C3 of broken-log-1 evaluate the inner M at no outer node
+    past the far panels on which the outer weight e^{c q x} is exactly
+    0.0, apart from the tail-fit probes."""
+    sc = bundled_scenario("broken-log-1")
+    seen = []
+
+    def record(p, xs):
+        seen.append(xs)
+        return swept_min_factors(p, xs)
+    monkeypatch.setattr(conditions, "swept_min_factors", record)
+    p0, p1 = sc.phi0, sc.phi1
+    for check, p_out, c_exp in ((check_C2, p0, p1.theta - p0.theta),
+                                (check_C3, p1, p0.theta - p1.theta)):
+        seen.clear()
+        check(p0, p1, None, sc.grid, budget=sc.budget)
+        [nodes] = seen
+        rate = c_exp * p_out.q
+        y_cut = max(QuadPlan(0.0, 1.0, ppd=ppd,
+                             exp_rate=rate).y_cut[rate < 0.0]
+                    for ppd in (p_out.ppd, 2 * p_out.ppd))
+        # the distance of each node toward the side where the weight decays
+        far = nodes if rate < 0.0 else -nodes
+        assert set(far[far > math.exp(y_cut)].tolist()) <= {5e11, 1e12}
+
+
+_FAR_OVERFLOW = {
+    "name": "far-overflow",
+    # T(x)^q of this weight is finite but its 1/q-th power is not; far out
+    # that leaves M0 out of double range only where C3's outer weight
+    # e^{(theta0 - theta1) q1 x} is exactly 0.0, so the run completes
     "phi0": {"theta": 0.2, "q": 0.25,
              "b": {"kind": "ExpLogPow", "alpha": 0.3, "sign": 1}},
     "phi1": {"theta": 0.7, "q": 2, "b": {"kind": "BrokenLog", "a0": 1, "aInf": 1}},
@@ -444,6 +473,21 @@ _OVERFLOW = {
     "checks": ["C3"],
     "variants": ["classical"],
 }
+# at theta1 = theta0 that weight is 1, and M0 overflows where it counts
+_OVERFLOW = {**_FAR_OVERFLOW, "name": "overflow",
+             "phi1": {**_FAR_OVERFLOW["phi1"], "theta": 0.2}}
+
+
+def test_far_overflow_completes():
+    """The far-overflow input's M0 leaves double range only at nodes of
+    zero outer weight, so its C3 completes.  The pinned sup was checked at
+    PhiParam.ppd = 128 (0.85327245) and by a direct nested quadrature at
+    t = 0.01, 0.1, 1, 10, 100 (0.85327142 at t = 10), both within 4e-6."""
+    sc = scenario_from_json(_FAR_OVERFLOW)
+    rep = check_C3(sc.phi0, sc.phi1, None, sc.grid, budget=sc.budget)
+    assert rep.sup_ratio == pytest.approx(0.8532741265451561, rel=1e-12)
+    assert rep.verdict == "pass"
+    assert rep.meta["refine_ok"]
 
 
 def test_overflow_is_a_named_error(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from kinterp import (BrokenLog, Constant, DivergentIntegralError, LogGrid,
                      Scenario, WeightedSeq, check_C1, check_C2, check_C3,
                      check_C4, check_sv_sufficient)
 from kinterp.conditions import rho_table
+from kinterp.runner import bundled_scenario
 
 P14 = PhiParam(0.25, 1.0, Constant(1.0))
 P34 = PhiParam(0.75, 1.0, Constant(1.0))
@@ -179,6 +181,16 @@ class TestC4:
     def test_membership_gate(self):
         with pytest.raises(MembershipError):
             check_C4(PhiParam(0.0, 1.0, Constant(1.0)), P34, None, GRID)
+
+    def test_classical_on_the_widest_grid(self):
+        # t rho(t) ||χ_(t,∞)||_1 is formed without t^{1 + theta1 - theta0},
+        # which leaves double range on this grid
+        sc = bundled_scenario("classical-1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = check_C4(sc.phi0, sc.phi1, None, LogGrid(1e-300, 1e300, 1))
+        assert rep.ratio.size == 601
+        np.testing.assert_allclose(rep.ratio, 1.5, rtol=1e-12)
 
 
 class TestSvSufficient:
