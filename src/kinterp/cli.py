@@ -112,7 +112,7 @@ def _print_result(result):
               f"(sup ratio {rep.sup_ratio!r})")
     if result.equivalence is not None:
         for v in result.equivalence.variants:
-            detail = ("" if v.verdict == "not_applicable"
+            detail = (f" ({v.reason})" if v.verdict == "not_applicable"
                       else f" (ratio in [{v.inf_ratio!r}, {v.sup_ratio!r}])")
             print(f"{result.name}: {v.variant} {v.verdict}{detail}")
     if result.error:

@@ -232,10 +232,6 @@ class ValidationReport:
     ok: bool
     failures: tuple  # (t, check-name) pairs
 
-    def summary(self) -> dict:
-        return {"ok": self.ok,
-                "failures": [{"t": t, "check": c} for t, c in self.failures]}
-
 
 def validate_kprofile(profile: KProfile, grid: LogGrid) -> ValidationReport:
     """Check nonnegativity, monotonicity of K, and monotonicity of K(t)/t."""
@@ -262,22 +258,8 @@ def ensure_valid_kprofile(profile: KProfile, grid: LogGrid) -> KProfile:
     if not rep.ok:
         raise InvariantViolation(
             f"K-profile violates quasi-concavity at {len(rep.failures)} grid "
-            f"points (first: t={rep.failures[0][0]:g}, {rep.failures[0][1]})",
-            rep.failures)
+            f"points (first: t={rep.failures[0][0]:g}, {rep.failures[0][1]})")
     return profile
-
-
-def element_to_json(e) -> dict:
-    if isinstance(e, WeightedSeq):
-        return {"kind": "WeightedSeq", "coeffs": list(e.coeffs),
-                "w0": list(e.w0), "w1": list(e.w1)}
-    if isinstance(e, StepFn):
-        return {"kind": "StepFn", "breaks": list(e.breakpoints),
-                "values": list(e.values)}
-    if isinstance(e, KProfile) and len(e.values) == 1:
-        return {"kind": "SyntheticK", "t": e.knots.tolist(),
-                "K": e.values[0].tolist()}
-    raise TypeError(f"cannot serialize {type(e).__name__}")
 
 
 #: element kind -> its list fields, in constructor order

@@ -20,10 +20,6 @@ class MembershipError(KinterpError):
 class InvariantViolation(KinterpError):
     """A profile or report failed a structural invariant check."""
 
-    def __init__(self, message, failures=()):
-        super().__init__(message)
-        self.failures = tuple(failures)
-
 
 class EmptyCandidateError(KinterpError):
     """Every candidate decomposition had infinite cost."""

@@ -160,7 +160,6 @@ def _level_rows(values: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class VariantResult:
     variant: str
-    applicable: bool
     reason: str
     sup_ratio: float
     inf_ratio: float
@@ -294,8 +293,8 @@ def equivalence_report(sc) -> EquivalenceReport:
             ratios[name] = np.where((lhs == 0.0) & (vals == 0.0), 1.0,
                                     lhs / vals)
 
-    ordering_ok = bool(np.all(rhs["lemma"] >= rhs["thm_i"] - 0.0)
-                       and np.all(rhs["thm_i"] >= rhs["thm_ii"] - 0.0))
+    ordering_ok = bool(np.all(rhs["lemma"] >= rhs["thm_i"])
+                       and np.all(rhs["thm_i"] >= rhs["thm_ii"]))
 
     results = []
     for name in variants:
@@ -314,14 +313,14 @@ def equivalence_report(sc) -> EquivalenceReport:
         else:
             reason = ""
         if reason:
-            results.append(VariantResult(name, False, reason, math.nan,
-                                         math.nan, "not_applicable"))
+            results.append(VariantResult(name, reason, math.nan, math.nan,
+                                         "not_applicable"))
             continue
         r = ratios[name]
         sup = float(np.max(r))
         inf = float(np.min(r))
         ok = (sup <= budget) and (inf >= 1.0 / budget)
-        results.append(VariantResult(name, True, "", sup, inf,
+        results.append(VariantResult(name, "", sup, inf,
                                      "pass" if ok else "fail"))
 
     return EquivalenceReport(

@@ -16,11 +16,12 @@ with H, T, M computed by ``sv.shift_integral``, which stays finite for |ln t|
 far beyond the representable range of t — the nested condition checks probe
 that deep.  At rate 0 (H at theta = 1, T at theta = 0) a weight made of
 Constant, BrokenLog, Product and Power nodes takes the exact closed form of
-``sv.rate0_integral``, divergence included; every other factor is shifted
-quadrature.  At the endpoints the min-norm uses its dominated representative
-form (M = T at theta = 0, M = H at theta = 1), which matches the full norm
-up to a constant controlled by slow variation and makes the canonical weight
-take its endpoint-ratio shape exactly.  The full two-sided quadrature remains
+``sv.rate0_integral``, divergence included, and a primitive at q = inf that
+of ``sv.primitive_sup``; every other factor is shifted quadrature.  At the
+endpoints the min-norm uses its dominated representative form (M = T at
+theta = 0, M = H at theta = 1), which matches the full norm up to a constant
+controlled by slow variation and makes the canonical weight take its
+endpoint-ratio shape exactly.  The full two-sided quadrature remains
 available through ``norm_head_u``/``norm_tail_char``.
 
 Every norm here is ||χ_[lo,hi] e^{c x} g|| of some core g, and
@@ -43,7 +44,7 @@ from .couples import KProfile
 from .errors import MembershipError, RangeError
 from .quadrature import DEFAULT_PPD, LogGrid, QuadResult, norm_pow
 from .sv import (Constant, SVDescriptor, eval_sv_log, shift_integral,
-                 sv_from_json, sv_to_json)
+                 sv_from_json)
 
 # Bound here though this module calls neither: perfbench/spans.py wraps
 # these names at this layer boundary and reports a missing one.
@@ -251,7 +252,8 @@ def membership_min1(p: PhiParam) -> bool:
 def require_membership(p: PhiParam):
     if not membership_min1(p):
         raise MembershipError(
-            f"min(1, t) has infinite norm for theta={p.theta}, q={p.q}")
+            f"{p.name}: min(1, t) has infinite norm for theta={p.theta}, "
+            f"q={p.q}")
 
 
 def norm_head_u(p: PhiParam, t):
@@ -381,12 +383,6 @@ def full_norm_profiles(p: PhiParam, profiles: KProfile) -> np.ndarray:
 def _full_norm(p, profile, x_t):
     return qth_root(p, _join(p, _profile_pow(p, profile, "head", x_t),
                              _profile_pow(p, profile, "tail", x_t)))
-
-
-def phi_to_json(p: PhiParam) -> dict:
-    return {"theta": p.theta,
-            "q": "inf" if p.sup_norm else p.q,
-            "b": sv_to_json(p.b)}
 
 
 def phi_from_json(obj: dict, path: str = "phi") -> PhiParam:

@@ -9,11 +9,10 @@ from functools import cached_property
 from pathlib import Path
 
 from .conditions import DEFAULT_BUDGET, check_names, rho_table
-from .couples import (KProfile, element_from_json, element_to_json,
-                      ensure_valid_kprofile)
+from .couples import KProfile, element_from_json, ensure_valid_kprofile
 from .errors import ScenarioError
 from .estimates import VARIANTS
-from .params import PhiParam, phi_from_json, phi_to_json, require_membership
+from .params import PhiParam, phi_from_json, require_membership
 from .quadrature import LogGrid
 
 _DEFAULT_GRID = LogGrid(1e-8, 1e8, 16)
@@ -53,19 +52,6 @@ class Scenario:
         rho = rho_table(self.phi0, self.phi1, self.grid)
         rho.setflags(write=False)
         return rho
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "phi0": phi_to_json(self.phi0),
-            "phi1": phi_to_json(self.phi1),
-            "element": element_to_json(self.element),
-            "grid": self.grid.describe(),
-            "budget": self.budget,
-            "checks": list(self.checks),
-            "variants": list(self.variants),
-            "sv_epsilon": self.sv_epsilon,
-        }
 
 
 def reject_booleans(obj, path: str = ""):

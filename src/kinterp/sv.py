@@ -235,6 +235,23 @@ def rate0_integral(b: SVDescriptor, q: float, x, side: str):
     return QuadResult(value, np.full(xs.shape, diverged))
 
 
+def primitive_sup(b: _Primitive, x, side: str) -> QuadResult:
+    """``shift_integral`` at c = 0 and q = inf for a primitive.  B rises and
+    B~ falls, so over the side it integrates the supremum is its value at
+    x, and over the other its limit at the far end: the integral of the
+    base over the whole line, +inf and flagged exactly where either half
+    of it diverges.  Arrays of x's shape, as the rule gives."""
+    xs = np.asarray(x, dtype=float)
+    if side == b.side:
+        return QuadResult(b.eval_log(xs), np.zeros(xs.shape, dtype=bool))
+    head, tail = (shift_integral(b.base, 1.0, 0.0, 0.0, s)
+                  for s in ("head", "tail"))
+    flag = head.diverged or tail.diverged
+    return QuadResult(np.full(xs.shape, math.inf if flag
+                              else head.value + tail.value),
+                      np.full(xs.shape, flag))
+
+
 def shift_integral(b: SVDescriptor, q: float, x, c: float,
                    side: str, ppd: int = DEFAULT_PPD) -> QuadResult:
     """``||χ_side(v) e^{c v} b(e^{x+v})||_q`` over v < 0 (head) or v > 0
@@ -246,7 +263,8 @@ def shift_integral(b: SVDescriptor, q: float, x, c: float,
     function used in the package.  At c = 0 (H at theta = 1, T at
     theta = 0, their endpoint M, and B and B~) a weight made of Constant,
     BrokenLog, Product and Power nodes takes the exact value and divergence
-    flag of ``rate0_integral``.  Every other norm is taken by
+    flag of ``rate0_integral``, and at q = inf a primitive takes those of
+    ``primitive_sup``.  Every other norm is taken by
     ``quadrature.norm_pow``, which stays numerically stable for |x| far
     beyond the representable range of t = e^x.  For c = 0 the exponential
     factor is absent and the norm is taken in absolute coordinates
@@ -262,7 +280,9 @@ def shift_integral(b: SVDescriptor, q: float, x, c: float,
     if side not in ("head", "tail"):
         raise ValueError("side must be 'head' or 'tail'")
     if c == 0.0:
-        exact = rate0_integral(b, q, x, side)
+        exact = (primitive_sup(b, x, side)
+                 if isinstance(b, _Primitive) and math.isinf(q)
+                 else rate0_integral(b, q, x, side))
         if exact is not None:
             return exact
     xs = np.asarray(x, dtype=float)
@@ -377,26 +397,6 @@ def check_sv_envelope(b, eps: float, grid: LogGrid, *,
         pass_up=inf_up >= 1.0 / budget,
         pass_down=sup_down <= budget,
     )
-
-
-def sv_to_json(b: SVDescriptor) -> dict:
-    """Serialize a descriptor as a JSON expression tree."""
-    if isinstance(b, Constant):
-        return {"kind": "Constant", "c": b.c}
-    if isinstance(b, BrokenLog):
-        return {"kind": "BrokenLog", "a0": b.a0, "aInf": b.a_inf}
-    if isinstance(b, ExpLogPow):
-        return {"kind": "ExpLogPow", "alpha": b.alpha, "sign": b.sign}
-    if isinstance(b, Product):
-        return {"kind": "Product", "left": sv_to_json(b.left),
-                "right": sv_to_json(b.right)}
-    if isinstance(b, Power):
-        return {"kind": "Power", "base": sv_to_json(b.base), "r": b.r}
-    if isinstance(b, PrimitiveB):
-        return {"kind": "PrimitiveB", "base": sv_to_json(b.base)}
-    if isinstance(b, PrimitiveBTilde):
-        return {"kind": "PrimitiveBTilde", "base": sv_to_json(b.base)}
-    raise TypeError(f"unknown descriptor type {type(b).__name__}")
 
 
 def sv_from_json(obj: dict, path: str = "b") -> SVDescriptor:

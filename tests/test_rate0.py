@@ -121,3 +121,31 @@ def test_sup_form_far_out(factor, b, x):
     assert r.value == pytest.approx(want, rel=1e-15)
     theta, get = (1.0, head_factor) if factor == "head" else (0.0, tail_factor)
     assert get(PhiParam(theta, math.inf, b), x) == r.value
+
+
+@pytest.mark.parametrize("theta, b, member", [
+    # B rises to its limit 1/(2 - 1) + 1/(1.5 - 1) = 3, and B~ from it
+    (0.0, PrimitiveB(BrokenLog(-2.0, -1.5)), True),
+    (1.0, PrimitiveBTilde(BrokenLog(-1.5, -2.0)), True),
+    # ∫_0^∞ (1 + w)^-0.5 dw diverges, so B is unbounded
+    (0.0, PrimitiveB(BrokenLog(-2.0, -0.5)), False),
+])
+def test_primitive_sup_is_the_far_end_limit(theta, b, member):
+    p = PhiParam(theta, math.inf, b)
+    get = tail_factor if theta == 0.0 else head_factor
+    want = 3.0 if member else math.inf
+    for x in (-1e12, -3.0, 0.0, 5.0, 1e12):
+        assert get(p, x) == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert membership_min1(p) is member
+
+
+def test_primitive_sup_at_x():
+    # B~ falls, so its supremum over w > x is B~ at x: 1 + 2(1 - 4^-0.5)
+    # at x = -3, and 1/(1 + x) for x >= 0
+    p = PhiParam(0.0, math.inf, PrimitiveBTilde(BrokenLog(-1.5, -2.0)))
+    np.testing.assert_allclose([tail_factor(p, x) for x in (-3.0, 0.0, 5.0)],
+                               [2.0, 1.0, 1.0 / 6.0], rtol=1e-15)
+    # B rises, so its supremum over w < x is B at x: 1 + 2(1 - 6^-0.5) at 5
+    p = PhiParam(1.0, math.inf, PrimitiveB(BrokenLog(-2.0, -1.5)))
+    np.testing.assert_allclose(head_factor(p, 5.0),
+                               1.0 + 2.0 * (1.0 - 6.0 ** -0.5), rtol=1e-15)

@@ -17,7 +17,8 @@ P0 = PhiParam(0.25, 1.0, BrokenLog(-2.0, -2.0))
 P1 = PhiParam(0.75, 1.0, BrokenLog(-4.0, -4.0))
 
 
-def scenario(name, **overrides):
+def scenario_obj(name, **overrides):
+    """A scenario file's JSON object."""
     obj = {
         "name": name,
         "phi0": {"theta": 0.25, "q": 1,
@@ -31,7 +32,11 @@ def scenario(name, **overrides):
         "variants": ["lemma", "thm_i", "thm_ii", "classical"],
     }
     obj.update(overrides)
-    return scenario_from_json(obj)
+    return obj
+
+
+def scenario(name, **overrides):
+    return scenario_from_json(scenario_obj(name, **overrides))
 
 
 def test_every_condition_id_comes_from_exactly_one_check():
@@ -73,7 +78,7 @@ def test_equivalence_report_runs_missing_gates_itself(tmp_path):
 
 def test_unknown_only_name_is_validation_error(tmp_path, capsys):
     p = tmp_path / "sc.json"
-    p.write_text(json.dumps(scenario("condx").to_json()))
+    p.write_text(json.dumps(scenario_obj("condx")))
     code = main(["conditions", "--scenario", str(p), "--only", "C9",
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_VALIDATION

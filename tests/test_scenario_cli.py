@@ -242,6 +242,20 @@ class TestRunScenario:
         assert res.condition_reports["C2"].verdict == "fail"
         assert res.equivalence.variant_result("thm_ii").verdict == "not_applicable"
 
+    def test_not_applicable_line_gives_the_reason(self, tmp_path, capsys):
+        obj = small_scenario(
+            name="flat",
+            phi0={"theta": 0.5, "q": 1, "b": {"kind": "Constant", "c": 1}},
+            phi1={"theta": 0.5, "q": 1, "b": {"kind": "Constant", "c": 1}},
+            checks=["C2"])
+        p = tmp_path / "flat.json"
+        p.write_text(json.dumps(obj))
+        assert main(["verify", "--scenario", str(p), "--out",
+                     str(tmp_path / "out")]) == EXIT_CONDITIONS
+        lines = capsys.readouterr().out.splitlines()
+        assert ("flat: thm_ii not_applicable (conditions unmet: C2,C3)"
+                in lines)
+
     def test_equivalence_violation_exit_code(self, tmp_path):
         # a budget tighter than the observed bracket, with gate conditions
         # still comfortably inside it: 3-term ratios reach 0.8 < 1/1.2

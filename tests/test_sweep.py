@@ -38,9 +38,14 @@ CUSP = {
 @pytest.fixture(scope="module")
 def nodes():
     """The union of C2's outer nodes on broken-log-1's grid, as
-    ``conditions._outer_trunc_norms`` builds it."""
-    xs = bundled_scenario("broken-log-1").grid.log_points()
-    return distinct([QuadPlan(-math.inf, xs, ppd=ppd, kinks=(0.0,)).points()
+    ``conditions._outer_trunc_norms`` builds it: the outer weight decays at
+    the rate (theta1 - theta0) q0, and the plans skip the far panels where
+    it is exactly 0.0."""
+    sc = bundled_scenario("broken-log-1")
+    rate = (sc.phi1.theta - sc.phi0.theta) * sc.phi0.q
+    xs = sc.grid.log_points()
+    return distinct([QuadPlan(-math.inf, xs, ppd=ppd, kinks=(0.0,),
+                              exp_rate=rate).points()
                      for ppd in (64, 128)])
 
 
