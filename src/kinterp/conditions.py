@@ -17,8 +17,9 @@ sup ratio itself is the interesting output.
 Each parameter computes its factors on the grid once and keeps them, so
 rho, C1 and C4 read the same ones.  The nested norms in C2/C3 are evaluated
 at the outer quadrature nodes: the outer integrals of all grid points, at
-the working and at doubled density, share a node lattice, and the inner M is
-evaluated once at the sorted union of their nodes.  The outer plans skip the
+the working and at doubled density, share a node lattice, and the outer
+integrand, inner M included, is evaluated once at the sorted union of their
+nodes; each plan reads it there, node by node.  The outer plans skip the
 far panels on which the outer weight e^{c q x} is exactly 0.0, so M is not
 evaluated there, nor can it leave double range there.  For a finite-q inner
 parameter with 0 < theta < 1, H^q and T^q there come from one sweep per side
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergentIntegralError, ScenarioError
+from .errors import DivergentIntegralError, InvariantViolation, ScenarioError
 from .params import (PhiParam, head_factors, min_factors, qth_root,
                      require_membership, swept_min_factors, tail_factors)
 from .quadrature import LogGrid, QuadPlan, distinct, norm_pow, powered
@@ -179,9 +180,10 @@ def _outer_trunc_norms(p_out, p_inner, c_exp, side, xs, ppds):
     """|| χ_side(u) e^{c_exp x} b_out(x) / M_inner(x) ||_out at each cutoff
     of xs, once per outer density in ppds.
 
-    For finite q_out the inner M is evaluated once at the sorted union of
-    every outer node, by ``swept_min_factors``: where it sweeps, a node's
-    value depends on the other nodes, and the grid and ``ppds`` fix them.
+    For finite q_out the integrand, with the inner M by
+    ``swept_min_factors``, is evaluated once at the sorted union of every
+    outer node: where it sweeps, a node's value depends on the other nodes,
+    and the grid and ``ppds`` fix them.
     For q_out = inf the supremum evaluates M at the points it samples, by
     the direct rule.
     """
@@ -189,15 +191,27 @@ def _outer_trunc_norms(p_out, p_inner, c_exp, side, xs, ppds):
     if p_out.sup_norm:
         core = _outer_core(p_out, lambda x: min_factors(p_inner, x))
         return [qth_root(p_out, norm_pow(*bounds, core, c_exp, p_out.q,
-                                         ppd=ppd, kinks=(0.0,)))
+                                         ppd=ppd, kinks=(0.0,), shared=True))
                 for ppd in ppds]
     plans = [QuadPlan(*bounds, ppd=ppd, kinks=(0.0,), exp_rate=c_exp * p_out.q)
              for ppd in ppds]
     nodes = distinct([plan.points() for plan in plans])
     m = swept_min_factors(p_inner, nodes)
-    fn = powered(_outer_core(p_out, lambda x: m[np.searchsorted(nodes, x)]),
-                 c_exp, p_out.q)
-    return [qth_root(p_out, plan.apply(fn)) for plan in plans]
+    vals = powered(_outer_core(p_out, lambda x: m), c_exp, p_out.q)(nodes)
+    return [qth_root(p_out, plan.apply(
+        lambda x, rows: _at_nodes(nodes, vals, x), shared=True))
+            for plan in plans]
+
+
+def _at_nodes(nodes, vals, x):
+    """vals[i] where x == nodes[i]; InvariantViolation where x is no node."""
+    i = np.minimum(np.searchsorted(nodes, x), nodes.size - 1)
+    miss = nodes[i] != x
+    if miss.any():
+        raise InvariantViolation(
+            f"outer norm: x = {float(x[miss].flat[0])!r} is none of the "
+            f"{nodes.size} nodes of the inner M")
+    return vals[i]
 
 
 def _nested_condition(cond_id, p_out, p_inner, c_exp, side, target, grid,

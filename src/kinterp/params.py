@@ -347,16 +347,16 @@ def _profile_pow(p: PhiParam, profile, side: str, x_t) -> QuadResult:
         return core
 
     value = form(profile.value_log)
+    # a one-row profile reads no row
+    kw = dict(ppd=p.ppd, kinks=kinks, shared=len(profile.values) == 1)
     if side == "tail":
-        return norm_pow(x_t, math.inf, value, -p.theta, p.q, ppd=p.ppd,
-                        kinks=kinks)
+        return norm_pow(x_t, math.inf, value, -p.theta, p.q, **kw)
     if side != "head":
         raise ValueError("side must be 'head' or 'tail'")
     mid = np.minimum(x_t, 0.0)
     return _join(p, norm_pow(-math.inf, mid, form(profile.slope_log),
-                             1.0 - p.theta, p.q, ppd=p.ppd, kinks=kinks),
-                 norm_pow(mid, x_t, value, -p.theta, p.q, ppd=p.ppd,
-                          kinks=kinks))
+                             1.0 - p.theta, p.q, **kw),
+                 norm_pow(mid, x_t, value, -p.theta, p.q, **kw))
 
 
 def norm_trunc_profile(p: PhiParam, profile: KProfile, side: str, t):

@@ -34,6 +34,14 @@ kinks split.  A pass is then gathered from the table and its rows' own
 panels by one index array; every row keeps the nodes, weights and column
 order it would get on its own.
 
+Where its inputs show it, a plan evaluates the integrand once per distinct
+node, not once per row and node.  Rows with identical bounds and no row
+kinks are laid out as one, and each pass hands the integrand that one row
+of nodes: by numpy broadcasting, only what depends on the row is computed
+per row.  An integrand stated ``shared`` (it ignores its rows) is evaluated
+once per ``apply``, at ``points()``, and each pass gathers its values by the
+index array that gathers its nodes.
+
 A supremum takes the same layout: ``QuadPlan.sup`` reduces each row to the
 largest of its samples (the points ``apply`` evaluates, its finite bounds
 and its kinks), polished by a ternary search, and ``sup_log`` is its one-row
@@ -251,7 +259,10 @@ class QuadPlan:
     declares that the integrand carries the factor e^{a x} through
     ``decay_product``, so it is exactly 0.0 wherever a x <= -EXP_ZERO: the
     far panels past the first lattice edge beyond that point are skipped,
-    which changes no node value and no divergence rule.
+    which changes no node value and no divergence rule.  Identical rows
+    (every lo equal, every hi equal, no ``row_kinks``) are laid out as one:
+    ``lo``, ``hi`` and the layout hold that one row, and ``rows`` all of
+    them.
 
     Layout.  Each of a row's three segments (the direct part in x, the
     negative and the positive far region in y = ln|x|) is a run of whole
@@ -274,9 +285,12 @@ class QuadPlan:
                                      np.asarray(hi, dtype=float))
         self.shape = lo.shape
         self.rows = np.flatnonzero(hi > lo)
-        self.lo, self.hi = lo, hi = lo.ravel()[self.rows], hi.ravel()[self.rows]
+        lo, hi = lo.ravel()[self.rows], hi.ravel()[self.rows]
+        if row_kinks is None and (lo == lo[:1]).all() and (hi == hi[:1]).all():
+            lo, hi = lo[:1], hi[:1]  # identical rows: one row laid out
+        self.lo, self.hi = lo, hi
         kinks = np.broadcast_to(np.asarray(kinks, dtype=float),
-                                (self.rows.size, len(kinks)))
+                                (lo.size, len(kinks)))
         if row_kinks is not None:
             kinks = np.column_stack([kinks, np.asarray(
                 row_kinks, dtype=float).ravel()[self.rows]])
@@ -294,7 +308,7 @@ class QuadPlan:
         # a pass), its panel count and own panel count per segment, and its
         # own panels (a, b) in order; laid out in blocks of rows, to keep
         # the temporaries small
-        r = self.rows.size
+        r = lo.size
         self.cols = np.empty(r)
         self.n = np.empty((r, 3), dtype=np.int64)
         self.own_n = np.empty((r, 3), dtype=np.int64)
@@ -468,9 +482,12 @@ class QuadPlan:
         panel[np.cumsum(length) - length] = jump
         return np.cumsum(panel, out=panel)
 
-    def _passes(self):
+    def _passes(self, source=None):
         """(row indices, (points, weights, inc, unbounded)) per pass over
-        the plan's rows.
+        the plan's laid-out rows; with ``source``, a function of the flat
+        gather source of x values, each pass also carries its values,
+        gathered from the source as the points are: (points, weights, inc,
+        unbounded, values).
 
         Columns are the direct nodes, the negative and the positive far
         nodes, then, when some row has an unbounded far region, the
@@ -483,7 +500,7 @@ class QuadPlan:
         first point with weight 0, so the integrand sees no point outside
         the rule; a pass without nodes has one such column.
         """
-        n = self.rows.size
+        n = self.lo.size
         if not n:
             return
         # rows of similar width share a pass, so little of it is padding
@@ -513,6 +530,7 @@ class QuadPlan:
             src_x, src_w, panel, probe, limit = self._gather(
                 order[bounds[first]:bounds[last]],
                 np.repeat(counts[first:last], rows[first:last], axis=0))
+            src_v = None if source is None else source(src_x)
             at = 0
             for p in range(first, last):
                 r, c, idx = int(rows[p]), counts[p].tolist(), passes[p]
@@ -547,8 +565,10 @@ class QuadPlan:
                         inc.append((start, nodes < -at_least[:, None]
                                     if far == 1
                                     else nodes > at_least[:, None]))
-                yield idx, (points, src_w.take(take), inc, self.unbounded[idx])
-            del src_x, src_w, panel  # before the next block's are built
+                built = (points, src_w.take(take), inc, self.unbounded[idx])
+                yield idx, built + (() if src_v is None
+                                    else (src_v.take(take),))
+            del src_x, src_w, src_v, panel  # before the next block's are built
             first = last
 
     def _gather(self, rows, counts):
@@ -614,8 +634,8 @@ class QuadPlan:
         t = self.table_x.shape[0]
         found, used = np.zeros(0), np.zeros(t, dtype=bool)
         block = CHUNK_ELEMS // GL_ORDER
-        for s in range(0, self.rows.size, block):
-            rows = np.arange(s, min(s + block, self.rows.size))
+        for s in range(0, self.lo.size, block):
+            rows = np.arange(s, min(s + block, self.lo.size))
             runs = self._runs(rows, None, rows)
             panel = self._slots(*runs[:3])
             used[panel[panel < t]] = True
@@ -632,19 +652,43 @@ class QuadPlan:
                   lo[~(self.n.any(axis=1) | unbounded.any(axis=1))]]
         return distinct(parts)
 
-    def apply(self, fn) -> "QuadResult":
+    def _row_passes(self, source=None):
+        """(rows, idx, pass) per pass of ``_passes``: the flat indices of
+        the rows it serves, and its laid-out rows.  Identical rows share
+        their one laid-out row, in blocks of about CHUNK_ELEMS / n rows."""
+        for idx, built in self._passes(source):
+            if self.lo.size == self.rows.size:
+                yield self.rows[idx], idx, built
+                continue
+            step = max(1, CHUNK_ELEMS // built[0].shape[1])
+            for s in range(0, self.rows.size, step):
+                yield self.rows[s:s + step], idx, built
+
+    def apply(self, fn, shared=False) -> "QuadResult":
         """Integrate ``fn(points, rows)`` over every row.
 
-        ``points`` is an (r, n) array of x values and ``rows`` the indices
-        (into the flattened bounds) of its r rows; ``fn`` returns the
-        nonnegative integrand at the points.  Returns a QuadResult of arrays
-        shaped like the broadcast bounds.
+        ``points`` is an (r, n) array of x values, (1, n) for identical
+        rows, and ``rows`` the indices (into the flattened bounds) of the r
+        rows; ``fn`` returns the nonnegative integrand, one row per entry
+        of ``rows``.  ``shared`` states that fn ignores ``rows``: it is then
+        called once, at the (1, N) ``points()`` with rows None, and each
+        pass gathers its values as it gathers its points.  Returns a
+        QuadResult of arrays shaped like the broadcast bounds.
         """
         value = np.zeros(self.shape).ravel()
         diverged = np.zeros(value.shape, dtype=bool)
-        for idx, (points, weights, inc, unbounded) in self._passes():
-            rows = self.rows[idx]
-            vals = np.asarray(fn(points, rows), dtype=float)
+        source = None
+        if shared:
+            at = self.points()
+            once = np.asarray(fn(at[None], None), dtype=float)[0]
+
+            def source(x):  # NaN at the padding, which no pass takes
+                i = np.minimum(np.searchsorted(at, x), at.size - 1)
+                return np.where(at[i] == x, once[i], math.nan)
+        for rows, idx, built in self._row_passes(source):
+            points, weights, inc, unbounded = built[:4]
+            vals = (built[4] if shared
+                    else np.asarray(fn(points, rows), dtype=float))
             finite = np.isfinite(vals)
             bad = ((weights > 0.0) & ~finite).any(axis=1)
             contrib = np.where(finite, vals, 0.0)
@@ -681,8 +725,7 @@ class QuadPlan:
         """
         value = np.zeros(self.shape).ravel()
         diverged = np.zeros(value.shape, dtype=bool)
-        for idx, (points, _, _, unbounded) in self._passes():
-            rows = self.rows[idx]
+        for rows, idx, (points, _, _, unbounded) in self._row_passes():
             lo, hi = self.lo[idx, None], self.hi[idx, None]
             x = np.concatenate([points, lo, hi, self.kinks[idx]], axis=1)
             # a bound beyond DEEP_LOG_RANGE can leave probes outside the row
@@ -737,7 +780,7 @@ def powered(core, rate: float, q: float):
 
 
 def norm_pow(lo, hi, core, rate: float, q: float, *, ppd: int, kinks=(),
-             row_kinks=None) -> QuadResult:
+             row_kinks=None, shared=False) -> QuadResult:
     """||χ_[lo_i, hi_i](x) e^{rate x} core(x)||_q of every row i of the
     broadcast bounds, before the q-th root; rows with hi <= lo are 0.
 
@@ -745,13 +788,15 @@ def norm_pow(lo, hi, core, rate: float, q: float, *, ppd: int, kinks=(),
     at q = inf the supremum of e^{rate x} core; either is one ``QuadPlan``
     told the decay rate, which calls ``core(x, rows)`` at the points x of
     the rows ``rows``.  ``row_kinks`` holds one kink per row (NaN for none).
+    ``shared`` states that core ignores ``rows``; for finite q the plan
+    then evaluates it once per distinct node (``QuadPlan.apply``).
     """
     if math.isinf(q):
         return QuadPlan(lo, hi, ppd=ppd, kinks=kinks, row_kinks=row_kinks,
                         exp_rate=rate).sup(
             lambda x, rows: decay_product(rate * x, core(x, rows)))
     return QuadPlan(lo, hi, ppd=ppd, kinks=kinks, row_kinks=row_kinks,
-                    exp_rate=rate * q).apply(powered(core, rate, q))
+                    exp_rate=rate * q).apply(powered(core, rate, q), shared)
 
 
 def integral_log(fn, x_lo=-math.inf, x_hi=math.inf, *, ppd=DEFAULT_PPD, kinks=()):

@@ -13,17 +13,19 @@ import pytest
 
 import reference_quadrature as ref
 from kinterp import (BrokenLog, Constant, DecompositionSearch, ExpLogPow,
-                     KProfile, LogGrid, PhiParam, Power, PrimitiveB, Product,
-                     RangeError, StepFn, WeightedSeq, norm_head_u,
-                     norm_tail_char, norm_trunc_profile, phi_norm)
-from kinterp import conditions
+                     InvariantViolation, KProfile, LogGrid, PhiParam, Power,
+                     PrimitiveB, Product, RangeError, StepFn, WeightedSeq,
+                     norm_head_u, norm_tail_char, norm_trunc_profile,
+                     phi_norm)
+from kinterp import conditions, estimates, params
 from kinterp.couples import atoms
 from kinterp.conditions import check_C2, check_C3
 from kinterp.params import (full_norm_profile, full_norm_profiles,
-                            head_factor, head_factors, min_factor,
+                            head_factor, head_factors, min_factor, qth_root,
                             swept_min_factors, tail_factor, tail_factors)
 from kinterp.quadrature import (GL_ORDER, LN10, QuadPlan, decay_product,
-                                integral_log, powered, sup_log)
+                                distinct, integral_log, norm_pow, powered,
+                                sup_log)
 from kinterp.runner import bundled_scenario, run_scenario, run_suite
 from kinterp.scenario import scenario_from_json
 from kinterp.sv import eval_sv_log
@@ -508,3 +510,141 @@ def test_overflow_leaves_the_suite_running(tmp_path):
     status = {s["name"]: s["exit_code"] for s in summary["scenarios"]}
     assert status == {"classical": 0, "overflow": 4}
     assert code == 4
+
+
+# identical rows: per row a cusp of height C at M, decaying as |x - M|^E
+# (E = 0.2 grows, so on a half line without decay that row diverges, at
+# every q); every nonempty row has the same bounds, and the empty ones
+# (hi <= lo) are mixed in
+_SAME_C = np.array([1.0, 2.5, 0.7, 1.3, 0.4])
+_SAME_M = np.array([0.3, -1.7, 2.2, 0.0, -0.4])
+_SAME_E = np.array([-4.0, -3.5, -5.0, 0.2, -4.5])
+
+
+def _same_core(x, rows):
+    c, m, e = (a[rows, None] for a in (_SAME_C, _SAME_M, _SAME_E))
+    return c * (1.0 + np.abs(x - m)) ** e
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, math.inf])
+@pytest.mark.parametrize("bounds,rate,diverges", [
+    ((-math.inf, math.inf), 0.0, True),   # both far regions fitted
+    ((-3.0, math.inf), -0.25, False),     # one, with the far panels cut
+    ((-2.0, 5.0), 0.0, False),            # none
+])
+def test_identical_rows_match_one_row_plans(q, bounds, rate, diverges):
+    empty = (4.0, 4.0)
+    lo, hi = np.array([bounds, bounds, empty, bounds, bounds, bounds,
+                       (6.0, 1.0)]).T
+    # the batch's row i is parameter row of[i]
+    of = np.array([0, 1, 0, 2, 3, 4, 0])
+    seen = []
+
+    def core(x, rows):
+        seen.append(x.shape)
+        return _same_core(x, of[rows])
+
+    kw = dict(ppd=64, kinks=(0.0, 1.1))
+    batch = norm_pow(lo, hi, core, rate, q, **kw)
+    # one row of points per pass; a supremum's polish (2 points and 1 per
+    # row) is row by row
+    assert QuadPlan(lo, hi, **kw).lo.size == 1
+    assert {r for r, n in seen if n > 2} == {1}
+    assert np.array_equal(np.flatnonzero(batch.diverged), [4] * diverges)
+    assert batch.value[2] == batch.value[6] == 0.0
+    for i in (0, 1, 3, 4, 5):
+        alone = norm_pow(lo[i], hi[i], lambda x, rows, i=i: _same_core(
+            x, of[rows + i]), rate, q, **kw)
+        assert alone.value == batch.value[i], i
+        assert alone.diverged == batch.diverged[i], i
+
+
+def _per_row_norm_pow(*args, shared=False, **kw):
+    """norm_pow with every row's integrand evaluated at its own points."""
+    return norm_pow(*args, **kw)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("side", ["head", "tail"])
+def test_shared_trunc_norms_match_per_row_evaluation(monkeypatch, q, side):
+    # a one-row profile at the 257 cutoffs of the default grid
+    p = PhiParam(0.4, q, BrokenLog(1.0, -0.5))
+    profile = KProfile.from_element(
+        WeightedSeq((1.0, 0.5, 2.0), (1.0, 8.0, 0.2), (1.0, 1.0, 1.0)))
+    xs = LogGrid(1e-8, 1e8, 16).log_points()
+    assert xs.size == 257
+    got = params._profile_pow(p, profile, side, xs)
+    monkeypatch.setattr(params, "norm_pow", _per_row_norm_pow)
+    want = params._profile_pow(p, profile, side, xs)
+    assert np.array_equal(got.value, want.value)
+    assert np.array_equal(got.diverged, want.diverged)
+
+
+def _c2_outer_plans(sc):
+    p0, p1 = sc.phi0, sc.phi1
+    c_exp = p1.theta - p0.theta
+    return [QuadPlan(-math.inf, sc.grid.log_points(), ppd=ppd, kinks=(0.0,),
+                     exp_rate=c_exp * p0.q) for ppd in (p0.ppd, 2 * p0.ppd)]
+
+
+def test_shared_outer_norms_match_per_row_evaluation():
+    # C2's outer norms on broken-log-1, against the integrand evaluated at
+    # every point of every pass
+    sc = bundled_scenario("broken-log-1")
+    p0, p1 = sc.phi0, sc.phi1
+    c_exp = p1.theta - p0.theta
+    plans = _c2_outer_plans(sc)
+    nodes = distinct([plan.points() for plan in plans])
+    m = swept_min_factors(p1, nodes)
+    fn = powered(conditions._outer_core(
+        p0, lambda x: m[np.searchsorted(nodes, x)]), c_exp, p0.q)
+    got = conditions._outer_trunc_norms(p0, p1, c_exp, "head",
+                                        sc.grid.log_points(),
+                                        (p0.ppd, 2 * p0.ppd))
+    for plan, norms in zip(plans, got):
+        assert np.array_equal(norms, qth_root(p0, plan.apply(fn)))
+
+
+def test_candidate_norms_evaluate_one_row_of_points(monkeypatch):
+    # the 729 split-grid candidates of broken-log-1 share their bounds, so
+    # each pass hands the core a single row of points: b(e^x) and the knot
+    # search are computed once per node, only K once per candidate
+    sc = bundled_scenario("broken-log-1")
+    coeffs, knots, basis = atoms(sc.element)
+    f0 = estimates._fractions(sc.element, sc.grid) * coeffs
+    assert f0.shape[0] == 729
+    shapes = []
+
+    def record(b, x):
+        shapes.append(np.shape(x))
+        return eval_sv_log(b, x)
+    monkeypatch.setattr(params, "eval_sv_log", record)
+    for p in (sc.phi0, sc.phi1):
+        full_norm_profiles(p, KProfile(knots, f0 @ basis))
+    assert shapes and {s[0] for s in shapes} == {1}
+
+
+def test_outer_core_sees_each_node_once(monkeypatch):
+    # C2 of broken-log-1 evaluates its outer integrand at no more points
+    # than the union of its two plans' points()
+    sc = bundled_scenario("broken-log-1")
+    union = distinct([plan.points() for plan in _c2_outer_plans(sc)])
+    outer_core, sizes = conditions._outer_core, []
+
+    def counted(p_out, inner):
+        core = outer_core(p_out, inner)
+        return lambda x, rows: sizes.append(np.size(x)) or core(x, rows)
+    monkeypatch.setattr(conditions, "_outer_core", counted)
+    check_C2(sc.phi0, sc.phi1, None, sc.grid, budget=sc.budget)
+    assert 0 < sum(sizes) <= union.size
+
+
+def test_outer_node_lookup_is_exact():
+    nodes = np.array([-2.0, 0.5, 3.0])
+    vals = np.array([10.0, 20.0, 30.0])
+    got = conditions._at_nodes(nodes, vals, np.array([[3.0, -2.0, 0.5]]))
+    assert np.array_equal(got, [[30.0, 10.0, 20.0]])
+    # between two nodes, and past the last one
+    for x in (0.4, 3.5):
+        with pytest.raises(InvariantViolation, match=f"x = {x!r} is none"):
+            conditions._at_nodes(nodes, vals, np.array([0.5, x]))
