@@ -13,7 +13,7 @@ from .conditions import DEFAULT_BUDGET
 from .errors import KinterpError, ScenarioError
 from .quadrature import LogGrid
 from .runner import EXIT_VALIDATION, run_scenario, run_suite
-from .scenario import load_scenario, reject_booleans
+from .scenario import bounded_grid, load_scenario, reject_booleans
 from .sv import check_sv_envelope, sv_from_json
 
 
@@ -40,7 +40,7 @@ def _grid(args, base: LogGrid) -> LogGrid:
                             f"{t_min!r} and {t_max!r}")
     if ppd < 1:
         raise ScenarioError(f"--ppd: must be at least 1, got {ppd}")
-    return LogGrid(t_min, t_max, ppd)
+    return bounded_grid(LogGrid(t_min, t_max, ppd), "--ppd")
 
 
 def _budget(cmax: float) -> float:

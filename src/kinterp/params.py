@@ -158,10 +158,6 @@ def swept_min_factors(p: PhiParam, xs: np.ndarray) -> np.ndarray:
                     qth_root(p, _swept_powers(p, xs, "tail")))
 
 
-#: increment rows per plan in a sweep, which bounds the layout temporaries
-_SWEEP_BLOCK = 512
-
-
 def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
     """H^q (head) or T^q (tail) at the sorted distinct points xs.
 
@@ -172,9 +168,11 @@ def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
         G_next = G e^{-r d} + ∫ e^{-r |w - x_next|} b^q dw  over the gap,
 
     the increment by the rule of ``shift_integral`` on a bounded row in
-    relative coordinates v = w - x_next (``norm_pow``, with the weight's
-    kink w = 0 at v = -x_next).  The first point, and every point where
-    e^{-r d} is exactly 0.0, restarts from ``shift_integral``.  A
+    relative coordinates v = w - x_next, with the weight's kink w = 0 at
+    v = -x_next.  All increments are rows of one ``norm_pow`` call, which
+    integrates the gaps of one direct panel (most of them) at their nodes
+    and lays out the others in one plan.  The first point, and every point
+    where e^{-r d} is exactly 0.0, restarts from ``shift_integral``.  A
     divergence flag, a restart's or an increment's, carries along the sweep
     up to the next restart.
     """
@@ -190,15 +188,11 @@ def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
     value[restart], bad[restart] = start.value, start.diverged
     # the increment of point k covers the gap before it, as v = w - x_k
     at = np.flatnonzero(~restart)
-    span, zero = gap[at - 1], np.zeros(at.size)
+    span, zero, xa = gap[at - 1], np.zeros(at.size), x[at]
     lo, hi = (-span, zero) if side == "head" else (zero, span)
-    for s in range(0, at.size, _SWEEP_BLOCK):
-        block = slice(s, s + _SWEEP_BLOCK)
-        xb = x[at[block]]
-        r = norm_pow(lo[block], hi[block],
-                     lambda v, rows: eval_sv_log(p.b, xb[rows, None] + v), c,
-                     p.q, ppd=p.ppd, row_kinks=-xb)
-        value[at[block]], bad[at[block]] = r.value, r.diverged
+    r = norm_pow(lo, hi, lambda v, rows: eval_sv_log(p.b, xa[rows, None] + v),
+                 c, p.q, ppd=p.ppd, row_kinks=-xa)
+    value[at], bad[at] = r.value, r.diverged
     g, flag = 0.0, False
     vals, flags = value.tolist(), bad.tolist()
     for k, (fresh, e) in enumerate(zip(restart.tolist(),

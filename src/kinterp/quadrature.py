@@ -51,7 +51,11 @@ still grows between the tail-fit probes of an infinite bound.
 Every norm in the package, ||χ_[lo,hi](x) e^{c x} g(x)||_q for q in (0, ∞],
 is ``norm_pow``: one plan whose ``apply`` integrates e^{c q x} g^q
 (``powered``) for finite q, and whose ``sup`` takes the supremum of
-e^{c x} g at q = ∞.
+e^{c x} g at q = ∞.  For finite q and an integrand that reads its rows, a
+row that the rule covers by one direct panel needs no layout (no table, no
+runs, no gather): ``norm_pow`` integrates such rows at their own nodes, in
+dense blocks, to the bits the plan would give, and the plan lays out only
+the other rows.  Most increments of the C2/C3 inner sweep are such rows.
 """
 
 from __future__ import annotations
@@ -101,11 +105,15 @@ class LogGrid:
         if self.points_per_decade < 1:
             raise ValueError("LogGrid requires points_per_decade >= 1")
 
+    def size(self) -> int:
+        """The number of points of ``log_points()``, counted without them."""
+        span = math.log10(self.t_max) - math.log10(self.t_min)
+        # a density past double range counts as 1e300, still too many points
+        return max(1, round(span * min(self.points_per_decade, 1e300))) + 1
+
     def log_points(self) -> np.ndarray:
-        d0 = math.log10(self.t_min)
-        d1 = math.log10(self.t_max)
-        n = max(1, round((d1 - d0) * self.points_per_decade))
-        return LN10 * np.linspace(d0, d1, n + 1)
+        return LN10 * np.linspace(math.log10(self.t_min),
+                                  math.log10(self.t_max), self.size())
 
     def points(self) -> np.ndarray:
         return np.exp(self.log_points())
@@ -151,6 +159,12 @@ def decay_product(exponent, factor):
             out = np.where(joint, np.exp(exponent + np.log(factor)), out)
     out = np.where(e == 0.0, 0.0, out)
     return np.where(factor == 0.0, 0.0, out)
+
+
+def _lattice_width(ppd):
+    """The panel width of the x lattice (and of the y lattice) at ``ppd``
+    points per decade."""
+    return LN10 / max(1, round(ppd / GL_ORDER))
 
 
 #: lattice offsets from floor(p / width) that can hold the panel edges next
@@ -199,14 +213,16 @@ def _gl_nodes(a, b, region):
     """Gauss-Legendre nodes and weights, (m, GL_ORDER), of the panels
     [a[j], b[j]]: in x for region 0 (the direct part); in y = ln|x|,
     returned as x = -e^y (region 1) or e^y (region 2) with the weights
-    scaled by e^y, for the far regions."""
+    scaled by e^y, for the far regions.  ``region`` holds one region per
+    panel, or 0 for all."""
     half = 0.5 * (b - a)[:, None]
     mid = 0.5 * (b + a)[:, None]
     x = half * _GL_X
     x += mid
     w = half * _GL_W
-    far = (region != 0)[:, None]
+    far = np.asarray(region) != 0
     if far.any():
+        far = far[:, None]
         u = np.exp(x)
         w = np.where(far, w * u, w)
         x = np.where(far, np.where((region == 1)[:, None], -u, u), x)
@@ -295,7 +311,7 @@ class QuadPlan:
             kinks = np.column_stack([kinks, np.asarray(
                 row_kinks, dtype=float).ravel()[self.rows]])
         self.kinks = kinks
-        self.width = LN10 / max(1, round(ppd / GL_ORDER))
+        self.width = _lattice_width(ppd)
         # y = ln|x| beyond which each far region's integrand is exactly 0
         self.y_cut = [math.inf, math.inf]
         if exp_rate and EXP_ZERO / abs(exp_rate) < DEEP_LOG_RANGE:
@@ -779,6 +795,44 @@ def powered(core, rate: float, q: float):
     return fn
 
 
+def _one_panel(lo, hi, kinks, row_kinks, width):
+    """Which rows [lo[i], hi[i]], all inside [-SWITCH, SWITCH], the rule
+    covers by exactly the one direct panel [lo[i], hi[i]]: wide enough for
+    a panel (``_segments``, ``_near_edges``), with no lattice point k*width
+    and no kink (shared, or the row's own) strictly inside.  Such a panel
+    is a row's own panel, or the table panel of the lattice points lo and
+    hi; either way its nodes are ``_gl_nodes(lo, hi, 0)``."""
+    span = hi - lo
+    one = ((span >= 1e-15) & (span > width * 1e-9)
+           & (np.ceil(hi / width) - np.floor(lo / width) <= 1.0))
+    if len(kinks):
+        k = np.asarray(kinks, dtype=float)
+        one &= ~((k > lo[:, None]) & (k < hi[:, None])).any(axis=1)
+    if row_kinks is not None:
+        one &= ~((row_kinks > lo) & (row_kinks < hi))
+    return one
+
+
+def _apply_one_panel(lo, hi, fn, rows):
+    """``QuadPlan.apply`` of the rows ``rows`` that are each one direct
+    panel [lo, hi], bit for bit: ``fn(nodes, rows)`` at the panel's nodes,
+    summed left to right, flagged where a node of positive weight is not
+    finite; in dense blocks of at most ``CHUNK_ELEMS`` nodes.  Returns
+    (value, diverged)."""
+    value = np.empty(lo.size)
+    diverged = np.empty(lo.size, dtype=bool)
+    step = CHUNK_ELEMS // GL_ORDER
+    for s in range(0, lo.size, step):
+        block = slice(s, s + step)
+        x, w = _gl_nodes(lo[block], hi[block], 0)
+        vals = np.asarray(fn(x, rows[block]), dtype=float)
+        finite = np.isfinite(vals)
+        diverged[block] = ((w > 0.0) & ~finite).any(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value[block] = _row_sums(np.where(finite, vals, 0.0) * w)
+    return value, diverged
+
+
 def norm_pow(lo, hi, core, rate: float, q: float, *, ppd: int, kinks=(),
              row_kinks=None, shared=False) -> QuadResult:
     """||χ_[lo_i, hi_i](x) e^{rate x} core(x)||_q of every row i of the
@@ -790,13 +844,47 @@ def norm_pow(lo, hi, core, rate: float, q: float, *, ppd: int, kinks=(),
     the rows ``rows``.  ``row_kinks`` holds one kink per row (NaN for none).
     ``shared`` states that core ignores ``rows``; for finite q the plan
     then evaluates it once per distinct node (``QuadPlan.apply``).
+
+    For finite q and a core that is not ``shared``, a row that the rule
+    covers by exactly one direct panel (``_one_panel``: a gap near x = 0,
+    as most increments of the C2/C3 inner sweep are) is integrated without
+    a layout, at its own nodes in dense blocks (``_apply_one_panel``), to
+    the bits the plan would give; the plan lays out only the other rows.
+    A call with no row inside [-SWITCH, SWITCH] goes to the plan after that
+    one bound test.
     """
     if math.isinf(q):
         return QuadPlan(lo, hi, ppd=ppd, kinks=kinks, row_kinks=row_kinks,
                         exp_rate=rate).sup(
             lambda x, rows: decay_product(rate * x, core(x, rows)))
-    return QuadPlan(lo, hi, ppd=ppd, kinks=kinks, row_kinks=row_kinks,
-                    exp_rate=rate * q).apply(powered(core, rate, q), shared)
+    fn = powered(core, rate, q)
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                 np.asarray(hi, dtype=float))
+    # a shared core is evaluated once at the distinct nodes of one plan; a
+    # second call for its one-panel rows cost more than their layout
+    one = np.flatnonzero((lo >= -SWITCH) & (hi <= SWITCH) & (not shared))
+    if one.size:
+        a, b = lo.ravel(), hi.ravel()
+        own = (None if row_kinks is None
+               else np.asarray(row_kinks, dtype=float).ravel())
+        one = one[_one_panel(a[one], b[one], kinks,
+                             None if own is None else own[one],
+                             _lattice_width(ppd))]
+    if not one.size:
+        return QuadPlan(lo, hi, ppd=ppd, kinks=kinks, row_kinks=row_kinks,
+                        exp_rate=rate * q).apply(fn, shared)
+    value, diverged = np.empty(a.size), np.empty(a.size, dtype=bool)
+    value[one], diverged[one] = _apply_one_panel(a[one], b[one], fn, one)
+    rest = np.ones(a.size, dtype=bool)
+    rest[one] = False
+    rest = np.flatnonzero(rest)
+    if rest.size:
+        r = QuadPlan(a[rest], b[rest], ppd=ppd, kinks=kinks,
+                     row_kinks=None if own is None else own[rest],
+                     exp_rate=rate * q).apply(
+            lambda x, rows: fn(x, rest[rows]))
+        value[rest], diverged[rest] = r.value, r.diverged
+    return QuadResult(value.reshape(lo.shape), diverged.reshape(lo.shape))
 
 
 def integral_log(fn, x_lo=-math.inf, x_hi=math.inf, *, ppd=DEFAULT_PPD, kinks=()):

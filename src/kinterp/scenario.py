@@ -16,6 +16,9 @@ from .params import PhiParam, phi_from_json, require_membership
 from .quadrature import LogGrid
 
 _DEFAULT_GRID = LogGrid(1e-8, 1e8, 16)
+#: most points a grid may have (a grid of 1e-300 to 1e300 at 166 points per
+#: decade has 99,601)
+MAX_GRID_POINTS = 100_000
 _DEFAULT_CHECKS = ("C1", "C2", "C3", "C4")
 
 
@@ -77,11 +80,23 @@ def _grid_from_json(obj, path):
         if isinstance(ppd, float) and not ppd.is_integer():
             raise ValueError(
                 f"points_per_decade must be an integer, got {ppd!r}")
-        return LogGrid(t_min=float(obj.get("t_min", _DEFAULT_GRID.t_min)),
+        grid = LogGrid(t_min=float(obj.get("t_min", _DEFAULT_GRID.t_min)),
                        t_max=float(obj.get("t_max", _DEFAULT_GRID.t_max)),
                        points_per_decade=int(ppd))
     except (TypeError, ValueError, AttributeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
+    return bounded_grid(grid, f"{path}.points_per_decade")
+
+
+def bounded_grid(grid: LogGrid, name: str) -> LogGrid:
+    """``grid``, or a ScenarioError naming ``name`` where it has more than
+    MAX_GRID_POINTS points; counted before any point exists."""
+    n = grid.size()
+    if n > MAX_GRID_POINTS:
+        raise ScenarioError(
+            f"{name}: gives {n:.3g} grid points from {grid.t_min:g} to "
+            f"{grid.t_max:g}, more than {MAX_GRID_POINTS}")
+    return grid
 
 
 def scenario_from_json(obj: dict, *, name_hint: str = "") -> Scenario:

@@ -17,7 +17,7 @@ from kinterp import (BrokenLog, Constant, DecompositionSearch, ExpLogPow,
                      PrimitiveB, Product, RangeError, StepFn, WeightedSeq,
                      norm_head_u, norm_tail_char, norm_trunc_profile,
                      phi_norm)
-from kinterp import conditions, estimates, params
+from kinterp import conditions, estimates, params, quadrature
 from kinterp.couples import atoms
 from kinterp.conditions import check_C2, check_C3
 from kinterp.params import (full_norm_profile, full_norm_profiles,
@@ -648,3 +648,127 @@ def test_outer_node_lookup_is_exact():
     for x in (0.4, 3.5):
         with pytest.raises(InvariantViolation, match=f"x = {x!r} is none"):
             conditions._at_nodes(nodes, vals, np.array([0.5, x]))
+
+
+# one call mixing rows that the rule covers by one direct panel with rows
+# it lays out: a table panel, tiny spans, the bounds ±SWITCH, kinks inside
+# and at a bound, rows that overflow, multi-panel, far, half-line and
+# empty rows, and more one-panel rows than one dense block holds
+_ONE_KINK = 0.05
+
+
+def _one_panel_rows():
+    rng = np.random.default_rng(7)
+    lo = rng.uniform(-1.0, 0.97, 700)
+    rows = [(1.0 * WIDTH, 2.0 * WIDTH, math.nan),      # a table panel
+            (-3.0 * WIDTH, -2.0 * WIDTH, math.nan),
+            (0.0, 1e-16, math.nan),                 # spans that are
+            (0.0, 1e-9 * WIDTH, math.nan),          # exact: 0 is a lattice
+            (0.0, 2e-9 * WIDTH, math.nan),          # point
+            (-1.0, -0.95, math.nan), (0.9, 1.0, math.nan),  # ±SWITCH
+            (-1.0, -0.95, -0.97), (0.9, 1.0, 1.0),  # row kink inside, at hi
+            (0.1, 0.2, 0.15), (0.1, 0.2, 0.1),
+            (0.03, 0.07, math.nan),                 # the shared kink inside
+            (-0.9, 0.9, math.nan), (-5.0, 3.0, 0.5), (1.5, 2.0, math.nan),
+            (-math.inf, 0.5, 0.0), (0.2, math.inf, math.nan),
+            (0.4, 0.4, math.nan), (0.6, 0.1, math.nan)]
+    rows += zip(lo, lo + rng.uniform(0.0, 0.03, lo.size),
+                np.where(rng.random(lo.size) < 0.2, lo + 0.01, math.nan))
+    return np.array(rows).T
+
+
+def _one_panel_core(x, rows):
+    # rows 6 and 8, on [0.9, 1], overflow to +inf
+    c = np.where(np.isin(rows, (6, 8)), 1e306, 1.0 + 0.1 * rows)[:, None]
+    with np.errstate(over="ignore"):
+        return c * np.exp(12.0 * x) / (1.0 + x * x)
+
+
+def _one_panel_shared(x, rows):
+    # overflows to +inf past x = 0.97
+    with np.errstate(over="ignore"):
+        return (np.where(x > 0.97, 1e306, 1.0) * np.exp(12.0 * x)
+                / (1.0 + x * x))
+
+
+def _count_plan_rows(monkeypatch, count):
+    """A list that each QuadPlan built through ``quadrature`` appends
+    count(lo, hi) of its bounds to."""
+    seen = []
+
+    class Counted(QuadPlan):
+        def __init__(self, lo, hi, **kw):
+            seen.append(count(lo, hi))
+            super().__init__(lo, hi, **kw)
+    monkeypatch.setattr(quadrature, "QuadPlan", Counted)
+    return seen
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("rate", [0.0, -0.7])
+@pytest.mark.parametrize("shared", [False, True])
+def test_one_panel_rows_match_the_plan(monkeypatch, q, rate, shared):
+    lo, hi, row_kinks = _one_panel_rows()
+    core = _one_panel_shared if shared else _one_panel_core
+    kw = dict(ppd=64, kinks=(_ONE_KINK,))
+    want = QuadPlan(lo, hi, row_kinks=row_kinks, exp_rate=rate * q,
+                    **kw).apply(powered(core, rate, q), shared)
+    laid_out = _count_plan_rows(monkeypatch, lambda lo, hi: np.size(lo))
+    got = norm_pow(lo, hi, core, rate, q, row_kinks=row_kinks,
+                   shared=shared, **kw)
+    assert np.array_equal(got.value, want.value)
+    assert np.array_equal(got.diverged, want.diverged)
+    # the table panels, the span of 2e-9 width, ±SWITCH and a kink at a
+    # bound are one panel; the spans of 1e-16 and 1e-9 width and the kinks
+    # inside are not
+    one = quadrature._one_panel(lo[:12], hi[:12], kw["kinks"],
+                                row_kinks[:12], WIDTH)
+    assert one.tolist() == [True, True, False, False, True, True, True,
+                            False, True, False, True, False]
+    # one plan laid out the other rows, and more than one dense block of
+    # one-panel rows was integrated; a shared integrand keeps every row in
+    # its one plan
+    near = np.flatnonzero((lo >= -1.0) & (hi <= 1.0))
+    dense = np.count_nonzero(quadrature._one_panel(
+        lo[near], hi[near], kw["kinks"], row_kinks[near], WIDTH))
+    assert dense > quadrature.CHUNK_ELEMS // GL_ORDER
+    assert laid_out == [lo.size if shared else lo.size - dense]
+    assert got.diverged[[6, 8]].all()
+    assert not got.diverged[[5, 7, 9]].any()
+
+
+def test_sweep_lays_out_only_the_longer_increments(monkeypatch):
+    """broken-log-1's C2 sweeps hand QuadPlan only the increments that the
+    rule does not cover by one direct panel, about 15% of them."""
+    sc = bundled_scenario("broken-log-1")
+    increments = []
+
+    def bounded(lo, hi):
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                     np.asarray(hi, dtype=float))
+        return int(np.count_nonzero(np.isfinite(lo) & np.isfinite(hi)))
+
+    def counted_norm_pow(lo, hi, *args, **kw):
+        increments.append(bounded(lo, hi))
+        return norm_pow(lo, hi, *args, **kw)
+    laid_out = _count_plan_rows(monkeypatch, bounded)
+    monkeypatch.setattr(params, "norm_pow", counted_norm_pow)
+    check_C2(sc.phi0, sc.phi1, None, sc.grid, budget=sc.budget)
+    share = sum(laid_out) / sum(increments)
+    assert sum(increments) > 1000
+    assert 0.05 < share < 0.3, share
+
+
+@pytest.mark.parametrize("cid,want", [
+    ("C2", 0.5484760261367859),
+    ("C3", 0.8623643238905242),
+])
+def test_nested_sup_ratios_pinned_on_a_wide_grid(cid, want):
+    # about 12,450 increment rows per sweep, 12,241 of them one panel: the
+    # dense rows run in many blocks
+    sc = bundled_scenario("broken-log-1")
+    check = check_C2 if cid == "C2" else check_C3
+    rep = check(sc.phi0, sc.phi1, None, LogGrid(1e-30, 1e30, 16),
+                budget=sc.budget)
+    assert rep.sup_ratio == pytest.approx(want, rel=1e-12)
+    assert rep.meta["refine_ok"]

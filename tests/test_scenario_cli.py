@@ -4,12 +4,12 @@ import re
 
 import pytest
 
-from kinterp import ScenarioError, load_scenario
+from kinterp import LogGrid, ScenarioError, load_scenario
 from kinterp.cli import main
 from kinterp.runner import (EXIT_CONDITIONS, EXIT_OK, EXIT_VALIDATION,
                             bundled_scenario, bundled_scenario_dir,
                             run_scenario, run_suite)
-from kinterp.scenario import scenario_from_json
+from kinterp.scenario import MAX_GRID_POINTS, scenario_from_json
 
 SMALL_GRID = {"t_min": 1e-2, "t_max": 1e2, "points_per_decade": 4}
 
@@ -75,6 +75,27 @@ class TestScenarioParsing:
         grid = dict(SMALL_GRID, points_per_decade=4.0)
         assert scenario_from_json(
             small_scenario(grid=grid)).grid.points_per_decade == 4
+
+    # counts rejected before any point exists: no test builds a grid this
+    # large
+    @pytest.mark.parametrize("ppd", [167, 1e20, 10 ** 400])
+    def test_too_many_grid_points_are_named(self, ppd):
+        grid = {"t_min": 1e-300, "t_max": 1e300, "points_per_decade": ppd}
+        with pytest.raises(ScenarioError, match=(
+                r"^grid\.points_per_decade: .* grid points from 1e-300 to "
+                r"1e\+300, more than 100000$")):
+            scenario_from_json(small_scenario(grid=grid))
+
+    def test_widest_grid_at_166_per_decade_fits(self):
+        grid = {"t_min": 1e-300, "t_max": 1e300, "points_per_decade": 166}
+        assert scenario_from_json(
+            small_scenario(grid=grid)).grid.size() == 99_601
+        assert MAX_GRID_POINTS == 100_000
+
+    @pytest.mark.parametrize("grid", [LogGrid(), LogGrid(0.5, 2.0, 1),
+                                      LogGrid(1e-3, 7e2, 7)])
+    def test_grid_size_counts_its_points(self, grid):
+        assert grid.size() == grid.log_points().size
 
 
     @pytest.mark.parametrize("overrides, named", [
@@ -373,6 +394,27 @@ class TestSuite:
         assert (tmp_path / "out" / "good.summary.json").exists()
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_too_dense_grid_isolated(self, tmp_path, capsys):
+        # before the bound, log_points raised a bare ValueError that
+        # aborted the suite with no report
+        sc = json.loads((bundled_scenario_dir() / "classical-1.json")
+                        .read_text(encoding="utf-8"))
+        (tmp_path / "classical-1.json").write_text(json.dumps(sc))
+        (tmp_path / "dense.json").write_text(json.dumps(
+            {**sc, "name": "dense",
+             "grid": {**sc["grid"], "points_per_decade": 1e20}}))
+        code = main(["suite", "--dir", str(tmp_path), "--out",
+                     str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        summary = json.loads((tmp_path / "out" / "suite-summary.json")
+                             .read_text(encoding="utf-8"))
+        by_name = {r["name"]: r for r in summary["scenarios"]}
+        assert by_name["classical-1"]["status"] == "pass"
+        assert by_name["dense"]["exit_code"] == EXIT_VALIDATION
+        assert by_name["dense"]["error"].startswith("grid.points_per_decade: ")
+        assert (tmp_path / "out" / "classical-1.summary.json").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_divergent_primitive_isolated(self, tmp_path, capsys):
         (tmp_path / "good.json").write_text(json.dumps(small_scenario("good")))
         (tmp_path / "bad.json").write_text(json.dumps(small_scenario(
@@ -591,6 +633,23 @@ class TestCli:
                     str(tmp_path / "out")]
         assert main(argv + flags) == EXIT_VALIDATION
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "conditions", "sv-check"])
+    def test_too_dense_ppd_is_named(self, tmp_path, capsys, command):
+        p = tmp_path / "sc.json"
+        p.write_text(json.dumps(small_scenario("dense")))
+        if command == "sv-check":
+            argv = ["sv-check", "--b", '{"kind": "Constant", "c": 1}',
+                    "--eps", "0.5"]
+        else:
+            argv = [command, "--scenario", str(p), "--out",
+                    str(tmp_path / "out")]
+        assert main(argv + ["--ppd", "100000000000000000000"]) == \
+            EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "--ppd: " in err and "more than 100000" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_sv_check_bad_eps_is_named(self, capsys):
