@@ -15,18 +15,17 @@ the underlying inequalities hold only up to unspecified constants, so the
 sup ratio itself is the interesting output.
 
 Each parameter computes its factors on the grid once and keeps them, so
-rho, C1 and C4 read the same ones.  The nested norms in C2/C3 are evaluated
-at the outer quadrature nodes: the outer integrals of all grid points, at
-the working and at doubled density, share a node lattice, and the outer
-integrand, inner M included, is evaluated once at the sorted union of their
-nodes; each plan reads it there, node by node.  The outer plans skip the
-far panels on which the outer weight e^{c q x} is exactly 0.0, so M is not
-evaluated there, nor can it leave double range there.  For a finite-q inner
-parameter with 0 < theta < 1, H^q and T^q there come from one sweep per side
-along the nodes (``params.swept_min_factors``), each node adding the
-integral over the gap to its neighbour; a swept value depends on the node
-set, which the grid fixes, so reports stay deterministic.  The
-doubled-density pass is the refinement check; its drift goes in the meta.
+rho, C1 and C4 read the same ones.  The outer norms of C2/C3 at all grid
+points are, at the working and at doubled density, one quadrature row cut
+at every grid point (``quadrature.truncated_pows``), and the outer
+integrand, inner M included, is evaluated once at the sorted distinct nodes
+of both rows.  The rows skip the far panels on which the outer weight
+e^{c q x} is exactly 0.0, so M is not evaluated there, nor can it leave
+double range there.  For a finite-q inner parameter with 0 < theta < 1,
+H^q and T^q come from one sweep per side along the nodes
+(``params.swept_min_factors``); a swept value depends on the node set,
+which the grid fixes, so reports stay deterministic.  The doubled-density
+row is the refinement check; its drift goes in the meta.
 
 ``CHECKS`` is the one list of checks that scenarios and ``--only`` may name;
 ``CONDITION_IDS`` follows from it, and ``estimates.run_checks`` runs them.
@@ -39,10 +38,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergentIntegralError, InvariantViolation, ScenarioError
+from .errors import DivergentIntegralError, ScenarioError
 from .params import (PhiParam, head_factors, min_factors, qth_root,
                      require_membership, swept_min_factors, tail_factors)
-from .quadrature import LogGrid, QuadPlan, distinct, norm_pow, powered
+from .quadrature import LogGrid, truncated_pows
 from .sv import eval_sv_log, shift_integral
 
 # Bound here though this module calls none of them: perfbench/spans.py
@@ -162,56 +161,24 @@ def check_C1(p0: PhiParam, p1: PhiParam, rho=None, grid: LogGrid = LogGrid(),
             _finish("C1_upper", grid, ts, rho_v, upper, budget))
 
 
-def _outer_core(p_out, inner):
-    """The core b_out(x) / inner(x) of the outer norm, 0 where inner is
-    +inf."""
+def _outer_trunc_norms(p_out, p_inner, c_exp, side, xs, ppds):
+    """|| χ_side(u) e^{c_exp x} b_out(x) / M_inner(x) ||_out (0 where
+    M_inner is +inf) at each cutoff of xs, once per outer density in ppds:
+    M_inner swept along the nodes of ``truncated_pows`` for finite q_out,
+    by the direct rule at the points the supremum samples at q_out = inf.
+    """
 
     def core(x, rows):
-        bv = eval_sv_log(p_out.b, x)
-        mv = inner(x)
+        m = (min_factors(p_inner, x) if p_out.sup_norm
+             else swept_min_factors(p_inner, x[0])[None])
         with np.errstate(divide="ignore", invalid="ignore",
                          over="ignore", under="ignore"):
-            c = bv / mv
-        return np.where(np.isinf(mv), 0.0, c)
-    return core
+            c = eval_sv_log(p_out.b, x) / m
+        return np.where(np.isinf(m), 0.0, c)
 
-
-def _outer_trunc_norms(p_out, p_inner, c_exp, side, xs, ppds):
-    """|| χ_side(u) e^{c_exp x} b_out(x) / M_inner(x) ||_out at each cutoff
-    of xs, once per outer density in ppds.
-
-    For finite q_out the integrand, with the inner M by
-    ``swept_min_factors``, is evaluated once at the sorted union of every
-    outer node: where it sweeps, a node's value depends on the other nodes,
-    and the grid and ``ppds`` fix them.
-    For q_out = inf the supremum evaluates M at the points it samples, by
-    the direct rule.
-    """
-    bounds = (-math.inf, xs) if side == "head" else (xs, math.inf)
-    if p_out.sup_norm:
-        core = _outer_core(p_out, lambda x: min_factors(p_inner, x))
-        return [qth_root(p_out, norm_pow(*bounds, core, c_exp, p_out.q,
-                                         ppd=ppd, kinks=(0.0,), shared=True))
-                for ppd in ppds]
-    plans = [QuadPlan(*bounds, ppd=ppd, kinks=(0.0,), exp_rate=c_exp * p_out.q)
-             for ppd in ppds]
-    nodes = distinct([plan.points() for plan in plans])
-    m = swept_min_factors(p_inner, nodes)
-    vals = powered(_outer_core(p_out, lambda x: m), c_exp, p_out.q)(nodes)
-    return [qth_root(p_out, plan.apply(
-        lambda x, rows: _at_nodes(nodes, vals, x), shared=True))
-            for plan in plans]
-
-
-def _at_nodes(nodes, vals, x):
-    """vals[i] where x == nodes[i]; InvariantViolation where x is no node."""
-    i = np.minimum(np.searchsorted(nodes, x), nodes.size - 1)
-    miss = nodes[i] != x
-    if miss.any():
-        raise InvariantViolation(
-            f"outer norm: x = {float(x[miss].flat[0])!r} is none of the "
-            f"{nodes.size} nodes of the inner M")
-    return vals[i]
+    end = -math.inf if side == "head" else math.inf
+    return [qth_root(p_out, r) for r in truncated_pows(
+        end, xs, core, c_exp, p_out.q, ppds=ppds, kinks=(0.0,))]
 
 
 def _nested_condition(cond_id, p_out, p_inner, c_exp, side, target, grid,

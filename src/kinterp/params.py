@@ -26,10 +26,10 @@ available through ``norm_head_u``/``norm_tail_char``.
 
 Every norm here is ||χ_[lo,hi] e^{c x} g|| of some core g, and
 ``quadrature.norm_pow`` computes it for a batch of rows before the q-th
-root, for every q in (0, ∞]: H and T through ``sv.shift_integral``, the
-increments of their sweep, the truncated and full norms of K(·, f), and
-``phi_norm`` with g(e^x) b(e^x) as its core.  ``_join`` adds two pieces, or
-takes their max at q = inf, and ``qth_root`` finishes.
+root, for every q in (0, ∞]: H and T, their sweep's increments, the full
+norms of K(·, f) and ``phi_norm``; the truncated norms of K(·, f) at many
+cutoffs are one row cut at each (``truncated_pows``).  ``_join`` adds two
+pieces, or takes their max at q = inf, and ``qth_root`` finishes.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ import numpy as np
 
 from .couples import KProfile
 from .errors import MembershipError, RangeError
-from .quadrature import DEFAULT_PPD, LogGrid, QuadResult, norm_pow
+from .quadrature import (DEFAULT_PPD, LogGrid, QuadResult, norm_pow,
+                         truncated_pows)
 from .sv import (Constant, SVDescriptor, eval_sv_log, shift_integral,
                  sv_from_json)
 
@@ -320,17 +321,11 @@ def _join(p: PhiParam, a: QuadResult, b: QuadResult) -> QuadResult:
     return QuadResult(value, a.diverged | b.diverged)
 
 
-def _profile_pow(p: PhiParam, profile, side: str, x_t) -> QuadResult:
-    """||χ_(0,t) K|| (head) or ||χ_(t,∞) K|| (tail) before the root, at every
-    x_t = ln t.  ``profile`` is a KProfile: with one row it serves every
-    x_t, with several its row i is truncated at the i-th entry of x_t.
-
-    [u^{-theta} b K]^q du/u is integrated in two forms: below
-    min(x_t, 0) the slope form e^{(1-theta) q x} (b K/u)^q, stable toward
-    u -> 0 where K/u tends to a constant; above it the value form
-    e^{-theta q x} (b K)^q, stable toward u -> inf where K saturates.
-    """
-    kinks = tuple(profile.log_kinks()) + (0.0,)
+def _forms(p: PhiParam, profile):
+    """The cores of [u^{-theta} b K]^q du/u, and their kinks: below x = 0
+    the slope form e^{(1-theta) q x} (b K/u)^q, stable toward u -> 0 where
+    K/u tends to a constant; above it the value form e^{-theta q x} (b K)^q,
+    stable toward u -> inf where K saturates."""
 
     def form(k):
         def core(x, rows):
@@ -340,25 +335,40 @@ def _profile_pow(p: PhiParam, profile, side: str, x_t) -> QuadResult:
                                out=np.zeros(kv.shape), where=kv != 0.0)
         return core
 
-    value = form(profile.value_log)
-    # a one-row profile reads no row
-    kw = dict(ppd=p.ppd, kinks=kinks, shared=len(profile.values) == 1)
+    return (form(profile.slope_log), form(profile.value_log),
+            tuple(profile.log_kinks()) + (0.0,))
+
+
+def _profile_pow(p: PhiParam, profile, side: str, x_t) -> QuadResult:
+    """||χ_(0,t) K|| (head) or ||χ_(t,∞) K|| (tail) of a one-row KProfile
+    before the root, at every x_t = ln t, each form (``_forms``) one
+    ``truncated_pows`` over all of x_t."""
+    slope, value, kinks = _forms(p, profile)
+    kw = dict(ppds=(p.ppd,), kinks=kinks)
     if side == "tail":
-        return norm_pow(x_t, math.inf, value, -p.theta, p.q, **kw)
+        return truncated_pows(math.inf, x_t, value, -p.theta, p.q, **kw)[0]
     if side != "head":
         raise ValueError("side must be 'head' or 'tail'")
-    mid = np.minimum(x_t, 0.0)
-    return _join(p, norm_pow(-math.inf, mid, form(profile.slope_log),
-                             1.0 - p.theta, p.q, **kw),
-                 norm_pow(mid, x_t, value, -p.theta, p.q, **kw))
+    return _join(p, truncated_pows(-math.inf, np.minimum(x_t, 0.0), slope,
+                                   1.0 - p.theta, p.q, **kw)[0],
+                 truncated_pows(0.0, x_t, value, -p.theta, p.q, **kw)[0])
 
 
 def norm_trunc_profile(p: PhiParam, profile: KProfile, side: str, t):
-    """Truncated norm of a K-profile: ||χ_(0,t) K||  or  ||χ_(t,∞) K||.
+    """Truncated norm of a one-row K-profile: ||χ_(0,t) K||  or
+    ||χ_(t,∞) K||.
 
-    ``t`` may be a float (returns a float) or an array (returns an array).
+    ``t`` may be a float (returns a float) or an array (returns an array),
+    finite.  All of t cut one quadrature row, so a value depends on the
+    other cutoffs of the call, as a swept M does on its points: by about
+    1e-15 on the bundled grids.  Order and repeats of t do not matter.
     """
+    if len(profile.values) != 1:
+        raise ValueError("a truncated norm takes a profile of one row, "
+                         f"not {len(profile.values)}")
     ts = _positive(t)
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("t must be finite")
     out = qth_root(p, _profile_pow(p, profile, side, np.log(ts)))
     return out if ts.ndim else float(out)
 
@@ -374,9 +384,13 @@ def full_norm_profiles(p: PhiParam, profiles: KProfile) -> np.ndarray:
     return _full_norm(p, profiles, np.zeros(len(profiles.values)))
 
 
-def _full_norm(p, profile, x_t):
-    return qth_root(p, _join(p, _profile_pow(p, profile, "head", x_t),
-                             _profile_pow(p, profile, "tail", x_t)))
+def _full_norm(p, profile, zero):
+    """The norm of each row of ``profile``; ``zero`` holds a 0.0 per row."""
+    slope, value, kinks = _forms(p, profile)
+    kw = dict(ppd=p.ppd, kinks=kinks)
+    return qth_root(p, _join(
+        p, norm_pow(-math.inf, zero, slope, 1.0 - p.theta, p.q, **kw),
+        norm_pow(zero, math.inf, value, -p.theta, p.q, **kw)))
 
 
 def phi_from_json(obj: dict, path: str = "phi") -> PhiParam:

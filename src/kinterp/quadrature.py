@@ -38,9 +38,7 @@ Where its inputs show it, a plan evaluates the integrand once per distinct
 node, not once per row and node.  Rows with identical bounds and no row
 kinks are laid out as one, and each pass hands the integrand that one row
 of nodes: by numpy broadcasting, only what depends on the row is computed
-per row.  An integrand stated ``shared`` (it ignores its rows) is evaluated
-once per ``apply``, at ``points()``, and each pass gathers its values by the
-index array that gathers its nodes.
+per row.
 
 A supremum takes the same layout: ``QuadPlan.sup`` reduces each row to the
 largest of its samples (the points ``apply`` evaluates, its finite bounds
@@ -56,6 +54,11 @@ row that the rule covers by one direct panel needs no layout (no table, no
 runs, no gather): ``norm_pow`` integrates such rows at their own nodes, in
 dense blocks, to the bits the plan would give, and the plan lays out only
 the other rows.  Most increments of the C2/C3 inner sweep are such rows.
+
+A norm truncated at many cutoffs is ``truncated_pows``: for finite q one
+plan row from a fixed end to the farthest cutoff, with every cutoff a kink,
+evaluated once at its distinct nodes and read at each cutoff as a partial
+sum in order of x, which ``_reduce`` flags as ``apply`` flags a row.
 """
 
 from __future__ import annotations
@@ -263,6 +266,38 @@ def _tail_fit(g1, g2, u_ref):
         conv = pos & (g2 > _TINY_POS) & (slope < -1.0 - _SLOPE_MARGIN)
         tail = np.where(conv, g1 * u_ref / (-1.0 - slope), 0.0)
     return tail, ~finite | (pos & ~conv)
+
+
+def _reduce(vals, built, sums):
+    """Values and divergence flags by the rule, from the integrand's values
+    ``vals`` at the points of a pass ``built`` of ``QuadPlan._passes``.
+    ``sums`` maps an array shaped like the pass to the sums read from it:
+    each row's for ``apply`` (``_row_sums``), each cutoff's partial sum for
+    ``truncated_pows``.  A sum is flagged by a non-finite node of positive
+    weight in it and by a last-doubling increment above DIVERGENCE_REL of
+    it; the unbounded regions' tail fits are added to every sum and flag it
+    where they flag."""
+    points, weights, inc, unbounded = built
+    finite = np.isfinite(vals)
+    bad = sums((weights > 0.0) & ~finite) > 0
+    contrib = np.where(finite, vals, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        contrib *= weights
+        total = sums(contrib)
+        floor = DIVERGENCE_REL * np.abs(total) + _ABS_FLOOR
+        for start, mask in inc:
+            if mask.any():
+                cols = slice(start, start + mask.shape[1])
+                part = np.zeros(contrib.shape)
+                part[:, cols] = np.where(mask, contrib[:, cols], 0.0)
+                bad |= sums(part) > floor
+    if unbounded.any():
+        tail, flag = _tail_fit(vals[:, -4::2], vals[:, -3::2],
+                               np.abs(points[:, -4::2]))
+        tail = np.where(unbounded, tail, 0.0)
+        total = total + (tail[:, 0] + tail[:, 1])
+        bad |= (unbounded & flag).any(axis=1)
+    return total, bad
 
 
 class QuadPlan:
@@ -498,12 +533,9 @@ class QuadPlan:
         panel[np.cumsum(length) - length] = jump
         return np.cumsum(panel, out=panel)
 
-    def _passes(self, source=None):
+    def _passes(self):
         """(row indices, (points, weights, inc, unbounded)) per pass over
-        the plan's laid-out rows; with ``source``, a function of the flat
-        gather source of x values, each pass also carries its values,
-        gathered from the source as the points are: (points, weights, inc,
-        unbounded, values).
+        the plan's laid-out rows.
 
         Columns are the direct nodes, the negative and the positive far
         nodes, then, when some row has an unbounded far region, the
@@ -546,7 +578,6 @@ class QuadPlan:
             src_x, src_w, panel, probe, limit = self._gather(
                 order[bounds[first]:bounds[last]],
                 np.repeat(counts[first:last], rows[first:last], axis=0))
-            src_v = None if source is None else source(src_x)
             at = 0
             for p in range(first, last):
                 r, c, idx = int(rows[p]), counts[p].tolist(), passes[p]
@@ -581,10 +612,8 @@ class QuadPlan:
                         inc.append((start, nodes < -at_least[:, None]
                                     if far == 1
                                     else nodes > at_least[:, None]))
-                built = (points, src_w.take(take), inc, self.unbounded[idx])
-                yield idx, built + (() if src_v is None
-                                    else (src_v.take(take),))
-            del src_x, src_w, src_v, panel  # before the next block's are built
+                yield idx, (points, src_w.take(take), inc, self.unbounded[idx])
+            del src_x, src_w, panel  # before the next block's are built
             first = last
 
     def _gather(self, rows, counts):
@@ -642,37 +671,11 @@ class QuadPlan:
         return (src_x.ravel(), src_w.ravel(), panel,
                 GL_ORDER * probe[:, None] + np.arange(4), limit)
 
-    def points(self) -> np.ndarray:
-        """Sorted distinct points at which ``apply`` evaluates the integrand:
-        the nodes of the table panels some row uses, the rows' own nodes,
-        the probes of unbounded regions and, for a row with no node, its
-        lower bound."""
-        t = self.table_x.shape[0]
-        found, used = np.zeros(0), np.zeros(t, dtype=bool)
-        block = CHUNK_ELEMS // GL_ORDER
-        for s in range(0, self.lo.size, block):
-            rows = np.arange(s, min(s + block, self.lo.size))
-            runs = self._runs(rows, None, rows)
-            panel = self._slots(*runs[:3])
-            used[panel[panel < t]] = True
-            # merged block by block: the union stays small where rows share
-            # nodes
-            found = distinct([found, _gl_nodes(*runs[4])[0]])
-        parts = [found, self.table_x[used]]
-        lo, hi, unbounded = self.lo, self.hi, self.unbounded
-        neg = np.maximum(DEEP_LOG_RANGE,
-                         2.0 * np.maximum(SWITCH, -hi[unbounded[:, 0]]))
-        pos = np.maximum(DEEP_LOG_RANGE,
-                         2.0 * np.maximum(SWITCH, lo[unbounded[:, 1]]))
-        parts += [-neg, -neg / 2.0, pos, pos / 2.0,
-                  lo[~(self.n.any(axis=1) | unbounded.any(axis=1))]]
-        return distinct(parts)
-
-    def _row_passes(self, source=None):
+    def _row_passes(self):
         """(rows, idx, pass) per pass of ``_passes``: the flat indices of
         the rows it serves, and its laid-out rows.  Identical rows share
         their one laid-out row, in blocks of about CHUNK_ELEMS / n rows."""
-        for idx, built in self._passes(source):
+        for idx, built in self._passes():
             if self.lo.size == self.rows.size:
                 yield self.rows[idx], idx, built
                 continue
@@ -680,50 +683,20 @@ class QuadPlan:
             for s in range(0, self.rows.size, step):
                 yield self.rows[s:s + step], idx, built
 
-    def apply(self, fn, shared=False) -> "QuadResult":
+    def apply(self, fn) -> "QuadResult":
         """Integrate ``fn(points, rows)`` over every row.
 
         ``points`` is an (r, n) array of x values, (1, n) for identical
         rows, and ``rows`` the indices (into the flattened bounds) of the r
         rows; ``fn`` returns the nonnegative integrand, one row per entry
-        of ``rows``.  ``shared`` states that fn ignores ``rows``: it is then
-        called once, at the (1, N) ``points()`` with rows None, and each
-        pass gathers its values as it gathers its points.  Returns a
-        QuadResult of arrays shaped like the broadcast bounds.
+        of ``rows``.  Returns a QuadResult of arrays shaped like the
+        broadcast bounds.
         """
         value = np.zeros(self.shape).ravel()
         diverged = np.zeros(value.shape, dtype=bool)
-        source = None
-        if shared:
-            at = self.points()
-            once = np.asarray(fn(at[None], None), dtype=float)[0]
-
-            def source(x):  # NaN at the padding, which no pass takes
-                i = np.minimum(np.searchsorted(at, x), at.size - 1)
-                return np.where(at[i] == x, once[i], math.nan)
-        for rows, idx, built in self._row_passes(source):
-            points, weights, inc, unbounded = built[:4]
-            vals = (built[4] if shared
-                    else np.asarray(fn(points, rows), dtype=float))
-            finite = np.isfinite(vals)
-            bad = ((weights > 0.0) & ~finite).any(axis=1)
-            contrib = np.where(finite, vals, 0.0)
-            with np.errstate(over="ignore", invalid="ignore"):
-                contrib *= weights
-                total = _row_sums(contrib)
-                floor = DIVERGENCE_REL * np.abs(total) + _ABS_FLOOR
-                for start, mask in inc:
-                    if mask.any():
-                        block = contrib[:, start:start + mask.shape[1]]
-                        bad |= _row_sums(np.where(mask, block, 0.0)) > floor
-            if unbounded.any():
-                tail, flag = _tail_fit(vals[:, -4::2], vals[:, -3::2],
-                                       np.abs(points[:, -4::2]))
-                tail = np.where(unbounded, tail, 0.0)
-                total = total + (tail[:, 0] + tail[:, 1])
-                bad |= (unbounded & flag).any(axis=1)
-            value[rows] = total
-            diverged[rows] = bad
+        for rows, idx, built in self._row_passes():
+            vals = np.asarray(fn(built[0], rows), dtype=float)
+            value[rows], diverged[rows] = _reduce(vals, built, _row_sums)
         return QuadResult(value.reshape(self.shape), diverged.reshape(self.shape))
 
     def sup(self, fn) -> "QuadResult":
@@ -816,9 +789,9 @@ def _one_panel(lo, hi, kinks, row_kinks, width):
 def _apply_one_panel(lo, hi, fn, rows):
     """``QuadPlan.apply`` of the rows ``rows`` that are each one direct
     panel [lo, hi], bit for bit: ``fn(nodes, rows)`` at the panel's nodes,
-    summed left to right, flagged where a node of positive weight is not
-    finite; in dense blocks of at most ``CHUNK_ELEMS`` nodes.  Returns
-    (value, diverged)."""
+    reduced as a pass of the plan (``_reduce``; a direct panel has no
+    increment and no tail fit), in dense blocks of at most ``CHUNK_ELEMS``
+    nodes.  Returns (value, diverged)."""
     value = np.empty(lo.size)
     diverged = np.empty(lo.size, dtype=bool)
     step = CHUNK_ELEMS // GL_ORDER
@@ -826,15 +799,13 @@ def _apply_one_panel(lo, hi, fn, rows):
         block = slice(s, s + step)
         x, w = _gl_nodes(lo[block], hi[block], 0)
         vals = np.asarray(fn(x, rows[block]), dtype=float)
-        finite = np.isfinite(vals)
-        diverged[block] = ((w > 0.0) & ~finite).any(axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            value[block] = _row_sums(np.where(finite, vals, 0.0) * w)
+        value[block], diverged[block] = _reduce(
+            vals, (x, w, (), np.zeros(0, dtype=bool)), _row_sums)
     return value, diverged
 
 
 def norm_pow(lo, hi, core, rate: float, q: float, *, ppd: int, kinks=(),
-             row_kinks=None, shared=False) -> QuadResult:
+             row_kinks=None) -> QuadResult:
     """||χ_[lo_i, hi_i](x) e^{rate x} core(x)||_q of every row i of the
     broadcast bounds, before the q-th root; rows with hi <= lo are 0.
 
@@ -842,16 +813,13 @@ def norm_pow(lo, hi, core, rate: float, q: float, *, ppd: int, kinks=(),
     at q = inf the supremum of e^{rate x} core; either is one ``QuadPlan``
     told the decay rate, which calls ``core(x, rows)`` at the points x of
     the rows ``rows``.  ``row_kinks`` holds one kink per row (NaN for none).
-    ``shared`` states that core ignores ``rows``; for finite q the plan
-    then evaluates it once per distinct node (``QuadPlan.apply``).
 
-    For finite q and a core that is not ``shared``, a row that the rule
-    covers by exactly one direct panel (``_one_panel``: a gap near x = 0,
-    as most increments of the C2/C3 inner sweep are) is integrated without
-    a layout, at its own nodes in dense blocks (``_apply_one_panel``), to
-    the bits the plan would give; the plan lays out only the other rows.
-    A call with no row inside [-SWITCH, SWITCH] goes to the plan after that
-    one bound test.
+    For finite q, a row that the rule covers by exactly one direct panel
+    (``_one_panel``: a gap near x = 0, as most increments of the C2/C3
+    inner sweep are) is integrated without a layout, at its own nodes in
+    dense blocks (``_apply_one_panel``), to the bits the plan would give;
+    the plan lays out only the other rows.  A call with no row inside
+    [-SWITCH, SWITCH] goes to the plan after that one bound test.
     """
     if math.isinf(q):
         return QuadPlan(lo, hi, ppd=ppd, kinks=kinks, row_kinks=row_kinks,
@@ -860,9 +828,7 @@ def norm_pow(lo, hi, core, rate: float, q: float, *, ppd: int, kinks=(),
     fn = powered(core, rate, q)
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
                                  np.asarray(hi, dtype=float))
-    # a shared core is evaluated once at the distinct nodes of one plan; a
-    # second call for its one-panel rows cost more than their layout
-    one = np.flatnonzero((lo >= -SWITCH) & (hi <= SWITCH) & (not shared))
+    one = np.flatnonzero((lo >= -SWITCH) & (hi <= SWITCH))
     if one.size:
         a, b = lo.ravel(), hi.ravel()
         own = (None if row_kinks is None
@@ -872,7 +838,7 @@ def norm_pow(lo, hi, core, rate: float, q: float, *, ppd: int, kinks=(),
                              _lattice_width(ppd))]
     if not one.size:
         return QuadPlan(lo, hi, ppd=ppd, kinks=kinks, row_kinks=row_kinks,
-                        exp_rate=rate * q).apply(fn, shared)
+                        exp_rate=rate * q).apply(fn)
     value, diverged = np.empty(a.size), np.empty(a.size, dtype=bool)
     value[one], diverged[one] = _apply_one_panel(a[one], b[one], fn, one)
     rest = np.ones(a.size, dtype=bool)
@@ -885,6 +851,55 @@ def norm_pow(lo, hi, core, rate: float, q: float, *, ppd: int, kinks=(),
             lambda x, rows: fn(x, rest[rows]))
         value[rest], diverged[rest] = r.value, r.diverged
     return QuadResult(value.reshape(lo.shape), diverged.reshape(lo.shape))
+
+
+def truncated_pows(end, cuts, core, rate: float, q: float, *, ppds,
+                   kinks=()) -> list:
+    """``norm_pow`` of the rows between the fixed ``end`` and each finite
+    cutoff of ``cuts``, once per density of ``ppds``: a list of QuadResults
+    shaped like cuts.  The rows are [end, cut] (0 where cut <= end) for
+    end = -inf or finite, [cut, inf] for end = +inf.
+
+    For finite q, each density lays out one plan row from the end to the
+    farthest cutoff, with every cutoff a kink, and ``core(x, None)`` is
+    called once, at the (1, N) sorted distinct points of all these rows.  A
+    cutoff's value is the partial sum, in order of x from the end, of the
+    contributions up to it, flagged by ``_reduce``.  So its panels are those
+    of its own row split at the other cutoffs, and for |cut| <
+    DEEP_LOG_RANGE / 4 (every logarithm of a double) an infinite end's tail
+    fit and last-doubling increment are its own row's.  At q = inf every
+    cutoff is a ``norm_pow`` row.
+    """
+    cuts = np.asarray(cuts, dtype=float)
+    upper = end == math.inf
+    if math.isinf(q):
+        lo, hi = (cuts, end) if upper else (end, cuts)
+        return [norm_pow(lo, hi, core, rate, q, ppd=ppd, kinks=kinks)
+                for ppd in ppds]
+    at = distinct([cuts])
+    lo, hi = (at[:1], end) if upper else (end, at[-1:])
+    if np.all(hi <= lo):  # no cutoff beyond the end
+        zero = np.zeros(cuts.shape)
+        return [QuadResult(zero, zero != 0.0)] * len(ppds)
+    kinks = np.concatenate([np.asarray(kinks, dtype=float), at])
+    # one row: one pass
+    passes = [next(QuadPlan(lo, hi, ppd=ppd, kinks=kinks,
+                            exp_rate=rate * q)._passes())[1] for ppd in ppds]
+    x = distinct([built[0] for built in passes])
+    vals = powered(core, rate, q)(x[None])
+    out = []
+    for built in passes:
+        points = built[0][0]
+        # x in order from the end, and the count of points up to each cutoff
+        key, stop = (-points, -cuts) if upper else (points, cuts)
+        order = np.argsort(key, kind="stable")
+        count = np.searchsorted(key[order], stop.ravel(), "right")
+        value, bad = _reduce(
+            vals[:, np.searchsorted(x, points)], built,
+            lambda a: np.concatenate(([0], np.cumsum(a[0][order])))[count])
+        out.append(QuadResult(value.reshape(cuts.shape),
+                              bad.reshape(cuts.shape)))
+    return out
 
 
 def integral_log(fn, x_lo=-math.inf, x_hi=math.inf, *, ppd=DEFAULT_PPD, kinks=()):

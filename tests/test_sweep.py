@@ -16,8 +16,9 @@ import pytest
 
 from kinterp import (BrokenLog, Constant, ExpLogPow, PhiParam, Power,
                      Product)
+from kinterp import conditions
+from kinterp.conditions import check_C2
 from kinterp.params import _swept_powers, min_factors, swept_min_factors
-from kinterp.quadrature import QuadPlan, distinct
 from kinterp.runner import bundled_scenario
 from kinterp.sv import SVDescriptor, shift_integral
 
@@ -37,16 +38,21 @@ CUSP = {
 
 @pytest.fixture(scope="module")
 def nodes():
-    """The union of C2's outer nodes on broken-log-1's grid, as
-    ``conditions._outer_trunc_norms`` builds it: the outer weight decays at
-    the rate (theta1 - theta0) q0, and the plans skip the far panels where
-    it is exactly 0.0."""
+    """The points at which broken-log-1's C2 sweeps the inner M: the
+    distinct nodes of its two outer rows, whose outer weight decays at the
+    rate (theta1 - theta0) q0, so they skip the far panels where it is
+    exactly 0.0."""
     sc = bundled_scenario("broken-log-1")
-    rate = (sc.phi1.theta - sc.phi0.theta) * sc.phi0.q
-    xs = sc.grid.log_points()
-    return distinct([QuadPlan(-math.inf, xs, ppd=ppd, kinks=(0.0,),
-                              exp_rate=rate).points()
-                     for ppd in (64, 128)])
+    seen = []
+
+    def record(p, xs):
+        seen.append(xs)
+        return swept_min_factors(p, xs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conditions, "swept_min_factors", record)
+        check_C2(sc.phi0, sc.phi1, None, sc.grid, budget=sc.budget)
+    [xs] = seen
+    return xs
 
 
 def _rule(p, xs, side, ppd):
