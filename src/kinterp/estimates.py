@@ -35,40 +35,64 @@ from .conditions import (CHECKS, check_C1, check_C2, check_C3, check_C4,
 from .couples import KProfile, WeightedSeq, atoms
 from .errors import EmptyCandidateError
 from .params import (PhiParam, full_norm_profiles, norm_head_u,
-                     norm_tail_char, norm_trunc_profile)
+                     norm_tail_char, norm_trunc_profile, norm_trunc_profiles)
 from .quadrature import LogGrid
 from .sv import Constant
 
 # Bound here though rho comes from the scenario and the candidates' norms
 # from full_norm_profiles: perfbench/spans.py wraps these names at this
-# layer boundary and reports a missing one.
+# layer boundary and reports a missing one.  norm_trunc_profile is one too,
+# and only classical_rhs calls it.
 from .params import full_norm_profile, min_factor  # noqa: E402,F401
 
 VARIANTS = ("lemma", "thm_i", "thm_ii", "classical")
 _SPLIT_GRID_MAX_N = 6
+#: costs per block of the left-hand side's minimum (256 kB); one matrix of
+#: every sigma's costs raised the peak memory of a decomposition run by 4%
+_COST_BLOCK = 1 << 15
+#: the weight of the classical right-hand side
+_ONE = Constant(1.0)
 
 
 def _terms(p0: PhiParam, p1: PhiParam, rho_t, profile: KProfile,
-           grid: LogGrid):
+           grid: LogGrid, classical: bool = False):
     """The four building blocks shared by all right-hand sides, at every
     point of the grid, with ``rho_t`` a float or an array over it.  Each term
     is one batched call per parameter; the c and d terms read the T0 and H1
     that the parameters keep on the grid.
+
+    With ``classical`` a fifth follows, the classical right-hand side
+    (``classical_rhs``): its truncated norms under b = 1 are rows of the
+    passes that give a and b, to the bits of their own calls.
     """
     xs, ts = grid.log_points(), grid.points()
     k_t = np.asarray(profile.value_log(xs), dtype=float)
-    a = norm_trunc_profile(p0, profile, "head", ts)
-    b = rho_t * norm_trunc_profile(p1, profile, "tail", ts)
+    one = (_ONE,) if classical else ()
+    heads = norm_trunc_profiles(p0, profile, "head", ts, (p0.b,) + one)
+    tails = norm_trunc_profiles(p1, profile, "tail", ts, (p1.b,) + one)
+    a = heads[0]
+    b = rho_t * tails[0]
     c = norm_tail_char(p0, grid) * k_t
     d = rho_t * norm_head_u(p1, grid) * k_t / ts
-    return a, b, c, d
+    if not classical:
+        return a, b, c, d
+    return a, b, c, d, _classical_sum(heads[1], tails[1], ts, p0.theta,
+                                      p1.theta)
 
 
-def _variant_sums(a, b, c, d) -> dict:
+def _variant_sums(a, b, c, d, classical=None) -> dict:
     """Each variant's right-hand side from the terms of ``_terms``; every sum
     extends the previous one, so four >= three >= two holds exactly."""
     two = a + b
-    return {"lemma": (two + c) + d, "thm_i": two + c, "thm_ii": two}
+    rhs = {"lemma": (two + c) + d, "thm_i": two + c, "thm_ii": two}
+    if classical is not None:
+        rhs["classical"] = classical
+    return rhs
+
+
+def _classical_sum(head, tail, t, theta0, theta1):
+    """The classical right-hand side from its truncated norms under b = 1."""
+    return head + np.power(t, theta1 - theta0) * tail
 
 
 def classical_rhs(theta0: float, q0: float, theta1: float, q1: float,
@@ -77,15 +101,14 @@ def classical_rhs(theta0: float, q0: float, theta1: float, q1: float,
 
     Valid for 0 < theta0 < theta1 < 1; agrees with the canonical two-term
     right-hand side for constant b up to the constant absorbed in rho.
-    ``t`` may be a float or an array.
+    ``t`` may be a float or an array.  An equivalence report reads the
+    same values from the passes of its canonical terms (``_terms``).
     """
     if not (0.0 < theta0 < theta1 < 1.0):
         raise ValueError("classical form needs 0 < theta0 < theta1 < 1")
-    pa = PhiParam(theta0, q0, Constant(1.0))
-    pb = PhiParam(theta1, q1, Constant(1.0))
-    head = norm_trunc_profile(pa, profile, "head", t)
-    tail = norm_trunc_profile(pb, profile, "tail", t)
-    return head + np.power(t, theta1 - theta0) * tail
+    head = norm_trunc_profile(PhiParam(theta0, q0, _ONE), profile, "head", t)
+    tail = norm_trunc_profile(PhiParam(theta1, q1, _ONE), profile, "tail", t)
+    return _classical_sum(head, tail, t, theta0, theta1)
 
 
 class DecompositionSearch:
@@ -121,17 +144,27 @@ class DecompositionSearch:
         self.a1 = full_norm_profiles(p1, KProfile(knots,
                                                   (coeffs - f0) @ basis))
 
-    def lhs(self, sigma: float) -> float:
-        """min over candidates of ||K(·,f0)||_0 + sigma ||K(·,f1)||_1."""
-        if not sigma > 0.0:
+    def lhs(self, sigma):
+        """min over candidates of ||K(·,f0)||_0 + sigma ||K(·,f1)||_1 (of
+        the finite costs), for a float sigma or, in one vectorized minimum,
+        at every sigma of an array."""
+        s = np.asarray(sigma, dtype=float)
+        if not np.all(s > 0.0):
             raise ValueError("sigma must be positive")
-        with np.errstate(invalid="ignore"):
-            costs = self.a0 + sigma * self.a1
-        costs = costs[np.isfinite(costs)]
-        if costs.size == 0:
+        flat = s.ravel()
+        best = np.empty(flat.size)
+        step = max(1, _COST_BLOCK // self.a1.size)
+        for i in range(0, flat.size, step):
+            with np.errstate(invalid="ignore"):
+                costs = flat[i:i + step, None] * self.a1
+                costs += self.a0
+            # fmin passes over the NaN of inf * 0; a sigma with no finite
+            # cost reads inf or NaN
+            best[i:i + step] = np.fmin.reduce(costs, axis=1)
+        if not np.all(np.isfinite(best)):
             raise EmptyCandidateError(
                 "every candidate decomposition has infinite cost")
-        return float(np.min(costs))
+        return best.reshape(s.shape) if s.ndim else float(best[0])
 
 
 def _fractions(e: WeightedSeq, grid: LogGrid) -> np.ndarray:
@@ -273,11 +306,9 @@ def equivalence_report(sc) -> EquivalenceReport:
     cond_verdicts = {cid: rep.verdict for cid, rep
                      in run_checks(sc, [*sc.checks, *gates]).items()}
 
-    rhs = _variant_sums(*_terms(p0, p1, rho, profile, grid))
     classical_ok = 0.0 < p0.theta < p1.theta < 1.0
-    if "classical" in variants and classical_ok:
-        rhs["classical"] = classical_rhs(p0.theta, p0.q, p1.theta, p1.q,
-                                         profile, ts)
+    rhs = _variant_sums(*_terms(p0, p1, rho, profile, grid,
+                                "classical" in variants and classical_ok))
 
     # a synthetic profile is its own element and has no decompositions
     synthetic = profile is sc.element
@@ -285,7 +316,7 @@ def equivalence_report(sc) -> EquivalenceReport:
         lhs = np.full(len(ts), math.nan)
     else:
         search = DecompositionSearch(p0, p1, sc.element, grid)
-        lhs = np.array([search.lhs(float(r)) for r in rho])
+        lhs = search.lhs(rho)
 
     ratios = {}
     for name, vals in rhs.items():

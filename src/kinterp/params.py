@@ -16,8 +16,10 @@ with H, T, M computed by ``sv.shift_integral``, which stays finite for |ln t|
 far beyond the representable range of t — the nested condition checks probe
 that deep.  At rate 0 (H at theta = 1, T at theta = 0) a weight made of
 Constant, BrokenLog, Product and Power nodes takes the exact closed form of
-``sv.rate0_integral``, divergence included, and a primitive at q = inf that
-of ``sv.primitive_sup``; every other factor is shifted quadrature.  At the
+``sv.rate0_integral``, divergence included, and so does a constant weight
+at every rate (H = C ((1-theta) q)^{-1/q}, T = C (theta q)^{-1/q}, C at
+q = inf); a primitive at q = inf and rate 0 takes that of
+``sv.primitive_sup``; every other factor is shifted quadrature.  At the
 endpoints the min-norm uses its dominated representative form (M = T at
 theta = 0, M = H at theta = 1), which matches the full norm up to a constant
 controlled by slow variation and makes the canonical weight take its
@@ -28,7 +30,8 @@ Every norm here is ||χ_[lo,hi] e^{c x} g|| of some core g, and
 ``quadrature.norm_pow`` computes it for a batch of rows before the q-th
 root, for every q in (0, ∞]: H and T, their sweep's increments, the full
 norms of K(·, f) and ``phi_norm``; the truncated norms of K(·, f) at many
-cutoffs are one row cut at each (``truncated_pows``).  ``_join`` adds two
+cutoffs are one row cut at each (``truncated_pows``), under one weight or,
+one row each from the same pass, under several.  ``_join`` adds two
 pieces, or takes their max at q = inf, and ``qth_root`` finishes.
 """
 
@@ -44,8 +47,8 @@ from .couples import KProfile
 from .errors import MembershipError, RangeError
 from .quadrature import (DEFAULT_PPD, LogGrid, QuadResult, norm_pow,
                          truncated_pows)
-from .sv import (Constant, SVDescriptor, eval_sv_log, shift_integral,
-                 sv_from_json)
+from .sv import (Constant, SVDescriptor, eval_sv_log, log_power_form,
+                 shift_integral, sv_from_json)
 
 # Bound here though this module calls neither: perfbench/spans.py wraps
 # these names at this layer boundary and reports a missing one.
@@ -218,11 +221,13 @@ def tail_factor(p: PhiParam, x: float) -> float:
 
 
 def _closed_min_factor(p: PhiParam):
-    """Exact M for constant b, finite q, 0 < theta < 1."""
-    if (isinstance(p.b, Constant) and not p.sup_norm
+    """Exact M for constant b (a ``log_power_form`` (C, 0, 0)), finite q,
+    0 < theta < 1."""
+    form = log_power_form(p.b)
+    if (form is not None and form[1:] == (0.0, 0.0) and not p.sup_norm
             and 0.0 < p.theta < 1.0):
-        return p.b.c * (1.0 / ((1.0 - p.theta) * p.q)
-                        + 1.0 / (p.theta * p.q)) ** (1.0 / p.q)
+        return form[0] * (1.0 / ((1.0 - p.theta) * p.q)
+                          + 1.0 / (p.theta * p.q)) ** (1.0 / p.q)
     return None
 
 
@@ -321,30 +326,39 @@ def _join(p: PhiParam, a: QuadResult, b: QuadResult) -> QuadResult:
     return QuadResult(value, a.diverged | b.diverged)
 
 
-def _forms(p: PhiParam, profile):
-    """The cores of [u^{-theta} b K]^q du/u, and their kinks: below x = 0
-    the slope form e^{(1-theta) q x} (b K/u)^q, stable toward u -> 0 where
-    K/u tends to a constant; above it the value form e^{-theta q x} (b K)^q,
-    stable toward u -> inf where K saturates."""
+def _forms(p: PhiParam, profile, bs=None):
+    """The cores of [u^{-theta} b K]^q du/u for p's weight b, or, one block
+    of rows each, for the weights ``bs``, and their kinks: below x = 0 the
+    slope form e^{(1-theta) q x} (b K/u)^q, stable toward u -> 0 where K/u
+    tends to a constant; above it the value form e^{-theta q x} (b K)^q,
+    stable toward u -> inf where K saturates.  K is evaluated once for all
+    weights."""
+    bs = (p.b,) if bs is None else bs
 
     def form(k):
         def core(x, rows):
             # 0 where K is, also where b overflows to +inf
             kv = np.asarray(k(x, rows), dtype=float)
-            return np.multiply(eval_sv_log(p.b, x), kv,
-                               out=np.zeros(kv.shape), where=kv != 0.0)
+            nonzero, out = kv != 0.0, np.zeros((len(bs),) + kv.shape)
+            for o, b in zip(out, bs):
+                np.multiply(eval_sv_log(b, x), kv, out=o, where=nonzero)
+            return out.reshape((-1,) + kv.shape[1:])
         return core
 
     return (form(profile.slope_log), form(profile.value_log),
             tuple(profile.log_kinks()) + (0.0,))
 
 
-def _profile_pow(p: PhiParam, profile, side: str, x_t) -> QuadResult:
+def _profile_pow(p: PhiParam, profile, side: str, x_t,
+                 bs=None) -> QuadResult:
     """||χ_(0,t) K|| (head) or ||χ_(t,∞) K|| (tail) of a one-row KProfile
     before the root, at every x_t = ln t, each form (``_forms``) one
-    ``truncated_pows`` over all of x_t."""
-    slope, value, kinks = _forms(p, profile)
-    kw = dict(ppds=(p.ppd,), kinks=kinks)
+    ``truncated_pows`` over all of x_t.  With the weights ``bs`` in place of
+    p's (at p's theta and q), one row each, from the same pass: shaped
+    (len(bs),) + x_t.shape."""
+    slope, value, kinks = _forms(p, profile, bs)
+    kw = dict(ppds=(p.ppd,), kinks=kinks,
+              weights=None if bs is None else len(bs))
     if side == "tail":
         return truncated_pows(math.inf, x_t, value, -p.theta, p.q, **kw)[0]
     if side != "head":
@@ -363,14 +377,22 @@ def norm_trunc_profile(p: PhiParam, profile: KProfile, side: str, t):
     other cutoffs of the call, as a swept M does on its points: by about
     1e-15 on the bundled grids.  Order and repeats of t do not matter.
     """
+    return norm_trunc_profiles(p, profile, side, t)
+
+
+def norm_trunc_profiles(p: PhiParam, profile: KProfile, side: str, t,
+                        bs=None):
+    """``norm_trunc_profile``; with the weights ``bs``, the truncated norm
+    under (p.theta, p.q, b) for each b of bs, one row each, all from one
+    quadrature pass and each to the bits of its own call."""
     if len(profile.values) != 1:
         raise ValueError("a truncated norm takes a profile of one row, "
                          f"not {len(profile.values)}")
     ts = _positive(t)
     if not np.all(np.isfinite(ts)):
         raise ValueError("t must be finite")
-    out = qth_root(p, _profile_pow(p, profile, side, np.log(ts)))
-    return out if ts.ndim else float(out)
+    out = qth_root(p, _profile_pow(p, profile, side, np.log(ts), bs))
+    return out if out.ndim else float(out)
 
 
 def full_norm_profile(p: PhiParam, profile: KProfile) -> float:

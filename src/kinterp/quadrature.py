@@ -854,11 +854,16 @@ def norm_pow(lo, hi, core, rate: float, q: float, *, ppd: int, kinks=(),
 
 
 def truncated_pows(end, cuts, core, rate: float, q: float, *, ppds,
-                   kinks=()) -> list:
+                   kinks=(), weights=None) -> list:
     """``norm_pow`` of the rows between the fixed ``end`` and each finite
     cutoff of ``cuts``, once per density of ``ppds``: a list of QuadResults
     shaped like cuts.  The rows are [end, cut] (0 where cut <= end) for
     end = -inf or finite, [cut, inf] for end = +inf.
+
+    With ``weights`` = W, ``core`` returns W blocks of rows, one per weight,
+    stacked: at x of shape (R, M) an array of shape (W R, M).  Each
+    QuadResult then has a leading axis of W, and each weight's row is
+    reduced as if it were the core's only one, to the same bits.
 
     For finite q, each density lays out one plan row from the end to the
     farthest cutoff, with every cutoff a kink, and ``core(x, None)`` is
@@ -868,18 +873,27 @@ def truncated_pows(end, cuts, core, rate: float, q: float, *, ppds,
     of its own row split at the other cutoffs, and for |cut| <
     DEEP_LOG_RANGE / 4 (every logarithm of a double) an infinite end's tail
     fit and last-doubling increment are its own row's.  At q = inf every
-    cutoff is a ``norm_pow`` row.
+    cutoff is a ``norm_pow`` row, once per weight.
     """
     cuts = np.asarray(cuts, dtype=float)
+    n = weights or 1
+    shape = cuts.shape if weights is None else (n,) + cuts.shape
     upper = end == math.inf
     if math.isinf(q):
         lo, hi = (cuts, end) if upper else (end, cuts)
-        return [norm_pow(lo, hi, core, rate, q, ppd=ppd, kinks=kinks)
-                for ppd in ppds]
+        out = []
+        for ppd in ppds:
+            rs = [norm_pow(lo, hi, lambda x, rows, w=w: core(x, rows).reshape(
+                (n,) + x.shape)[w], rate, q, ppd=ppd, kinks=kinks)
+                for w in range(n)]
+            out.append(QuadResult(
+                np.reshape([r.value for r in rs], shape),
+                np.reshape([r.diverged for r in rs], shape)))
+        return out
     at = distinct([cuts])
     lo, hi = (at[:1], end) if upper else (end, at[-1:])
     if np.all(hi <= lo):  # no cutoff beyond the end
-        zero = np.zeros(cuts.shape)
+        zero = np.zeros(shape)
         return [QuadResult(zero, zero != 0.0)] * len(ppds)
     kinks = np.concatenate([np.asarray(kinks, dtype=float), at])
     # one row: one pass
@@ -894,11 +908,14 @@ def truncated_pows(end, cuts, core, rate: float, q: float, *, ppds,
         key, stop = (-points, -cuts) if upper else (points, cuts)
         order = np.argsort(key, kind="stable")
         count = np.searchsorted(key[order], stop.ravel(), "right")
-        value, bad = _reduce(
-            vals[:, np.searchsorted(x, points)], built,
-            lambda a: np.concatenate(([0], np.cumsum(a[0][order])))[count])
-        out.append(QuadResult(value.reshape(cuts.shape),
-                              bad.reshape(cuts.shape)))
+
+        def sums(a):
+            # each weight's partial sums, a column per weight
+            a = np.cumsum(a[:, order], axis=1)
+            return np.hstack([np.zeros((a.shape[0], 1)), a])[:, count].T
+
+        value, bad = _reduce(vals[:, np.searchsorted(x, points)], built, sums)
+        out.append(QuadResult(value.T.reshape(shape), bad.T.reshape(shape)))
     return out
 
 

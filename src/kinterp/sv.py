@@ -184,10 +184,11 @@ def log_power_form(b: SVDescriptor):
     return form if ok else None
 
 
-def rate0_integral(b: SVDescriptor, q: float, x, side: str):
-    """``shift_integral`` at c = 0 in closed form for a weight with a
-    ``log_power_form``, for every q in (0, ∞]; None for any other weight,
-    or where C^q leaves double range.
+def rate0_integral(b: SVDescriptor, q: float, x, side: str, c: float = 0.0):
+    """``shift_integral`` in closed form, for every q in (0, ∞]: at c = 0
+    for a weight with a ``log_power_form``, and at every rate c for a
+    constant one, whose form is (C, 0, 0); None for any other weight, or
+    where C^q leaves double range.
 
     With A = a q, b^q = C^q (1 + |w|)^A, and its tail from x is
     C^q (1 + x)^{A∞+1} / (-A∞-1) for x >= 0 and
@@ -196,12 +197,15 @@ def rate0_integral(b: SVDescriptor, q: float, x, side: str):
     exactly when A∞ >= -1.  At q = inf the supremum over [x, ∞) is the
     larger of b at x and, for x < 0, at the kink w = 0; +inf, flagged,
     when aInf > 0.  The head mirrors the tail (w -> -w swaps a0 and aInf).
+    At c != 0 the constant's ∫ e^{c q v} C^q dv is C^q / (|c| q), and its
+    supremum C, where e^{c v} decays away from v = 0 (the head at c > 0,
+    the tail at c < 0), whatever x; +inf, flagged, where it grows.
     A finite value beyond double range reads +inf, unflagged.
     """
     form = log_power_form(b)
-    if form is None:
+    if form is None or (c != 0.0 and form[1:] != (0.0, 0.0)):
         return None
-    c, a0, a_inf = form
+    k, a0, a_inf = form
     xs = np.asarray(x, dtype=float)
     # contiguous and 1-d, so that numpy takes one path for every batch
     w = xs.ravel()
@@ -210,15 +214,20 @@ def rate0_integral(b: SVDescriptor, q: float, x, side: str):
     right, base = w >= 0.0, 1.0 + np.abs(w)
     sup = math.isinf(q)
     with np.errstate(over="ignore", under="ignore"):
-        scale = c if sup else float(np.power(c, q))
+        scale = k if sup else float(np.power(k, q))
         if not 0.0 < scale < math.inf:
             return None
         s0, s_inf = (a0, a_inf) if sup else (a0 * q + 1.0, a_inf * q + 1.0)
-        diverged = s_inf > 0.0 if sup else s_inf >= 0.0
+        if c != 0.0:
+            diverged = (c > 0.0) != (side == "head")
+        else:
+            diverged = s_inf > 0.0 if sup else s_inf >= 0.0
         if diverged:
             value = np.full(w.shape, math.inf)
+        elif c != 0.0:
+            value = np.full(w.shape, scale if sup else scale / (abs(c) * q))
         elif sup:
-            value = c * np.where(right, base ** a_inf,
+            value = k * np.where(right, base ** a_inf,
                                  np.maximum(base ** a0, 1.0))
         else:
             # [(1 - x)^s0 - 1] / s0 for x < 0, and its limit ln(1 - x) at
@@ -263,8 +272,9 @@ def shift_integral(b: SVDescriptor, q: float, x, c: float,
     function used in the package.  At c = 0 (H at theta = 1, T at
     theta = 0, their endpoint M, and B and B~) a weight made of Constant,
     BrokenLog, Product and Power nodes takes the exact value and divergence
-    flag of ``rate0_integral``, and at q = inf a primitive takes those of
-    ``primitive_sup``.  Every other norm is taken by
+    flag of ``rate0_integral``, and so does a constant weight (a form
+    (C, 0, 0)) at every rate; at q = inf and c = 0 a primitive takes those
+    of ``primitive_sup``.  Every other norm is taken by
     ``quadrature.norm_pow``, which stays numerically stable for |x| far
     beyond the representable range of t = e^x.  For c = 0 the exponential
     factor is absent and the norm is taken in absolute coordinates
@@ -279,12 +289,11 @@ def shift_integral(b: SVDescriptor, q: float, x, c: float,
     """
     if side not in ("head", "tail"):
         raise ValueError("side must be 'head' or 'tail'")
-    if c == 0.0:
-        exact = (primitive_sup(b, x, side)
-                 if isinstance(b, _Primitive) and math.isinf(q)
-                 else rate0_integral(b, q, x, side))
-        if exact is not None:
-            return exact
+    exact = (primitive_sup(b, x, side)
+             if c == 0.0 and isinstance(b, _Primitive) and math.isinf(q)
+             else rate0_integral(b, q, x, side, c))
+    if exact is not None:
+        return exact
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
     inf = np.full(flat.shape, math.inf)

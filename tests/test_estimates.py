@@ -12,6 +12,7 @@ from kinterp import (BrokenLog, Constant, DecompositionSearch, KProfile,
 from kinterp.errors import EmptyCandidateError
 from kinterp.estimates import (_fractions, _terms, _variant_sums,
                                full_norm_profile)
+from kinterp.runner import bundled_scenario
 
 from helpers import optimal_split
 
@@ -188,6 +189,28 @@ class TestLhs:
         search.a1 = np.array([math.inf])
         with pytest.raises(EmptyCandidateError):
             search.lhs(1.0)
+
+    def test_lhs_at_every_sigma_is_the_scalar_minimum(self):
+        sc = bundled_scenario("broken-log-1")
+        search = DecompositionSearch(sc.phi0, sc.phi1, sc.element, sc.grid)
+        got = search.lhs(sc.rho)
+        want = np.array([search.lhs(float(r)) for r in sc.rho])
+        assert got.shape == sc.rho.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_lhs_array_with_an_all_infinite_sigma(self):
+        search = DecompositionSearch(P14, P34, E_UNIT, GRID)
+        search.a0 = np.array([1.0])
+        search.a1 = np.array([1.0])
+        assert search.lhs(1.0) == 2.0
+        with pytest.raises(EmptyCandidateError):
+            search.lhs(np.array([1.0, math.inf]))
+
+    def test_lhs_needs_positive_sigma(self):
+        search = DecompositionSearch(P14, P34, E_UNIT, GRID)
+        for sigma in (0.0, -1.0, math.nan, np.array([1.0, 0.0])):
+            with pytest.raises(ValueError, match="sigma must be positive"):
+                search.lhs(sigma)
 
     def test_unknown_element_rejected(self):
         with pytest.raises(TypeError):

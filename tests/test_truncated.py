@@ -4,6 +4,7 @@
 The cutoffs split the panels of the one row, so a value moves from its own
 row's by the quadrature error of the split, about 1e-15 relative; the
 divergence flags, each read against its own cutoff's sum, stay the same.
+Several weights share one pass, each to the bits of its own.
 """
 
 import math
@@ -11,9 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from kinterp import (BrokenLog, KProfile, LogGrid, PhiParam, WeightedSeq,
+import kinterp.quadrature
+from kinterp import (BrokenLog, Constant, KProfile, LogGrid, PhiParam,
+                     WeightedSeq, classical_rhs, equivalence_report,
                      norm_trunc_profile)
-from kinterp.conditions import check_C2, check_C3
+from kinterp.conditions import check_C2, check_C3, rho_table
+from kinterp.estimates import _terms
 from kinterp.params import _forms, _join, _profile_pow
 from kinterp.quadrature import norm_pow, truncated_pows
 from kinterp.runner import bundled_scenario
@@ -115,3 +119,62 @@ def test_trunc_profile_takes_one_row():
     with pytest.raises(ValueError, match="a truncated norm takes a profile "
                                          "of one row, not 2"):
         norm_trunc_profile(p, rows, "head", [1.0, 2.0])
+
+
+def test_classical_column_is_the_standalone_call():
+    sc = bundled_scenario("classical-1")
+    p0, p1 = sc.phi0, sc.phi1
+    got = equivalence_report(sc).rhs["classical"]
+    want = classical_rhs(p0.theta, p0.q, p1.theta, p1.q, sc.profile,
+                         sc.grid.points())
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("q", [0.5, math.inf])
+def test_shared_pass_reads_each_weights_own_bits(q):
+    p0 = PhiParam(0.3, q, BrokenLog(1.0, -0.5))
+    p1 = PhiParam(0.7, q, BrokenLog(-1.0, 0.5))
+    grid = LogGrid(1e-6, 1e6, 8)
+    rho = rho_table(p0, p1, grid)
+    *terms, classical = _terms(p0, p1, rho, PROFILE, grid, classical=True)
+    want = classical_rhs(0.3, q, 0.7, q, PROFILE, grid.points())
+    assert classical.tobytes() == want.tobytes()
+    for got, own in zip(terms, _terms(p0, p1, rho, PROFILE, grid)):
+        assert got.tobytes() == own.tobytes()
+    # weights past the convergence edge at the rate-0 ends, flags included
+    bs = (BrokenLog(-0.9, -0.9), BrokenLog(0.5, 0.5), Constant(1.0),
+          BrokenLog(-2.0, -2.0))
+    xs = LogGrid(1e-30, 1e30, 2).log_points()
+    flagged = 0
+    for theta in (0.0, 0.3, 1.0):
+        for side in ("head", "tail"):
+            got = _profile_pow(PhiParam(theta, q, bs[0]), PROFILE, side, xs,
+                               bs)
+            assert got.value.shape == (len(bs),) + xs.shape
+            for i, b in enumerate(bs):
+                own = _profile_pow(PhiParam(theta, q, b), PROFILE, side, xs)
+                assert got.value[i].tobytes() == own.value.tobytes()
+                assert np.array_equal(got.diverged[i], own.diverged)
+            flagged += int(got.diverged.sum())
+    assert flagged > 0
+
+
+def test_terms_and_classical_column_lay_out_three_plans(monkeypatch):
+    # 2 for the head (slope and value forms), 1 for the tail; the same
+    # norms in their own calls lay out 6
+    sc = bundled_scenario("classical-1")
+    p0, p1, grid, rho = sc.phi0, sc.phi1, sc.grid, sc.rho
+    made = []
+
+    class Counted(kinterp.quadrature.QuadPlan):
+        def __init__(self, *a, **kw):
+            made.append(a)
+            super().__init__(*a, **kw)
+
+    monkeypatch.setattr(kinterp.quadrature, "QuadPlan", Counted)
+    _terms(p0, p1, rho, sc.profile, grid, classical=True)
+    assert len(made) == 3
+    made.clear()
+    _terms(p0, p1, rho, sc.profile, grid)
+    classical_rhs(p0.theta, p0.q, p1.theta, p1.q, sc.profile, grid.points())
+    assert len(made) == 6
