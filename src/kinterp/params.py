@@ -29,10 +29,15 @@ available through ``norm_head_u``/``norm_tail_char``.
 Every norm here is ||χ_[lo,hi] e^{c x} g|| of some core g, and
 ``quadrature.norm_pow`` computes it for a batch of rows before the q-th
 root, for every q in (0, ∞]: H and T, their sweep's increments, the full
-norms of K(·, f) and ``phi_norm``; the truncated norms of K(·, f) at many
-cutoffs are one row cut at each (``truncated_pows``), under one weight or,
-one row each from the same pass, under several.  ``_join`` adds two
-pieces, or takes their max at q = inf, and ``qth_root`` finishes.
+norms of K(·, f) at q = inf and ``phi_norm``; the truncated norms of
+K(·, f) at many cutoffs are one row cut at each (``truncated_pows``),
+under one weight or, one row each from the same pass, under several.  At
+finite q the full norms of many profiles, the decomposition candidates,
+split each half-line at the knot hull (``hull_pows``): outside it every
+row's core is b times a constant of the row, so b is evaluated once there
+and each row scales it, and only the nodes inside are evaluated per row.
+``_join`` adds two pieces, or takes their max at q = inf, and
+``qth_root`` finishes.
 """
 
 from __future__ import annotations
@@ -45,8 +50,8 @@ import numpy as np
 
 from .couples import KProfile
 from .errors import MembershipError, RangeError
-from .quadrature import (DEFAULT_PPD, LogGrid, QuadResult, norm_pow,
-                         truncated_pows)
+from .quadrature import (DEFAULT_PPD, LogGrid, QuadResult, hull_pows,
+                         norm_pow, truncated_pows)
 from .sv import (Constant, SVDescriptor, eval_sv_log, log_power_form,
                  shift_integral, sv_from_json)
 
@@ -407,12 +412,32 @@ def full_norm_profiles(p: PhiParam, profiles: KProfile) -> np.ndarray:
 
 
 def _full_norm(p, profile, zero):
-    """The norm of each row of ``profile``; ``zero`` holds a 0.0 per row."""
+    """The norm of each row of ``profile``; ``zero`` holds a 0.0 per row.
+
+    For finite q each half-line is one ``hull_pows``: outside the knot hull
+    [min(ln k_1, 0), max(ln k_m, 0)] row i's form is b times K_i/t = s_i
+    (the head, below the first knot) or K_i(k_m) (the tail, past the
+    last).  At q = inf each half-line is a ``norm_pow`` supremum.
+    """
     slope, value, kinks = _forms(p, profile)
     kw = dict(ppd=p.ppd, kinks=kinks)
-    return qth_root(p, _join(
-        p, norm_pow(-math.inf, zero, slope, 1.0 - p.theta, p.q, **kw),
-        norm_pow(zero, math.inf, value, -p.theta, p.q, **kw)))
+    if p.sup_norm:
+        return qth_root(p, _join(
+            p, norm_pow(-math.inf, zero, slope, 1.0 - p.theta, p.q, **kw),
+            norm_pow(zero, math.inf, value, -p.theta, p.q, **kw)))
+    log_knots = profile.log_kinks()
+    kw.update(hull=(min(log_knots[0], 0.0), max(log_knots[-1], 0.0)))
+
+    def weight(x):
+        return eval_sv_log(p.b, x)
+
+    # K = s_i t below the first knot, so K/t = values[i, 0] / knots[0]
+    head = hull_pows(-math.inf, 0.0, slope, weight,
+                     profile.values[:, 0] / profile.knots[0], 1.0 - p.theta,
+                     p.q, **kw)
+    tail = hull_pows(0.0, math.inf, value, weight, profile.values[:, -1],
+                     -p.theta, p.q, **kw)
+    return qth_root(p, _join(p, head, tail)).reshape(np.shape(zero))
 
 
 def phi_from_json(obj: dict, path: str = "phi") -> PhiParam:

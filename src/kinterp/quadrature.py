@@ -59,6 +59,11 @@ A norm truncated at many cutoffs is ``truncated_pows``: for finite q one
 plan row from a fixed end to the farthest cutoff, with every cutoff a kink,
 evaluated once at its distinct nodes and read at each cutoff as a partial
 sum in order of x, which ``_reduce`` flags as ``apply`` flags a row.
+
+Many rows over one half-line whose cores are one shared function times a
+constant of the row outside a known interval are ``hull_pows``: the plan's
+nodes outside it are evaluated once and scaled per row by ``_reduce``,
+and only the nodes inside are evaluated per row.
 """
 
 from __future__ import annotations
@@ -88,6 +93,9 @@ _ABS_FLOOR = 1.0e-280
 EXP_ZERO = 746.0
 #: cap on the floats in one batched pass of the rule (node matrix size)
 CHUNK_ELEMS = 4096
+#: cap on the values of one block of rows that ``hull_pows`` evaluates
+#: inside its hull
+HULL_BLOCK = 16384
 
 DEFAULT_PPD = 64
 #: ternary-search steps that polish the largest sample of a supremum
@@ -268,7 +276,7 @@ def _tail_fit(g1, g2, u_ref):
     return tail, ~finite | (pos & ~conv)
 
 
-def _reduce(vals, built, sums):
+def _reduce(vals, built, sums, shared=None):
     """Values and divergence flags by the rule, from the integrand's values
     ``vals`` at the points of a pass ``built`` of ``QuadPlan._passes``.
     ``sums`` maps an array shaped like the pass to the sums read from it:
@@ -276,27 +284,52 @@ def _reduce(vals, built, sums):
     ``truncated_pows``.  A sum is flagged by a non-finite node of positive
     weight in it and by a last-doubling increment above DIVERGENCE_REL of
     it; the unbounded regions' tail fits are added to every sum and flag it
-    where they flag."""
+    where they flag.
+
+    With ``shared`` = (s, q, sums, flags) of r rows, ``vals`` is one row
+    shared by all r (``hull_pows``): row i takes s[i]^q times its sum,
+    increments and tail fit, adds the given sum and flags of its other
+    nodes, and is flagged against that total.  A row with s = 0 takes
+    nothing from the shared row, not even a flag; one whose s^q leaves
+    double range takes its products in log space."""
     points, weights, inc, unbounded = built
+    live = True
+    if shared is not None:
+        s, q, inner, inner_bad = shared
+        live = s > 0.0
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            c, log_c = s ** q, q * np.log(s)
+        far = (c == 0.0) | np.isinf(c)
+
+    def share(a):
+        # each row's part of the shared row's sums; not 0 * inf where s is 0
+        if shared is None:
+            return a
+        with np.errstate(all="ignore"):
+            out = np.where(far, np.exp(log_c + np.log(a)), c * a)
+        return np.where(live & (a != 0.0), out, 0.0)
+
     finite = np.isfinite(vals)
-    bad = sums((weights > 0.0) & ~finite) > 0
+    bad = live & (sums((weights > 0.0) & ~finite) > 0)
     contrib = np.where(finite, vals, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         contrib *= weights
-        total = sums(contrib)
+        total = share(sums(contrib))
+        if shared is not None:
+            total, bad = total + inner, bad | inner_bad
         floor = DIVERGENCE_REL * np.abs(total) + _ABS_FLOOR
         for start, mask in inc:
             if mask.any():
                 cols = slice(start, start + mask.shape[1])
                 part = np.zeros(contrib.shape)
                 part[:, cols] = np.where(mask, contrib[:, cols], 0.0)
-                bad |= sums(part) > floor
+                bad |= share(sums(part)) > floor
     if unbounded.any():
         tail, flag = _tail_fit(vals[:, -4::2], vals[:, -3::2],
                                np.abs(points[:, -4::2]))
         tail = np.where(unbounded, tail, 0.0)
-        total = total + (tail[:, 0] + tail[:, 1])
-        bad |= (unbounded & flag).any(axis=1)
+        total = total + share(tail[:, 0] + tail[:, 1])
+        bad |= live & (unbounded & flag).any(axis=1)
     return total, bad
 
 
@@ -707,13 +740,16 @@ class QuadPlan:
         nodes, its tail-fit probes and the unused columns, which repeat its
         first point) and at its finite bounds and kinks.  Its largest sample
         is polished by a ternary search between the nearest samples strictly
-        below and above it.  A row diverges where a sample is not finite,
-        and where, in a far region with an infinite bound, fn at the probe
-        u_ref exceeds fn at u_ref/2 by more than 1e-12 relative: it still
-        grows out there.
+        below and above it, after the passes, for every row of the call at
+        once: ``fn`` sees each step's two points of all those rows, and a
+        row's steps do not depend on the others.  A row diverges where a
+        sample is not finite, and where, in a far region with an infinite
+        bound, fn at the probe u_ref exceeds fn at u_ref/2 by more than
+        1e-12 relative: it still grows out there.
         """
         value = np.zeros(self.shape).ravel()
         diverged = np.zeros(value.shape, dtype=bool)
+        brackets = []  # (rows, a, b) of the rows to polish, per pass
         for rows, idx, (points, _, _, unbounded) in self._row_passes():
             lo, hi = self.lo[idx, None], self.hi[idx, None]
             x = np.concatenate([points, lo, hi, self.kinks[idx]], axis=1)
@@ -736,21 +772,23 @@ class QuadPlan:
             b = np.where(inside & (x > at), x, math.inf).min(axis=1)
             a = np.where(a > -math.inf, a, at[:, 0])
             b = np.where(b < math.inf, b, at[:, 0])
-            polish = np.flatnonzero(best > 0.0)
-            if polish.size:
-                a, b, at_rows = a[polish], b[polish], rows[polish]
+            polish = best > 0.0
+            brackets.append((rows[polish], a[polish], b[polish]))
+            value[rows] = np.where(best > -math.inf, best, 0.0)
+            diverged[rows] = bad
+        if brackets:
+            rows, a, b = (np.concatenate(c) for c in zip(*brackets))
+            if rows.size:
                 for _ in range(_POLISH_ITERS):
                     m1 = a + (b - a) / 3.0
                     m2 = b - (b - a) / 3.0
-                    v = np.asarray(fn(np.column_stack([m1, m2]), at_rows),
+                    v = np.asarray(fn(np.column_stack([m1, m2]), rows),
                                    dtype=float)
                     left = v[:, 0] < v[:, 1]
                     a, b = np.where(left, m1, a), np.where(left, b, m2)
-                v = np.asarray(fn(0.5 * (a + b)[:, None], at_rows),
+                v = np.asarray(fn(0.5 * (a + b)[:, None], rows),
                                dtype=float)[:, 0]
-                best[polish] = np.where(v > best[polish], v, best[polish])
-            value[rows] = np.where(best > -math.inf, best, 0.0)
-            diverged[rows] = bad
+                value[rows] = np.where(v > value[rows], v, value[rows])
         return QuadResult(value.reshape(self.shape), diverged.reshape(self.shape))
 
 
@@ -917,6 +955,44 @@ def truncated_pows(end, cuts, core, rate: float, q: float, *, ppds,
         value, bad = _reduce(vals[:, np.searchsorted(x, points)], built, sums)
         out.append(QuadResult(value.T.reshape(shape), bad.T.reshape(shape)))
     return out
+
+
+def hull_pows(lo, hi, core, outer, scale, rate: float, q: float, *,
+              ppd: int, kinks, hull) -> QuadResult:
+    """``norm_pow`` at finite q of r = len(scale) rows over the same
+    [lo, hi], whose core is scale[i] * outer(x) outside the interval
+    ``hull`` = (a, b): a QuadResult of (r,) arrays.
+
+    The rows share one plan and its one pass.  Its nodes outside [a, b]
+    are evaluated once, as the shared row e^{rate q x} outer(x)^q, and row
+    i takes scale[i]^q times its sum, its last-doubling increments and its
+    tail fit (``_reduce``), in log space where scale[i]^q alone leaves
+    double range.  Inside [a, b], ``core(x, rows)`` is called only at the
+    nodes of positive weight, for blocks of rows of at most HULL_BLOCK
+    values (one row if it has more nodes), and each row adds its own sum
+    and flags.  A row is flagged against its whole total, as a plan row
+    is; a row whose scale is 0 takes nothing from outside the hull, not
+    even a flag.
+    """
+    a, b = hull
+    built = next(QuadPlan(lo, hi, ppd=ppd, kinks=kinks,
+                          exp_rate=rate * q)._passes())[1]
+    points, weights = built[0], built[1]
+    inside = (points >= a) & (points <= b)
+    at = np.flatnonzero(inside[0] & (weights[0] > 0.0))
+    x, w = points[:, at], weights[:, at]
+    r = scale.size
+    total, bad = np.zeros(r), np.zeros(r, dtype=bool)
+    if at.size:
+        fn, step = powered(core, rate, q), max(1, HULL_BLOCK // at.size)
+        for s in range(0, r, step):
+            rows = np.arange(s, min(s + step, r))
+            total[rows], bad[rows] = _reduce(
+                fn(x, rows), (x, w, (), np.zeros(0, dtype=bool)), _row_sums)
+    shared = np.where(inside, 0.0, powered(lambda x, rows: outer(x), rate,
+                                           q)(points))
+    return QuadResult(*_reduce(shared, built, _row_sums,
+                               (scale, q, total, bad)))
 
 
 def integral_log(fn, x_lo=-math.inf, x_hi=math.inf, *, ppd=DEFAULT_PPD, kinks=()):

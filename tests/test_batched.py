@@ -276,9 +276,14 @@ def test_plan_sup_row_does_not_depend_on_its_batch(rate):
     # rate 2.0 makes the rows with an infinite upper bound grow: e^{2x}
     # over the cusp's e^{-x} overflows far out
     fn = _sup_rows(rate)
-    batch = QuadPlan(SUP_LO, SUP_HI, kinks=(0.5,), row_kinks=SUP_K,
-                     exp_rate=rate).sup(fn)
+    plan = QuadPlan(SUP_LO, SUP_HI, kinks=(0.5,), row_kinks=SUP_K,
+                    exp_rate=rate)
+    calls = []
+    batch = plan.sup(lambda x, rows: calls.append(x.shape) or fn(x, rows))
     assert batch.diverged.any() == (rate == 2.0)
+    # one call per pass, then every row's polish at once
+    passes = len(list(plan._row_passes()))
+    assert 1 < passes and len(calls) <= passes + quadrature._POLISH_ITERS + 1
     for i in range(SUP_LO.size):
         alone = QuadPlan(SUP_LO[i], SUP_HI[i], kinks=(0.5,),
                          row_kinks=SUP_K[i:i + 1], exp_rate=rate).sup(
@@ -346,6 +351,126 @@ def test_candidate_norms_match_one_by_one():
     want = (full_norm_profile(p0, KProfile.from_element(f0))
             + 3.0 * full_norm_profile(p1, KProfile.from_element(f1)))
     assert search.lhs(3.0) <= want * (1.0 + REL)
+
+
+# the hull split of the candidates' full norms against the per-row rule:
+# elements with knots on both sides of t = 1, all above, all below, one
+# atom, a step function, and ratios of 1e-400 and 1e400, which atoms()
+# clips to double range; weights near and past the edges of convergence
+HULL_ELEMENTS = {
+    "both": WeightedSeq((1.0, 0.5, 2.0), (1.0, 8.0, 0.2), (1.0, 1.0, 1.0)),
+    "above": WeightedSeq((1.0, 0.5, 2.0), (3.0, 40.0, 900.0),
+                         (1.0, 1.0, 1.0)),
+    "below": WeightedSeq((1.0, 0.5, 2.0), (0.3, 0.02, 0.001),
+                         (1.0, 1.0, 1.0)),
+    "n1": WeightedSeq((2.0,), (5.0,), (1.0,)),
+    "step": StepFn((0.0, 0.01, 0.05, 0.3), (3.0, 1.0, 0.2)),
+    "clipped": WeightedSeq((1.0, 2.0), (1e-200, 1e200), (1e200, 1e-200)),
+}
+HULL_WEIGHTS = [BrokenLog(a0, a_inf) for a0 in (-2.0, 0.5)
+                for a_inf in (-0.9, -1.0, -1.02, -1.05, -1.1, -1.2, -1.5,
+                              -2.0, 0.5)] + [
+    ExpLogPow(0.9, 1), ExpLogPow(0.3, -1),
+    Product(BrokenLog(-1.0, 0.5), ExpLogPow(0.2, -1)), Constant(2.0),
+    PrimitiveB(BrokenLog(-2.0, 0.5))]
+
+
+def _hull_candidates(element):
+    """f0 on a grid of fractions per atom, 5 for up to two atoms and 3 for
+    more (a step function's level rows), then the f1 = f - f0 of each: one
+    profile."""
+    coeffs, knots, basis = atoms(element)
+    if isinstance(element, WeightedSeq):
+        n = element.n
+        steps = 5 if n <= 2 else 3
+        f0 = np.linspace(0.0, 1.0, steps)[np.indices((steps,) * n).reshape(
+            n, -1).T] * coeffs
+    else:
+        f0 = estimates._level_rows(coeffs)
+    return KProfile(knots, np.vstack([f0, coeffs - f0]) @ basis)
+
+
+def _per_row_full_norms(p, profile):
+    """The full norms by the per-row rule: the two forms of every row
+    integrated over each half-line as rows of one plan."""
+    slope, value, kinks = params._forms(p, profile)
+    zero = np.zeros(len(profile.values))
+    kw = dict(ppd=p.ppd, kinks=kinks)
+    return params.qth_root(p, params._join(
+        p, norm_pow(-math.inf, zero, slope, 1.0 - p.theta, p.q, **kw),
+        norm_pow(zero, math.inf, value, -p.theta, p.q, **kw)))
+
+
+@pytest.mark.parametrize("name", sorted(HULL_ELEMENTS))
+def test_hull_split_matches_the_per_row_rule(name):
+    profile = _hull_candidates(HULL_ELEMENTS[name])
+    zero = (profile.values == 0.0).all(axis=1)
+    moved = {}  # (weight, theta, q): rows made +inf, rows made finite
+    for b in HULL_WEIGHTS:
+        for theta in (0.0, 0.3, 1.0):
+            for q in (0.5, 1.0, 2.0):
+                p = PhiParam(theta, q, b)
+                got = full_norm_profiles(p, profile)
+                want = _per_row_full_norms(p, profile)
+                assert np.all(got[zero] == 0.0), (b, theta, q)
+                to_inf = np.isinf(got) & ~np.isinf(want)
+                to_finite = np.isinf(want) & ~np.isinf(got)
+                if to_inf.any() or to_finite.any():
+                    moved[b, theta, q] = (int(to_inf.sum()),
+                                          int(to_finite.sum()))
+                ok = ~to_inf & ~to_finite & ~np.isinf(want)
+                np.testing.assert_allclose(got[ok], want[ok], rtol=REL,
+                                           atol=0.0, err_msg=str((b, theta,
+                                                                  q)))
+    # only on the clipped element, where a row's K/t below the first knot
+    # reaches 4.5e107 and its K past the last 2.5e-201 to 3.6e108, does
+    # the per-row (b K)^q leave double range where b^q does not; the
+    # split raises the row's scale to the q-th power apart from
+    # e^{rate q x} b^q:
+    # * at theta = 0, q = 2, K^2 of the rows with K = 2.5e-201 to 1e-200
+    #   past the last knot underflows, so the per-row rule reads 0, but b^2
+    #   is not integrable toward +inf: the exact norm is +inf;
+    # * ExpLogPow(0.9, 1) at theta = 0.3, q = 2, on the same rows: the
+    #   integrand peaks near e^{3000} at x = 59049, where e^{-0.6 x}
+    #   underflows and the per-row rule reads 0, so it reads a finite
+    #   norm; the split's b^2 overflows from x = 681 on, where e^{-0.6 x}
+    #   does not underflow, and reads +inf: the exact norm is beyond
+    #   double range;
+    # * ExpLogPow(0.9, 1) at theta = 1, q = 0.5, rows with K up to 3.6e108
+    #   past the last knot: (b K)^0.5 overflows where e^{-0.5 x} is still
+    #   above 0, so the per-row rule flags them, and the exact norm is
+    #   finite
+    want = {}
+    if name == "clipped":
+        want = {(b, 0.0, 2.0): (8, 0) for b in (
+            BrokenLog(-2.0, 0.5), BrokenLog(0.5, 0.5), Constant(2.0),
+            HULL_WEIGHTS[-1])}
+        want[ExpLogPow(0.9, 1), 0.3, 2.0] = (8, 0)
+        want[ExpLogPow(0.9, 1), 1.0, 0.5] = (0, 8)
+    assert moved == want
+
+
+def test_candidate_norms_stay_inside_the_hull(monkeypatch):
+    # the 729 candidates' K is read only at the nodes inside the knot
+    # hull [min(ln k_1, 0), max(ln k_m, 0)], in blocks of rows of at most
+    # HULL_BLOCK values; outside it b is evaluated once for all rows
+    sc = bundled_scenario("broken-log-1")
+    coeffs, knots, basis = atoms(sc.element)
+    f0 = estimates._fractions(sc.element, sc.grid) * coeffs
+    assert f0.shape[0] == 729
+    hull = (min(math.log(knots[0]), 0.0), max(math.log(knots[-1]), 0.0))
+    calls = []
+    for name in ("value_log", "slope_log"):
+        def record(self, x, rows=None, read=getattr(KProfile, name)):
+            calls.append((np.asarray(x), np.size(rows)))
+            return read(self, x, rows)
+        monkeypatch.setattr(KProfile, name, record)
+    for p in (sc.phi0, sc.phi1):
+        full_norm_profiles(p, KProfile(knots, f0 @ basis))
+    assert calls
+    for x, rows in calls:
+        assert hull[0] <= x.min() and x.max() <= hull[1]
+        assert rows * x.size <= quadrature.HULL_BLOCK
 
 
 def _old_level_splits(element):
@@ -544,6 +669,32 @@ def test_identical_rows_match_one_row_plans(q, bounds, rate, diverges):
     for i in (0, 1, 3, 4, 5):
         alone = norm_pow(lo[i], hi[i], lambda x, rows, i=i: _same_core(
             x, of[rows + i]), rate, q, **kw)
+        assert alone.value == batch.value[i], i
+        assert alone.diverged == batch.diverged[i], i
+
+
+def test_identical_rows_polish_at_once():
+    # 729 identical rows take about 5 rows per block of a pass: their
+    # polish is one ternary search for all of them, to the bits of each
+    # row's own plan
+    amp = np.linspace(0.5, 2.0, 729)
+    mid = np.linspace(-30.0, -0.5, 729)
+
+    def fn(x, rows):
+        with np.errstate(under="ignore"):
+            return decay_product(0.7 * x, amp[rows, None] * np.exp(
+                -np.abs(x - mid[rows, None]) ** 1.5))
+
+    calls = []
+    plan = QuadPlan(np.full(729, -math.inf), np.zeros(729), kinks=(-1.0,),
+                    exp_rate=0.7)
+    batch = plan.sup(lambda x, rows: calls.append(x.shape) or fn(x, rows))
+    passes = len(list(plan._row_passes()))
+    assert passes > 10
+    assert len(calls) <= passes + quadrature._POLISH_ITERS + 1
+    for i in (0, 1, 5, 6, 364, 727, 728):
+        alone = QuadPlan(-math.inf, 0.0, kinks=(-1.0,), exp_rate=0.7).sup(
+            lambda x, rows, i=i: fn(x, rows + i))
         assert alone.value == batch.value[i], i
         assert alone.diverged == batch.diverged[i], i
 
