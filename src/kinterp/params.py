@@ -31,7 +31,9 @@ Every norm here is ||χ_[lo,hi] e^{c x} g|| of some core g, and
 root, for every q in (0, ∞]: H and T, their sweep's increments, the full
 norms of K(·, f) at q = inf and ``phi_norm``; the truncated norms of
 K(·, f) at many cutoffs are one row cut at each (``truncated_pows``),
-under one weight or, one row each from the same pass, under several.  At
+under one weight or, one row each from the same pass, under several, with
+K's scale taken outside the root where its q-th power alone leaves double
+range (``_profile_norm``).  At
 finite q the full norms of many profiles, the decomposition candidates,
 split each half-line at the knot hull (``hull_pows``): outside it every
 row's core is b times a constant of the row, so b is evaluated once there
@@ -331,46 +333,89 @@ def _join(p: PhiParam, a: QuadResult, b: QuadResult) -> QuadResult:
     return QuadResult(value, a.diverged | b.diverged)
 
 
-def _forms(p: PhiParam, profile, bs=None):
+def _forms(p: PhiParam, profile, bs=None, scales=(1.0, 1.0)):
     """The cores of [u^{-theta} b K]^q du/u for p's weight b, or, one block
     of rows each, for the weights ``bs``, and their kinks: below x = 0 the
     slope form e^{(1-theta) q x} (b K/u)^q, stable toward u -> 0 where K/u
     tends to a constant; above it the value form e^{-theta q x} (b K)^q,
     stable toward u -> inf where K saturates.  K is evaluated once for all
-    weights."""
+    weights, and divided by ``scales`` = (slope form's, value form's)."""
     bs = (p.b,) if bs is None else bs
 
-    def form(k):
+    def form(k, scale):
         def core(x, rows):
             # 0 where K is, also where b overflows to +inf
             kv = np.asarray(k(x, rows), dtype=float)
+            if scale != 1.0:
+                kv = kv / scale
             nonzero, out = kv != 0.0, np.zeros((len(bs),) + kv.shape)
             for o, b in zip(out, bs):
                 np.multiply(eval_sv_log(b, x), kv, out=o, where=nonzero)
             return out.reshape((-1,) + kv.shape[1:])
         return core
 
-    return (form(profile.slope_log), form(profile.value_log),
+    return (form(profile.slope_log, scales[0]),
+            form(profile.value_log, scales[1]),
             tuple(profile.log_kinks()) + (0.0,))
 
 
-def _profile_pow(p: PhiParam, profile, side: str, x_t,
-                 bs=None) -> QuadResult:
+def _profile_pow(p: PhiParam, profile, side: str, x_t, bs=None,
+                 scales=(1.0, 1.0)) -> QuadResult:
     """||χ_(0,t) K|| (head) or ||χ_(t,∞) K|| (tail) of a one-row KProfile
     before the root, at every x_t = ln t, each form (``_forms``) one
     ``truncated_pows`` over all of x_t.  With the weights ``bs`` in place of
     p's (at p's theta and q), one row each, from the same pass: shaped
-    (len(bs),) + x_t.shape."""
-    slope, value, kinks = _forms(p, profile, bs)
+    (len(bs),) + x_t.shape.  With ``scales``, each form's K is divided by
+    its scale s and its integral multiplied by (s/top)^q, top the larger
+    scale: the value is over top^q."""
+    slope, value, kinks = _forms(p, profile, bs, scales)
     kw = dict(ppds=(p.ppd,), kinks=kinks,
               weights=None if bs is None else len(bs))
+    top = max(scales)
+
+    def pows(end, cuts, core, rate, scale):
+        r = truncated_pows(end, cuts, core, rate, p.q, **kw)[0]
+        if scale == top:
+            return r
+        with np.errstate(under="ignore"):
+            ratio = (scale / top) ** p.q
+        # a ratio of 0: the form lies below double range of the other
+        return QuadResult(ratio * r.value if ratio
+                          else np.zeros_like(r.value), r.diverged)
+
     if side == "tail":
-        return truncated_pows(math.inf, x_t, value, -p.theta, p.q, **kw)[0]
+        return pows(math.inf, x_t, value, -p.theta, scales[1])
     if side != "head":
         raise ValueError("side must be 'head' or 'tail'")
-    return _join(p, truncated_pows(-math.inf, np.minimum(x_t, 0.0), slope,
-                                   1.0 - p.theta, p.q, **kw)[0],
-                 truncated_pows(0.0, x_t, value, -p.theta, p.q, **kw)[0])
+    return _join(p, pows(-math.inf, np.minimum(x_t, 0.0), slope,
+                         1.0 - p.theta, scales[0]),
+                 pows(0.0, x_t, value, -p.theta, scales[1]))
+
+
+def _profile_norm(p: PhiParam, profile, side: str, x_t, bs=None):
+    """The root of ``_profile_pow``, with K's scale taken outside it where
+    its q-th power alone leaves double range.
+
+    The scale s is K(k_1)/k_1 for the slope form, which K/u tends to below
+    the first knot, and K(k_m) for the value form, past the last.  Where s^q
+    is 0 or inf for some 0 < s < inf of the side's forms, (b K)^q would
+    underflow to 0, hiding a divergence, or overflow: each such form then
+    integrates (b K/s)^q, and the norm is top times the root
+    (``_profile_pow`` with these scales).  Otherwise the scales are 1, and
+    the values the root of ``_profile_pow``'s, to its bits.
+    """
+    s = np.array([profile.values[0, 0] / profile.knots[0],
+                  profile.values[0, -1]])
+    if side == "tail":  # the value form alone
+        s[0] = s[1]
+    with np.errstate(over="ignore", under="ignore"):
+        c = s ** p.q
+    scalable = (s > 0.0) & np.isfinite(s)
+    scales = (1.0, 1.0)
+    if not p.sup_norm and (scalable & ((c == 0.0) | np.isinf(c))).any():
+        scales = tuple(np.where(scalable, s, 1.0).tolist())
+    return max(scales) * qth_root(p, _profile_pow(p, profile, side, x_t, bs,
+                                                  scales))
 
 
 def norm_trunc_profile(p: PhiParam, profile: KProfile, side: str, t):
@@ -396,8 +441,8 @@ def norm_trunc_profiles(p: PhiParam, profile: KProfile, side: str, t,
     ts = _positive(t)
     if not np.all(np.isfinite(ts)):
         raise ValueError("t must be finite")
-    out = qth_root(p, _profile_pow(p, profile, side, np.log(ts), bs))
-    return out if out.ndim else float(out)
+    out = _profile_norm(p, profile, side, np.log(ts), bs)
+    return out if np.ndim(out) else float(out)
 
 
 def full_norm_profile(p: PhiParam, profile: KProfile) -> float:

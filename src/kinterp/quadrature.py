@@ -27,12 +27,14 @@ rather than an exception because +∞ is a legal quasi-norm value.
 nodes of a batch of rows as one matrix (pass by pass, ``CHUNK_ELEMS`` nodes
 at most), evaluates the integrand once per pass and reduces row by row.
 ``integral_log`` is its one-row case.  Rows share the lattice, so most of
-their panels are whole lattice panels: a plan computes those once, in a
-table per segment (direct part, negative and positive far region), and per
-row only its own panels, the partial ones at its bounds and the ones its
-kinks split.  A pass is then gathered from the table and its rows' own
-panels by one index array; every row keeps the nodes, weights and column
-order it would get on its own.
+their panels are whole lattice panels: a plan of many rows computes those
+once, in a table per segment (direct part, negative and positive far
+region), and per row only its own panels, the partial ones at its bounds
+and the ones its kinks split.  A pass is then gathered from the table and
+its rows' own panels by one index array; every row keeps the nodes,
+weights and column order it would get on its own.  A plan that lays out
+one row has nothing to share: its one pass is built straight from the
+row's panel edges (``QuadPlan.row_pass``), to the same bits.
 
 Where its inputs show it, a plan evaluates the integrand once per distinct
 node, not once per row and node.  Rows with identical bounds and no row
@@ -77,7 +79,17 @@ import numpy as np
 LN10 = math.log(10.0)
 
 GL_ORDER = 8
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
+# the Gauss-Legendre nodes and weights of order GL_ORDER on [-1, 1], as
+# numpy.polynomial.legendre.leggauss(8) gives them, written out so that
+# importing this module loads neither numpy.polynomial nor LAPACK
+_GL_X = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+    -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+    0.7966664774136267, 0.9602898564975362])
+_GL_W = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+    0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+    0.22238103445337443, 0.10122853629037706])
 
 #: |x| reach of the log-log substituted region (x = ln t, so this covers
 #: t down to exp(-1e12)).
@@ -220,6 +232,19 @@ def _near_edges(lo, hi, kinks, width):
     return edges, np.where(k * width == edges, k, np.nan)
 
 
+def _row_edges(lo, hi, kinks, width):
+    """All panel edges of one row [lo, hi] by ``_near_edges``' rule, with
+    every lattice point strictly inside in place of only those next to a
+    bound or kink: the same edges, each lattice point as the same k*width."""
+    k = np.arange(math.floor(lo / width) + 1, math.ceil(hi / width))
+    pts = np.concatenate([[lo, hi], kinks[(kinks > lo) & (kinks < hi)],
+                          k * width])
+    pts.sort()
+    edges = pts[np.concatenate(([True], pts[1:] - pts[:-1] > width * 1e-9))]
+    edges[-1] = hi
+    return edges
+
+
 def _gl_nodes(a, b, region):
     """Gauss-Legendre nodes and weights, (m, GL_ORDER), of the panels
     [a[j], b[j]]: in x for region 0 (the direct part); in y = ln|x|,
@@ -333,6 +358,47 @@ def _reduce(vals, built, sums, shared=None):
     return total, bad
 
 
+def _probes(lo, hi, unbounded, has, node):
+    """Per row [lo, hi]: its four tail-fit probes, u_ref and u_ref/2 of the
+    negative far region as x = -u and of the positive one as x = u where
+    that region is unbounded, else the row's first point; that first point,
+    the first node ``node`` of its first panel where it ``has`` one, else
+    its first probe, else lo (its unused columns hold it); and per far
+    region the |x| beyond which its nodes make up the last-doubling
+    increment (inf: none)."""
+    u = np.column_stack([-hi, lo, -lo, hi])
+    u_min = np.maximum(SWITCH, u[:, :2])
+    u_top = np.minimum(u[:, 2:], DEEP_LOG_RANGE)
+    # -u_ref, u_ref of the negative and the positive region, as x
+    x_ref = np.maximum(DEEP_LOG_RANGE, 2.0 * u_min) * [-1.0, 1.0]
+    limit = np.where(unbounded & (u_min < u_top / 4.0), u_top / 2.0,
+                     math.inf)
+    first = np.where(has, node, np.where(unbounded[:, 0], x_ref[:, 0],
+                                         np.where(unbounded[:, 1],
+                                                  x_ref[:, 1], lo)))
+    probes = np.where(np.repeat(unbounded, 2, axis=1),
+                      np.repeat(x_ref, 2, axis=1) / [1.0, 2.0, 1.0, 2.0],
+                      first[:, None])
+    return probes, first, limit
+
+
+def _increments(points, counts, limit):
+    """``inc`` of a pass whose segments take GL_ORDER * counts[s] columns:
+    per far region with nodes and some row's limit finite, (first column,
+    mask of the nodes beyond the row's limit |x|: x < 0 in the negative
+    region, x > 0 in the positive one)."""
+    inc = []
+    for far in (1, 2):
+        start = GL_ORDER * sum(counts[:far])
+        stop = start + GL_ORDER * counts[far]
+        at_least = limit[:, far - 1]
+        if stop > start and at_least.min() < math.inf:
+            nodes = points[:, start:stop]
+            inc.append((start, nodes < -at_least[:, None] if far == 1
+                        else nodes > at_least[:, None]))
+    return inc
+
+
 class QuadPlan:
     """The rule of ``integral_log`` for a batch of intervals [lo_i, hi_i].
 
@@ -350,17 +416,20 @@ class QuadPlan:
 
     Layout.  Each of a row's three segments (the direct part in x, the
     negative and the positive far region in y = ln|x|) is a run of whole
-    lattice panels, cut only at its two bounds and at its kinks.  The plan
-    computes the nodes and weights of each whole lattice panel once, in a
-    table per segment (the far ones already mapped back to x and scaled by
-    e^y).  A row keeps only its panel count per segment and its own panels:
-    the partial ones at its bounds and the ones its kinks split, at most
-    2 + 2 * (kink count) per segment; between two of them, and before the
-    first and after the last, lie runs of table panels.  Each time
-    ``apply`` runs, passes of at most about ``CHUNK_ELEMS`` nodes are
-    gathered from the table and their rows' own panels by one index array,
-    for the nodes and for the weights.  ``sup`` reduces the same passes to
-    each row's maximum.
+    lattice panels, cut only at its two bounds and at its kinks.  A plan
+    that lays out two or more rows computes the nodes and weights of each
+    whole lattice panel once, in a table per segment (the far ones already
+    mapped back to x and scaled by e^y).  A row keeps only its panel count
+    per segment and its own panels: the partial ones at its bounds and the
+    ones its kinks split, at most 2 + 2 * (kink count) per segment; between
+    two of them, and before the first and after the last, lie runs of table
+    panels.  Each time ``apply`` runs, passes of at most about
+    ``CHUNK_ELEMS`` nodes are gathered from the table and their rows' own
+    panels by one index array, for the nodes and for the weights.  A plan
+    that lays out one row (one interval, or identical rows) has no table:
+    ``row_pass`` builds its one pass from the row's edges, the same panels
+    in the same columns.  ``sup`` reduces the same passes to each row's
+    maximum.
     """
 
     def __init__(self, lo, hi, *, ppd=DEFAULT_PPD, kinks=(), row_kinks=None,
@@ -388,17 +457,19 @@ class QuadPlan:
         # far regions (columns) reaching DEEP_LOG_RANGE get the tail fit
         self.unbounded = np.column_stack([-lo >= DEEP_LOG_RANGE,
                                           hi >= DEEP_LOG_RANGE])
+        r = lo.size
+        if r < 2:  # no table: ``row_pass`` builds the one row's pass
+            return
         # per row: a bound on its node count (rows of similar width share
         # a pass), its panel count and own panel count per segment, and its
         # own panels (a, b) in order; laid out in blocks of rows, to keep
         # the temporaries small
-        r = lo.size
         self.cols = np.empty(r)
         self.n = np.empty((r, 3), dtype=np.int64)
         self.own_n = np.empty((r, 3), dtype=np.int64)
         own, k_lo, k_hi = [], [], []
         step = max(1, 16384 // (15 * kinks.shape[1] + 30))
-        for s in range(0, max(r, 1), step):
+        for s in range(0, r, step):
             block = slice(s, s + step)
             (self.cols[block], self.n[block], self.own_n[block], a, b, lo_k,
              hi_k) = self._lay_out(lo[block], hi[block], kinks[block])
@@ -568,7 +639,8 @@ class QuadPlan:
 
     def _passes(self):
         """(row indices, (points, weights, inc, unbounded)) per pass over
-        the plan's laid-out rows.
+        the plan's laid-out rows; one laid-out row has one pass,
+        ``row_pass``.
 
         Columns are the direct nodes, the negative and the positive far
         nodes, then, when some row has an unbounded far region, the
@@ -582,7 +654,9 @@ class QuadPlan:
         the rule; a pass without nodes has one such column.
         """
         n = self.lo.size
-        if not n:
+        if n < 2:
+            if n:
+                yield np.zeros(1, dtype=np.intp), self.row_pass()
             return
         # rows of similar width share a pass, so little of it is padding
         order = np.argsort(self.cols, kind="stable")
@@ -633,19 +707,9 @@ class QuadPlan:
                     take[:, cols:] = probe[block, :extra]
                 points = src_x.take(take)
                 points.flags.writeable = False
-                inc = []
-                for far in (1, 2):
-                    start = GL_ORDER * sum(c[:far])
-                    stop = start + GL_ORDER * c[far]
-                    at_least = limit[block, far - 1]
-                    if stop > start and at_least.min() < math.inf:
-                        # |x| beyond the row's limit (x < 0 in the negative
-                        # region, > 0 in the positive one)
-                        nodes = points[:, start:stop]
-                        inc.append((start, nodes < -at_least[:, None]
-                                    if far == 1
-                                    else nodes > at_least[:, None]))
-                yield idx, (points, src_w.take(take), inc, self.unbounded[idx])
+                yield idx, (points, src_w.take(take),
+                            _increments(points, c, limit[block]),
+                            self.unbounded[idx])
             del src_x, src_w, panel  # before the next block's are built
             first = last
 
@@ -671,38 +735,54 @@ class QuadPlan:
         src_w = np.zeros((t + m + 2 * r, GL_ORDER))
         src_x[:t], src_w[:t] = self.table_x, self.table_w
         src_x[t:t + m], src_w[t:t + m] = own_x, own_w
-        # the tail-fit probes of unbounded regions
-        lo, hi, unbounded = self.lo[rows], self.hi[rows], self.unbounded[rows]
-        u_min = np.column_stack([np.maximum(SWITCH, -hi),
-                                 np.maximum(SWITCH, lo)])
-        u_top = np.column_stack([np.minimum(-lo, DEEP_LOG_RANGE),
-                                 np.minimum(hi, DEEP_LOG_RANGE)])
-        u_ref = np.maximum(DEEP_LOG_RANGE, 2.0 * u_min)
-        limit = np.where(unbounded & (u_min < u_top / 4.0), u_top / 2.0,
-                         math.inf)
-        # a row's first point: the first node of its first panel, else of
-        # its first probe, else its lower bound; its unused columns and the
-        # probes of a bounded region hold it
+        # each row's first node: that of the first slot of its first run of
+        # panels
         panels = (length > 0) & (step > 0)
         found = np.flatnonzero(panels)
         before = np.cumsum(panels) - panels
         found = (found[np.minimum(before[row_at], found.size - 1)]
                  if found.size else row_at)
         has = self.n[rows].any(axis=1)
-        first = np.where(
-            has, src_x[np.where(has, start[found], 0), 0],
-            np.where(unbounded[:, 0], -u_ref[:, 0],
-                     np.where(unbounded[:, 1], u_ref[:, 1], lo)))
-        src_x[probe, :4] = np.where(
-            np.repeat(unbounded, 2, axis=1),
-            np.column_stack([-u_ref[:, 0], -u_ref[:, 0] / 2.0,
-                             u_ref[:, 1], u_ref[:, 1] / 2.0]),
-            first[:, None])
+        src_x[probe, :4], first, limit = _probes(
+            self.lo[rows], self.hi[rows], self.unbounded[rows], has,
+            src_x[np.where(has, start[found], 0), 0])
         src_x[fill] = first[:, None]
         panel = self._slots(start, length, step)
         panel *= GL_ORDER
         return (src_x.ravel(), src_w.ravel(), panel,
                 GL_ORDER * probe[:, None] + np.arange(4), limit)
+
+    def row_pass(self):
+        """The one pass of ``_passes`` of a plan that lays out one row,
+        built straight from the row's panel edges (``_row_edges``) per
+        segment, with no table, runs or gather: the panels are those the
+        table path gathers, so every column is the same, bit for bit."""
+        a, b, counts = [np.zeros(0)], [np.zeros(0)], [0, 0, 0]
+        for seg, (lo, hi, kinks) in enumerate(
+                self._segments(self.lo, self.hi, self.kinks)):
+            if hi[0] > lo[0]:
+                edges = _row_edges(lo[0], hi[0], kinks[0], self.width)
+                a.append(edges[:-1])
+                b.append(edges[1:])
+                counts[seg] = edges.size - 1
+        x, w = _gl_nodes(np.concatenate(a), np.concatenate(b),
+                         np.repeat(np.arange(3), counts))
+        has = x.shape[0] > 0
+        probes, first, limit = _probes(self.lo, self.hi, self.unbounded,
+                                       np.array([has]), x[:1, 0] if has
+                                       else self.lo)
+        # after the nodes: the probes, or a row without nodes its first point
+        extra = (probes[0] if self.unbounded.any() else first[:0] if has
+                 else first)
+        # node by node within each segment: column g * N_s + j holds node g
+        # of panel j
+        end = np.cumsum(counts)
+        points, weights = (np.concatenate(
+            [v[e - c:e].T.ravel() for c, e in zip(counts, end)] + [more])[None]
+            for v, more in ((x, extra), (w, np.zeros(extra.size))))
+        points.flags.writeable = False
+        return (points, weights, _increments(points, counts, limit),
+                self.unbounded)
 
     def _row_passes(self):
         """(rows, idx, pass) per pass of ``_passes``: the flat indices of
@@ -934,9 +1014,8 @@ def truncated_pows(end, cuts, core, rate: float, q: float, *, ppds,
         zero = np.zeros(shape)
         return [QuadResult(zero, zero != 0.0)] * len(ppds)
     kinks = np.concatenate([np.asarray(kinks, dtype=float), at])
-    # one row: one pass
-    passes = [next(QuadPlan(lo, hi, ppd=ppd, kinks=kinks,
-                            exp_rate=rate * q)._passes())[1] for ppd in ppds]
+    passes = [QuadPlan(lo, hi, ppd=ppd, kinks=kinks,
+                       exp_rate=rate * q).row_pass() for ppd in ppds]
     x = distinct([built[0] for built in passes])
     vals = powered(core, rate, q)(x[None])
     out = []
@@ -975,8 +1054,8 @@ def hull_pows(lo, hi, core, outer, scale, rate: float, q: float, *,
     even a flag.
     """
     a, b = hull
-    built = next(QuadPlan(lo, hi, ppd=ppd, kinks=kinks,
-                          exp_rate=rate * q)._passes())[1]
+    built = QuadPlan(lo, hi, ppd=ppd, kinks=kinks,
+                     exp_rate=rate * q).row_pass()
     points, weights = built[0], built[1]
     inside = (points >= a) & (points <= b)
     at = np.flatnonzero(inside[0] & (weights[0] > 0.0))

@@ -1,10 +1,14 @@
-"""QuadPlan's lattice-table layout against the layout it replaced.
+"""QuadPlan's layouts against the layout they replaced.
 
 ``reference_quadrature.ReferenceLayout`` computes every pass's panels from
-scratch; the plan gathers whole lattice panels from a table and computes
-only each row's own panels.  Row by row, the nonzero-weight (node, weight)
-sequence, the nodes of each far region's last-doubling increment and the
-tail-fit probes must be the same, bit for bit.
+scratch.  A plan of two or more laid-out rows gathers whole lattice panels
+from a table and computes only each row's own panels; a plan that lays out
+one row (one interval, or identical rows laid out as one) builds its one
+pass straight from the row's panel edges, with no table.  Row by row, the
+nonzero-weight (node, weight) sequence, the nodes of each far region's
+last-doubling increment and the tail-fit probes must be the same, bit for
+bit; and a one-row pass must be the table's pass of that row, column for
+column.
 """
 
 import math
@@ -16,7 +20,8 @@ from hypothesis import strategies as st
 
 import reference_quadrature as ref
 from kinterp.quadrature import (CHUNK_ELEMS, DEEP_LOG_RANGE, GL_ORDER, LN10,
-                                QuadPlan)
+                                QuadPlan, hull_pows, integral_log, norm_pow,
+                                truncated_pows)
 
 
 def _width(ppd):
@@ -57,6 +62,22 @@ def _assert_same_layout(lo, hi, **kw):
         assert g == w, (i, plan.lo[i], plan.hi[i])
 
 
+def _assert_rows_alone_match(lo, hi, *, kinks=(), row_kinks=None, **kw):
+    """Each row [lo[i], hi[i]] (with its row kink) as a plan of its own,
+    which ``row_pass`` builds with no table, against the reference."""
+    old = ref.ReferenceLayout(lo, hi, kinks=kinks, row_kinks=row_kinks, **kw)
+    assert old.rows.size == lo.size
+    for i in range(lo.size):
+        plan = QuadPlan(lo[i], hi[i], kinks=kinks, row_kinks=None
+                        if row_kinks is None else row_kinks[i:i + 1], **kw)
+        assert plan.lo.size == 1 and not hasattr(plan, "table_x")
+        passes = list(plan._passes())
+        assert len(passes) == 1
+        got, = _per_row(passes, 1)
+        want, = _per_row([(passes[0][0], old.build(np.array([i])))], 1)
+        assert got == want, (i, lo[i], hi[i])
+
+
 def _bounds(ppd):
     w = _width(ppd)
     eps = 1e-10 * w
@@ -68,11 +89,9 @@ def _bounds(ppd):
                      for d in (-eps, 0.0, eps))})
 
 
-@pytest.mark.parametrize("ppd", [16, 64, 128])
-@pytest.mark.parametrize("exp_rate", [0.0, 0.7, -2.0, 2000.0])
-@pytest.mark.parametrize("kinks", ["none", "shared", "row"])
-def test_layout_matches_reference(ppd, exp_rate, kinks):
-    # every pair of bounds is a row, so passes mix rows of many widths
+def _pairs(ppd, kinks):
+    """Every pair of ``_bounds`` as a row, and the kinks of the mode
+    ``kinks``: (lo, hi, shared kinks, row kinks or None)."""
     b = np.array(_bounds(ppd))
     i, j = np.triu_indices(b.size, k=1)
     lo, hi = b[i], b[j]
@@ -88,8 +107,49 @@ def test_layout_matches_reference(ppd, exp_rate, kinks):
                            -math.exp(4 * w), math.exp(6 * w + 1e-10), -25.0])
         row_kinks = np.where(np.isfinite(lo), lo, -7.0) / 3.0
         row_kinks[::3] = choice[np.arange(row_kinks[::3].size) % choice.size]
+    return lo, hi, shared, row_kinks
+
+
+@pytest.mark.parametrize("ppd", [16, 64, 128])
+@pytest.mark.parametrize("exp_rate", [0.0, 0.7, -2.0, 2000.0])
+@pytest.mark.parametrize("kinks", ["none", "shared", "row"])
+def test_layout_matches_reference(ppd, exp_rate, kinks):
+    # every pair of bounds is a row, so passes mix rows of many widths
+    lo, hi, shared, row_kinks = _pairs(ppd, kinks)
     _assert_same_layout(lo, hi, ppd=ppd, kinks=shared, row_kinks=row_kinks,
                         exp_rate=exp_rate)
+
+
+@pytest.mark.parametrize("ppd", [16, 64, 128])
+@pytest.mark.parametrize("exp_rate", [0.0, 0.7, -2.0, 2000.0])
+@pytest.mark.parametrize("kinks", ["none", "shared", "row"])
+def test_one_row_plans_match_reference(ppd, exp_rate, kinks):
+    lo, hi, shared, row_kinks = _pairs(ppd, kinks)
+    _assert_rows_alone_match(lo, hi, ppd=ppd, kinks=shared,
+                             row_kinks=row_kinks, exp_rate=exp_rate)
+
+
+@pytest.mark.parametrize("kinks", ["none", "shared", "row"])
+def test_one_row_pass_is_the_tables(kinks):
+    # the row twice, with a row kink (NaN for none) so that the two are not
+    # laid out as one: the table path, and no padding in the row's pass
+    lo, hi, shared, row_kinks = _pairs(64, kinks)
+    own = np.full(lo.size, np.nan) if row_kinks is None else row_kinks
+    kw = dict(ppd=64, kinks=shared, exp_rate=0.7)
+    for i in range(lo.size):
+        points, weights, inc, unbounded = QuadPlan(
+            lo[i], hi[i], row_kinks=None if row_kinks is None
+            else own[i:i + 1], **kw).row_pass()
+        table = QuadPlan(np.full(2, lo[i]), np.full(2, hi[i]),
+                         row_kinks=np.full(2, own[i]), **kw)
+        assert table.lo.size == 2
+        (idx, want), *_ = table._passes()
+        assert idx[0] == 0
+        assert points[0].tobytes() == want[0][0].tobytes(), i
+        assert weights[0].tobytes() == want[1][0].tobytes(), i
+        assert [(s, m[0].tobytes()) for s, m in inc] == [
+            (s, m[0].tobytes()) for s, m in want[2]], i
+        assert np.array_equal(unbounded[0], want[3][0])
 
 
 def test_relative_factor_rows_match_reference():
@@ -138,6 +198,66 @@ def test_empty_far_segment_is_no_node():
     assert not (weights > 0.0).any() and np.array_equal(points, [[1.0]])
     r = plan.apply(lambda x, rows: np.ones(x.shape))
     assert float(r.value) == 0.0 and not r.diverged
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (-math.inf, math.inf), (-3.0, math.inf), (-2.0 * DEEP_LOG_RANGE, -0.3),
+    (0.1, 0.2), (-1.0, 1.0), (2.0, 2.0 + 1e-9),
+    (1.0, 1.0 + 1e-12),  # test_empty_far_segment_is_no_node's row
+])
+def test_identical_rows_build_their_row_alone(lo, hi):
+    kw = dict(kinks=(0.0, -0.3, 2.5, -40.0), exp_rate=0.7)
+    lo, hi = np.full(4, lo), np.full(4, hi)
+    plan = QuadPlan(lo, hi, **kw)
+    assert plan.lo.size == 1 and plan.rows.size == 4
+    _assert_same_layout(lo, hi, **kw)
+
+
+def test_one_row_paths_use_no_table(monkeypatch):
+    def fail(*a, **kw):
+        raise AssertionError("a one-row plan used the lattice table")
+
+    for name in ("_lay_out", "_tabulate", "_runs", "_gather"):
+        monkeypatch.setattr(QuadPlan, name, fail)
+    r = integral_log(lambda x: np.exp(-x * x), kinks=(0.5,))
+    assert r.value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+
+    def core(x, rows):
+        return np.exp(-np.abs(x)) * (1.0 if rows is None else
+                                     np.arange(1.0, 4.0)[rows, None])
+
+    cuts = np.array([-5.0, 0.3, 2.0])
+    for end in (-math.inf, 0.0, math.inf):
+        truncated_pows(end, cuts, core, 0.0, 1.5, ppds=(16, 64))
+    hull_pows(-math.inf, 0.0, core, lambda x: np.exp(-np.abs(x)),
+              np.arange(1.0, 4.0), 0.5, 2.0, ppd=64, kinks=(-1.0,),
+              hull=(-1.0, 0.0))
+    r = norm_pow(np.full(3, -math.inf), np.zeros(3), core, 0.5, math.inf,
+                 ppd=64, kinks=(-1.0,))
+    # e^{1.5 x} times row i + 1 peaks at the bound x = 0
+    np.testing.assert_allclose(r.value, np.arange(1.0, 4.0), rtol=1e-12)
+
+
+@pytest.mark.parametrize("q", [1.5, math.inf])
+@pytest.mark.parametrize("bounds", [(-math.inf, 0.0), (-3.0, math.inf),
+                                    (-math.inf, math.inf)])
+def test_one_row_values_are_the_tables(q, bounds):
+    # identical rows laid out as one, against the same rows laid out through
+    # the table beside a second, different row
+    def core(x, rows):
+        with np.errstate(under="ignore"):
+            return (np.arange(1.0, 7.0)[rows, None]
+                    * np.exp(-np.abs(x + 2.0) ** 1.5) + 1e-3 / (1.0 + x * x))
+
+    lo, hi = np.full(5, bounds[0]), np.full(5, bounds[1])
+    kw = dict(ppd=64, kinks=(-1.0, 0.5))
+    one = norm_pow(lo, hi, core, 0.25, q, **kw)
+    table = norm_pow(np.append(lo, -3.0), np.append(hi, 5.0), core, 0.25, q,
+                     **kw)
+    assert QuadPlan(lo, hi, **kw).lo.size == 1
+    assert QuadPlan(np.append(lo, -3.0), np.append(hi, 5.0), **kw).lo.size == 6
+    assert one.value.tobytes() == table.value[:5].tobytes()
+    assert np.array_equal(one.diverged, table.diverged[:5])
 
 
 def test_gather_budget_counts_probe_and_fill_panels():

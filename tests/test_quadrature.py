@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kinterp.quadrature import (LogGrid, decay_product, integral_log, sup_log)
+from kinterp.quadrature import (GL_ORDER, LogGrid, _GL_W, _GL_X, decay_product,
+                                integral_log, sup_log)
 
 from helpers import simpson_log
 
@@ -130,3 +131,11 @@ def test_decay_product_masks_joint_decay():
     assert out[0] == 0.0
     assert out[1] == pytest.approx(2.0)
     assert out[2] == 0.0
+
+
+def test_gauss_legendre_literals_are_leggauss():
+    # written out so that importing the package loads no numpy.polynomial
+    x, w = np.polynomial.legendre.leggauss(GL_ORDER)
+    assert np.array_equal(_GL_X, x) and np.array_equal(_GL_W, w)
+    assert np.array_equal(_GL_X, -_GL_X[::-1])
+    assert np.array_equal(_GL_W, _GL_W[::-1])

@@ -18,7 +18,7 @@ from kinterp import (BrokenLog, Constant, KProfile, LogGrid, PhiParam,
                      norm_trunc_profile)
 from kinterp.conditions import check_C2, check_C3, rho_table
 from kinterp.estimates import _terms
-from kinterp.params import _forms, _join, _profile_pow
+from kinterp.params import _forms, _join, _profile_pow, norm_trunc_profiles
 from kinterp.quadrature import norm_pow, truncated_pows
 from kinterp.runner import bundled_scenario
 
@@ -178,3 +178,48 @@ def test_terms_and_classical_column_lay_out_three_plans(monkeypatch):
     _terms(p0, p1, rho, sc.profile, grid)
     classical_rhs(p0.theta, p0.q, p1.theta, p1.q, sc.profile, grid.points())
     assert len(made) == 6
+
+
+@pytest.mark.parametrize("k,head,tail", [
+    # K^2 underflows: the head was 0, the tail 0 (not +inf)
+    (2.5e-201, None, math.inf),
+    # K^2 overflows: the head was +inf
+    (1e200, None, math.inf),
+    # K^2 in range: the plain rule, to its bits
+    (2.5e-100, [3.535533905932738e-100, 8.370461595685816e-100], math.inf),
+])
+def test_trunc_norm_takes_the_scale_apart(k, head, tail):
+    # K = k min(1, t), b = 2, theta = 0, q = 2: the head at t >= 1 is
+    # 2 k (1/2 + ln t)^(1/2), and the tail diverges
+    p = PhiParam(0.0, 2.0, Constant(2.0))
+    profile = KProfile([1.0], [[k]])
+    ts = [1.0, 10.0]
+    got = norm_trunc_profile(p, profile, "head", ts)
+    exact = 2.0 * k * np.sqrt(0.5 + np.log(ts))
+    if head is None:
+        np.testing.assert_allclose(got, exact, rtol=1e-14)
+    else:
+        assert got.tolist() == head
+        np.testing.assert_allclose(got, exact, rtol=1e-14)
+    assert norm_trunc_profile(p, profile, "tail", ts).tolist() == [tail] * 2
+    # several weights from one pass, each to the bits of its own call
+    bs = (Constant(2.0), BrokenLog(1.0, -1.0))
+    both = norm_trunc_profiles(p, profile, "head", ts, bs)
+    for row, b in zip(both, bs):
+        own = norm_trunc_profile(PhiParam(0.0, 2.0, b), profile, "head", ts)
+        assert row.tobytes() == own.tobytes()
+
+
+def test_trunc_norm_scales_each_form():
+    # a slope scale K(k_1)/k_1 = 1e-190 and a value scale K(k_m) = 1e-180,
+    # both squared below double range, against the same profile at 1e200
+    # times the size, rescaled
+    p = PhiParam(0.3, 2.0, BrokenLog(0.5, -1.0))
+    knots, values = [1e-3, 1e4], [[1e-193, 1e-180]]
+    small = KProfile(knots, values)
+    large = KProfile(knots, np.multiply(values, 1e200))
+    ts = np.exp(np.linspace(-12.0, 12.0, 9))
+    for side in ("head", "tail"):
+        np.testing.assert_allclose(
+            norm_trunc_profile(p, small, side, ts),
+            norm_trunc_profile(p, large, side, ts) * 1e-200, rtol=1e-13)
