@@ -15,16 +15,20 @@ the underlying inequalities hold only up to unspecified constants, so the
 sup ratio itself is the interesting output.
 
 Each parameter computes its factors on the grid once and keeps them, so
-rho, C1 and C4 read the same ones.  The outer norms of C2/C3 at all grid
+rho, C1 and C4 read the same ones; for finite q at a rate != 0 with no
+closed form, H and T there are one sweep along the grid's points
+(``params._shift_factors``).  The outer norms of C2/C3 at all grid
 points are, at the working and at doubled density, one quadrature row cut
 at every grid point (``quadrature.truncated_pows``), and the outer
 integrand, inner M included, is evaluated once at the sorted distinct nodes
 of both rows.  The rows skip the far panels on which the outer weight
 e^{c q x} is exactly 0.0, so M is not evaluated there, nor can it leave
 double range there.  For a finite-q inner parameter with 0 < theta < 1,
-H^q and T^q come from one sweep per side along the nodes
-(``params.swept_min_factors``); a swept value depends on the node set,
-which the grid fixes, so reports stay deterministic.  The doubled-density
+H^q and T^q come from one sweep per side along the nodes where the outer
+weight, as ``quadrature.powered`` forms it, is not 0.0
+(``params.swept_min_factors``; M is +inf, the core 0, at the others, such
+as the tail-fit probes); a swept value depends on the node set, which the
+grid fixes, so reports stay deterministic.  The doubled-density
 row is the refinement check; its drift goes in the meta.
 
 ``CHECKS`` is the one list of checks that scenarios and ``--only`` may name;
@@ -92,14 +96,13 @@ class ConditionReport:
         return self.verdict == "pass"
 
     def rows(self):
-        for i in range(len(self.t)):
-            yield (float(self.t[i]), float(self.lhs[i]),
-                   float(self.rhs[i]), float(self.ratio[i]))
+        """(t, lhs, rhs, ratio) per grid point, as Python floats."""
+        return zip(*(np.asarray(a, dtype=float).tolist()
+                     for a in (self.t, self.lhs, self.rhs, self.ratio)))
 
     def to_csv_text(self) -> str:
         lines = ["t,lhs,rhs,ratio"]
-        for t, lhs, rhs, ratio in self.rows():
-            lines.append(f"{t!r},{lhs!r},{rhs!r},{ratio!r}")
+        lines.extend(",".join(map(repr, row)) for row in self.rows())
         return "\n".join(lines) + "\n"
 
     def summary(self) -> dict:
@@ -164,13 +167,20 @@ def check_C1(p0: PhiParam, p1: PhiParam, rho=None, grid: LogGrid = LogGrid(),
 def _outer_trunc_norms(p_out, p_inner, c_exp, side, xs, ppds):
     """|| χ_side(u) e^{c_exp x} b_out(x) / M_inner(x) ||_out (0 where
     M_inner is +inf) at each cutoff of xs, once per outer density in ppds:
-    M_inner swept along the nodes of ``truncated_pows`` for finite q_out,
-    by the direct rule at the points the supremum samples at q_out = inf.
+    M_inner swept along the nodes of ``truncated_pows`` where the outer
+    weight e^{c_exp q_out x} is not 0.0 for finite q_out (+inf at the
+    others, where ``powered`` makes the integrand 0 whatever M is), by the
+    direct rule at the points the supremum samples at q_out = inf.
     """
 
     def core(x, rows):
-        m = (min_factors(p_inner, x) if p_out.sup_norm
-             else swept_min_factors(p_inner, x[0])[None])
+        if p_out.sup_norm:
+            m = min_factors(p_inner, x)
+        else:
+            with np.errstate(under="ignore", over="ignore"):
+                live = np.exp(c_exp * p_out.q * x[0]) > 0.0
+            m = np.full(x.shape, math.inf)
+            m[0, live] = swept_min_factors(p_inner, x[0, live])
         with np.errstate(divide="ignore", invalid="ignore",
                          over="ignore", under="ignore"):
             c = eval_sv_log(p_out.b, x) / m

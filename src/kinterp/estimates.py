@@ -225,15 +225,14 @@ class EquivalenceReport:
         has_classical = "classical" in self.rhs
         if has_classical:
             cols += ["rhs_classical", "r_classical"]
+        arrays = [self.t, self.rho, self.lhs_upper, self.rhs["lemma"],
+                  self.rhs["thm_i"], self.rhs["thm_ii"], self.ratios["lemma"],
+                  self.ratios["thm_i"], self.ratios["thm_ii"]]
+        if has_classical:
+            arrays += [self.rhs["classical"], self.ratios["classical"]]
         lines = [",".join(cols)]
-        for i in range(len(self.t)):
-            row = [self.t[i], self.rho[i], self.lhs_upper[i],
-                   self.rhs["lemma"][i], self.rhs["thm_i"][i],
-                   self.rhs["thm_ii"][i], self.ratios["lemma"][i],
-                   self.ratios["thm_i"][i], self.ratios["thm_ii"][i]]
-            if has_classical:
-                row += [self.rhs["classical"][i], self.ratios["classical"][i]]
-            lines.append(",".join(repr(float(v)) for v in row))
+        lines.extend(",".join(map(repr, row)) for row in zip(
+            *(np.asarray(a, dtype=float).tolist() for a in arrays)))
         return "\n".join(lines) + "\n"
 
     def summary(self) -> list:

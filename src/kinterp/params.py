@@ -19,25 +19,31 @@ Constant, BrokenLog, Product and Power nodes takes the exact closed form of
 ``sv.rate0_integral``, divergence included, and so does a constant weight
 at every rate (H = C ((1-theta) q)^{-1/q}, T = C (theta q)^{-1/q}, C at
 q = inf); a primitive at q = inf and rate 0 takes that of
-``sv.primitive_sup``; every other factor is shifted quadrature.  At the
-endpoints the min-norm uses its dominated representative form (M = T at
-theta = 0, M = H at theta = 1), which matches the full norm up to a constant
-controlled by slow variation and makes the canonical weight take its
-endpoint-ratio shape exactly.  The full two-sided quadrature remains
-available through ``norm_head_u``/``norm_tail_char``.
+``sv.primitive_sup``; every other factor is shifted quadrature.  On a
+LogGrid that quadrature is one sweep along the grid's points
+(``_swept_powers``): a restart at the first point of each side and one
+short increment per gap, whose row holds the weight's kink w = 0 that the
+half-line rule puts in its far region once |ln t| > 1; at an array of
+points it is the rule at each.  At the endpoints the min-norm uses its
+dominated representative form (M = T at theta = 0, M = H at theta = 1),
+which matches the full norm up to a constant controlled by slow variation
+and makes the canonical weight take its endpoint-ratio shape exactly.  The
+full two-sided quadrature remains available through
+``norm_head_u``/``norm_tail_char``.
 
 Every norm here is ||χ_[lo,hi] e^{c x} g|| of some core g, and
 ``quadrature.norm_pow`` computes it for a batch of rows before the q-th
-root, for every q in (0, ∞]: H and T, their sweep's increments, the full
-norms of K(·, f) at q = inf and ``phi_norm``; the truncated norms of
-K(·, f) at many cutoffs are one row cut at each (``truncated_pows``),
-under one weight or, one row each from the same pass, under several, with
-K's scale taken outside the root where its q-th power alone leaves double
-range (``_profile_norm``).  At
-finite q the full norms of many profiles, the decomposition candidates,
-split each half-line at the knot hull (``hull_pows``): outside it every
-row's core is b times a constant of the row, so b is evaluated once there
-and each row scales it, and only the nodes inside are evaluated per row.
+root, for every q in (0, ∞]: H and T, a sweep's restarts and increments
+in one call, the full norms of K(·, f) at q = inf and ``phi_norm``; the
+truncated norms of K(·, f) at many cutoffs are one row cut at each
+(``truncated_pows``), under one weight or, one row each from the same
+pass, under several.  At finite q the full norms of many profiles, the
+decomposition candidates, split each half-line at the knot hull
+(``hull_pows``): outside it every row's core is b times a constant of the
+row, so b is evaluated once there and each row scales it, and only the
+nodes inside are evaluated per row.  Both the truncated and the full norms
+take a form's scale outside the root where its q-th power alone leaves
+double range (``_root_scales``, ``_scaled_root``).
 ``_join`` adds two pieces, or takes their max at q = inf, and
 ``qth_root`` finishes.
 """
@@ -55,7 +61,7 @@ from .errors import MembershipError, RangeError
 from .quadrature import (DEFAULT_PPD, LogGrid, QuadResult, hull_pows,
                          norm_pow, truncated_pows)
 from .sv import (Constant, SVDescriptor, eval_sv_log, log_power_form,
-                 shift_integral, sv_from_json)
+                 rate0_integral, shift_integral, sv_from_json)
 
 # Bound here though this module calls neither: perfbench/spans.py wraps
 # these names at this layer boundary and reports a missing one.
@@ -109,28 +115,40 @@ def qth_root(p: PhiParam, r: QuadResult):
 
 
 def _shift_factors(p: PhiParam, xs, side: str) -> np.ndarray:
-    """H (head) or T (tail) at every x of xs; +inf on divergence.  On a
-    LogGrid, p computes them once per grid and side, and keeps them read-only.
+    """H (head) or T (tail) at every x of xs; +inf on divergence.
+
+    On a LogGrid, p computes them once per grid and side, and keeps them
+    read-only.  There, for finite q at a rate c != 0 with no closed form
+    (``rate0_integral`` gives None), they come from one sweep along the
+    grid's points (``_swept_powers``), so a grid's factors depend on its
+    own points, as a swept M does on its node set; an array of points, and
+    every other case, takes the rule of ``shift_integral`` at each point.
     """
+    c = 1.0 - p.theta if side == "head" else -p.theta
     if isinstance(xs, LogGrid):
         key = (side, xs)
         if key not in p._memo:
-            vals = _shift_factors(p, xs.log_points(), side)
+            pts = xs.log_points()
+            swept = not (p.sup_norm or c == 0.0 or rate0_integral(
+                p.b, p.q, 0.0, side, c) is not None)
+            vals = (qth_root(p, _swept_powers(p, pts, side)) if swept
+                    else _shift_factors(p, pts, side))
             vals.setflags(write=False)
             p._memo[key] = vals
         return p._memo[key]
-    c = 1.0 - p.theta if side == "head" else -p.theta
     return qth_root(p, shift_integral(p.b, p.q, np.asarray(xs, dtype=float),
                                       c, side, p.ppd))
 
 
 def head_factors(p: PhiParam, xs) -> np.ndarray:
-    """H at every x of xs (any shape, or a LogGrid); +inf on divergence."""
+    """H at every x of xs (any shape, or a LogGrid); +inf on divergence.
+    On a grid p keeps them, swept along its points where
+    ``_shift_factors`` says, so they depend on the grid's own points."""
     return _shift_factors(p, xs, "head")
 
 
 def tail_factors(p: PhiParam, xs) -> np.ndarray:
-    """T at every x of xs (any shape, or a LogGrid); +inf on divergence."""
+    """T at every x of xs (any shape, or a LogGrid), as ``head_factors``."""
     return _shift_factors(p, xs, "tail")
 
 
@@ -180,12 +198,13 @@ def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
 
     the increment by the rule of ``shift_integral`` on a bounded row in
     relative coordinates v = w - x_next, with the weight's kink w = 0 at
-    v = -x_next.  All increments are rows of one ``norm_pow`` call, which
-    integrates the gaps of one direct panel (most of them) at their nodes
-    and lays out the others in one plan.  The first point, and every point
-    where e^{-r d} is exactly 0.0, restarts from ``shift_integral``.  A
-    divergence flag, a restart's or an increment's, carries along the sweep
-    up to the next restart.
+    v = -x_next.  The first point, and every point where e^{-r d} is
+    exactly 0.0, restarts: its row is the whole side, as ``shift_integral``
+    lays it out.  Restarts and increments are the rows of one ``norm_pow``
+    call, which integrates the gaps of one direct panel (most of them) at
+    their nodes and lays out the others in one plan.  A divergence flag, a
+    restart's or an increment's, carries along the sweep up to the next
+    restart.
     """
     c = 1.0 - p.theta if side == "head" else -p.theta
     rate = abs(c) * p.q
@@ -194,18 +213,15 @@ def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
     with np.errstate(under="ignore"):
         decay = np.exp(-rate * gap)
     restart = np.concatenate(([True], decay == 0.0))[:x.size]
-    start = shift_integral(p.b, p.q, x[restart], c, side, p.ppd)
-    value, bad = np.empty(x.size), np.empty(x.size, dtype=bool)
-    value[restart], bad[restart] = start.value, start.diverged
-    # the increment of point k covers the gap before it, as v = w - x_k
-    at = np.flatnonzero(~restart)
-    span, zero, xa = gap[at - 1], np.zeros(at.size), x[at]
+    # point k's row as v = w - x_k: a restart's the whole side, as in
+    # ``shift_integral``, an increment's the gap before it
+    span = np.where(restart, math.inf, np.concatenate(([0.0], gap)))
+    zero = np.zeros(x.size)
     lo, hi = (-span, zero) if side == "head" else (zero, span)
-    r = norm_pow(lo, hi, lambda v, rows: eval_sv_log(p.b, xa[rows, None] + v),
-                 c, p.q, ppd=p.ppd, row_kinks=-xa)
-    value[at], bad[at] = r.value, r.diverged
+    r = norm_pow(lo, hi, lambda v, rows: eval_sv_log(p.b, x[rows, None] + v),
+                 c, p.q, ppd=p.ppd, row_kinks=-x)
     g, flag = 0.0, False
-    vals, flags = value.tolist(), bad.tolist()
+    vals, flags = r.value.tolist(), r.diverged.tolist()
     for k, (fresh, e) in enumerate(zip(restart.tolist(),
                                        [1.0] + decay.tolist())):
         if fresh:
@@ -267,7 +283,8 @@ def norm_head_u(p: PhiParam, t):
     """||u χ_(0,t)(u)||; +inf on divergence.
 
     ``t`` may be a float (returns a float), an array or a LogGrid (returns
-    an array; on a grid, from the H that p keeps there).
+    an array; on a grid, from the H that p keeps there, which may be swept
+    along the grid's points and so depend on them: ``_shift_factors``).
     """
     x, at = _log_args(t)
     out = np.exp((1.0 - p.theta) * x) * head_factors(p, at)
@@ -359,63 +376,100 @@ def _forms(p: PhiParam, profile, bs=None, scales=(1.0, 1.0)):
             tuple(profile.log_kinks()) + (0.0,))
 
 
-def _profile_pow(p: PhiParam, profile, side: str, x_t, bs=None,
-                 scales=(1.0, 1.0)) -> QuadResult:
-    """||χ_(0,t) K|| (head) or ||χ_(t,∞) K|| (tail) of a one-row KProfile
-    before the root, at every x_t = ln t, each form (``_forms``) one
-    ``truncated_pows`` over all of x_t.  With the weights ``bs`` in place of
-    p's (at p's theta and q), one row each, from the same pass: shaped
-    (len(bs),) + x_t.shape.  With ``scales``, each form's K is divided by
-    its scale s and its integral multiplied by (s/top)^q, top the larger
-    scale: the value is over top^q."""
+def _profile_parts(p: PhiParam, profile, side: str, x_t, bs=None,
+                   scales=(1.0, 1.0)) -> list:
+    """[(integral, scale)] of each form (``_forms``) of ||χ_(0,t) K|| (head:
+    the slope form below x = 0, the value form above) or ||χ_(t,∞) K||
+    (tail: the value form) of a one-row KProfile before the root, at every
+    x_t = ln t, each one ``truncated_pows`` over all of x_t, with the form's
+    K divided by its scale of ``scales`` = (slope form's, value form's).
+    With the weights ``bs`` in place of p's (at p's theta and q), one row
+    each, from the same pass: shaped (len(bs),) + x_t.shape."""
     slope, value, kinks = _forms(p, profile, bs, scales)
     kw = dict(ppds=(p.ppd,), kinks=kinks,
               weights=None if bs is None else len(bs))
-    top = max(scales)
 
-    def pows(end, cuts, core, rate, scale):
-        r = truncated_pows(end, cuts, core, rate, p.q, **kw)[0]
-        if scale == top:
-            return r
-        with np.errstate(under="ignore"):
-            ratio = (scale / top) ** p.q
-        # a ratio of 0: the form lies below double range of the other
-        return QuadResult(ratio * r.value if ratio
-                          else np.zeros_like(r.value), r.diverged)
+    def pows(end, cuts, core, rate):
+        return truncated_pows(end, cuts, core, rate, p.q, **kw)[0]
 
     if side == "tail":
-        return pows(math.inf, x_t, value, -p.theta, scales[1])
+        return [(pows(math.inf, x_t, value, -p.theta), scales[1])]
     if side != "head":
         raise ValueError("side must be 'head' or 'tail'")
-    return _join(p, pows(-math.inf, np.minimum(x_t, 0.0), slope,
-                         1.0 - p.theta, scales[0]),
-                 pows(0.0, x_t, value, -p.theta, scales[1]))
+    return [(pows(-math.inf, np.minimum(x_t, 0.0), slope, 1.0 - p.theta),
+             scales[0]), (pows(0.0, x_t, value, -p.theta), scales[1])]
+
+
+def _profile_pow(p: PhiParam, profile, side: str, x_t, bs=None) -> QuadResult:
+    """||χ_(0,t) K|| (head) or ||χ_(t,∞) K|| (tail) of a one-row KProfile
+    before the root: the ``_join`` of its ``_profile_parts``."""
+    parts = [r for r, _ in _profile_parts(p, profile, side, x_t, bs)]
+    return parts[0] if len(parts) == 1 else _join(p, *parts)
 
 
 def _profile_norm(p: PhiParam, profile, side: str, x_t, bs=None):
     """The root of ``_profile_pow``, with K's scale taken outside it where
     its q-th power alone leaves double range.
 
-    The scale s is K(k_1)/k_1 for the slope form, which K/u tends to below
-    the first knot, and K(k_m) for the value form, past the last.  Where s^q
-    is 0 or inf for some 0 < s < inf of the side's forms, (b K)^q would
-    underflow to 0, hiding a divergence, or overflow: each such form then
-    integrates (b K/s)^q, and the norm is top times the root
-    (``_profile_pow`` with these scales).  Otherwise the scales are 1, and
-    the values the root of ``_profile_pow``'s, to its bits.
+    The scales are those of ``_form_scales``.  Where s^q is 0 or inf for
+    some 0 < s < inf of the side's forms, (b K)^q would underflow to 0,
+    hiding a divergence, or overflow: each such form then integrates
+    (b K/s)^q, and ``_scaled_root`` joins them.  Otherwise the scales are 1,
+    and the values the root of ``_profile_pow``'s, to its bits.
     """
-    s = np.array([profile.values[0, 0] / profile.knots[0],
-                  profile.values[0, -1]])
+    s = _form_scales(profile)[:, 0]
     if side == "tail":  # the value form alone
         s[0] = s[1]
+    scales = tuple(_root_scales(p, s).tolist())
+    return _scaled_root(p, _profile_parts(p, profile, side, x_t, bs, scales))
+
+
+def _form_scales(profile) -> np.ndarray:
+    """(2, rows): per row, the scale of the slope form, K(k_1)/k_1, which
+    K/u tends to below the first knot, and of the value form, K(k_m), which
+    K tends to past the last."""
+    return np.stack([profile.values[:, 0] / profile.knots[0],
+                     profile.values[:, -1]])
+
+
+def _root_scales(p: PhiParam, s: np.ndarray) -> np.ndarray:
+    """The scales s of ``_form_scales`` to take outside the root: each
+    0 < s < inf whose q-th power is 0 or inf, at finite q; 1 elsewhere."""
     with np.errstate(over="ignore", under="ignore"):
         c = s ** p.q
-    scalable = (s > 0.0) & np.isfinite(s)
-    scales = (1.0, 1.0)
-    if not p.sup_norm and (scalable & ((c == 0.0) | np.isinf(c))).any():
-        scales = tuple(np.where(scalable, s, 1.0).tolist())
-    return max(scales) * qth_root(p, _profile_pow(p, profile, side, x_t, bs,
-                                                  scales))
+    out = (s > 0.0) & np.isfinite(s) & ((c == 0.0) | np.isinf(c))
+    return np.where(out & (not p.sup_norm), s, 1.0)
+
+
+def _scaled_root(p: PhiParam, parts) -> np.ndarray:
+    """The norm from its forms' integrals before the root, [(I, s)], where
+    I integrates (b K/s)^q: (sum of s^q I)^{1/q}.
+
+    Where every s is 1 that is the root of their ``_join``, to its bits.
+    Otherwise, per entry, top is the s whose s^q I is the largest (compared
+    in log space) and the norm is top times the root of the sum of
+    I (s/top)^q, a form of s = top adding I itself; a factor (s/top)^q that
+    leaves double range is taken in log space, against its I.  Flags carry.
+    """
+    if all(np.all(np.equal(s, 1.0)) for _, s in parts):
+        rs = [r for r, _ in parts]
+        return qth_root(p, rs[0] if len(rs) == 1 else _join(p, *rs))
+    with np.errstate(divide="ignore", over="ignore", under="ignore",
+                     invalid="ignore"):
+        logs = np.broadcast_arrays(*(np.log(r.value) + p.q * np.log(s)
+                                     for r, s in parts))
+        top = np.choose(np.argmax(logs, axis=0),
+                        [np.broadcast_to(s, logs[0].shape) for _, s in parts])
+        total, flag = 0.0, False
+        for r, s in parts:
+            ratio = (s / top) ** p.q
+            far = np.exp(np.log(r.value) + p.q * np.log(s / top))
+            total = total + np.where(
+                (r.value == 0.0) | (s == top), r.value,
+                np.where((ratio > 0.0) & np.isfinite(ratio),
+                         ratio * r.value, far))
+            flag = flag | r.diverged
+    return top * qth_root(p, QuadResult(total, flag))
 
 
 def norm_trunc_profile(p: PhiParam, profile: KProfile, side: str, t):
@@ -462,7 +516,11 @@ def _full_norm(p, profile, zero):
     For finite q each half-line is one ``hull_pows``: outside the knot hull
     [min(ln k_1, 0), max(ln k_m, 0)] row i's form is b times K_i/t = s_i
     (the head, below the first knot) or K_i(k_m) (the tail, past the
-    last).  At q = inf each half-line is a ``norm_pow`` supremum.
+    last).  In a row where one of these scales has a q-th power out of
+    double range (``_root_scales``), each form integrates (b K_i/scale)^q
+    and ``_scaled_root`` joins them, as in ``_profile_norm``; every other
+    row keeps its bits.  At q = inf each half-line is a ``norm_pow``
+    supremum.
     """
     slope, value, kinks = _forms(p, profile)
     kw = dict(ppd=p.ppd, kinks=kinks)
@@ -472,17 +530,22 @@ def _full_norm(p, profile, zero):
             norm_pow(zero, math.inf, value, -p.theta, p.q, **kw)))
     log_knots = profile.log_kinks()
     kw.update(hull=(min(log_knots[0], 0.0), max(log_knots[-1], 0.0)))
+    s = _form_scales(profile)
+    scales = _root_scales(p, s)
+    if (scales != 1.0).any():
+        slope, value = (_forms(p, KProfile(profile.knots, profile.values
+                                           / scales[f][:, None]))[f]
+                        for f in (0, 1))
 
     def weight(x):
         return eval_sv_log(p.b, x)
 
-    # K = s_i t below the first knot, so K/t = values[i, 0] / knots[0]
-    head = hull_pows(-math.inf, 0.0, slope, weight,
-                     profile.values[:, 0] / profile.knots[0], 1.0 - p.theta,
-                     p.q, **kw)
-    tail = hull_pows(0.0, math.inf, value, weight, profile.values[:, -1],
+    head = hull_pows(-math.inf, 0.0, slope, weight, s[0] / scales[0],
+                     1.0 - p.theta, p.q, **kw)
+    tail = hull_pows(0.0, math.inf, value, weight, s[1] / scales[1],
                      -p.theta, p.q, **kw)
-    return qth_root(p, _join(p, head, tail)).reshape(np.shape(zero))
+    return _scaled_root(p, [(head, scales[0]), (tail, scales[1])]).reshape(
+        np.shape(zero))
 
 
 def phi_from_json(obj: dict, path: str = "phi") -> PhiParam:

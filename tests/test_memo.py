@@ -11,8 +11,8 @@ from kinterp import (BrokenLog, KProfile, LogGrid, PhiParam, PrimitiveB,
                      couples, params, scenario)
 from kinterp.conditions import rho_table
 from kinterp.estimates import run_checks
-from kinterp.params import (head_factors, membership_min1, min_factors,
-                            tail_factors)
+from kinterp.params import (_swept_powers, head_factors, membership_min1,
+                            min_factors, qth_root, tail_factors)
 from kinterp.runner import bundled_scenario, bundled_scenario_dir, run_scenario
 
 GRID = LogGrid(1e-2, 1e2, 2)
@@ -21,17 +21,18 @@ P1 = PhiParam(0.75, 2.0, BrokenLog(-1.0, 0.5))
 
 
 def test_c1_c4_and_rho_evaluate_each_factor_on_the_grid_once(monkeypatch):
+    # on a grid, H and T of these weights are one sweep along its points
     p0, p1 = replace(P0), replace(P1)
     n = GRID.log_points().size
     seen = Counter()
-    inner = params.shift_integral
+    inner = params._swept_powers
 
-    def counted(*a, **kw):
-        if np.size(a[2]) == n:
-            seen[(a[0], a[4])] += 1  # (weight, side)
-        return inner(*a, **kw)
+    def counted(p, xs, side):
+        if np.size(xs) == n:
+            seen[(p.b, side)] += 1
+        return inner(p, xs, side)
 
-    monkeypatch.setattr(params, "shift_integral", counted)
+    monkeypatch.setattr(params, "_swept_powers", counted)
     sc = Scenario("memo", p0, p1, WeightedSeq((1.0,), (1.0,), (1.0,)), GRID)
     run_checks(sc, ["C1", "C4"])
     rho_table(p0, p1, GRID)
@@ -66,13 +67,14 @@ def test_one_run_builds_the_profile_and_rho_once(tmp_path, monkeypatch, name):
 
 def test_kept_factors_are_read_only_and_equal_the_batched_ones():
     p = replace(P0)
-    for kept, side in ((head_factors(p, GRID), head_factors),
-                       (tail_factors(p, GRID), tail_factors)):
+    for kept, side, name in ((head_factors(p, GRID), head_factors, "head"),
+                             (tail_factors(p, GRID), tail_factors, "tail")):
         assert not kept.flags.writeable
         with pytest.raises(ValueError):
             kept[0] = 0.0
         assert side(p, GRID) is kept
-        assert kept.tobytes() == side(p, GRID.log_points()).tobytes()
+        swept = qth_root(p, _swept_powers(p, GRID.log_points(), name))
+        assert kept.tobytes() == swept.tobytes()
     # at theta = 0, M is T itself
     p_end = PhiParam(0.0, 1.0, BrokenLog(2.0, 2.0))
     assert not min_factors(p_end, GRID).flags.writeable
