@@ -16,10 +16,12 @@ with H, T, M computed by ``sv.shift_integral``, which stays finite for |ln t|
 far beyond the representable range of t — the nested condition checks probe
 that deep.  At rate 0 (H at theta = 1, T at theta = 0) a weight made of
 Constant, BrokenLog, Product and Power nodes takes the exact closed form of
-``sv.rate0_integral``, divergence included, and so does a constant weight
-at every rate (H = C ((1-theta) q)^{-1/q}, T = C (theta q)^{-1/q}, C at
-q = inf); a primitive at q = inf and rate 0 takes that of
-``sv.primitive_sup``; every other factor is shifted quadrature.  On a
+``sv.rate0_integral``, divergence included, and so does such a weight at
+every rate at q = inf (the supremum of e^{cv} C (1 + |x + v|)^a, at the
+bound, the kink or its one interior maximum), and a constant weight at
+every rate and q (H = C ((1-theta) q)^{-1/q}, T = C (theta q)^{-1/q}); a
+primitive at q = inf and rate 0 takes that of ``sv.primitive_sup``; every
+other factor is shifted quadrature.  On a
 LogGrid that quadrature is one sweep along the grid's points
 (``_swept_powers``): a restart at the first point of each side and one
 short increment per gap, whose row holds the weight's kink w = 0 that the
@@ -34,14 +36,14 @@ full two-sided quadrature remains available through
 Every norm here is ||χ_[lo,hi] e^{c x} g|| of some core g, and
 ``quadrature.norm_pow`` computes it for a batch of rows before the q-th
 root, for every q in (0, ∞]: H and T, a sweep's restarts and increments
-in one call, the full norms of K(·, f) at q = inf and ``phi_norm``; the
-truncated norms of K(·, f) at many cutoffs are one row cut at each
-(``truncated_pows``), under one weight or, one row each from the same
-pass, under several.  At finite q the full norms of many profiles, the
-decomposition candidates, split each half-line at the knot hull
-(``hull_pows``): outside it every row's core is b times a constant of the
-row, so b is evaluated once there and each row scales it, and only the
-nodes inside are evaluated per row.  Both the truncated and the full norms
+in one call, and ``phi_norm``; the truncated norms of K(·, f) at many
+cutoffs are one row cut at each (``truncated_pows``), under one weight
+or, one row each from the same pass, under several.  The full norms of
+many profiles, the decomposition candidates, split each half-line at the
+knot hull (``hull_pows``): outside it every row's core is b times a
+constant of the row, so b is evaluated once there and each row scales it
+(at q = inf, scales its supremum), and only the nodes inside are evaluated
+per row.  Both the truncated and the full norms
 take a form's scale outside the root where its q-th power alone leaves
 double range (``_root_scales``, ``_scaled_root``).
 ``_join`` adds two pieces, or takes their max at q = inf, and
@@ -58,8 +60,8 @@ import numpy as np
 
 from .couples import KProfile
 from .errors import MembershipError, RangeError
-from .quadrature import (DEFAULT_PPD, LogGrid, QuadResult, hull_pows,
-                         norm_pow, truncated_pows)
+from .quadrature import (DEFAULT_PPD, LogGrid, QuadResult, _lattice_width,
+                         hull_pows, norm_pow, powered, truncated_pows)
 from .sv import (Constant, SVDescriptor, eval_sv_log, log_power_form,
                  rate0_integral, shift_integral, sv_from_json)
 
@@ -80,7 +82,8 @@ class PhiParam:
     b: SVDescriptor = Constant(1.0)
     #: how error messages refer to the parameter (its scenario field)
     name: str = field(default="phi", compare=False, repr=False)
-    #: kept values: membership of min(1, t), and H and T per (side, grid)
+    #: kept values: membership of min(1, t), H and T per (side, grid), and
+    #: the powers of the latest sweep of ``swept_min_factors``
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
     ppd: ClassVar[int] = DEFAULT_PPD
@@ -178,13 +181,49 @@ def swept_min_factors(p: PhiParam, xs: np.ndarray) -> np.ndarray:
     """M at the sorted distinct points xs, from H^q and T^q by one sweep per
     side (``_swept_powers``) for finite q and 0 < theta < 1 with no closed
     form; otherwise ``min_factors``.  A swept value depends on the other
-    points of xs, so callers pass a node set that their input fixes.
+    points of xs, so callers pass a node set that their input fixes.  p
+    keeps its latest sweep's powers, for ``carried_min_factors``.
     """
-    if (p.sup_norm or not 0.0 < p.theta < 1.0
-            or _closed_min_factor(p) is not None):
+    if not _sweeps_m(p):
         return min_factors(p, xs)
-    return _combine(p, qth_root(p, _swept_powers(p, xs, "head")),
-                    qth_root(p, _swept_powers(p, xs, "tail")))
+    powers = [_swept_powers(p, xs, side) for side in ("head", "tail")]
+    p._memo["sweep"] = (xs, powers)
+    return _combine(p, *(qth_root(p, r) for r in powers))
+
+
+def carried_min_factors(p: PhiParam, xs: np.ndarray, ys) -> np.ndarray:
+    """M at the points ys (any shape), each carried by one step of the
+    sweep of ``swept_min_factors`` at the sorted distinct xs, from its
+    powers there (kept by p when xs is the array of its latest sweep, else
+    swept again): ``_carried_powers`` per side.  Where M is not swept,
+    ``min_factors`` at ys."""
+    if not _sweeps_m(p):
+        return min_factors(p, ys)
+    kept = p._memo.get("sweep")
+    if kept is None or kept[0] is not xs:
+        swept_min_factors(p, xs)
+        kept = p._memo["sweep"]
+    return _combine(p, *(qth_root(p, _carried_powers(p, xs, g, side, ys))
+                         for g, side in zip(kept[1], ("head", "tail"))))
+
+
+def _sweeps_m(p: PhiParam) -> bool:
+    """Whether ``swept_min_factors`` sweeps: finite q, 0 < theta < 1 and no
+    closed form."""
+    return (not p.sup_norm and 0.0 < p.theta < 1.0
+            and _closed_min_factor(p) is None)
+
+
+def _side_rows(p: PhiParam, x: np.ndarray, span, side: str) -> QuadResult:
+    """``norm_pow`` of the rows that end at the points x on their side, in
+    relative coordinates v = w - x with the weight's kink w = 0 at v = -x:
+    v in [-span, 0] (head) or [0, span] (tail), the whole side, as
+    ``shift_integral`` lays it out, where span is inf."""
+    c = 1.0 - p.theta if side == "head" else -p.theta
+    zero = np.zeros(x.size)
+    lo, hi = (-span, zero) if side == "head" else (zero, span)
+    return norm_pow(lo, hi, lambda v, rows: eval_sv_log(p.b, x[rows, None] + v),
+                    c, p.q, ppd=p.ppd, row_kinks=-x)
 
 
 def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
@@ -201,10 +240,10 @@ def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
     v = -x_next.  The first point, and every point where e^{-r d} is
     exactly 0.0, restarts: its row is the whole side, as ``shift_integral``
     lays it out.  Restarts and increments are the rows of one ``norm_pow``
-    call, which integrates the gaps of one direct panel (most of them) at
-    their nodes and lays out the others in one plan.  A divergence flag, a
-    restart's or an increment's, carries along the sweep up to the next
-    restart.
+    call (``_side_rows``), which integrates the gaps of one direct panel
+    (most of them) at their nodes and lays out the others in one plan.  A
+    divergence flag, a restart's or an increment's, carries along the sweep
+    up to the next restart.
     """
     c = 1.0 - p.theta if side == "head" else -p.theta
     rate = abs(c) * p.q
@@ -213,13 +252,10 @@ def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
     with np.errstate(under="ignore"):
         decay = np.exp(-rate * gap)
     restart = np.concatenate(([True], decay == 0.0))[:x.size]
-    # point k's row as v = w - x_k: a restart's the whole side, as in
-    # ``shift_integral``, an increment's the gap before it
+    # point k's row: a restart's the whole side, an increment's the gap
+    # before it
     span = np.where(restart, math.inf, np.concatenate(([0.0], gap)))
-    zero = np.zeros(x.size)
-    lo, hi = (-span, zero) if side == "head" else (zero, span)
-    r = norm_pow(lo, hi, lambda v, rows: eval_sv_log(p.b, x[rows, None] + v),
-                 c, p.q, ppd=p.ppd, row_kinks=-x)
+    r = _side_rows(p, x, span, side)
     g, flag = 0.0, False
     vals, flags = r.value.tolist(), r.diverged.tolist()
     for k, (fresh, e) in enumerate(zip(restart.tolist(),
@@ -231,6 +267,43 @@ def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
         vals[k], flags[k] = g, flag
     order = slice(None) if side == "head" else slice(None, None, -1)
     return QuadResult(np.array(vals)[order], np.array(flags)[order])
+
+
+def _carried_powers(p: PhiParam, xs: np.ndarray, g: QuadResult, side: str,
+                    ys) -> QuadResult:
+    """H^q (head) or T^q (tail) at the points ys (any shape), from their
+    values g at the sorted distinct xs (``_swept_powers``): each y takes one
+    step of the sweep from the nearest point x of xs before it along the
+    sweep (at or below y for the head, at or above it for the tail), at
+    distance d, g(x) e^{-r d} plus the increment over the gap, and x's flag;
+    where there is no such point, or e^{-r d} is 0.0, the whole side, as a
+    restart.  The increments and restarts are the rows of one
+    ``_side_rows`` call, but a gap too short for a panel of the rule
+    (``quadrature._near_edges``), which the rule would read as 0, takes
+    d times the integrand at its midpoint.  (Polished points come that
+    close to the samples about them.)"""
+    c = 1.0 - p.theta if side == "head" else -p.theta
+    y = np.ravel(np.asarray(ys, dtype=float))
+    k = (np.searchsorted(xs, y, "right") - 1 if side == "head"
+         else np.searchsorted(xs, y, "left"))
+    has = (k >= 0) & (k < xs.size)
+    k = np.clip(k, 0, xs.size - 1)
+    with np.errstate(under="ignore", invalid="ignore"):
+        d = np.where(has, np.abs(y - xs[k]), math.inf)
+        decay = np.exp(-abs(c) * p.q * d)
+    fresh = decay == 0.0
+    short = d <= 1e-9 * _lattice_width(p.ppd)
+    r = _side_rows(p, y, np.where(fresh, math.inf, np.where(short, 0.0, d)),
+                   side)
+    inc = r.value
+    if short.any():
+        mid = 0.5 * d[short] * (-1.0 if side == "head" else 1.0)
+        inc[short] = d[short] * powered(
+            lambda v, rows: eval_sv_log(p.b, y[short] + v), c, p.q)(mid)
+    value = np.where(fresh, inc, g.value[k] * decay + inc)
+    flag = np.where(fresh, r.diverged, g.diverged[k] | r.diverged)
+    shape = np.shape(ys)
+    return QuadResult(value.reshape(shape), flag.reshape(shape))
 
 
 def head_factor(p: PhiParam, x: float) -> float:
@@ -361,13 +434,15 @@ def _forms(p: PhiParam, profile, bs=None, scales=(1.0, 1.0)):
 
     def form(k, scale):
         def core(x, rows):
-            # 0 where K is, also where b overflows to +inf
+            # 0 where K is, also where b overflows to +inf; +inf where the
+            # product leaves double range
             kv = np.asarray(k(x, rows), dtype=float)
             if scale != 1.0:
                 kv = kv / scale
             nonzero, out = kv != 0.0, np.zeros((len(bs),) + kv.shape)
-            for o, b in zip(out, bs):
-                np.multiply(eval_sv_log(b, x), kv, out=o, where=nonzero)
+            with np.errstate(over="ignore"):
+                for o, b in zip(out, bs):
+                    np.multiply(eval_sv_log(b, x), kv, out=o, where=nonzero)
             return out.reshape((-1,) + kv.shape[1:])
         return core
 
@@ -513,21 +588,17 @@ def full_norm_profiles(p: PhiParam, profiles: KProfile) -> np.ndarray:
 def _full_norm(p, profile, zero):
     """The norm of each row of ``profile``; ``zero`` holds a 0.0 per row.
 
-    For finite q each half-line is one ``hull_pows``: outside the knot hull
+    Each half-line is one ``hull_pows``: outside the knot hull
     [min(ln k_1, 0), max(ln k_m, 0)] row i's form is b times K_i/t = s_i
     (the head, below the first knot) or K_i(k_m) (the tail, past the
-    last).  In a row where one of these scales has a q-th power out of
-    double range (``_root_scales``), each form integrates (b K_i/scale)^q
-    and ``_scaled_root`` joins them, as in ``_profile_norm``; every other
-    row keeps its bits.  At q = inf each half-line is a ``norm_pow``
-    supremum.
+    last).  For finite q, in a row where one of these scales has a q-th
+    power out of double range (``_root_scales``), each form integrates
+    (b K_i/scale)^q and ``_scaled_root`` joins them, as in
+    ``_profile_norm``; every other row keeps its bits.  At q = inf the
+    scales are 1.
     """
     slope, value, kinks = _forms(p, profile)
     kw = dict(ppd=p.ppd, kinks=kinks)
-    if p.sup_norm:
-        return qth_root(p, _join(
-            p, norm_pow(-math.inf, zero, slope, 1.0 - p.theta, p.q, **kw),
-            norm_pow(zero, math.inf, value, -p.theta, p.q, **kw)))
     log_knots = profile.log_kinks()
     kw.update(hull=(min(log_knots[0], 0.0), max(log_knots[-1], 0.0)))
     s = _form_scales(profile)

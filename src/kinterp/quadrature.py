@@ -57,15 +57,18 @@ runs, no gather): ``norm_pow`` integrates such rows at their own nodes, in
 dense blocks, to the bits the plan would give, and the plan lays out only
 the other rows.  Most increments of the C2/C3 inner sweep are such rows.
 
-A norm truncated at many cutoffs is ``truncated_pows``: for finite q one
-plan row from a fixed end to the farthest cutoff, with every cutoff a kink,
-evaluated once at its distinct nodes and read at each cutoff as a partial
-sum in order of x, which ``_reduce`` flags as ``apply`` flags a row.
+A norm truncated at many cutoffs is ``truncated_pows``: one plan row from
+a fixed end to the farthest cutoff, with every cutoff a kink, evaluated
+once at its distinct nodes and read at each cutoff as a partial sum in
+order of x, which ``_reduce`` flags as ``apply`` flags a row; at q = inf as
+a running maximum of the pieces between cutoffs, of which only those that
+hold it are polished (``_cut_sups``).
 
 Many rows over one half-line whose cores are one shared function times a
 constant of the row outside a known interval are ``hull_pows``: the plan's
-nodes outside it are evaluated once and scaled per row by ``_reduce``,
-and only the nodes inside are evaluated per row.
+nodes outside it are evaluated once and scaled per row by ``_reduce``
+(at q = inf, the shared row's supremum by the row's constant:
+``_hull_sups``), and only the nodes inside are evaluated per row.
 """
 
 from __future__ import annotations
@@ -839,19 +842,11 @@ class QuadPlan:
             vals = np.asarray(fn(x, rows), dtype=float)
             bad = (inside & ~np.isfinite(vals)).any(axis=1)
             if unbounded.any():
-                n = points.shape[1]
-                grows = vals[:, n - 4:n:2] > vals[:, n - 3:n:2] * (1.0 + 1e-12)
                 open_end = np.column_stack([np.isneginf(lo), np.isposinf(hi)])
-                bad |= (open_end & grows).any(axis=1)
-            vals = np.where(inside & np.isfinite(vals), vals, -math.inf)
-            best = vals.max(axis=1)
-            # the argmax (the least x among equal maxima) and its neighbours
-            at = np.where(vals == best[:, None], x, math.inf).min(
-                axis=1, keepdims=True)
-            a = np.where(inside & (x < at), x, -math.inf).max(axis=1)
-            b = np.where(inside & (x > at), x, math.inf).min(axis=1)
-            a = np.where(a > -math.inf, a, at[:, 0])
-            b = np.where(b < math.inf, b, at[:, 0])
+                n = points.shape[1]
+                bad |= (open_end & _grows(vals[:, n - 4:n:2],
+                                          vals[:, n - 3:n:2])).any(axis=1)
+            best, a, b = _peaks(x, vals, inside)
             polish = best > 0.0
             brackets.append((rows[polish], a[polish], b[polish]))
             value[rows] = np.where(best > -math.inf, best, 0.0)
@@ -859,17 +854,48 @@ class QuadPlan:
         if brackets:
             rows, a, b = (np.concatenate(c) for c in zip(*brackets))
             if rows.size:
-                for _ in range(_POLISH_ITERS):
-                    m1 = a + (b - a) / 3.0
-                    m2 = b - (b - a) / 3.0
-                    v = np.asarray(fn(np.column_stack([m1, m2]), rows),
-                                   dtype=float)
-                    left = v[:, 0] < v[:, 1]
-                    a, b = np.where(left, m1, a), np.where(left, b, m2)
-                v = np.asarray(fn(0.5 * (a + b)[:, None], rows),
-                               dtype=float)[:, 0]
-                value[rows] = np.where(v > value[rows], v, value[rows])
+                value[rows] = _polish(lambda x: fn(x, rows), a, b,
+                                      value[rows])
         return QuadResult(value.reshape(self.shape), diverged.reshape(self.shape))
+
+
+def _grows(at_ref, at_half):
+    """Whether a function, at a far region's tail-fit probe u_ref, exceeds
+    its value at u_ref/2 by more than 1e-12 relative, so still grows out
+    there: the divergence test of a supremum toward an infinite bound."""
+    return at_ref > at_half * (1.0 + 1e-12)
+
+
+def _peaks(x, vals, inside):
+    """Per row of samples x (an array that broadcasts against vals) and
+    their values: the largest finite value at the samples ``inside`` (-inf
+    where there is none), and the bracket that polishes it, the nearest
+    samples inside strictly below and above its argmax (the least x among
+    equal maxima), or the argmax itself where there is none."""
+    vals = np.where(inside & np.isfinite(vals), vals, -math.inf)
+    best = vals.max(axis=1)
+    at = np.where(vals == best[:, None], x, math.inf).min(axis=1,
+                                                        keepdims=True)
+    a = np.where(inside & (x < at), x, -math.inf).max(axis=1)
+    b = np.where(inside & (x > at), x, math.inf).min(axis=1)
+    return (best, np.where(a > -math.inf, a, at[:, 0]),
+            np.where(b < math.inf, b, at[:, 0]))
+
+
+def _polish(fn, a, b, best):
+    """The largest sample ``best`` of each row of a supremum, polished: a
+    ternary search of ``_POLISH_ITERS`` steps in the bracket [a, b] (each
+    step calls ``fn`` once on the (rows, 2) array of every row's two
+    points, and a row's steps do not depend on the others), then fn at the
+    final bracket's midpoint where it is larger than ``best``."""
+    for _ in range(_POLISH_ITERS):
+        m1 = a + (b - a) / 3.0
+        m2 = b - (b - a) / 3.0
+        v = np.asarray(fn(np.column_stack([m1, m2])), dtype=float)
+        left = v[:, 0] < v[:, 1]
+        a, b = np.where(left, m1, a), np.where(left, b, m2)
+    v = np.asarray(fn(0.5 * (a + b)[:, None]), dtype=float)[:, 0]
+    return np.where(v > best, v, best)
 
 
 def powered(core, rate: float, q: float):
@@ -983,39 +1009,33 @@ def truncated_pows(end, cuts, core, rate: float, q: float, *, ppds,
     QuadResult then has a leading axis of W, and each weight's row is
     reduced as if it were the core's only one, to the same bits.
 
-    For finite q, each density lays out one plan row from the end to the
-    farthest cutoff, with every cutoff a kink, and ``core(x, None)`` is
-    called once, at the (1, N) sorted distinct points of all these rows.  A
+    Each density lays out one plan row from the end to the farthest cutoff,
+    with every cutoff a kink, and ``core(x, None)`` is called once, at the
+    (1, N) sorted distinct points of all these rows.  For finite q a
     cutoff's value is the partial sum, in order of x from the end, of the
     contributions up to it, flagged by ``_reduce``.  So its panels are those
     of its own row split at the other cutoffs, and for |cut| <
     DEEP_LOG_RANGE / 4 (every logarithm of a double) an infinite end's tail
-    fit and last-doubling increment are its own row's.  At q = inf every
-    cutoff is a ``norm_pow`` row, once per weight.
+    fit and last-doubling increment are its own row's.  At q = inf the row
+    is reduced by a maximum (``_cut_sups``).
     """
     cuts = np.asarray(cuts, dtype=float)
     n = weights or 1
     shape = cuts.shape if weights is None else (n,) + cuts.shape
     upper = end == math.inf
-    if math.isinf(q):
-        lo, hi = (cuts, end) if upper else (end, cuts)
-        out = []
-        for ppd in ppds:
-            rs = [norm_pow(lo, hi, lambda x, rows, w=w: core(x, rows).reshape(
-                (n,) + x.shape)[w], rate, q, ppd=ppd, kinks=kinks)
-                for w in range(n)]
-            out.append(QuadResult(
-                np.reshape([r.value for r in rs], shape),
-                np.reshape([r.diverged for r in rs], shape)))
-        return out
     at = distinct([cuts])
     lo, hi = (at[:1], end) if upper else (end, at[-1:])
     if np.all(hi <= lo):  # no cutoff beyond the end
         zero = np.zeros(shape)
         return [QuadResult(zero, zero != 0.0)] * len(ppds)
     kinks = np.concatenate([np.asarray(kinks, dtype=float), at])
+    sup = math.isinf(q)
     passes = [QuadPlan(lo, hi, ppd=ppd, kinks=kinks,
-                       exp_rate=rate * q).row_pass() for ppd in ppds]
+                       exp_rate=rate if sup else rate * q).row_pass()
+              for ppd in ppds]
+    if sup:
+        return _cut_sups(passes, float(np.min(lo)), float(np.max(hi)),
+                         kinks, cuts, core, rate, n, shape)
     x = distinct([built[0] for built in passes])
     vals = powered(core, rate, q)(x[None])
     out = []
@@ -1036,11 +1056,113 @@ def truncated_pows(end, cuts, core, rate: float, q: float, *, ppds,
     return out
 
 
+def _samples(built, kinks, lo, hi):
+    """The sorted distinct points at which ``QuadPlan.sup`` samples the row
+    [lo, hi] of the one-row pass ``built``: its nodes and tail-fit probes,
+    its finite bounds and its kinks inside."""
+    pts = distinct([built[0][0], kinks, [lo, hi]])
+    return pts[np.isfinite(pts) & (pts >= lo) & (pts <= hi)]
+
+
+def _cut_sups(passes, lo, hi, kinks, cuts, core, rate, n, shape) -> list:
+    """``truncated_pows`` at q = inf, from the one-row passes of its cut row
+    [lo, hi], one per density, whose kinks hold every cutoff.
+
+    Each pass samples the row as ``QuadPlan.sup`` samples a row (its nodes,
+    its tail-fit probes, its finite bounds and its kinks), and the
+    supremum's integrand e^{rate x} core is evaluated once, at the sorted
+    distinct samples of all passes.  The cutoffs in order from the end cut
+    the samples into pieces: piece i holds those beyond cutoff i - 1 up to
+    and including cutoff i.  Each piece takes the largest of its finite
+    values and a flag, set where a value is not finite and, on the piece at
+    an infinite end, where the function still grows between that end's
+    probes (``_grows``); a cutoff's value is the running maximum of the
+    pieces from the end, and its flag their OR.  A piece whose largest
+    value is positive and above every earlier piece's holds a running
+    maximum: those alone are polished, each between the samples next to
+    its argmax (the least x among equal maxima) within the piece and the
+    cutoff before it, by one ``_polish`` of every weight's and every
+    density's such pieces.  There the core is called as ``core(x, rows)``,
+    with x of shape (R, 2) and rows the (R,) indices of the searches.  As
+    for a row of ``QuadPlan.sup``, a cutoff whose samples all fail reads 0.
+    """
+    upper = hi == math.inf
+    sign = -1.0 if upper else 1.0
+    # the cutoffs beyond the end, as keys that grow away from it
+    edge = np.sort(sign * distinct([cuts[(cuts < hi) if upper
+                                         else (cuts > lo)]]))
+    samples = [_samples(built, kinks, lo, hi) for built in passes]
+    x = distinct(samples)
+    vals = decay_product(rate * x, np.asarray(
+        core(x[None], None), dtype=float).reshape(n, x.size))
+    tops, bads, polish = [], [], []
+    for k, (built, pts) in enumerate(zip(passes, samples)):
+        # the samples in order from the end, and where each piece starts
+        pts = pts[::-1] if upper else pts
+        v = vals[:, np.searchsorted(x, pts)]
+        piece = np.searchsorted(edge, sign * pts, "left")
+        start = np.searchsorted(piece, np.arange(edge.size), "left")
+        finite = np.isfinite(v)
+        v = np.where(finite, v, -math.inf)
+        top = np.maximum.reduceat(v, start, axis=1)
+        bad = np.logical_or.reduceat(~finite, start, axis=1)
+        if lo == -math.inf or upper:
+            # that end's probes, u_ref and u_ref/2
+            probes = built[0][0, -4:][2 * upper:2 * upper + 2]
+            at_ref, at_half = vals[:, np.searchsorted(x, probes)].T
+            bad[:, 0] |= _grows(at_ref, at_half)
+        before = np.maximum.accumulate(top, axis=1)[:, :-1]
+        record = top > np.concatenate([np.full((n, 1), -math.inf), before],
+                                      axis=1)
+        w, i = np.nonzero(record & (top > 0.0))
+        # each one's argmax, the least x among equal maxima: the first of
+        # its piece from a lower end, the last from an upper one
+        hit = (v[w] == top[w, i][:, None]) & (piece[None] == i[:, None])
+        j = (np.where(hit, np.arange(pts.size), -1).max(axis=1) if upper
+             else np.where(hit, np.arange(pts.size), pts.size).min(axis=1))
+        # its neighbours: toward the end, possibly the cutoff before the
+        # piece; away from it, only inside the piece
+        back = pts[np.maximum(j - 1, 0)]
+        stop = np.append(start[1:], pts.size)[i]
+        ahead = pts[np.where(j + 1 < stop, j + 1, j)]
+        polish.append((np.full(w.size, k), w, i, np.minimum(back, ahead),
+                       np.maximum(back, ahead), top[w, i]))
+        tops.append(top)
+        bads.append(bad)
+    which, w, i, a, b, best = (np.concatenate(c) for c in zip(*polish))
+    if which.size:
+        take = np.arange(which.size)
+
+        def fn(pts):
+            got = np.asarray(core(pts, take), dtype=float).reshape(
+                (n,) + pts.shape)[w, take]
+            return decay_product(rate * pts, got)
+
+        polished = _polish(fn, a, b, best)
+        for k, top in enumerate(tops):
+            mine = which == k
+            top[w[mine], i[mine]] = polished[mine]
+    # each cutoff's piece; a cutoff at or before the end reads 0, unflagged
+    flat = cuts.ravel()
+    live = (flat < hi) if upper else (flat > lo)
+    piece = np.searchsorted(edge, sign * flat[live], "left")
+    out = []
+    for top, bad in zip(tops, bads):
+        value = np.zeros((n, flat.size))
+        flag = np.zeros((n, flat.size), dtype=bool)
+        top = np.maximum.accumulate(top, axis=1)[:, piece]
+        value[:, live] = np.where(top > -math.inf, top, 0.0)
+        flag[:, live] = np.logical_or.accumulate(bad, axis=1)[:, piece]
+        out.append(QuadResult(value.reshape(shape), flag.reshape(shape)))
+    return out
+
+
 def hull_pows(lo, hi, core, outer, scale, rate: float, q: float, *,
               ppd: int, kinks, hull) -> QuadResult:
-    """``norm_pow`` at finite q of r = len(scale) rows over the same
-    [lo, hi], whose core is scale[i] * outer(x) outside the interval
-    ``hull`` = (a, b): a QuadResult of (r,) arrays.
+    """``norm_pow`` of r = len(scale) rows over the same [lo, hi], whose
+    core is scale[i] * outer(x) outside the interval ``hull`` = (a, b): a
+    QuadResult of (r,) arrays, for every q in (0, ∞] (at q = inf see
+    ``_hull_sups``).
 
     The rows share one plan and its one pass.  Its nodes outside [a, b]
     are evaluated once, as the shared row e^{rate q x} outer(x)^q, and row
@@ -1054,8 +1176,12 @@ def hull_pows(lo, hi, core, outer, scale, rate: float, q: float, *,
     even a flag.
     """
     a, b = hull
+    sup = math.isinf(q)
     built = QuadPlan(lo, hi, ppd=ppd, kinks=kinks,
-                     exp_rate=rate * q).row_pass()
+                     exp_rate=rate if sup else rate * q).row_pass()
+    if sup:
+        return _hull_sups(built, lo, hi, kinks, core, outer, scale, rate,
+                          hull)
     points, weights = built[0], built[1]
     inside = (points >= a) & (points <= b)
     at = np.flatnonzero(inside[0] & (weights[0] > 0.0))
@@ -1072,6 +1198,72 @@ def hull_pows(lo, hi, core, outer, scale, rate: float, q: float, *,
                                            q)(points))
     return QuadResult(*_reduce(shared, built, _row_sums,
                                (scale, q, total, bad)))
+
+
+def _hull_sups(built, lo, hi, kinks, core, outer, scale, rate,
+               hull) -> QuadResult:
+    """``hull_pows`` at q = inf, from its one-row pass ``built``.
+
+    The row is sampled as ``QuadPlan.sup`` samples a row: its nodes, its
+    tail-fit probes, its finite bounds and its kinks.  The shared row
+    e^{rate x} outer(x) is evaluated once, at the samples outside (a, b);
+    ``core(x, rows)`` at those in [a, b], for blocks of rows of at most
+    HULL_BLOCK values.  (An end of the hull past which the row goes, where
+    both agree, is in both.)
+    Row i's value is the larger of scale[i] times the shared row's
+    supremum and its own supremum inside the hull; its flag is its own
+    (a value inside that is not finite), or'd, where scale[i] > 0, with the
+    shared row's (a value outside that is not finite, or growth between the
+    probes of an infinite bound, ``_grows``).  The shared row's largest
+    sample, and each row's inside that is larger than scale[i] times it,
+    are polished by one ``_polish``, where the core is called as
+    ``core(x, rows)`` with x of shape (R, 2) for the R rows ``rows``.
+    """
+    a, b = hull
+    pts = _samples(built, kinks, lo, hi)
+    # an end of the hull joins the shared row where the row goes past it
+    out_x = pts[(pts <= a) & (lo < a) | (pts >= b) & (hi > b)]
+    in_x = pts[(pts >= a) & (pts <= b)]
+    shared = decay_product(rate * out_x, outer(out_x))
+    shared_bad = not np.isfinite(shared).all()
+    if built[3].any():
+        v = decay_product(rate * built[0][0, -4:], outer(built[0][0, -4:]))
+        shared_bad |= bool((_grows(v[0::2], v[1::2])
+                            & [lo == -math.inf, hi == math.inf]).any())
+    top, top_a, top_b = (_peaks(out_x[None], shared[None], True)
+                         if out_x.size else ([-math.inf], [0.0], [0.0]))
+    r = scale.size
+    best, in_a, in_b = np.full(r, -math.inf), np.zeros(r), np.zeros(r)
+    bad = np.zeros(r, dtype=bool)
+    if in_x.size:
+        step = max(1, HULL_BLOCK // in_x.size)
+        for s in range(0, r, step):
+            rows = np.arange(s, min(s + step, r))
+            v = decay_product(rate * in_x, core(in_x[None], rows))
+            bad[rows] = ~np.isfinite(v).all(axis=1)
+            best[rows], in_a[rows], in_b[rows] = _peaks(in_x[None], v, True)
+    live = scale > 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        own = (best > 0.0) & ~(live & (best <= scale * top[0]))
+    rows = np.flatnonzero(own)
+    first = int(top[0] > 0.0 and (live & ~own).any())
+    if first or rows.size:
+        def fn(x):
+            v = np.empty(x.shape)
+            v[:first] = decay_product(rate * x[:first], outer(x[:first]))
+            v[first:] = decay_product(rate * x[first:],
+                                      core(x[first:], rows))
+            return v
+
+        polished = _polish(fn, np.concatenate([top_a[:first], in_a[rows]]),
+                           np.concatenate([top_b[:first], in_b[rows]]),
+                           np.concatenate([top[:first], best[rows]]))
+        top = polished[:first] if first else top
+        best[rows] = polished[first:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.maximum(np.where(live, scale * top[0], -math.inf), best)
+    return QuadResult(np.where(value > -math.inf, value, 0.0),
+                      bad | live & shared_bad)
 
 
 def integral_log(fn, x_lo=-math.inf, x_hi=math.inf, *, ppd=DEFAULT_PPD, kinks=()):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -162,6 +161,9 @@ def run_suite(directory: Path | str, out_dir: Path | str = "reports", *,
         return run_scenario(sc, out_dir)
 
     if workers > 1 and len(paths) > 1:
+        # imported here: it loads logging and queue, which a serial run,
+        # and every CLI start, would pay for
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, paths))
     else:

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergentIntegralError, RangeError
-from .quadrature import (DEFAULT_PPD, LogGrid, QuadResult, integral_log,
-                         norm_pow, powered)
+from .quadrature import (DEFAULT_PPD, LogGrid, QuadResult, decay_product,
+                         integral_log, norm_pow, powered)
 
 _DEFAULT_ENVELOPE_BUDGET = 64.0
 
@@ -185,51 +185,49 @@ def log_power_form(b: SVDescriptor):
 
 
 def rate0_integral(b: SVDescriptor, q: float, x, side: str, c: float = 0.0):
-    """``shift_integral`` in closed form, for every q in (0, ∞]: at c = 0
-    for a weight with a ``log_power_form``, and at every rate c for a
-    constant one, whose form is (C, 0, 0); None for any other weight, or
-    where C^q leaves double range.
+    """``shift_integral`` in closed form for a weight with a
+    ``log_power_form``: at c = 0 for every q in (0, ∞], at every rate c at
+    q = inf, and at every rate and q for a constant weight, whose form is
+    (C, 0, 0).  (The name stays from when rate 0 was all it covered.)  None
+    for any other weight or finite-q rate, or where C^q leaves double range.
 
     With A = a q, b^q = C^q (1 + |w|)^A, and its tail from x is
     C^q (1 + x)^{A∞+1} / (-A∞-1) for x >= 0 and
     C^q ([(1 - x)^{A0+1} - 1] / (A0+1) + 1 / (-A∞-1)) for x < 0, with
     ln(1 - x) as the first term at A0 = -1; it is +inf, flagged divergent,
-    exactly when A∞ >= -1.  At q = inf the supremum over [x, ∞) is the
-    larger of b at x and, for x < 0, at the kink w = 0; +inf, flagged,
-    when aInf > 0.  The head mirrors the tail (w -> -w swaps a0 and aInf).
-    At c != 0 the constant's ∫ e^{c q v} C^q dv is C^q / (|c| q), and its
-    supremum C, where e^{c v} decays away from v = 0 (the head at c > 0,
-    the tail at c < 0), whatever x; +inf, flagged, where it grows.
-    A finite value beyond double range reads +inf, unflagged.
+    exactly when A∞ >= -1.  At c != 0 the constant's ∫ e^{c q v} C^q dv is
+    C^q / (|c| q), where e^{c v} decays away from v = 0 (the head at c > 0,
+    the tail at c < 0), whatever x; +inf, flagged, where it grows.  At
+    q = inf see ``_log_power_sup``.  The head mirrors the tail (w -> -w
+    swaps a0 and aInf, and c -> -c).  A finite value beyond double range
+    reads +inf, unflagged.
     """
     form = log_power_form(b)
-    if form is None or (c != 0.0 and form[1:] != (0.0, 0.0)):
+    sup = math.isinf(q)
+    if form is None or (c != 0.0 and not sup and form[1:] != (0.0, 0.0)):
         return None
     k, a0, a_inf = form
     xs = np.asarray(x, dtype=float)
     # contiguous and 1-d, so that numpy takes one path for every batch
     w = xs.ravel()
     if side == "head":
-        w, a0, a_inf = -w, a_inf, a0
+        w, a0, a_inf, c = -w, a_inf, a0, -c
     right, base = w >= 0.0, 1.0 + np.abs(w)
-    sup = math.isinf(q)
     with np.errstate(over="ignore", under="ignore"):
         scale = k if sup else float(np.power(k, q))
         if not 0.0 < scale < math.inf:
             return None
-        s0, s_inf = (a0, a_inf) if sup else (a0 * q + 1.0, a_inf * q + 1.0)
-        if c != 0.0:
-            diverged = (c > 0.0) != (side == "head")
-        else:
-            diverged = s_inf > 0.0 if sup else s_inf >= 0.0
+        # e^{c v} grows along the side; at rate 0, the weight's tail
+        diverged = c > 0.0 or c == 0.0 and (a_inf > 0.0 if sup
+                                             else a_inf * q + 1.0 >= 0.0)
         if diverged:
             value = np.full(w.shape, math.inf)
-        elif c != 0.0:
-            value = np.full(w.shape, scale if sup else scale / (abs(c) * q))
         elif sup:
-            value = k * np.where(right, base ** a_inf,
-                                 np.maximum(base ** a0, 1.0))
+            value = k * _log_power_sup(a0, a_inf, c, w)
+        elif c != 0.0:
+            value = np.full(w.shape, scale / (abs(c) * q))
         else:
+            s0, s_inf = a0 * q + 1.0, a_inf * q + 1.0
             # [(1 - x)^s0 - 1] / s0 for x < 0, and its limit ln(1 - x) at
             # s0 = 0; expm1 where the power is near 1, the power itself
             # (rounded once) where it is large
@@ -242,6 +240,26 @@ def rate0_integral(b: SVDescriptor, q: float, x, side: str, c: float = 0.0):
     if xs.ndim == 0:
         return QuadResult(float(value), bool(diverged))
     return QuadResult(value, np.full(xs.shape, diverged))
+
+
+def _log_power_sup(a0, a_inf, c, w):
+    """The supremum of e^{c (v - w)} (1 + |v|)^{a0 for v <= 0, aInf for
+    v > 0} over v >= w, for c < 0, or c = 0 with aInf <= 0: the largest of
+    its values at the bound v = w, at the kink v = 0 where w < 0, and at its
+    one interior maximum 1 + v = aInf / |c| where aInf > 0 and that lies
+    beyond both.  (Its logarithm is concave on v > 0 when aInf > 0, and
+    monotone or convex on v < 0, so no other point can hold the maximum.)
+    The value at the peak is formed by ``decay_product``."""
+    right, base = w >= 0.0, 1.0 + np.abs(w)
+    with np.errstate(over="ignore", under="ignore"):
+        value = np.where(right, base ** a_inf,
+                         np.maximum(base ** a0, np.exp(c * -w)))
+        if a_inf > 0.0 and c < 0.0:
+            top = a_inf / -c
+            peak = decay_product(c * (top - 1.0 - w), top ** a_inf)
+            value = np.where(top > np.where(right, base, 1.0),
+                             np.maximum(value, peak), value)
+    return value
 
 
 def primitive_sup(b: _Primitive, x, side: str) -> QuadResult:

@@ -8,6 +8,9 @@ QuadPlan`` must reproduce it row by row up to summation order.
 lattice table: every pass computed its rows' panels from scratch.  The
 plan must lay out the same nonzero-weight (node, weight) sequence per row,
 bit for bit.
+
+``sup_rows`` is the supremum at q = inf as it stood before closed forms,
+cut rows and hull splits: every norm its own row of ``QuadPlan.sup``.
 """
 
 import math
@@ -15,9 +18,9 @@ import math
 import numpy as np
 
 from kinterp.quadrature import (DEEP_LOG_RANGE, DEFAULT_PPD, DIVERGENCE_REL,
-                                EXP_ZERO, GL_ORDER, LN10, SWITCH, QuadResult,
-                                _ABS_FLOOR, _GL_W, _GL_X, _SLOPE_MARGIN,
-                                _TINY_POS)
+                                EXP_ZERO, GL_ORDER, LN10, SWITCH, QuadPlan,
+                                QuadResult, _ABS_FLOOR, _GL_W, _GL_X,
+                                _SLOPE_MARGIN, _TINY_POS, decay_product)
 
 
 def _panel_edges(lo: float, hi: float, width: float, kinks=()):
@@ -278,3 +281,13 @@ class ReferenceLayout:
         first = points[np.arange(r), np.argmax(valid, axis=1)]
         points = np.where(valid, points, first[:, None])
         return points, weights, valid, inc, unbounded.T
+
+
+def sup_rows(lo, hi, core, rate, *, ppd=DEFAULT_PPD, kinks=(),
+             row_kinks=None):
+    """The supremum of e^{rate x} core(x, rows) over each row [lo_i, hi_i]
+    of the broadcast bounds, each its own row of ``QuadPlan.sup`` (its
+    samples, its polish and its flags), told the decay rate."""
+    return QuadPlan(lo, hi, ppd=ppd, kinks=kinks, row_kinks=row_kinks,
+                    exp_rate=rate).sup(
+        lambda x, rows: decay_product(rate * x, core(x, rows)))
