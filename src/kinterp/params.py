@@ -279,7 +279,7 @@ def _carried_powers(p: PhiParam, xs: np.ndarray, g: QuadResult, side: str,
     where there is no such point, or e^{-r d} is 0.0, the whole side, as a
     restart.  The increments and restarts are the rows of one
     ``_side_rows`` call, but a gap too short for a panel of the rule
-    (``quadrature._near_edges``), which the rule would read as 0, takes
+    (``quadrature._row_edges``), which the rule would read as 0, takes
     d times the integrand at its midpoint.  (Polished points come that
     close to the samples about them.)"""
     c = 1.0 - p.theta if side == "head" else -p.theta

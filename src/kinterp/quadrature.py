@@ -24,17 +24,14 @@ Integrands are assumed nonnegative.  Divergence is reported through a flag
 rather than an exception because +∞ is a legal quasi-norm value.
 
 ``QuadPlan`` applies this rule to many intervals at once: it lays out the
-nodes of a batch of rows as one matrix (pass by pass, ``CHUNK_ELEMS`` nodes
-at most), evaluates the integrand once per pass and reduces row by row.
-``integral_log`` is its one-row case.  Rows share the lattice, so most of
-their panels are whole lattice panels: a plan of many rows computes those
-once, in a table per segment (direct part, negative and positive far
-region), and per row only its own panels, the partial ones at its bounds
-and the ones its kinks split.  A pass is then gathered from the table and
-its rows' own panels by one index array; every row keeps the nodes,
-weights and column order it would get on its own.  A plan that lays out
-one row has nothing to share: its one pass is built straight from the
-row's panel edges (``QuadPlan.row_pass``), to the same bits.
+nodes of a batch of rows as one matrix (pass by pass, about ``CHUNK_ELEMS``
+nodes at most), evaluates the integrand once per pass and reduces row by
+row.  ``integral_log`` is its one-row case.  Every pass is built from its
+rows' panel edges: a plan of many rows builds the panels of consecutive
+passes at once (``_panels``) and scatters each pass into its columns, and
+a plan that lays out one row builds its one pass from the row's edges
+(``QuadPlan.row_pass``).  Either way every row keeps the nodes, weights and
+column order it would get on its own.
 
 Where its inputs show it, a plan evaluates the integrand once per distinct
 node, not once per row and node.  Rows with identical bounds and no row
@@ -52,10 +49,10 @@ Every norm in the package, ||χ_[lo,hi](x) e^{c x} g(x)||_q for q in (0, ∞],
 is ``norm_pow``: one plan whose ``apply`` integrates e^{c q x} g^q
 (``powered``) for finite q, and whose ``sup`` takes the supremum of
 e^{c x} g at q = ∞.  For finite q and an integrand that reads its rows, a
-row that the rule covers by one direct panel needs no layout (no table, no
-runs, no gather): ``norm_pow`` integrates such rows at their own nodes, in
-dense blocks, to the bits the plan would give, and the plan lays out only
-the other rows.  Most increments of the C2/C3 inner sweep are such rows.
+row that the rule covers by one direct panel needs no layout (no edges, no
+passes): ``norm_pow`` integrates such rows at their own nodes, in dense
+blocks, to the bits the plan would give, and the plan lays out only the
+other rows.  Most increments of the C2/C3 inner sweep are such rows.
 
 A norm truncated at many cutoffs is ``truncated_pows``: one plan row from
 a fixed end to the farthest cutoff, with every cutoff a kink, evaluated
@@ -73,7 +70,6 @@ nodes outside it are evaluated once and scaled per row by ``_reduce``
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -193,52 +189,11 @@ def _lattice_width(ppd):
     return LN10 / max(1, round(ppd / GL_ORDER))
 
 
-#: lattice offsets from floor(p / width) that can hold the panel edges next
-#: to a bound or kink p: the lattice point below it and the two above it,
-#: allowing for rounding in p / width
-_NEAR = np.arange(-1.0, 3.0)
-
-
-def _near_edges(lo, hi, kinks, width):
-    """Panel edges of each row [lo[i], hi[i]] next to its bounds and kinks.
-
-    A row's panel edges are lo, hi, its ``kinks`` (a row of the (r, K)
-    array, NaN for none) strictly inside, and the lattice points k*width
-    strictly inside; sorted, a point closer than 1e-9*width to its
-    predecessor is dropped, and the last remaining point is reset to hi.
-    Away from the bounds and kinks the edges are consecutive lattice points,
-    so only the lattice points next to a bound or kink are placed here.
-
-    Returns (edges, index), each (r, E): a row's kept edges in order (NaN
-    past its last) and the lattice index k of each edge that equals
-    k*width (NaN for the others).  Two consecutive edges with indices a < b
-    enclose the whole lattice panels a..b-1; any other two consecutive
-    edges enclose one panel.
-    """
-    r = lo.size
-    inside = (kinks > lo[:, None]) & (kinks < hi[:, None])
-    bound = np.column_stack([lo, np.where(inside, kinks, np.nan), hi])
-    k = (np.floor(bound / width)[:, :, None] + _NEAR).reshape(
-        r, _NEAR.size * bound.shape[1])
-    k[(k <= np.floor(lo / width)[:, None])
-      | (k >= np.ceil(hi / width)[:, None])] = np.nan
-    pts = np.concatenate([bound, k * width], axis=1)
-    pts.sort(axis=1)
-    keep = np.ones(pts.shape, dtype=bool)
-    keep[:, 1:] = pts[:, 1:] - pts[:, :-1] > width * 1e-9
-    pts[~keep] = np.nan
-    pts.sort(axis=1)
-    count = keep.sum(axis=1)
-    edges = pts[:, :int(count.max(initial=1))]
-    edges[np.arange(r), count - 1] = hi
-    k = np.floor(edges / width + 0.5)
-    return edges, np.where(k * width == edges, k, np.nan)
-
-
 def _row_edges(lo, hi, kinks, width):
-    """All panel edges of one row [lo, hi] by ``_near_edges``' rule, with
-    every lattice point strictly inside in place of only those next to a
-    bound or kink: the same edges, each lattice point as the same k*width."""
+    """The panel edges of one row [lo, hi]: lo, hi, its ``kinks`` strictly
+    inside and the lattice points k*width strictly inside, sorted; a point
+    closer than 1e-9*width to its predecessor is dropped, and the last
+    remaining point is reset to hi."""
     k = np.arange(math.floor(lo / width) + 1, math.ceil(hi / width))
     pts = np.concatenate([[lo, hi], kinks[(kinks > lo) & (kinks < hi)],
                           k * width])
@@ -246,6 +201,33 @@ def _row_edges(lo, hi, kinks, width):
     edges = pts[np.concatenate(([True], pts[1:] - pts[:-1] > width * 1e-9))]
     edges[-1] = hi
     return edges
+
+
+def _panels(lo, hi, kinks, width):
+    """The panels (a, b) of the rows [lo[i], hi[i]] by ``_row_edges``'
+    rule, with ``kinks`` an (r, K) array (NaN for none): every row's in
+    order of x, row after row, and each row's panel count."""
+    r = lo.size
+    k0 = np.floor(lo / width) + 1.0
+    count = np.maximum(np.ceil(hi / width) - k0, 0.0).astype(np.int64)
+    inside = (kinks > lo[:, None]) & (kinks < hi[:, None])
+    rows = np.arange(r)
+    row = np.concatenate([rows, rows, np.nonzero(inside)[0],
+                          np.repeat(rows, count)])
+    start = np.cumsum(count) - count
+    x = np.concatenate([lo, hi, kinks[inside], (np.repeat(
+        k0 - start, count) + np.arange(count.sum())) * width])
+    order = np.lexsort((x, row))
+    row, x = row[order], x[order]
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = (row[1:] != row[:-1]) | (x[1:] - x[:-1] > width * 1e-9)
+    row, x = row[keep], x[keep]
+    # each row's last edge is reset to its hi; the others start a panel
+    last = np.ones(x.size, dtype=bool)
+    last[:-1] = row[1:] != row[:-1]
+    x[last] = hi
+    opens = np.flatnonzero(~last)
+    return x[opens], x[opens + 1], np.bincount(row[opens], minlength=r)
 
 
 def _gl_nodes(a, b, region):
@@ -419,20 +401,16 @@ class QuadPlan:
 
     Layout.  Each of a row's three segments (the direct part in x, the
     negative and the positive far region in y = ln|x|) is a run of whole
-    lattice panels, cut only at its two bounds and at its kinks.  A plan
-    that lays out two or more rows computes the nodes and weights of each
-    whole lattice panel once, in a table per segment (the far ones already
-    mapped back to x and scaled by e^y).  A row keeps only its panel count
-    per segment and its own panels: the partial ones at its bounds and the
-    ones its kinks split, at most 2 + 2 * (kink count) per segment; between
-    two of them, and before the first and after the last, lie runs of table
-    panels.  Each time ``apply`` runs, passes of at most about
-    ``CHUNK_ELEMS`` nodes are gathered from the table and their rows' own
-    panels by one index array, for the nodes and for the weights.  A plan
-    that lays out one row (one interval, or identical rows) has no table:
-    ``row_pass`` builds its one pass from the row's edges, the same panels
-    in the same columns.  ``sup`` reduces the same passes to each row's
-    maximum.
+    lattice panels, cut only at its two bounds and at its kinks
+    (``_row_edges``).  Each time ``apply`` runs, a plan that lays out two or
+    more rows groups rows of similar width into passes of at most about
+    ``CHUNK_ELEMS`` nodes, builds the panels of consecutive passes, about
+    GL_ORDER * CHUNK_ELEMS nodes at a time, by one ``_panels`` and one
+    ``_gl_nodes`` call (the far nodes mapped back to x and scaled by e^y),
+    and scatters each pass into its columns (``_block``).  A plan that lays
+    out one row (one interval, or identical rows) builds its one pass from
+    the row's edges (``row_pass``), the same panels in the same columns.
+    ``sup`` reduces the same passes to each row's maximum.
     """
 
     def __init__(self, lo, hi, *, ppd=DEFAULT_PPD, kinks=(), row_kinks=None,
@@ -460,33 +438,11 @@ class QuadPlan:
         # far regions (columns) reaching DEEP_LOG_RANGE get the tail fit
         self.unbounded = np.column_stack([-lo >= DEEP_LOG_RANGE,
                                           hi >= DEEP_LOG_RANGE])
-        r = lo.size
-        if r < 2:  # no table: ``row_pass`` builds the one row's pass
-            return
-        # per row: a bound on its node count (rows of similar width share
-        # a pass), its panel count and own panel count per segment, and its
-        # own panels (a, b) in order; laid out in blocks of rows, to keep
-        # the temporaries small
-        self.cols = np.empty(r)
-        self.n = np.empty((r, 3), dtype=np.int64)
-        self.own_n = np.empty((r, 3), dtype=np.int64)
-        own, k_lo, k_hi = [], [], []
-        step = max(1, 16384 // (15 * kinks.shape[1] + 30))
-        for s in range(0, r, step):
-            block = slice(s, s + step)
-            (self.cols[block], self.n[block], self.own_n[block], a, b, lo_k,
-             hi_k) = self._lay_out(lo[block], hi[block], kinks[block])
-            own.append(np.column_stack([a, b]))
-            k_lo.append(lo_k)
-            k_hi.append(hi_k)
-        self.own = np.concatenate(own)
-        count = self.own_n.sum(axis=1)
-        self.own_start = np.cumsum(count) - count
-        self._tabulate(np.min(k_lo, axis=0), np.max(k_hi, axis=0))
 
-    def _segments(self, lo, hi, kinks):
-        """(lo, hi, kinks) of rows for the direct part in x and the
-        negative and positive far regions in y = ln|x|."""
+    def _segments(self):
+        """(lo, hi, kinks) of the laid-out rows for the direct part in x
+        and the negative and positive far regions in y = ln|x|."""
+        lo, hi, kinks = self.lo, self.hi, self.kinks
         a = np.maximum(lo, -SWITCH)
         b = np.minimum(hi, SWITCH)
         out = [(a, np.where(b - a >= 1e-15, b, a), kinks)]
@@ -503,142 +459,6 @@ class QuadPlan:
                             np.where(present & (u_top > u_min), y_hi, y_lo),
                             np.log(ksign)))
         return out
-
-    def _lay_out(self, lo, hi, kinks):
-        """Layout of a block of rows: (node count bound, panel count and own
-        panel count per segment, own panels' a and b, and per segment the
-        lowest and highest lattice index any row reaches)."""
-        r = lo.size
-        segments = self._segments(lo, hi, kinks)
-        span = sum(np.maximum(s_hi - s_lo, 0.0) for s_lo, s_hi, _ in segments)
-        cols = GL_ORDER * (span / self.width + 3 * (kinks.shape[1] + 1)) + 4
-        k_lo, k_hi = np.full(3, np.inf), np.full(3, -np.inf)
-        # the segments some row has, for every row one after the other,
-        # each with the kinks inside some row of it
-        present = []
-        for seg, (s_lo, s_hi, kk) in enumerate(segments):
-            some = s_hi > s_lo
-            if some.any():
-                present.append(seg)
-                k_lo[seg] = np.floor(s_lo[some] / self.width).min()
-                k_hi[seg] = np.ceil(s_hi[some] / self.width).max()
-        present = present or [0]
-        s_lo, s_hi = (np.concatenate([segments[seg][i] for seg in present])
-                      for i in (0, 1))
-        s_hi = np.maximum(s_hi, s_lo)
-        kk = [k[:, ((k > a[:, None]) & (k < b[:, None])).any(axis=0)]
-              for a, b, k in (segments[seg] for seg in present)]
-        stacked = np.full((s_lo.size, max(k.shape[1] for k in kk)), np.nan)
-        for i, k in enumerate(kk):
-            stacked[i * r:(i + 1) * r, :k.shape[1]] = k
-        edges, index = _near_edges(s_lo, s_hi, stacked, self.width)
-        first, last = index[:, :-1], index[:, 1:]
-        table = last > first
-        own = ~table & (edges[:, 1:] > edges[:, :-1])
-        n = np.zeros((r, 3), dtype=np.int64)
-        n[:, present] = (np.where(table, last - first, own).sum(axis=1)
-                         .reshape(len(present), r).T)
-        own_n = np.zeros((r, 3), dtype=np.int64)
-        own_n[:, present] = own.sum(axis=1).reshape(len(present), r).T
-        # own panels row by row, each row's in segment order
-        at = np.nonzero(own.reshape(len(present), r, own.shape[1])
-                        .transpose(1, 0, 2))
-        flat = (at[1] * r + at[0], at[2])
-        return (cols, n, own_n, edges[:, :-1][flat], edges[:, 1:][flat],
-                k_lo, k_hi)
-
-    def _tabulate(self, k_lo, k_hi):
-        """Nodes and weights of the table: per segment the lattice panels
-        k_lo..k_hi-1; lattice panel k of segment s is table panel k +
-        table_at[s]."""
-        xs, ws = [np.zeros((0, GL_ORDER))], [np.zeros((0, GL_ORDER))]
-        self.table_at = np.zeros(3, dtype=np.int64)
-        size = 0
-        for seg in range(3):
-            if k_hi[seg] > k_lo[seg]:
-                k0, k1 = int(k_lo[seg]), int(k_hi[seg])
-                edges = np.arange(k0, k1 + 1) * self.width
-                x, w = _gl_nodes(edges[:-1], edges[1:], np.full(k1 - k0, seg))
-                xs.append(x)
-                ws.append(w)
-                self.table_at[seg] = size - k0
-                size += k1 - k0
-        self.table_x = np.concatenate(xs)
-        self.table_w = np.concatenate(ws)
-
-    def _runs(self, rows, counts, fill):
-        """The source panels of rows' slots, as runs of consecutive panels.
-
-        Per row and segment: before each own panel the run of table panels
-        leading up to it, the own panel itself, the last run of table
-        panels, then ``counts`` - n unused slots (none if counts is None),
-        all holding the panel ``fill`` of the row.  Own panels are numbered
-        after the table, in the rows' order.  Returns (start, length, step)
-        per run (step 1 within a run, 0 for the unused slots), each row's
-        first run and the rows' own panels (a, b, segment).
-        """
-        r = rows.size
-        n = self.n[rows].ravel()
-        in_group = self.own_n[rows].ravel()  # per (row, segment)
-        group_end = np.cumsum(in_group)
-        m = int(group_end[-1])
-        count = in_group.reshape(r, 3).sum(axis=1)
-        end = np.cumsum(count)
-        a, b = self.own[np.repeat(self.own_start[rows] - (end - count), count)
-                        + np.arange(m)].T
-        group = np.repeat(np.arange(3 * r), in_group)
-        seg = group % 3
-        # each segment's lower bound (its first edge where it has panels)
-        lo, hi = self.lo[rows], self.hi[rows]
-        lower = np.column_stack([
-            np.minimum(np.maximum(lo, -SWITCH), SWITCH),
-            np.log(np.maximum(SWITCH, -hi)),
-            np.log(np.maximum(SWITCH, lo))]).ravel()
-        # table runs start and end on lattice points: their lattice index
-        # is edge / width, rounded
-        prev = np.empty(m)
-        prev[1:] = b[:-1]
-        fresh = np.ones(m, dtype=bool)
-        fresh[1:] = group[1:] != group[:-1]
-        prev[fresh] = lower[group[fresh]]
-        k_prev = np.floor(prev / self.width + 0.5).astype(np.int64)
-        before = np.floor(a / self.width + 0.5).astype(np.int64) - k_prev
-        last = np.where(in_group > 0, b[np.maximum(group_end - 1, 0)]
-                        if m else lower, lower)
-        at = self.table_at[np.arange(3 * r) % 3]
-        # per group: (run, own panel) per own panel, then the last run and
-        # the unused slots
-        size = 2 * in_group + 2
-        offset = np.cumsum(size) - size
-        start = np.empty(int(size.sum()), dtype=np.int64)
-        length = np.empty_like(start)
-        step = np.ones_like(start)
-        pos = offset[group] + 2 * (np.arange(m)
-                                   - (group_end - in_group)[group])
-        start[pos], length[pos] = k_prev + at[group], before
-        start[pos + 1] = self.table_x.shape[0] + np.arange(m)
-        length[pos + 1] = 1
-        pos = offset + 2 * in_group
-        start[pos] = np.floor(last / self.width + 0.5).astype(np.int64) + at
-        summed = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(before, out=summed[1:])
-        length[pos] = n - in_group - (summed[group_end]
-                                      - summed[group_end - in_group])
-        start[pos + 1], length[pos + 1], step[pos + 1] = (
-            np.repeat(fill, 3), 0 if counts is None else counts.ravel() - n, 0)
-        return start, length, step, offset[::3], (a, b, seg)
-
-    @staticmethod
-    def _slots(start, length, step):
-        """The panel in each slot of runs (start, length, step): a
-        cumulative sum of steps that jumps to each run's first panel."""
-        keep = length > 0
-        start, length, step = start[keep], length[keep], step[keep]
-        jump = start.copy()
-        jump[1:] -= start[:-1] + step[:-1] * (length[:-1] - 1)
-        panel = np.repeat(step, length)
-        panel[np.cumsum(length) - length] = jump
-        return np.cumsum(panel, out=panel)
 
     def _passes(self):
         """(row indices, (points, weights, inc, unbounded)) per pass over
@@ -661,108 +481,94 @@ class QuadPlan:
             if n:
                 yield np.zeros(1, dtype=np.intp), self.row_pass()
             return
-        # rows of similar width share a pass, so little of it is padding
-        order = np.argsort(self.cols, kind="stable")
-        cols = self.cols[order]
-        starts = []
-        start = 0
-        while start < n:
-            starts.append(start)
-            ahead = cols[start:start + CHUNK_ELEMS]
+        segments = self._segments()
+        span = sum(np.maximum(s_hi - s_lo, 0.0) for s_lo, s_hi, _ in segments)
+        # a bound on each row's node count: rows of similar width share a
+        # pass, so little of it is padding
+        cols = GL_ORDER * (span / self.width
+                           + 3 * (self.kinks.shape[1] + 1)) + 4
+        order = np.argsort(cols, kind="stable")
+        cols = cols[order]
+        bounds = [0]
+        while bounds[-1] < n:
+            ahead = cols[bounds[-1]:bounds[-1] + CHUNK_ELEMS]
             fits = np.arange(1, ahead.size + 1) * ahead <= CHUNK_ELEMS
-            start += max(1, int(np.count_nonzero(fits)))
-        bounds = starts + [n]
-        rows = np.array([b - a for a, b in zip(bounds, bounds[1:])])
-        passes = [order[a:b] for a, b in zip(bounds, bounds[1:])]
-        counts = np.array([self.n[idx].max(axis=0) for idx in passes])
-        probes = [bool(self.unbounded[idx].any()) for idx in passes]
-        # consecutive passes are gathered from one source, about
-        # CHUNK_ELEMS panels at a time: a row's slots, its probe panel and
-        # its fill panel
-        end = np.cumsum(rows * (counts.sum(axis=1) + 2)).tolist()
-        node = np.arange(GL_ORDER)[:, None]
+            bounds.append(bounds[-1] + max(1, int(np.count_nonzero(fits))))
+        # consecutive passes are built together, about GL_ORDER *
+        # CHUNK_ELEMS nodes at a time by their rows' bounds
+        end = np.cumsum(cols)[np.array(bounds[1:]) - 1]
         first = 0
-        while first < len(starts):
-            room = (end[first - 1] if first else 0) + CHUNK_ELEMS
-            last = max(first + 1, bisect.bisect_right(end, room))
-            src_x, src_w, panel, probe, limit = self._gather(
-                order[bounds[first]:bounds[last]],
-                np.repeat(counts[first:last], rows[first:last], axis=0))
-            at = 0
-            for p in range(first, last):
-                r, c, idx = int(rows[p]), counts[p].tolist(), passes[p]
-                block = slice(bounds[p] - bounds[first],
-                              bounds[p + 1] - bounds[first])
-                total = sum(c)
-                slots = panel[at:at + r * total].reshape(r, total)
-                at += r * total
-                cols = GL_ORDER * total
-                extra = 4 if probes[p] else 0 if total else 1
-                take = np.empty((r, cols + extra), dtype=np.intp)
-                lo = 0
-                for k in c:
-                    if k:
-                        np.add(slots[:, None, lo:lo + k], node, out=take[
-                            :, GL_ORDER * lo:GL_ORDER * (lo + k)].reshape(
-                                r, GL_ORDER, k))
-                        lo += k
-                if extra:
-                    take[:, cols:] = probe[block, :extra]
-                points = src_x.take(take)
-                points.flags.writeable = False
-                yield idx, (points, src_w.take(take),
-                            _increments(points, c, limit[block]),
-                            self.unbounded[idx])
-            del src_x, src_w, panel  # before the next block's are built
+        while first < end.size:
+            room = (end[first - 1] if first else 0.0) + GL_ORDER * CHUNK_ELEMS
+            last = max(first + 1, int(np.searchsorted(end, room, "right")))
+            yield from self._block(order, bounds[first:last + 1], segments)
             first = last
 
-    def _gather(self, rows, counts):
-        """What consecutive passes gather from, and where.
-
-        ``counts`` gives, per row, the most panels per segment in its pass.
-        Returns the flat node and weight sources, (panels, GL_ORDER) arrays
-        holding the table, the rows' own panels and per row one panel of
-        probes and one of its first point (weight 0, for its unused
-        columns); the first source node of each of the rows' slots, one row
-        after the other; per row the flat index of its four probes; and per
-        row and far region the |x| beyond which its nodes make up the
-        last-doubling increment (inf: none).
-        """
+    def _block(self, order, bounds, segments):
+        """The passes of ``_passes`` over the rows order[bounds[p]:bounds[p
+        + 1]], built from one ``_panels`` of their three segments each."""
+        rows = order[bounds[0]:bounds[-1]]
         r = rows.size
-        t = self.table_x.shape[0]
-        m = int(self.own_n[rows].sum())
-        probe, fill = t + m + np.arange(r), t + m + r + np.arange(r)
-        start, length, step, row_at, own = self._runs(rows, counts, fill)
-        own_x, own_w = _gl_nodes(*own)
-        src_x = np.zeros((t + m + 2 * r, GL_ORDER))
-        src_w = np.zeros((t + m + 2 * r, GL_ORDER))
-        src_x[:t], src_w[:t] = self.table_x, self.table_w
-        src_x[t:t + m], src_w[t:t + m] = own_x, own_w
-        # each row's first node: that of the first slot of its first run of
-        # panels
-        panels = (length > 0) & (step > 0)
-        found = np.flatnonzero(panels)
-        before = np.cumsum(panels) - panels
-        found = (found[np.minimum(before[row_at], found.size - 1)]
-                 if found.size else row_at)
-        has = self.n[rows].any(axis=1)
-        src_x[probe, :4], first, limit = _probes(
-            self.lo[rows], self.hi[rows], self.unbounded[rows], has,
-            src_x[np.where(has, start[found], 0), 0])
-        src_x[fill] = first[:, None]
-        panel = self._slots(start, length, step)
-        panel *= GL_ORDER
-        return (src_x.ravel(), src_w.ravel(), panel,
-                GL_ORDER * probe[:, None] + np.arange(4), limit)
+        lo, hi = self.lo[rows], self.hi[rows]
+        # each row's three segments one after the other
+        s_lo, s_hi, kinks = (np.stack([seg[k][rows] for seg in segments], 1)
+                             for k in range(3))
+        a, b, count = _panels(s_lo.ravel(), np.maximum(s_hi, s_lo).ravel(),
+                              kinks.reshape(3 * r, self.kinks.shape[1]),
+                              self.width)
+        i, seg = np.divmod(np.repeat(np.arange(3 * r), count), 3)
+        x, w = _gl_nodes(a, b, seg)
+        per_row = count.reshape(r, 3)
+        total = per_row.sum(axis=1)
+        has = total > 0
+        unbounded = self.unbounded[rows]
+        probes, fill, limit = _probes(
+            lo, hi, unbounded, has,
+            x[np.where(has, np.cumsum(total) - total, 0), 0] if x.size
+            else lo)
+        # per pass: its rows, most panels per segment and columns; each row
+        # and panel's place in one buffer holding every pass, row by row
+        at = np.array(bounds[:-1]) - bounds[0]
+        size = np.diff(bounds)
+        most = np.maximum.reduceat(per_row, at, axis=0)
+        probed = np.logical_or.reduceat(unbounded.any(axis=1), at)
+        width = (GL_ORDER * most.sum(axis=1)
+                 + np.where(probed, 4, np.where(most.any(axis=1), 0, 1)))
+        start = np.cumsum(size * width) - size * width
+        pass_of = np.repeat(np.arange(at.size), size)
+        row_at = start[pass_of] + (np.arange(r) - at[pass_of]) * width[pass_of]
+        buf_x = np.repeat(fill, width[pass_of])
+        buf_w = np.zeros(buf_x.size)
+        # panel j of a row's segment s: node g in column GL_ORDER * (the
+        # pass's panels before s) + g * (the pass's panels in s) + j
+        p = pass_of[i]
+        j = np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
+        col = GL_ORDER * (np.cumsum(most, axis=1) - most)[p, seg] + j
+        dest = (row_at[i] + col)[:, None] + most[p, seg][:, None] * np.arange(
+            GL_ORDER)
+        buf_x[dest], buf_w[dest] = x, w
+        # the probes in each row's last four columns
+        probe = probed[pass_of]
+        buf_x[(row_at + width[pass_of] - 4)[probe, None]
+              + np.arange(4)] = probes[probe]
+        for k in range(at.size):
+            mine = slice(at[k], at[k] + size[k])
+            points, weights = (v[start[k]:start[k] + size[k] * width[k]]
+                               .reshape(size[k], width[k])
+                               for v in (buf_x, buf_w))
+            points.flags.writeable = False
+            yield rows[mine], (points, weights,
+                               _increments(points, most[k].tolist(),
+                                           limit[mine]),
+                               unbounded[mine])
 
     def row_pass(self):
         """The one pass of ``_passes`` of a plan that lays out one row,
         built straight from the row's panel edges (``_row_edges``) per
-        segment, with no table, runs or gather: the panels are those the
-        table path gathers, so every column is the same, bit for bit."""
+        segment: the panels ``_block`` would build for the row, so every
+        column is the same, bit for bit."""
         a, b, counts = [np.zeros(0)], [np.zeros(0)], [0, 0, 0]
-        for seg, (lo, hi, kinks) in enumerate(
-                self._segments(self.lo, self.hi, self.kinks)):
+        for seg, (lo, hi, kinks) in enumerate(self._segments()):
             if hi[0] > lo[0]:
                 edges = _row_edges(lo[0], hi[0], kinks[0], self.width)
                 a.append(edges[:-1])
@@ -915,10 +721,9 @@ def powered(core, rate: float, q: float):
 def _one_panel(lo, hi, kinks, row_kinks, width):
     """Which rows [lo[i], hi[i]], all inside [-SWITCH, SWITCH], the rule
     covers by exactly the one direct panel [lo[i], hi[i]]: wide enough for
-    a panel (``_segments``, ``_near_edges``), with no lattice point k*width
-    and no kink (shared, or the row's own) strictly inside.  Such a panel
-    is a row's own panel, or the table panel of the lattice points lo and
-    hi; either way its nodes are ``_gl_nodes(lo, hi, 0)``."""
+    a panel (``_segments``, ``_row_edges``), with no lattice point k*width
+    and no kink (shared, or the row's own) strictly inside.  That panel's
+    nodes are ``_gl_nodes(lo, hi, 0)``."""
     span = hi - lo
     one = ((span >= 1e-15) & (span > width * 1e-9)
            & (np.ceil(hi / width) - np.floor(lo / width) <= 1.0))

@@ -1,14 +1,15 @@
 """QuadPlan's layouts against the layout they replaced.
 
 ``reference_quadrature.ReferenceLayout`` computes every pass's panels from
-scratch.  A plan of two or more laid-out rows gathers whole lattice panels
-from a table and computes only each row's own panels; a plan that lays out
-one row (one interval, or identical rows laid out as one) builds its one
-pass straight from the row's panel edges, with no table.  Row by row, the
-nonzero-weight (node, weight) sequence, the nodes of each far region's
-last-doubling increment and the tail-fit probes must be the same, bit for
-bit; and a one-row pass must be the table's pass of that row, column for
-column.
+scratch, padded to its widest row.  A plan of two or more laid-out rows
+builds the panels of a block of consecutive passes at once from their rows'
+panel edges (``quadrature._panels``) and scatters each pass into its
+columns; a plan that lays out one row (one interval, or identical rows laid
+out as one) builds its one pass straight from the row's panel edges
+(``QuadPlan.row_pass``).  Row by row, the nonzero-weight (node, weight)
+sequence, the nodes of each far region's last-doubling increment and the
+tail-fit probes must be the same, bit for bit; and a one-row pass must be
+the many-row builder's pass of that row, column for column.
 """
 
 import math
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_quadrature as ref
+from kinterp import quadrature
 from kinterp.quadrature import (CHUNK_ELEMS, DEEP_LOG_RANGE, GL_ORDER, LN10,
                                 QuadPlan, hull_pows, integral_log, norm_pow,
                                 truncated_pows)
@@ -64,13 +66,13 @@ def _assert_same_layout(lo, hi, **kw):
 
 def _assert_rows_alone_match(lo, hi, *, kinks=(), row_kinks=None, **kw):
     """Each row [lo[i], hi[i]] (with its row kink) as a plan of its own,
-    which ``row_pass`` builds with no table, against the reference."""
+    which ``row_pass`` builds, against the reference."""
     old = ref.ReferenceLayout(lo, hi, kinks=kinks, row_kinks=row_kinks, **kw)
     assert old.rows.size == lo.size
     for i in range(lo.size):
         plan = QuadPlan(lo[i], hi[i], kinks=kinks, row_kinks=None
                         if row_kinks is None else row_kinks[i:i + 1], **kw)
-        assert plan.lo.size == 1 and not hasattr(plan, "table_x")
+        assert plan.lo.size == 1
         passes = list(plan._passes())
         assert len(passes) == 1
         got, = _per_row(passes, 1)
@@ -132,7 +134,7 @@ def test_one_row_plans_match_reference(ppd, exp_rate, kinks):
 @pytest.mark.parametrize("kinks", ["none", "shared", "row"])
 def test_one_row_pass_is_the_tables(kinks):
     # the row twice, with a row kink (NaN for none) so that the two are not
-    # laid out as one: the table path, and no padding in the row's pass
+    # laid out as one: the many-row builder, and no padding in the row's pass
     lo, hi, shared, row_kinks = _pairs(64, kinks)
     own = np.full(lo.size, np.nan) if row_kinks is None else row_kinks
     kw = dict(ppd=64, kinks=shared, exp_rate=0.7)
@@ -140,10 +142,10 @@ def test_one_row_pass_is_the_tables(kinks):
         points, weights, inc, unbounded = QuadPlan(
             lo[i], hi[i], row_kinks=None if row_kinks is None
             else own[i:i + 1], **kw).row_pass()
-        table = QuadPlan(np.full(2, lo[i]), np.full(2, hi[i]),
-                         row_kinks=np.full(2, own[i]), **kw)
-        assert table.lo.size == 2
-        (idx, want), *_ = table._passes()
+        many = QuadPlan(np.full(2, lo[i]), np.full(2, hi[i]),
+                        row_kinks=np.full(2, own[i]), **kw)
+        assert many.lo.size == 2
+        (idx, want), *_ = many._passes()
         assert idx[0] == 0
         assert points[0].tobytes() == want[0][0].tobytes(), i
         assert weights[0].tobytes() == want[1][0].tobytes(), i
@@ -214,11 +216,12 @@ def test_identical_rows_build_their_row_alone(lo, hi):
 
 
 def test_one_row_paths_use_no_table(monkeypatch):
+    # the one-row paths never reach the many-row builder
     def fail(*a, **kw):
-        raise AssertionError("a one-row plan used the lattice table")
+        raise AssertionError("a one-row plan used the many-row builder")
 
-    for name in ("_lay_out", "_tabulate", "_runs", "_gather"):
-        monkeypatch.setattr(QuadPlan, name, fail)
+    monkeypatch.setattr(quadrature, "_panels", fail)
+    monkeypatch.setattr(QuadPlan, "_block", fail)
     r = integral_log(lambda x: np.exp(-x * x), kinks=(0.5,))
     assert r.value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
@@ -242,8 +245,8 @@ def test_one_row_paths_use_no_table(monkeypatch):
 @pytest.mark.parametrize("bounds", [(-math.inf, 0.0), (-3.0, math.inf),
                                     (-math.inf, math.inf)])
 def test_one_row_values_are_the_tables(q, bounds):
-    # identical rows laid out as one, against the same rows laid out through
-    # the table beside a second, different row
+    # identical rows laid out as one, against the same rows laid out by the
+    # many-row builder beside a second, different row
     def core(x, rows):
         with np.errstate(under="ignore"):
             return (np.arange(1.0, 7.0)[rows, None]
@@ -260,19 +263,44 @@ def test_one_row_values_are_the_tables(q, bounds):
     assert np.array_equal(one.diverged, table.diverged[:5])
 
 
-def test_gather_budget_counts_probe_and_fill_panels():
-    # one-panel rows: besides its slot, each row gathers a probe panel and a
-    # fill panel, and the budget of about CHUNK_ELEMS panels counts all three
-    lo = np.linspace(0.0, 0.5, 3000)
-    plan = QuadPlan(lo, lo + 0.01)
-    gather, sizes = plan._gather, []
+def _spy_blocks(monkeypatch):
+    """The panel count of every block the many-row builder builds."""
+    panels, sizes = quadrature._panels, []
 
-    def spy(rows, counts):
-        out = gather(rows, counts)
-        sizes.append(out[2].size + 2 * rows.size)
+    def spy(*a):
+        out = panels(*a)
+        sizes.append(out[0].size)
         return out
 
-    plan._gather = spy
-    r = plan.apply(lambda x, rows: np.ones(x.shape))
+    monkeypatch.setattr(quadrature, "_panels", spy)
+    return sizes
+
+
+def test_gather_budget_counts_probe_and_fill_panels(monkeypatch):
+    # one-panel rows: every pass of two or more rows holds at most
+    # CHUNK_ELEMS values, and the passes are built in blocks of at most about
+    # GL_ORDER * CHUNK_ELEMS nodes
+    lo = np.linspace(0.0, 0.5, 3000)
+    plan = QuadPlan(lo, lo + 0.01)
+    sizes = _spy_blocks(monkeypatch)
+    passes = list(plan._passes())
     assert len(sizes) > 1 and max(sizes) <= CHUNK_ELEMS
+    assert len(passes) > len(sizes)
+    for idx, (points, *_) in passes:
+        assert idx.size < 2 or points.size <= CHUNK_ELEMS
+    r = plan.apply(lambda x, rows: np.ones(x.shape))
     np.testing.assert_allclose(r.value, 0.01, rtol=1e-12)
+
+
+def test_plan_of_many_blocks_matches_reference(monkeypatch):
+    # sweep-like rows: the head or tail increment of a gap, short or far
+    # out, or a restart to the infinite end, each with its own point's kink,
+    # enough for one plan to take several build blocks
+    rng = np.random.default_rng(7)
+    x = np.sort(rng.uniform(-60.0, 60.0, 3000))
+    gap = rng.choice([0.05, 0.3, 2.5, 40.0, 1e5, math.inf], x.size)
+    head = rng.random(x.size) < 0.5
+    lo, hi = np.where(head, -gap, 0.0), np.where(head, 0.0, gap)
+    sizes = _spy_blocks(monkeypatch)
+    _assert_same_layout(lo, hi, ppd=64, row_kinks=-x, exp_rate=0.7)
+    assert len(sizes) > 2
