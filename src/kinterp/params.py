@@ -218,7 +218,8 @@ def _side_rows(p: PhiParam, x: np.ndarray, span, side: str) -> QuadResult:
     """``norm_pow`` of the rows that end at the points x on their side, in
     relative coordinates v = w - x with the weight's kink w = 0 at v = -x:
     v in [-span, 0] (head) or [0, span] (tail), the whole side, as
-    ``shift_integral`` lays it out, where span is inf."""
+    ``shift_integral`` lays it out, where span is inf.  Every row ends at
+    v = 0, so ``norm_pow`` lays out only those that hold the kink."""
     c = 1.0 - p.theta if side == "head" else -p.theta
     zero = np.zeros(x.size)
     lo, hi = (-span, zero) if side == "head" else (zero, span)
@@ -240,10 +241,10 @@ def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
     v = -x_next.  The first point, and every point where e^{-r d} is
     exactly 0.0, restarts: its row is the whole side, as ``shift_integral``
     lays it out.  Restarts and increments are the rows of one ``norm_pow``
-    call (``_side_rows``), which integrates the gaps of one direct panel
-    (most of them) at their nodes and lays out the others in one plan.  A
-    divergence flag, a restart's or an increment's, carries along the sweep
-    up to the next restart.
+    call (``_side_rows``), which takes every row but the one holding the
+    kink from its ladder of whole panels, and the gaps of one direct panel
+    (most of them) at their own nodes.  A divergence flag, a restart's or
+    an increment's, carries along the sweep up to the next restart.
     """
     c = 1.0 - p.theta if side == "head" else -p.theta
     rate = abs(c) * p.q
@@ -256,17 +257,17 @@ def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
     # before it
     span = np.where(restart, math.inf, np.concatenate(([0.0], gap)))
     r = _side_rows(p, x, span, side)
-    g, flag = 0.0, False
-    vals, flags = r.value.tolist(), r.diverged.tolist()
-    for k, (fresh, e) in enumerate(zip(restart.tolist(),
-                                       [1.0] + decay.tolist())):
-        if fresh:
-            g, flag = vals[k], flags[k]
-        else:
-            g, flag = g * e + vals[k], flag or flags[k]
-        vals[k], flags[k] = g, flag
+    vals, g = [], 0.0
+    for fresh, e, v in zip(restart.tolist(), [1.0] + decay.tolist(),
+                           r.value.tolist()):
+        g = v if fresh else g * e + v
+        vals.append(g)
+    # a flag carries to the next restart: the last flag at or before each
+    # point is at or after its restart
+    last = np.maximum.accumulate(np.where(r.diverged, np.arange(x.size), -1))
+    flags = last >= np.flatnonzero(restart)[np.cumsum(restart) - 1]
     order = slice(None) if side == "head" else slice(None, None, -1)
-    return QuadResult(np.array(vals)[order], np.array(flags)[order])
+    return QuadResult(np.array(vals)[order], flags[order])
 
 
 def _carried_powers(p: PhiParam, xs: np.ndarray, g: QuadResult, side: str,

@@ -48,11 +48,11 @@ still grows between the tail-fit probes of an infinite bound.
 Every norm in the package, ||χ_[lo,hi](x) e^{c x} g(x)||_q for q in (0, ∞],
 is ``norm_pow``: one plan whose ``apply`` integrates e^{c q x} g^q
 (``powered``) for finite q, and whose ``sup`` takes the supremum of
-e^{c x} g at q = ∞.  For finite q and an integrand that reads its rows, a
-row that the rule covers by one direct panel needs no layout (no edges, no
-passes): ``norm_pow`` integrates such rows at their own nodes, in dense
-blocks, to the bits the plan would give, and the plan lays out only the
-other rows.  Most increments of the C2/C3 inner sweep are such rows.
+e^{c x} g at q = ∞.  For finite q, rows that end at 0 with no kink inside
+(every C2/C3 inner-sweep row but the one that holds the weight's kink) are
+not laid out: ``_ladder`` gathers them from the whole lattice panels,
+computed once per call and side, and one partial panel per row and
+segment, to the bits the plan would give.
 
 A norm truncated at many cutoffs is ``truncated_pows``: one plan row from
 a fixed end to the farthest cutoff, with every cutoff a kink, evaluated
@@ -230,6 +230,34 @@ def _panels(lo, hi, kinks, width):
     return x[opens], x[opens + 1], np.bincount(row[opens], minlength=r)
 
 
+def _y_cut(exp_rate, width):
+    """y = ln|x| per far region (-, +) past which e^{exp_rate x} is 0.0."""
+    y_cut = [math.inf, math.inf]
+    if exp_rate and EXP_ZERO / abs(exp_rate) < DEEP_LOG_RANGE:
+        y_cut[exp_rate < 0.0] = width * math.ceil(
+            math.log(EXP_ZERO / abs(exp_rate)) / width)
+    return y_cut
+
+
+def _segments(lo, hi, kinks, y_cut):
+    """(lo, hi, kinks) of the rows [lo, hi] for the direct part in x and
+    the negative and positive far regions in y = ln|x|, cut at ``y_cut``."""
+    a = np.maximum(lo, -SWITCH)
+    b = np.minimum(hi, SWITCH)
+    out = [(a, np.where(b - a >= 1e-15, b, a), kinks)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for present, u_min, u_top, ksign, cut in (
+                (lo < -SWITCH, np.maximum(SWITCH, -hi), -lo, -kinks,
+                 y_cut[0]),
+                (hi > SWITCH, np.maximum(SWITCH, lo), hi, kinks, y_cut[1])):
+            u_top = np.minimum(u_top, DEEP_LOG_RANGE)
+            y_lo = np.log(u_min)
+            y_hi = np.minimum(np.log(u_top), cut)
+            out.append((y_lo, np.where(present & (u_top > u_min), y_hi, y_lo),
+                        np.log(ksign)))
+    return out
+
+
 def _gl_nodes(a, b, region):
     """Gauss-Legendre nodes and weights, (m, GL_ORDER), of the panels
     [a[j], b[j]]: in x for region 0 (the direct part); in y = ln|x|,
@@ -320,11 +348,12 @@ def _reduce(vals, built, sums, shared=None):
         return np.where(live & (a != 0.0), out, 0.0)
 
     finite = np.isfinite(vals)
-    bad = live & (sums((weights > 0.0) & ~finite) > 0)
     contrib = np.where(finite, vals, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         contrib *= weights
         total = share(sums(contrib))
+        bad = (np.zeros(total.shape, dtype=bool) if finite.all()
+               else live & (sums((weights > 0.0) & ~finite) > 0))
         if shared is not None:
             total, bad = total + inner, bad | inner_bad
         floor = DIVERGENCE_REL * np.abs(total) + _ABS_FLOOR
@@ -402,15 +431,16 @@ class QuadPlan:
     Layout.  Each of a row's three segments (the direct part in x, the
     negative and the positive far region in y = ln|x|) is a run of whole
     lattice panels, cut only at its two bounds and at its kinks
-    (``_row_edges``).  Each time ``apply`` runs, a plan that lays out two or
-    more rows groups rows of similar width into passes of at most about
-    ``CHUNK_ELEMS`` nodes, builds the panels of consecutive passes, about
+    (``_row_edges``).  A plan that lays out two or more rows groups rows of
+    similar width into passes of at most ``CHUNK_ELEMS`` values (the bound
+    is on a pass's width), builds the panels of consecutive passes, about
     GL_ORDER * CHUNK_ELEMS nodes at a time, by one ``_panels`` and one
-    ``_gl_nodes`` call (the far nodes mapped back to x and scaled by e^y),
-    and scatters each pass into its columns (``_block``).  A plan that lays
-    out one row (one interval, or identical rows) builds its one pass from
-    the row's edges (``row_pass``), the same panels in the same columns.
-    ``sup`` reduces the same passes to each row's maximum.
+    ``_gl_nodes`` call, and scatters each pass into its columns (``_block``).
+    One that lays out one row (one interval, or identical rows) builds its
+    pass from the row's edges (``row_pass``), the same panels in the same
+    columns; ``sup`` reduces the same passes.  At finite q ``norm_pow``
+    hands a plan no row that ends at 0 with no kink inside: ``_ladder``
+    gathers those from whole panels, to the same bits.
     """
 
     def __init__(self, lo, hi, *, ppd=DEFAULT_PPD, kinks=(), row_kinks=None,
@@ -430,35 +460,10 @@ class QuadPlan:
                 row_kinks, dtype=float).ravel()[self.rows]])
         self.kinks = kinks
         self.width = _lattice_width(ppd)
-        # y = ln|x| beyond which each far region's integrand is exactly 0
-        self.y_cut = [math.inf, math.inf]
-        if exp_rate and EXP_ZERO / abs(exp_rate) < DEEP_LOG_RANGE:
-            self.y_cut[exp_rate < 0.0] = self.width * math.ceil(
-                math.log(EXP_ZERO / abs(exp_rate)) / self.width)
+        self.y_cut = _y_cut(exp_rate, self.width)
         # far regions (columns) reaching DEEP_LOG_RANGE get the tail fit
         self.unbounded = np.column_stack([-lo >= DEEP_LOG_RANGE,
                                           hi >= DEEP_LOG_RANGE])
-
-    def _segments(self):
-        """(lo, hi, kinks) of the laid-out rows for the direct part in x
-        and the negative and positive far regions in y = ln|x|."""
-        lo, hi, kinks = self.lo, self.hi, self.kinks
-        a = np.maximum(lo, -SWITCH)
-        b = np.minimum(hi, SWITCH)
-        out = [(a, np.where(b - a >= 1e-15, b, a), kinks)]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for present, u_min, u_top, ksign, y_cut in (
-                    (lo < -SWITCH, np.maximum(SWITCH, -hi), -lo, -kinks,
-                     self.y_cut[0]),
-                    (hi > SWITCH, np.maximum(SWITCH, lo), hi, kinks,
-                     self.y_cut[1])):
-                u_top = np.minimum(u_top, DEEP_LOG_RANGE)
-                y_lo = np.log(u_min)
-                y_hi = np.minimum(np.log(u_top), y_cut)
-                out.append((y_lo,
-                            np.where(present & (u_top > u_min), y_hi, y_lo),
-                            np.log(ksign)))
-        return out
 
     def _passes(self):
         """(row indices, (points, weights, inc, unbounded)) per pass over
@@ -481,22 +486,27 @@ class QuadPlan:
             if n:
                 yield np.zeros(1, dtype=np.intp), self.row_pass()
             return
-        segments = self._segments()
-        span = sum(np.maximum(s_hi - s_lo, 0.0) for s_lo, s_hi, _ in segments)
-        # a bound on each row's node count: rows of similar width share a
-        # pass, so little of it is padding
-        cols = GL_ORDER * (span / self.width
-                           + 3 * (self.kinks.shape[1] + 1)) + 4
-        order = np.argsort(cols, kind="stable")
-        cols = cols[order]
+        segments = _segments(self.lo, self.hi, self.kinks, self.y_cut)
+        # a bound on each row's panels per segment, its lattice points and
+        # kinks inside plus one; a pass is GL_ORDER times its rows' most
+        # panels per segment, summed, plus the probes wide
+        w, plus = self.width, self.kinks.shape[1] + 1.0
+        cols = np.column_stack([np.where(s_hi > s_lo, np.maximum(
+            np.ceil(s_hi / w) - np.floor(s_lo / w) - 1.0, 0.0) + plus, 0.0)
+            for s_lo, s_hi, _ in segments])
+        size = GL_ORDER * cols.sum(axis=1) + 4 * self.unbounded.any(axis=1)
+        order = np.argsort(size, kind="stable")
+        cols, ends, size = cols[order], self.unbounded[order], size[order]
         bounds = [0]
         while bounds[-1] < n:
-            ahead = cols[bounds[-1]:bounds[-1] + CHUNK_ELEMS]
-            fits = np.arange(1, ahead.size + 1) * ahead <= CHUNK_ELEMS
+            ahead = slice(bounds[-1], bounds[-1] + CHUNK_ELEMS)
+            width = (GL_ORDER * np.maximum.accumulate(cols[ahead]).sum(axis=1)
+                     + 4 * np.logical_or.accumulate(ends[ahead]).any(axis=1))
+            fits = np.arange(1, width.size + 1) * width <= CHUNK_ELEMS
             bounds.append(bounds[-1] + max(1, int(np.count_nonzero(fits))))
         # consecutive passes are built together, about GL_ORDER *
         # CHUNK_ELEMS nodes at a time by their rows' bounds
-        end = np.cumsum(cols)[np.array(bounds[1:]) - 1]
+        end = np.cumsum(size)[np.array(bounds[1:]) - 1]
         first = 0
         while first < end.size:
             room = (end[first - 1] if first else 0.0) + GL_ORDER * CHUNK_ELEMS
@@ -568,7 +578,8 @@ class QuadPlan:
         segment: the panels ``_block`` would build for the row, so every
         column is the same, bit for bit."""
         a, b, counts = [np.zeros(0)], [np.zeros(0)], [0, 0, 0]
-        for seg, (lo, hi, kinks) in enumerate(self._segments()):
+        for seg, (lo, hi, kinks) in enumerate(
+                _segments(self.lo, self.hi, self.kinks, self.y_cut)):
             if hi[0] > lo[0]:
                 edges = _row_edges(lo[0], hi[0], kinks[0], self.width)
                 a.append(edges[:-1])
@@ -718,38 +729,71 @@ def powered(core, rate: float, q: float):
     return fn
 
 
-def _one_panel(lo, hi, kinks, row_kinks, width):
-    """Which rows [lo[i], hi[i]], all inside [-SWITCH, SWITCH], the rule
-    covers by exactly the one direct panel [lo[i], hi[i]]: wide enough for
-    a panel (``_segments``, ``_row_edges``), with no lattice point k*width
-    and no kink (shared, or the row's own) strictly inside.  That panel's
-    nodes are ``_gl_nodes(lo, hi, 0)``."""
-    span = hi - lo
-    one = ((span >= 1e-15) & (span > width * 1e-9)
-           & (np.ceil(hi / width) - np.floor(lo / width) <= 1.0))
-    if len(kinks):
-        k = np.asarray(kinks, dtype=float)
-        one &= ~((k > lo[:, None]) & (k < hi[:, None])).any(axis=1)
-    if row_kinks is not None:
-        one &= ~((row_kinks > lo) & (row_kinks < hi))
-    return one
-
-
-def _apply_one_panel(lo, hi, fn, rows):
-    """``QuadPlan.apply`` of the rows ``rows`` that are each one direct
-    panel [lo, hi], bit for bit: ``fn(nodes, rows)`` at the panel's nodes,
-    reduced as a pass of the plan (``_reduce``; a direct panel has no
-    increment and no tail fit), in dense blocks of at most ``CHUNK_ELEMS``
-    nodes.  Returns (value, diverged)."""
-    value = np.empty(lo.size)
-    diverged = np.empty(lo.size, dtype=bool)
-    step = CHUNK_ELEMS // GL_ORDER
-    for s in range(0, lo.size, step):
-        block = slice(s, s + step)
-        x, w = _gl_nodes(lo[block], hi[block], 0)
-        vals = np.asarray(fn(x, rows[block]), dtype=float)
-        value[block], diverged[block] = _reduce(
-            vals, (x, w, (), np.zeros(0, dtype=bool)), _row_sums)
+def _ladder(lo, hi, fn, rows, width, y_cut):
+    """(value, diverged) of ``QuadPlan.apply``, bit for bit, of kink-free
+    rows [lo, hi] that all end at 0 (hi = 0: the head, or lo = 0), fn called
+    with rows[i] for the rows i.  By ``_row_edges``' rule each segment of
+    such a row is whole lattice panels from 0 and one partial panel.  Rows
+    of one direct panel are integrated first, in dense blocks; the others'
+    passes are gathered from the whole panels (the ladder) and the partial
+    ones, each computed once, in the plan's columns."""
+    head, n, part = lo[0] < 0.0, [], []
+    value, diverged = np.zeros(lo.size), np.zeros(lo.size, dtype=bool)
+    for s, (s_lo, s_hi, _) in enumerate(
+            _segments(lo, hi, np.zeros((lo.size, 0)), y_cut)):
+        k = np.ceil((s_hi - s_lo) / width) - 1.0
+        n.append(k - (s_hi - s_lo - k * width <= width * 1e-9))
+        part.append((np.minimum(s_lo, -k * width), -n[-1] * width)
+                    if s == 0 and head else (n[-1] * width, s_hi))
+    n = np.column_stack(n).astype(np.intp)  # whole panels, -1: none
+    one = np.flatnonzero((n[:, 0] == 0) & (n[:, 1:] < 0).all(axis=1))
+    for s in range(0, one.size, CHUNK_ELEMS // GL_ORDER):
+        i = one[s:s + CHUNK_ELEMS // GL_ORDER]
+        x, w = _gl_nodes(part[0][0][i], part[0][1][i], 0)
+        value[i], diverged[i] = _reduce(fn(x, rows[i]), (
+            x, w, (), np.zeros(0, dtype=bool)), _row_sums)
+    rest = np.flatnonzero((n[:, 0] > 0) | (n[:, 1:] >= 0).any(axis=1))
+    if not rest.size:
+        return value, diverged
+    cols, size = n[rest] + 1, rest.size
+    # a pad panel per row, then per segment its whole and partial panels
+    pad, at, a, b, region, idx = np.arange(size)[:, None], size, [], [], [], []
+    for s, m in enumerate(cols.max(axis=0)):
+        lead = s == 0 and head  # the partial panel first, in order of x
+        c, e, ns = np.arange(m), np.arange(m) * width, cols[:, s, None] - 1
+        if m:
+            a += [-e[1:] if lead else e[:-1], part[s][0][rest]]
+            b += [-e[:-1] if lead else e[1:], part[s][1][rest]]
+            region.append(np.full(m - 1 + size, s))
+        idx.append(np.where(c > ns, pad, np.where(
+            c == (0 if lead else ns), at + m - 1 + pad,
+            at + (ns - c if lead else c))))
+        at += m and m - 1 + size
+    x, w = _gl_nodes(*(np.concatenate(v) for v in (a, b, region)))
+    fill = x[idx[0][:, 0] - size, 0]  # each row's first point
+    xw = np.stack([np.vstack([np.repeat(fill[:, None], GL_ORDER, axis=1), x]),
+                   np.vstack([np.zeros((size, GL_ORDER)), w])], axis=-1)
+    unbounded = np.column_stack([-lo, hi])[rest] >= DEEP_LOG_RANGE
+    probes, _, limit = _probes(lo[rest], hi[rest], unbounded, True, fill)
+    probes = np.stack([probes, np.zeros(probes.shape)])
+    probed = unbounded.any(axis=1)
+    # a row with far panels has every direct one, an unbounded row the most
+    # far ones: in this order no count falls, and a pass is its last row wide
+    order = np.lexsort((cols[:, 0], probed, cols[:, 1] + cols[:, 2]))
+    wide, q = (GL_ORDER * cols.sum(axis=1) + 4 * probed)[order].tolist(), 0
+    while q < size:
+        p, q = q, min(size, q + max(1, CHUNK_ELEMS // wide[q]))
+        while q > p + 1 and (q - p) * wide[q - 1] > CHUNK_ELEMS:
+            q -= 1
+        i, mine = order[p:q], rest[order[p:q]]
+        most = cols[i].max(axis=0)
+        points, weights = np.concatenate([
+            xw[ix[i, :k]].transpose(3, 0, 2, 1).reshape(2, i.size, -1)
+            for ix, k in zip(idx, most) if k] + [probes[:, i, :4 * (
+                probed[i].any())]], axis=2)
+        value[mine], diverged[mine] = _reduce(fn(points, rows[mine]), (
+            points, weights, _increments(points, most.tolist(), limit[i]),
+            unbounded[i]), _row_sums)
     return value, diverged
 
 
@@ -763,12 +807,11 @@ def norm_pow(lo, hi, core, rate: float, q: float, *, ppd: int, kinks=(),
     told the decay rate, which calls ``core(x, rows)`` at the points x of
     the rows ``rows``.  ``row_kinks`` holds one kink per row (NaN for none).
 
-    For finite q, a row that the rule covers by exactly one direct panel
-    (``_one_panel``: a gap near x = 0, as most increments of the C2/C3
-    inner sweep are) is integrated without a layout, at its own nodes in
-    dense blocks (``_apply_one_panel``), to the bits the plan would give;
-    the plan lays out only the other rows.  A call with no row inside
-    [-SWITCH, SWITCH] goes to the plan after that one bound test.
+    For finite q, the rows that end at 0 (hi = 0 or lo = 0) with no kink
+    inside, shared or their own, are integrated with no layout, from one
+    ladder per side (``_ladder``), to the bits the plan would give: every
+    increment and restart of the C2/C3 inner sweep but the one row that
+    holds the weight's kink.  The plan lays out only the other rows.
     """
     if math.isinf(q):
         return QuadPlan(lo, hi, ppd=ppd, kinks=kinks, row_kinks=row_kinks,
@@ -777,25 +820,22 @@ def norm_pow(lo, hi, core, rate: float, q: float, *, ppd: int, kinks=(),
     fn = powered(core, rate, q)
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
                                  np.asarray(hi, dtype=float))
-    one = np.flatnonzero((lo >= -SWITCH) & (hi <= SWITCH))
-    if one.size:
-        a, b = lo.ravel(), hi.ravel()
-        own = (None if row_kinks is None
-               else np.asarray(row_kinks, dtype=float).ravel())
-        one = one[_one_panel(a[one], b[one], kinks,
-                             None if own is None else own[one],
-                             _lattice_width(ppd))]
-    if not one.size:
-        return QuadPlan(lo, hi, ppd=ppd, kinks=kinks, row_kinks=row_kinks,
-                        exp_rate=rate * q).apply(fn)
-    value, diverged = np.empty(a.size), np.empty(a.size, dtype=bool)
-    value[one], diverged[one] = _apply_one_panel(a[one], b[one], fn, one)
-    rest = np.ones(a.size, dtype=bool)
-    rest[one] = False
-    rest = np.flatnonzero(rest)
+    a, b = lo.ravel(), hi.ravel()
+    k = np.column_stack([np.broadcast_to(kinks, (a.size, len(kinks))),
+                         np.full(a.size, math.nan) if row_kinks is None
+                         else np.ravel(row_kinks)])
+    free = (a < b) & ((a == 0.0) | (b == 0.0)) & ~(
+        (k > a[:, None]) & (k < b[:, None])).any(axis=1)
+    value, diverged = np.zeros(a.size), np.zeros(a.size, dtype=bool)
+    width = _lattice_width(ppd)
+    for mine in (np.flatnonzero(free & (end == 0.0)) for end in (b, a)):
+        if mine.size:
+            value[mine], diverged[mine] = _ladder(
+                a[mine], b[mine], fn, mine, width, _y_cut(rate * q, width))
+    rest = np.flatnonzero((a < b) & ~free)
     if rest.size:
         r = QuadPlan(a[rest], b[rest], ppd=ppd, kinks=kinks,
-                     row_kinks=None if own is None else own[rest],
+                     row_kinks=None if row_kinks is None else k[rest, -1],
                      exp_rate=rate * q).apply(
             lambda x, rows: fn(x, rest[rows]))
         value[rest], diverged[rest] = r.value, r.diverged

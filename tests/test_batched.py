@@ -741,8 +741,11 @@ def test_candidate_norms_evaluate_one_row_of_points(monkeypatch):
 # one call mixing rows that the rule covers by one direct panel with rows
 # it lays out: a table panel, tiny spans, the bounds ±SWITCH, kinks inside
 # and at a bound, rows that overflow, multi-panel, far, half-line and
-# empty rows, and more one-panel rows than one dense block holds
+# empty rows; then rows that end at 0, which norm_pow takes from its
+# ladder: one direct panel, none, more, a kink inside or at the bound 0,
+# and more one-panel rows than one dense block holds
 _ONE_KINK = 0.05
+_ANCHORED = 719  # the first row that ends at 0 of the second kind
 
 
 def _one_panel_rows():
@@ -762,6 +765,26 @@ def _one_panel_rows():
             (0.4, 0.4, math.nan), (0.6, 0.1, math.nan)]
     rows += zip(lo, lo + rng.uniform(0.0, 0.03, lo.size),
                 np.where(rng.random(lo.size) < 0.2, lo + 0.01, math.nan))
+    near = WIDTH * (1.0 + 5e-10)  # within 1e-9 width past a lattice point
+    past = WIDTH * (1.0 + 2e-9)
+    rows += [(0.0, WIDTH, math.nan), (-WIDTH, 0.0, math.nan),
+             (0.0, near, math.nan), (-near, 0.0, math.nan),
+             (0.0, past, math.nan), (-past, 0.0, math.nan),
+             (-1e-16, 0.0, math.nan), (-1e-9 * WIDTH, 0.0, math.nan),
+             (-2e-9 * WIDTH, 0.0, math.nan),
+             (-1.0, 0.0, math.nan), (0.0, 1.0, math.nan),
+             (0.0, 0.03, 0.0), (-0.03, 0.0, 0.0),   # the kink at 0
+             (0.0, 0.04, 0.02), (-0.04, 0.0, -0.02),
+             (0.0, 0.07, math.nan),                 # the shared kink inside
+             (-3.0, 0.0, math.nan), (0.0, 5.0, math.nan),
+             (-math.inf, 0.0, math.nan), (0.0, math.inf, math.nan)]
+    more = np.random.default_rng(8)
+    head = more.random(1600) < 0.5
+    # a tail row of more than 0.05 holds the shared kink
+    span = more.uniform(0.0, 0.25, head.size) * np.where(head, 1.0, 0.2)
+    rows += zip(np.where(head, -span, 0.0), np.where(head, 0.0, span),
+                np.where(more.random(span.size) < 0.2,
+                         np.where(head, -0.5, 0.5) * span, math.nan))
     return np.array(rows).T
 
 
@@ -780,16 +803,30 @@ def _one_panel_row_free(x, rows):
 
 
 def _count_plan_rows(monkeypatch, count):
-    """A list that each QuadPlan built through ``quadrature`` appends
-    count(lo, hi) of its bounds to."""
+    """A list that each QuadPlan built through ``quadrature`` that lays out
+    its rows (``apply``) appends count(lo, hi) of its laid-out rows to."""
     seen = []
 
     class Counted(QuadPlan):
-        def __init__(self, lo, hi, **kw):
-            seen.append(count(lo, hi))
-            super().__init__(lo, hi, **kw)
+        def apply(self, fn):
+            seen.append(count(self.lo, self.hi))
+            return super().apply(fn)
     monkeypatch.setattr(quadrature, "QuadPlan", Counted)
     return seen
+
+
+def _dense_panels(monkeypatch):
+    """A list that each dense block of one-panel rows appends its panels'
+    (a, b) edges to: the ladder calls ``_gl_nodes`` with the region 0 for
+    all of them only there."""
+    blocks, gl_nodes = [], quadrature._gl_nodes
+
+    def spy(a, b, region):
+        if np.ndim(region) == 0:
+            blocks.append(list(zip(a.tolist(), b.tolist())))
+        return gl_nodes(a, b, region)
+    monkeypatch.setattr(quadrature, "_gl_nodes", spy)
+    return blocks
 
 
 @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
@@ -802,33 +839,35 @@ def test_one_panel_rows_match_the_plan(monkeypatch, q, rate, row_free):
     want = QuadPlan(lo, hi, row_kinks=row_kinks, exp_rate=rate * q,
                     **kw).apply(powered(core, rate, q))
     laid_out = _count_plan_rows(monkeypatch, lambda lo, hi: np.size(lo))
+    blocks = _dense_panels(monkeypatch)
     got = norm_pow(lo, hi, core, rate, q, row_kinks=row_kinks, **kw)
     assert np.array_equal(got.value, want.value)
     assert np.array_equal(got.diverged, want.diverged)
-    # the table panels, the span of 2e-9 width, ±SWITCH and a kink at a
-    # bound are one panel; the spans of 1e-16 and 1e-9 width and the kinks
-    # inside are not
-    one = quadrature._one_panel(lo[:12], hi[:12], kw["kinks"],
-                                row_kinks[:12], WIDTH)
-    assert one.tolist() == [True, True, False, False, True, True, True,
-                            False, True, False, True, False]
-    # one plan laid out the other rows, and more than one dense block of
-    # one-panel rows was integrated
-    near = np.flatnonzero((lo >= -1.0) & (hi <= 1.0))
-    dense = np.count_nonzero(quadrature._one_panel(
-        lo[near], hi[near], kw["kinks"], row_kinks[near], WIDTH))
-    assert dense > quadrature.CHUNK_ELEMS // GL_ORDER
-    assert laid_out == [lo.size - dense]
+    # a row that ends at 0 is one dense panel [lo, hi] when its span is
+    # above 1e-9 width and at most 1e-9 width past the lattice point
+    # WIDTH, with no kink inside (the shared kink 0.05 is inside the tail
+    # rows past it); the rows that do not end at 0 are laid out
+    dense = {edges for block in blocks for edges in block}
+    one = [(a, b) in dense for a, b in zip(lo.tolist(), hi.tolist())]
+    assert [i for i in np.flatnonzero(one) if i < _ANCHORED + 20] == [
+        4, 720, 722, 727, 730, 731]
+    # dense blocks of at most CHUNK_ELEMS values, more than one per side;
+    # one plan laid out the rows that do not end at 0, the two empty ones
+    # aside, and those with a kink inside
+    assert len(blocks) > 2
+    assert max(len(b) for b in blocks) <= quadrature.CHUNK_ELEMS // GL_ORDER
+    assert (sum(one), laid_out) == (1314, [1015])
     assert got.diverged[[6, 8]].all()
     assert not got.diverged[[5, 7, 9]].any()
 
 
 def test_sweep_lays_out_only_the_longer_increments(monkeypatch):
-    """broken-log-1's C2 sweeps hand QuadPlan only the increments that the
-    rule does not cover by one direct panel: 654 of the 4,176 increments,
-    3,664 along the nodes of the two outer rows where the outer weight is
-    not 0.0 and 512 along the grid (H and T of both parameters, for rho),
-    each of the grid's one panel."""
+    """broken-log-1's C2 sweeps hand QuadPlan only the increments that hold
+    the weight's kink w = 0 inside: 2 of the 4,176 increments, 3,664 along
+    the nodes of the two outer rows where the outer weight is not 0.0 and
+    512 along the grid (H and T of both parameters, for rho), each of the
+    grid's one panel.  ``norm_pow`` takes every other increment from its
+    ladder."""
     sc = bundled_scenario("broken-log-1")
     increments = []
 
@@ -843,7 +882,7 @@ def test_sweep_lays_out_only_the_longer_increments(monkeypatch):
     laid_out = _count_plan_rows(monkeypatch, bounded)
     monkeypatch.setattr(params, "norm_pow", counted_norm_pow)
     check_C2(sc.phi0, sc.phi1, None, sc.grid, budget=sc.budget)
-    assert (sum(laid_out), sum(increments)) == (654, 4176)
+    assert (sum(laid_out), sum(increments)) == (2, 4176)
 
 
 @pytest.mark.parametrize("cid,want", [

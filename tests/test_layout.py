@@ -9,7 +9,10 @@ out as one) builds its one pass straight from the row's panel edges
 (``QuadPlan.row_pass``).  Row by row, the nonzero-weight (node, weight)
 sequence, the nodes of each far region's last-doubling increment and the
 tail-fit probes must be the same, bit for bit; and a one-row pass must be
-the many-row builder's pass of that row, column for column.
+the many-row builder's pass of that row, column for column.  Rows that end
+at 0 with no kink inside are not laid out: ``norm_pow`` integrates them
+from its ladder of whole panels (``quadrature._ladder``), and their values
+and flags must be those of the reference's passes, bit for bit.
 """
 
 import math
@@ -279,8 +282,9 @@ def _spy_blocks(monkeypatch):
 def test_gather_budget_counts_probe_and_fill_panels(monkeypatch):
     # one-panel rows: every pass of two or more rows holds at most
     # CHUNK_ELEMS values, and the passes are built in blocks of at most about
-    # GL_ORDER * CHUNK_ELEMS nodes
-    lo = np.linspace(0.0, 0.5, 3000)
+    # GL_ORDER * CHUNK_ELEMS nodes (a row bounded by one or two panels, so
+    # 6,000 rows take more than one block)
+    lo = np.linspace(0.0, 0.5, 6000)
     plan = QuadPlan(lo, lo + 0.01)
     sizes = _spy_blocks(monkeypatch)
     passes = list(plan._passes())
@@ -304,3 +308,97 @@ def test_plan_of_many_blocks_matches_reference(monkeypatch):
     sizes = _spy_blocks(monkeypatch)
     _assert_same_layout(lo, hi, ppd=64, row_kinks=-x, exp_rate=0.7)
     assert len(sizes) > 2
+    # head and tail rows share passes: a pass's width is the sum over the
+    # segments of the most panels any of its rows has there
+    for idx, (points, *_) in QuadPlan(lo, hi, ppd=64, row_kinks=-x,
+                                      exp_rate=0.7)._passes():
+        assert idx.size < 2 or points.size <= CHUNK_ELEMS
+
+
+def _ladder_spans(exp_rate):
+    """Spans of rows that end at 0: at, within 1e-9 width of and just past
+    1e-9 width from the direct and far lattice points on either side, below
+    1e-9 width, just past SWITCH, at and past e^{y_cut}, and infinite."""
+    w = _width(64)
+    cut = QuadPlan(0.0, 1.0, exp_rate=exp_rate).y_cut
+    y_cut = min(c for c in cut + [w * 40] if c < math.inf)
+    near = (0.0, 0.5e-9, -0.5e-9, 1e-9, -1e-9, 2e-9, -2e-9)
+    spans = [k * w * (1.0 + d) for k in range(1, 5) for d in near]
+    spans += [math.exp(k * w) * math.exp(d * w) for k in (1, 2, 7, 24)
+              for d in near]
+    spans += [1e-16, 1e-10 * w, 1e-9 * w, 1.5e-9 * w, 0.3, 1.0, 1.0 + 1e-12,
+              1.0 + 1e-9, 1.0 + 1e-3, 1.3]
+    spans += [math.exp(y_cut) * f for f in (1.0, 1.0 - 1e-12, 1.0 + 1e-12,
+                                             math.exp(w), 1e3)]
+    spans += [1e11, DEEP_LOG_RANGE, 2.0 * DEEP_LOG_RANGE, math.inf]
+    return np.array(spans)
+
+
+def _ladder_core(kind, q):
+    """A core whose powered integrand converges (a bump), converges so
+    slowly toward an infinite end that the last doubling flags it
+    ((1 + |x|)^-1.01), grows there (the tail fit flags it), or is not
+    finite at some nodes."""
+    def core(x, rows):
+        ax = np.abs(x)
+        with np.errstate(over="ignore", under="ignore"):
+            if kind == "bump":
+                return (1.0 + 0.01 * rows[:, None]) * np.exp(
+                    -0.5 * (x - 0.1) ** 2) + 1e-3 / (1.0 + ax)
+            if kind == "slow":
+                return (1.0 + ax) ** (-1.01 / q)
+            if kind == "grows":
+                return np.sqrt(1.0 + ax)
+            return np.where((ax > 0.5) & (ax < 0.6), np.inf, 1.0 / (1.0 + ax))
+    return core
+
+
+@pytest.mark.parametrize("kind", ["bump", "slow", "grows", "inf"])
+@pytest.mark.parametrize("rate", [0.0, 0.7, -0.7])
+def test_ladder_rows_match_reference(monkeypatch, kind, rate):
+    # rows that end at 0 with no kink inside are integrated from the ladder,
+    # no plan: row by row the bits and flags of the reference layout's
+    # passes and of QuadPlan
+    q = 1.5
+    spans = _ladder_spans(rate * q)
+    core = _ladder_core(kind, q)
+    fn = quadrature.powered(core, rate, q)
+    for head in (True, False):
+        lo = -spans if head else np.zeros(spans.size)
+        hi = np.zeros(spans.size) if head else spans
+        # the row's own kink at 0, at a bound: not inside
+        kw = dict(ppd=64, row_kinks=np.zeros(spans.size))
+        old = ref.ReferenceLayout(lo, hi, exp_rate=rate * q, **kw)
+        assert old.rows.size == spans.size
+        points, weights, _, inc, unbounded = old.build(old.rows)
+        want = quadrature._reduce(fn(points, old.rows),
+                                  (points, weights, inc, unbounded),
+                                  quadrature._row_sums)
+        plan = QuadPlan(lo, hi, exp_rate=rate * q, **kw).apply(fn)
+
+        def refuse(*a, **k):
+            raise AssertionError("a row that ends at 0 was laid out")
+
+        def inside(x, rows):
+            # the integrand sees no point outside its row
+            assert ((x >= lo[rows, None]) & (x <= hi[rows, None])).all()
+            return core(x, rows)
+        shapes, reduce = [], quadrature._reduce
+        with monkeypatch.context() as m:
+            m.setattr(QuadPlan, "_passes", refuse)
+            m.setattr(quadrature, "_reduce", lambda vals, built, *a: (
+                shapes.append(built[0].shape) or reduce(vals, built, *a)))
+            got = norm_pow(lo, hi, inside, rate, q, **kw)
+        assert all(r < 2 or r * c <= CHUNK_ELEMS for r, c in shapes)
+        for value, flag in (want, (plan.value, plan.diverged)):
+            assert got.value.tobytes() == value.tobytes(), head
+            assert np.array_equal(got.diverged, flag)
+        # spans below 1e-9 width have no panel; the bump converges unless
+        # e^{rate x} grows along the side, the others flag an infinite span
+        # unless it decays
+        assert (got.value[spans <= 1e-9 * _width(64)] == 0.0).all()
+        grows = rate != 0.0 and (rate < 0.0) == head
+        if kind == "bump":
+            assert grows or not got.diverged.any()
+        elif rate == 0.0 or grows:
+            assert got.diverged[np.isinf(spans)].all()
