@@ -27,11 +27,8 @@ rather than an exception because +∞ is a legal quasi-norm value.
 nodes of a batch of rows as one matrix (pass by pass, about ``CHUNK_ELEMS``
 nodes at most), evaluates the integrand once per pass and reduces row by
 row.  ``integral_log`` is its one-row case.  Every pass is built from its
-rows' panel edges: a plan of many rows builds the panels of consecutive
-passes at once (``_panels``) and scatters each pass into its columns, and
-a plan that lays out one row builds its one pass from the row's edges
-(``QuadPlan.row_pass``).  Either way every row keeps the nodes, weights and
-column order it would get on its own.
+rows' panel edges (``_panels``, ``QuadPlan.row_pass``), and every row keeps
+the nodes, weights and column order it would get on its own.
 
 Where its inputs show it, a plan evaluates the integrand once per distinct
 node, not once per row and node.  Rows with identical bounds and no row
@@ -438,9 +435,8 @@ class QuadPlan:
     ``_gl_nodes`` call, and scatters each pass into its columns (``_block``).
     One that lays out one row (one interval, or identical rows) builds its
     pass from the row's edges (``row_pass``), the same panels in the same
-    columns; ``sup`` reduces the same passes.  At finite q ``norm_pow``
-    hands a plan no row that ends at 0 with no kink inside: ``_ladder``
-    gathers those from whole panels, to the same bits.
+    columns; ``sup`` reduces the same passes.  (``norm_pow``'s ``_ladder``
+    gathers its sweep rows from whole panels, to the same bits.)
     """
 
     def __init__(self, lo, hi, *, ppd=DEFAULT_PPD, kinks=(), row_kinks=None,
@@ -741,8 +737,9 @@ def _ladder(lo, hi, fn, rows, width, y_cut):
     value, diverged = np.zeros(lo.size), np.zeros(lo.size, dtype=bool)
     for s, (s_lo, s_hi, _) in enumerate(
             _segments(lo, hi, np.zeros((lo.size, 0)), y_cut)):
-        k = np.ceil((s_hi - s_lo) / width) - 1.0
-        n.append(k - (s_hi - s_lo - k * width <= width * 1e-9))
+        span = np.maximum(s_hi - s_lo, 0.0)  # a far cut below SWITCH: none
+        k = np.ceil(span / width) - 1.0
+        n.append(k - (span - k * width <= width * 1e-9))
         part.append((np.minimum(s_lo, -k * width), -n[-1] * width)
                     if s == 0 and head else (n[-1] * width, s_hi))
     n = np.column_stack(n).astype(np.intp)  # whole panels, -1: none
@@ -809,9 +806,10 @@ def norm_pow(lo, hi, core, rate: float, q: float, *, ppd: int, kinks=(),
 
     For finite q, the rows that end at 0 (hi = 0 or lo = 0) with no kink
     inside, shared or their own, are integrated with no layout, from one
-    ladder per side (``_ladder``), to the bits the plan would give: every
-    increment and restart of the C2/C3 inner sweep but the one row that
-    holds the weight's kink.  The plan lays out only the other rows.
+    ladder per side that has two or more (``_ladder``), to the bits the
+    plan would give: every increment and restart of the C2/C3 inner sweep
+    but the one row that holds the weight's kink.  The plan lays out only
+    the other rows.
     """
     if math.isinf(q):
         return QuadPlan(lo, hi, ppd=ppd, kinks=kinks, row_kinks=row_kinks,
@@ -829,7 +827,8 @@ def norm_pow(lo, hi, core, rate: float, q: float, *, ppd: int, kinks=(),
     value, diverged = np.zeros(a.size), np.zeros(a.size, dtype=bool)
     width = _lattice_width(ppd)
     for mine in (np.flatnonzero(free & (end == 0.0)) for end in (b, a)):
-        if mine.size:
+        free[mine] = mine.size > 1  # one row: row_pass is quicker
+        if mine.size > 1:
             value[mine], diverged[mine] = _ladder(
                 a[mine], b[mine], fn, mine, width, _y_cut(rate * q, width))
     rest = np.flatnonzero((a < b) & ~free)

@@ -803,14 +803,14 @@ def _one_panel_row_free(x, rows):
 
 
 def _count_plan_rows(monkeypatch, count):
-    """A list that each QuadPlan built through ``quadrature`` that lays out
-    its rows (``apply``) appends count(lo, hi) of its laid-out rows to."""
+    """A list that each QuadPlan built through ``quadrature`` appends
+    count(lo, hi) of its bounds to."""
     seen = []
 
     class Counted(QuadPlan):
-        def apply(self, fn):
-            seen.append(count(self.lo, self.hi))
-            return super().apply(fn)
+        def __init__(self, lo, hi, **kw):
+            seen.append(count(lo, hi))
+            super().__init__(lo, hi, **kw)
     monkeypatch.setattr(quadrature, "QuadPlan", Counted)
     return seen
 

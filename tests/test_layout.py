@@ -354,11 +354,14 @@ def _ladder_core(kind, q):
 
 
 @pytest.mark.parametrize("kind", ["bump", "slow", "grows", "inf"])
-@pytest.mark.parametrize("rate", [0.0, 0.7, -0.7])
+@pytest.mark.parametrize("rate", [0.0, 0.7, -0.7, 1000.0, -1000.0])
 def test_ladder_rows_match_reference(monkeypatch, kind, rate):
     # rows that end at 0 with no kink inside are integrated from the ladder,
     # no plan: row by row the bits and flags of the reference layout's
-    # passes and of QuadPlan
+    # passes and of QuadPlan, in one call and in a call of restarts only
+    # (and one row a call, which is laid out); at |rate q| > EXP_ZERO
+    # e^width the far cut y_cut falls below ln SWITCH = 0, so a far segment
+    # is cut away whole
     q = 1.5
     spans = _ladder_spans(rate * q)
     core = _ladder_core(kind, q)
@@ -389,10 +392,21 @@ def test_ladder_rows_match_reference(monkeypatch, kind, rate):
             m.setattr(quadrature, "_reduce", lambda vals, built, *a: (
                 shapes.append(built[0].shape) or reduce(vals, built, *a)))
             got = norm_pow(lo, hi, inside, rate, q, **kw)
+            restarts = norm_pow(lo[-1:].repeat(2), hi[-1:].repeat(2),
+                                lambda x, rows: core(x, 0 * rows + lo.size - 1),
+                                rate, q, ppd=64)
+        # a row alone is laid out (row_pass); the core sees its index i
+        alone = [norm_pow(lo[i], hi[i], lambda x, rows, i=i: core(
+            x, rows + i), rate, q, ppd=64)
+            for i in np.flatnonzero(spans >= 1.0)]
         assert all(r < 2 or r * c <= CHUNK_ELEMS for r, c in shapes)
         for value, flag in (want, (plan.value, plan.diverged)):
             assert got.value.tobytes() == value.tobytes(), head
             assert np.array_equal(got.diverged, flag)
+        for r, i in zip(alone, np.flatnonzero(spans >= 1.0)):
+            assert (r.value, r.diverged) == (plan.value[i], plan.diverged[i])
+        assert (restarts.value == plan.value[-1]).all()
+        assert (restarts.diverged == plan.diverged[-1]).all()
         # spans below 1e-9 width have no panel; the bump converges unless
         # e^{rate x} grows along the side, the others flag an infinite span
         # unless it decays
