@@ -5,7 +5,9 @@ of the truncated and full norms of K-profiles, of the decomposition search
 and of C2 with a q = ∞ outer parameter.  ``qinf_pinned.json`` holds the
 values of the sup rule as written when each norm carried its own search, at
 the inputs below; every value must stay within REL of it, and every +inf
-must stay +inf.
+must stay +inf.  The condition sup ratios of the ``qinf-elp`` scenario (the
+one CI verifies, whose q = inf outer weight lies outside the log-power
+family, so its factors are many-row suprema of a plan) must stay exact.
 """
 
 import json
@@ -18,8 +20,10 @@ import pytest
 from kinterp import (BrokenLog, DecompositionSearch, ExpLogPow, KProfile,
                      LogGrid, PhiParam, Product, StepFn, WeightedSeq)
 from kinterp.conditions import check_C2
+from kinterp.estimates import run_checks
 from kinterp.params import (full_norm_profile, head_factors,
                             norm_trunc_profile, tail_factors)
+from kinterp.scenario import scenario_from_json
 
 REL = 1e-14
 PINNED = json.loads((Path(__file__).parent / "qinf_pinned.json").read_text(
@@ -93,3 +97,24 @@ def test_C2_with_a_sup_outer_norm():
     assert_pinned(r.rhs, rhs)
     assert r.sup_ratio == pytest.approx(sup_ratio, rel=REL)
     assert r.meta["refine_rel_change"] < 1e-14 and drift < 1e-14
+
+
+# CI's "A q = inf ExpLogPow weight" scenario
+QINF_ELP = {
+    "name": "qinf-elp",
+    "phi0": {"theta": 0.25, "q": 2,
+             "b": {"kind": "BrokenLog", "a0": 1, "aInf": -0.5}},
+    "phi1": {"theta": 0.75, "q": "inf",
+             "b": {"kind": "ExpLogPow", "alpha": 0.5, "sign": -1}},
+    "element": {"kind": "WeightedSeq", "coeffs": [1, 0.5, 2],
+                "w0": [1, 8, 0.2], "w1": [1, 1, 1]},
+    "grid": {"t_min": 0.01, "t_max": 100, "points_per_decade": 4},
+    "checks": ["C1", "C2", "C3", "C4"],
+    "variants": ["classical", "thm_ii", "lemma"]}
+
+
+def test_qinf_elp_sup_ratios_are_exact():
+    sc = scenario_from_json(QINF_ELP)
+    got = {cid: rep.sup_ratio
+           for cid, rep in run_checks(sc, sc.checks).items()}
+    assert got == PINNED["qinf-elp"]
