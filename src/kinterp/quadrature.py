@@ -200,31 +200,75 @@ def _row_edges(lo, hi, kinks, width):
     return edges
 
 
-def _panels(lo, hi, kinks, width):
-    """The panels (a, b) of the rows [lo[i], hi[i]] by ``_row_edges``'
-    rule, with ``kinks`` an (r, K) array (NaN for none): every row's in
-    order of x, row after row, and each row's panel count."""
-    r = lo.size
+def _pieces(lo, hi, kinks, width):
+    """The panels of the rows [lo[i], hi[i]] (hi >= lo) by ``_row_edges``'
+    rule, with ``kinks`` an (m, K) array (NaN for none), without listing
+    the lattice points: each row's panel count; its runs of whole lattice
+    panels [k w, (k + 1) w] as (row, first panel, first k, panels); and
+    its other panels as (row, panel, a, b).
+
+    The rule merges a row's points (lo, hi and the kinks inside, in order)
+    with the lattice points k w, k0 <= k < k1.  So a run of lattice points
+    lies before each point: before lo at most k0 w, where it rounds below
+    lo; before any other, those strictly between it and the point before.
+    Only two kinds of point can fall within 1e-9 w of their predecessor
+    and be dropped: a run's first (after the point before it) and a point
+    (after the run before it, or the point before that where the run is
+    empty).  Where hi is dropped, the last kept point is reset to hi,
+    which drops that point and keeps hi."""
+    tol, kinks = width * 1e-9, kinks.T
+    # (point, row) arrays, a row of m values per point: lo, the kinks
+    # inside in order (lo in place of the others: dropped), hi
+    inside = (kinks > lo) & (kinks < hi)
+    some = inside.any(axis=1)
+    mid = np.where(inside[some], kinks[some], lo)
+    if mid.shape[0] > 1:
+        mid.sort(axis=0)
+    pts = np.vstack([lo, mid, hi])
     k0 = np.floor(lo / width) + 1.0
-    count = np.maximum(np.ceil(hi / width) - k0, 0.0).astype(np.int64)
-    inside = (kinks > lo[:, None]) & (kinks < hi[:, None])
-    rows = np.arange(r)
-    row = np.concatenate([rows, rows, np.nonzero(inside)[0],
-                          np.repeat(rows, count)])
-    start = np.cumsum(count) - count
-    x = np.concatenate([lo, hi, kinks[inside], (np.repeat(
-        k0 - start, count) + np.arange(count.sum())) * width])
-    order = np.lexsort((x, row))
-    row, x = row[order], x[order]
-    keep = np.ones(x.size, dtype=bool)
-    keep[1:] = (row[1:] != row[:-1]) | (x[1:] - x[:-1] > width * 1e-9)
-    row, x = row[keep], x[keep]
-    # each row's last edge is reset to its hi; the others start a panel
-    last = np.ones(x.size, dtype=bool)
-    last[:-1] = row[1:] != row[:-1]
-    x[last] = hi
-    opens = np.flatnonzero(~last)
-    return x[opens], x[opens + 1], np.bincount(row[opens], minlength=r)
+    # the least k with k w >= each point (the quotient may round past it)
+    g = np.ceil(pts / width)
+    g -= (g - 1.0) * width >= pts
+    g += g * width < pts
+    # run j ends before point j: [ka, kb) of the lattice points below it
+    ka, before = np.empty(pts.shape), np.empty(pts.shape)
+    ka[0], before[0] = k0, -math.inf
+    ka[1:] = np.maximum(g[:-1] + (g[:-1] * width == pts[:-1]), k0)
+    before[1:] = pts[:-1]
+    kb = np.minimum(g, np.ceil(hi / width))
+    some = kb > ka
+    keep = pts - np.where(some, (kb - 1.0) * width, before) > tol
+    start = ka + (ka * width - before <= tol)
+    # kept points per run and point, in order of x
+    n = np.empty((2 * pts.shape[0], lo.size))
+    n[0::2] = np.where(some, np.maximum(kb - start, 0.0), 0.0)
+    n[1::2] = keep
+    reset = np.flatnonzero(~keep[-1])
+    if reset.size:
+        last = n.shape[0] - 2 - np.argmax(n[-2::-1, reset] > 0.0, axis=0)
+        n[last, reset] -= 1.0
+        n[-1, reset] = 1.0
+    at = np.zeros(n.shape)  # kept points before each
+    for j in range(1, n.shape[0]):
+        np.add(at[j - 1], n[j - 1], out=at[j])
+    # each one's first and last kept point, and the first of the next one
+    # that keeps a point (hi keeps its own)
+    first, final = np.empty(n.shape), np.empty(n.shape)
+    first[0::2] = start * width
+    final[0::2] = (start + n[0::2] - 1.0) * width
+    first[1::2] = final[1::2] = pts
+    ahead = first[1:].copy()
+    for j in range(ahead.shape[0] - 2, -1, -1):
+        ahead[j] = np.where(n[j + 1] > 0.0, ahead[j], ahead[j + 1])
+    # a run of two or more points spans whole panels; a panel joins each
+    # run or point to the next one that keeps a point
+    m, at, n, final = lo.size, at.ravel(), n.ravel(), final.ravel()
+    i = np.flatnonzero(n >= 2.0)
+    runs = i % m, at[i], start.ravel()[i // (2 * m) * m + i % m], n[i] - 1.0
+    i = np.flatnonzero(n[:-m] > 0.0)
+    part = i % m, at[i] + n[i] - 1.0, final[i], ahead.ravel()[i]
+    # hi keeps its point, so the points before it count the panels
+    return at[-m:], runs, part
 
 
 def _y_cut(exp_rate, width):
@@ -475,98 +519,123 @@ class QuadPlan:
         mask) where the mask marks the nodes that count toward that region's
         last-doubling increment.  Columns a row does not use repeat its
         first point with weight 0, so the integrand sees no point outside
-        the rule; a pass without nodes has one such column.
+        the rule; a pass without nodes has one such column.  Rows of one
+        direct panel and nothing else take passes of their GL_ORDER columns
+        alone, with no ``inc``.
+
+        Two or more rows are gathered from one table of panels: every whole
+        lattice panel a segment can hold (direct ones within SWITCH, far
+        ones within ln DEEP_LOG_RANGE), and each row's others, by
+        ``_pieces``.  A pass holds rows that have the same far regions,
+        ordered by their far, probed and direct columns, and at most
+        CHUNK_ELEMS values.
         """
         n = self.lo.size
         if n < 2:
             if n:
                 yield np.zeros(1, dtype=np.intp), self.row_pass()
             return
-        segments = _segments(self.lo, self.hi, self.kinks, self.y_cut)
-        # a bound on each row's panels per segment, its lattice points and
-        # kinks inside plus one; a pass is GL_ORDER times its rows' most
-        # panels per segment, summed, plus the probes wide
-        w, plus = self.width, self.kinks.shape[1] + 1.0
-        cols = np.column_stack([np.where(s_hi > s_lo, np.maximum(
-            np.ceil(s_hi / w) - np.floor(s_lo / w) - 1.0, 0.0) + plus, 0.0)
-            for s_lo, s_hi, _ in segments])
-        size = GL_ORDER * cols.sum(axis=1) + 4 * self.unbounded.any(axis=1)
-        order = np.argsort(size, kind="stable")
-        cols, ends, size = cols[order], self.unbounded[order], size[order]
-        bounds = [0]
-        while bounds[-1] < n:
-            ahead = slice(bounds[-1], bounds[-1] + CHUNK_ELEMS)
-            width = (GL_ORDER * np.maximum.accumulate(cols[ahead]).sum(axis=1)
-                     + 4 * np.logical_or.accumulate(ends[ahead]).any(axis=1))
-            fits = np.arange(1, width.size + 1) * width <= CHUNK_ELEMS
-            bounds.append(bounds[-1] + max(1, int(np.count_nonzero(fits))))
-        # consecutive passes are built together, about GL_ORDER *
-        # CHUNK_ELEMS nodes at a time by their rows' bounds
-        end = np.cumsum(size)[np.array(bounds[1:]) - 1]
-        first = 0
-        while first < end.size:
-            room = (end[first - 1] if first else 0.0) + GL_ORDER * CHUNK_ELEMS
-            last = max(first + 1, int(np.searchsorted(end, room, "right")))
-            yield from self._block(order, bounds[first:last + 1], segments)
-            first = last
-
-    def _block(self, order, bounds, segments):
-        """The passes of ``_passes`` over the rows order[bounds[p]:bounds[p
-        + 1]], built from one ``_panels`` of their three segments each."""
-        rows = order[bounds[0]:bounds[-1]]
-        r = rows.size
-        lo, hi = self.lo[rows], self.hi[rows]
-        # each row's three segments one after the other
-        s_lo, s_hi, kinks = (np.stack([seg[k][rows] for seg in segments], 1)
-                             for k in range(3))
-        a, b, count = _panels(s_lo.ravel(), np.maximum(s_hi, s_lo).ravel(),
-                              kinks.reshape(3 * r, self.kinks.shape[1]),
-                              self.width)
-        i, seg = np.divmod(np.repeat(np.arange(3 * r), count), 3)
-        x, w = _gl_nodes(a, b, seg)
-        per_row = count.reshape(r, 3)
-        total = per_row.sum(axis=1)
-        has = total > 0
-        unbounded = self.unbounded[rows]
-        probes, fill, limit = _probes(
-            lo, hi, unbounded, has,
-            x[np.where(has, np.cumsum(total) - total, 0), 0] if x.size
-            else lo)
-        # per pass: its rows, most panels per segment and columns; each row
-        # and panel's place in one buffer holding every pass, row by row
-        at = np.array(bounds[:-1]) - bounds[0]
-        size = np.diff(bounds)
-        most = np.maximum.reduceat(per_row, at, axis=0)
-        probed = np.logical_or.reduceat(unbounded.any(axis=1), at)
-        width = (GL_ORDER * most.sum(axis=1)
-                 + np.where(probed, 4, np.where(most.any(axis=1), 0, 1)))
-        start = np.cumsum(size * width) - size * width
-        pass_of = np.repeat(np.arange(at.size), size)
-        row_at = start[pass_of] + (np.arange(r) - at[pass_of]) * width[pass_of]
-        buf_x = np.repeat(fill, width[pass_of])
-        buf_w = np.zeros(buf_x.size)
-        # panel j of a row's segment s: node g in column GL_ORDER * (the
-        # pass's panels before s) + g * (the pass's panels in s) + j
-        p = pass_of[i]
-        j = np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
-        col = GL_ORDER * (np.cumsum(most, axis=1) - most)[p, seg] + j
-        dest = (row_at[i] + col)[:, None] + most[p, seg][:, None] * np.arange(
-            GL_ORDER)
-        buf_x[dest], buf_w[dest] = x, w
-        # the probes in each row's last four columns
-        probe = probed[pass_of]
-        buf_x[(row_at + width[pass_of] - 4)[probe, None]
-              + np.arange(4)] = probes[probe]
-        for k in range(at.size):
-            mine = slice(at[k], at[k] + size[k])
-            points, weights = (v[start[k]:start[k] + size[k] * width[k]]
-                               .reshape(size[k], width[k])
-                               for v in (buf_x, buf_w))
-            points.flags.writeable = False
-            yield rows[mine], (points, weights,
-                               _increments(points, most[k].tolist(),
-                                           limit[mine]),
-                               unbounded[mine])
+        w = self.width
+        (d_lo, d_hi, d_kinks), *far = _segments(self.lo, self.hi, self.kinks,
+                                                self.y_cut)
+        # rows of one direct panel and nothing else: no lattice point (by
+        # _row_edges' indices) or kink inside, wider than 1e-9 w, and no far
+        # panel or probe
+        alone = ((np.ceil(d_hi / w) <= np.floor(d_lo / w) + 1.0)
+                 & (d_hi - d_lo > w * 1e-9)
+                 & ~((d_kinks > d_lo[:, None])
+                     & (d_kinks < d_hi[:, None])).any(axis=1)
+                 & ~self.unbounded.any(axis=1))
+        for s_lo, s_hi, _ in far:
+            alone &= s_hi <= s_lo
+        one = np.flatnonzero(alone)
+        for s in range(0, one.size, CHUNK_ELEMS // GL_ORDER):
+            i = one[s:s + CHUNK_ELEMS // GL_ORDER]
+            yield i, (*_gl_nodes(d_lo[i], d_hi[i], 0), (), self.unbounded[i])
+        rest = np.flatnonzero(~alone)
+        n = rest.size
+        if not n:
+            return
+        s_lo, s_hi, kinks = (np.concatenate([seg[j][rest] for seg in (
+            (d_lo, d_hi, d_kinks), *far)]) for j in range(3))
+        live = np.flatnonzero(s_hi > s_lo)  # the others have no panel
+        count, runs, part = _pieces(s_lo[live], s_hi[live], kinks[live], w)
+        cols = np.zeros(3 * n, dtype=np.intp)
+        cols[live] = count
+        cols = cols.reshape(3, n).T
+        # the table: the whole panels k of each segment, then the others,
+        # then a pad per row (its first point, weight 0)
+        k_lo = np.array([math.floor(-SWITCH / w), 0, 0])
+        k_hi = np.array([math.ceil(SWITCH / w)] + 2 * [
+            math.ceil(math.log(DEEP_LOG_RANGE) / w) + 1])
+        k = np.concatenate([np.arange(*e) for e in zip(k_lo, k_hi)])
+        base = np.cumsum(k_hi - k_lo) - (k_hi - k_lo) - k_lo
+        # a panel between two lattice points by value is a whole one
+        p_seg, p_row = np.divmod(live[part[0]], n)
+        p_at = part[1].astype(np.intp)
+        p_k = np.rint(part[2] / w)
+        own = (p_k * w != part[2]) | ((p_k + 1.0) * w != part[3])
+        p_ix = base[p_seg] + p_k.astype(np.intp)
+        p_ix[own] = k.size + np.arange(np.count_nonzero(own))
+        x, wt = _gl_nodes(np.concatenate([k * w, part[2][own]]),
+                          np.concatenate([(k + 1) * w, part[3][own]]),
+                          np.concatenate([np.repeat(np.arange(3), k_hi - k_lo),
+                                          p_seg[own]]))
+        # per row, its panels' places in the table, segment after segment;
+        # where it has fewer, its pad
+        most = cols.max(axis=0)
+        off = np.cumsum(most) - most
+        ix = np.empty((n, most.sum()), dtype=np.intp)
+        ix[:] = x.shape[0] + np.arange(n)[:, None]
+        r, r_at, k_first, size = (v.astype(np.intp) for v in runs)
+        r_seg, r_row = np.divmod(live[r], n)
+        each = np.repeat(np.arange(r.size), size)
+        step = np.arange(each.size) - np.repeat(np.cumsum(size) - size, size)
+        ix[r_row[each], (off[r_seg] + r_at)[each] + step] = (
+            base[r_seg] + k_first)[each] + step
+        ix[p_row, off[p_seg] + p_at] = p_ix
+        has = cols.any(axis=1)
+        lo, unbounded = self.lo[rest], self.unbounded[rest]
+        node = lo
+        if has.any():  # each row's first node, where it has one
+            node = x[ix[np.arange(n), off[np.argmax(cols > 0, axis=1)]]
+                     % x.shape[0], 0]
+        probes, fill, limit = _probes(lo, self.hi[rest], unbounded, has, node)
+        probed = unbounded.any(axis=1)
+        xw = np.empty((2, x.shape[0] + n, GL_ORDER))
+        xw[0, :x.shape[0]], xw[1, :x.shape[0]] = x, wt
+        xw[0, x.shape[0]:], xw[1, x.shape[0]:] = fill[:, None], 0.0
+        probes = np.stack([probes, np.zeros(probes.shape)])
+        far = cols[:, 1:] > 0
+        order = np.lexsort((cols[:, 0], probed, cols[:, 1] + cols[:, 2],
+                            far[:, 1], far[:, 0]))
+        c, ends, far = cols[order], probed[order], far[order]
+        # each set of rows with the same far regions, and per row the width
+        # of a pass from the set's first row to it, which bounds the width
+        # of any pass that ends there
+        sets = np.concatenate([[0], np.flatnonzero(
+            (far[1:] != far[:-1]).any(axis=1)) + 1, [order.size]])
+        wide, stop = [], np.repeat(sets[1:], np.diff(sets)).tolist()
+        for a, b in zip(sets[:-1], sets[1:]):
+            m = np.maximum.accumulate(c[a:b], axis=0).sum(axis=1)
+            wide += (GL_ORDER * m + np.where(np.logical_or.accumulate(
+                ends[a:b]), 4, m == 0)).tolist()
+        q = 0
+        while q < order.size:
+            p, q = q, min(stop[q], q + max(1, CHUNK_ELEMS // wide[q]))
+            while q > p + 1 and (q - p) * wide[q - 1] > CHUNK_ELEMS:
+                q -= 1
+            i = order[p:q]
+            m = cols[i].max(axis=0)
+            parts = [xw[:, ix[i, o:o + k]].transpose(0, 1, 3, 2).reshape(
+                2, i.size, -1) for o, k in zip(off, m) if k]
+            if probed[i].any():
+                parts.append(probes[:, i])
+            elif not m.any():
+                parts.append(xw[:, x.shape[0] + i, :1])
+            points, weights = np.concatenate(parts, axis=2)
+            yield rest[i], (points, weights, _increments(
+                points, m.tolist(), limit[i]), unbounded[i])
 
     def row_pass(self):
         """The one pass of ``_passes`` of a plan that lays out one row,
@@ -725,75 +794,6 @@ def powered(core, rate: float, q: float):
     return fn
 
 
-def _ladder(lo, hi, fn, rows, width, y_cut):
-    """(value, diverged) of ``QuadPlan.apply``, bit for bit, of kink-free
-    rows [lo, hi] that all end at 0 (hi = 0: the head, or lo = 0), fn called
-    with rows[i] for the rows i.  By ``_row_edges``' rule each segment of
-    such a row is whole lattice panels from 0 and one partial panel.  Rows
-    of one direct panel are integrated first, in dense blocks; the others'
-    passes are gathered from the whole panels (the ladder) and the partial
-    ones, each computed once, in the plan's columns."""
-    head, n, part = lo[0] < 0.0, [], []
-    value, diverged = np.zeros(lo.size), np.zeros(lo.size, dtype=bool)
-    for s, (s_lo, s_hi, _) in enumerate(
-            _segments(lo, hi, np.zeros((lo.size, 0)), y_cut)):
-        span = np.maximum(s_hi - s_lo, 0.0)  # a far cut below SWITCH: none
-        k = np.ceil(span / width) - 1.0
-        n.append(k - (span - k * width <= width * 1e-9))
-        part.append((np.minimum(s_lo, -k * width), -n[-1] * width)
-                    if s == 0 and head else (n[-1] * width, s_hi))
-    n = np.column_stack(n).astype(np.intp)  # whole panels, -1: none
-    one = np.flatnonzero((n[:, 0] == 0) & (n[:, 1:] < 0).all(axis=1))
-    for s in range(0, one.size, CHUNK_ELEMS // GL_ORDER):
-        i = one[s:s + CHUNK_ELEMS // GL_ORDER]
-        x, w = _gl_nodes(part[0][0][i], part[0][1][i], 0)
-        value[i], diverged[i] = _reduce(fn(x, rows[i]), (
-            x, w, (), np.zeros(0, dtype=bool)), _row_sums)
-    rest = np.flatnonzero((n[:, 0] > 0) | (n[:, 1:] >= 0).any(axis=1))
-    if not rest.size:
-        return value, diverged
-    cols, size = n[rest] + 1, rest.size
-    # a pad panel per row, then per segment its whole and partial panels
-    pad, at, a, b, region, idx = np.arange(size)[:, None], size, [], [], [], []
-    for s, m in enumerate(cols.max(axis=0)):
-        lead = s == 0 and head  # the partial panel first, in order of x
-        c, e, ns = np.arange(m), np.arange(m) * width, cols[:, s, None] - 1
-        if m:
-            a += [-e[1:] if lead else e[:-1], part[s][0][rest]]
-            b += [-e[:-1] if lead else e[1:], part[s][1][rest]]
-            region.append(np.full(m - 1 + size, s))
-        idx.append(np.where(c > ns, pad, np.where(
-            c == (0 if lead else ns), at + m - 1 + pad,
-            at + (ns - c if lead else c))))
-        at += m and m - 1 + size
-    x, w = _gl_nodes(*(np.concatenate(v) for v in (a, b, region)))
-    fill = x[idx[0][:, 0] - size, 0]  # each row's first point
-    xw = np.stack([np.vstack([np.repeat(fill[:, None], GL_ORDER, axis=1), x]),
-                   np.vstack([np.zeros((size, GL_ORDER)), w])], axis=-1)
-    unbounded = np.column_stack([-lo, hi])[rest] >= DEEP_LOG_RANGE
-    probes, _, limit = _probes(lo[rest], hi[rest], unbounded, True, fill)
-    probes = np.stack([probes, np.zeros(probes.shape)])
-    probed = unbounded.any(axis=1)
-    # a row with far panels has every direct one, an unbounded row the most
-    # far ones: in this order no count falls, and a pass is its last row wide
-    order = np.lexsort((cols[:, 0], probed, cols[:, 1] + cols[:, 2]))
-    wide, q = (GL_ORDER * cols.sum(axis=1) + 4 * probed)[order].tolist(), 0
-    while q < size:
-        p, q = q, min(size, q + max(1, CHUNK_ELEMS // wide[q]))
-        while q > p + 1 and (q - p) * wide[q - 1] > CHUNK_ELEMS:
-            q -= 1
-        i, mine = order[p:q], rest[order[p:q]]
-        most = cols[i].max(axis=0)
-        points, weights = np.concatenate([
-            xw[ix[i, :k]].transpose(3, 0, 2, 1).reshape(2, i.size, -1)
-            for ix, k in zip(idx, most) if k] + [probes[:, i, :4 * (
-                probed[i].any())]], axis=2)
-        value[mine], diverged[mine] = _reduce(fn(points, rows[mine]), (
-            points, weights, _increments(points, most.tolist(), limit[i]),
-            unbounded[i]), _row_sums)
-    return value, diverged
-
-
 def norm_pow(lo, hi, core, rate: float, q: float, *, ppd: int, kinks=(),
              row_kinks=None) -> QuadResult:
     """||χ_[lo_i, hi_i](x) e^{rate x} core(x)||_q of every row i of the
@@ -803,42 +803,13 @@ def norm_pow(lo, hi, core, rate: float, q: float, *, ppd: int, kinks=(),
     at q = inf the supremum of e^{rate x} core; either is one ``QuadPlan``
     told the decay rate, which calls ``core(x, rows)`` at the points x of
     the rows ``rows``.  ``row_kinks`` holds one kink per row (NaN for none).
-
-    For finite q, the rows that end at 0 (hi = 0 or lo = 0) with no kink
-    inside, shared or their own, are integrated with no layout, from one
-    ladder per side that has two or more (``_ladder``), to the bits the
-    plan would give: every increment and restart of the C2/C3 inner sweep
-    but the one row that holds the weight's kink.  The plan lays out only
-    the other rows.
     """
+    plan = QuadPlan(lo, hi, ppd=ppd, kinks=kinks, row_kinks=row_kinks,
+                    exp_rate=rate if math.isinf(q) else rate * q)
     if math.isinf(q):
-        return QuadPlan(lo, hi, ppd=ppd, kinks=kinks, row_kinks=row_kinks,
-                        exp_rate=rate).sup(
-            lambda x, rows: decay_product(rate * x, core(x, rows)))
-    fn = powered(core, rate, q)
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
-                                 np.asarray(hi, dtype=float))
-    a, b = lo.ravel(), hi.ravel()
-    k = np.column_stack([np.broadcast_to(kinks, (a.size, len(kinks))),
-                         np.full(a.size, math.nan) if row_kinks is None
-                         else np.ravel(row_kinks)])
-    free = (a < b) & ((a == 0.0) | (b == 0.0)) & ~(
-        (k > a[:, None]) & (k < b[:, None])).any(axis=1)
-    value, diverged = np.zeros(a.size), np.zeros(a.size, dtype=bool)
-    width = _lattice_width(ppd)
-    for mine in (np.flatnonzero(free & (end == 0.0)) for end in (b, a)):
-        free[mine] = mine.size > 1  # one row: row_pass is quicker
-        if mine.size > 1:
-            value[mine], diverged[mine] = _ladder(
-                a[mine], b[mine], fn, mine, width, _y_cut(rate * q, width))
-    rest = np.flatnonzero((a < b) & ~free)
-    if rest.size:
-        r = QuadPlan(a[rest], b[rest], ppd=ppd, kinks=kinks,
-                     row_kinks=None if row_kinks is None else k[rest, -1],
-                     exp_rate=rate * q).apply(
-            lambda x, rows: fn(x, rest[rows]))
-        value[rest], diverged[rest] = r.value, r.diverged
-    return QuadResult(value.reshape(lo.shape), diverged.reshape(lo.shape))
+        return plan.sup(lambda x, rows: decay_product(rate * x,
+                                                      core(x, rows)))
+    return plan.apply(powered(core, rate, q))
 
 
 def truncated_pows(end, cuts, core, rate: float, q: float, *, ppds,

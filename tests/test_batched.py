@@ -738,12 +738,12 @@ def test_candidate_norms_evaluate_one_row_of_points(monkeypatch):
     assert shapes and {s[0] for s in shapes} == {1}
 
 
-# one call mixing rows that the rule covers by one direct panel with rows
-# it lays out: a table panel, tiny spans, the bounds ±SWITCH, kinks inside
-# and at a bound, rows that overflow, multi-panel, far, half-line and
-# empty rows; then rows that end at 0, which norm_pow takes from its
-# ladder: one direct panel, none, more, a kink inside or at the bound 0,
-# and more one-panel rows than one dense block holds
+# one call mixing rows that the rule covers by one direct panel with other
+# rows: a table panel, tiny spans, the bounds ±SWITCH, kinks inside and at
+# a bound, rows that overflow, multi-panel, far, half-line and empty rows;
+# then rows that end at 0, as the inner sweeps hand them to norm_pow: one
+# direct panel, none, more, a kink inside or at the bound 0, and more
+# one-panel rows than one dense pass holds
 _ONE_KINK = 0.05
 _ANCHORED = 719  # the first row that ends at 0 of the second kind
 
@@ -802,31 +802,35 @@ def _one_panel_row_free(x, rows):
                 / (1.0 + x * x))
 
 
-def _count_plan_rows(monkeypatch, count):
-    """A list that each QuadPlan built through ``quadrature`` appends
-    count(lo, hi) of its bounds to."""
-    seen = []
+def _dense_rows(monkeypatch):
+    """A list that each dense pass (rows of one direct panel, GL_ORDER
+    columns and no last-doubling increment) appends its flat rows to."""
+    blocks, passes = [], QuadPlan._passes
 
-    class Counted(QuadPlan):
-        def __init__(self, lo, hi, **kw):
-            seen.append(count(lo, hi))
-            super().__init__(lo, hi, **kw)
-    monkeypatch.setattr(quadrature, "QuadPlan", Counted)
-    return seen
-
-
-def _dense_panels(monkeypatch):
-    """A list that each dense block of one-panel rows appends its panels'
-    (a, b) edges to: the ladder calls ``_gl_nodes`` with the region 0 for
-    all of them only there."""
-    blocks, gl_nodes = [], quadrature._gl_nodes
-
-    def spy(a, b, region):
-        if np.ndim(region) == 0:
-            blocks.append(list(zip(a.tolist(), b.tolist())))
-        return gl_nodes(a, b, region)
-    monkeypatch.setattr(quadrature, "_gl_nodes", spy)
+    def spy(self):
+        for idx, built in passes(self):
+            if built[2] == () and built[0].shape[1] == GL_ORDER:
+                blocks.append(self.rows[idx].tolist())
+            yield idx, built
+    monkeypatch.setattr(QuadPlan, "_passes", spy)
     return blocks
+
+
+def _kink_partials(monkeypatch):
+    """A list that each many-row gather appends the count of its row
+    segments to that take a panel ending at one of their kinks inside."""
+    seen, pieces = [], quadrature._pieces
+
+    def spy(lo, hi, kinks, width):
+        out = pieces(lo, hi, kinks, width)
+        r, _, a, b = out[2]
+        k = np.where((kinks > lo[:, None]) & (kinks < hi[:, None]), kinks,
+                     np.nan)[r]
+        at = (k == a[:, None]) | (k == b[:, None])
+        seen.append(len(set(r[at.any(axis=1)].tolist())))
+        return out
+    monkeypatch.setattr(quadrature, "_pieces", spy)
+    return seen
 
 
 @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
@@ -838,36 +842,38 @@ def test_one_panel_rows_match_the_plan(monkeypatch, q, rate, row_free):
     kw = dict(ppd=64, kinks=(_ONE_KINK,))
     want = QuadPlan(lo, hi, row_kinks=row_kinks, exp_rate=rate * q,
                     **kw).apply(powered(core, rate, q))
-    laid_out = _count_plan_rows(monkeypatch, lambda lo, hi: np.size(lo))
-    blocks = _dense_panels(monkeypatch)
+    kinked = _kink_partials(monkeypatch)
+    blocks = _dense_rows(monkeypatch)
     got = norm_pow(lo, hi, core, rate, q, row_kinks=row_kinks, **kw)
     assert np.array_equal(got.value, want.value)
     assert np.array_equal(got.diverged, want.diverged)
-    # a row that ends at 0 is one dense panel [lo, hi] when its span is
-    # above 1e-9 width and at most 1e-9 width past the lattice point
-    # WIDTH, with no kink inside (the shared kink 0.05 is inside the tail
-    # rows past it); the rows that do not end at 0 are laid out
-    dense = {edges for block in blocks for edges in block}
-    one = [(a, b) in dense for a, b in zip(lo.tolist(), hi.tolist())]
-    assert [i for i in np.flatnonzero(one) if i < _ANCHORED + 20] == [
-        4, 720, 722, 727, 730, 731]
-    # dense blocks of at most CHUNK_ELEMS values, more than one per side;
-    # one plan laid out the rows that do not end at 0, the two empty ones
-    # aside, and those with a kink inside
+    # a row is one dense panel [lo, hi] when its span is above 1e-9 width,
+    # no lattice point's index lies inside it (as _row_edges counts them),
+    # and it holds no kink (the shared kink 0.05 is inside some tail rows);
+    # row 722, [-WIDTH, 0], is one panel too, but its lattice point -WIDTH
+    # counts as inside and falls to the 1e-9 width rule
+    dense = {i for block in blocks for i in block}
+    one = [i in dense for i in range(lo.size)]
+    assert [i for i in np.flatnonzero(one)
+            if i < 19 or _ANCHORED <= i < _ANCHORED + 20] == [
+        0, 1, 4, 5, 6, 8, 10, 720, 727, 730, 731]
+    # dense passes of at most CHUNK_ELEMS values, more than two; one
+    # gather, in which the rows holding a kink inside take a panel that
+    # ends there
     assert len(blocks) > 2
     assert max(len(b) for b in blocks) <= quadrature.CHUNK_ELEMS // GL_ORDER
-    assert (sum(one), laid_out) == (1314, [1015])
+    assert (sum(one), kinked) == (1897, [389])
     assert got.diverged[[6, 8]].all()
     assert not got.diverged[[5, 7, 9]].any()
 
 
 def test_sweep_lays_out_only_the_longer_increments(monkeypatch):
-    """broken-log-1's C2 sweeps hand QuadPlan only the increments that hold
-    the weight's kink w = 0 inside: 2 of the 4,176 increments, 3,664 along
-    the nodes of the two outer rows where the outer weight is not 0.0 and
-    512 along the grid (H and T of both parameters, for rho), each of the
-    grid's one panel.  ``norm_pow`` takes every other increment from its
-    ladder."""
+    """broken-log-1's C2: 4,176 increments, 3,664 along the nodes of the
+    two outer rows where the outer weight is not 0.0 and 512 along the grid
+    (H and T of both parameters, for rho), each of the grid's one panel.
+    The 2 increments that hold the weight's kink w = 0 inside take a panel
+    that ends there; every other row is gathered from whole and partial
+    panels alone, or is one dense panel."""
     sc = bundled_scenario("broken-log-1")
     increments = []
 
@@ -879,10 +885,10 @@ def test_sweep_lays_out_only_the_longer_increments(monkeypatch):
     def counted_norm_pow(lo, hi, *args, **kw):
         increments.append(bounded(lo, hi))
         return norm_pow(lo, hi, *args, **kw)
-    laid_out = _count_plan_rows(monkeypatch, bounded)
+    kinked = _kink_partials(monkeypatch)
     monkeypatch.setattr(params, "norm_pow", counted_norm_pow)
     check_C2(sc.phi0, sc.phi1, None, sc.grid, budget=sc.budget)
-    assert (sum(laid_out), sum(increments)) == (2, 4176)
+    assert (sum(kinked), sum(increments)) == (2, 4176)
 
 
 @pytest.mark.parametrize("cid,want", [

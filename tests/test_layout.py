@@ -2,17 +2,16 @@
 
 ``reference_quadrature.ReferenceLayout`` computes every pass's panels from
 scratch, padded to its widest row.  A plan of two or more laid-out rows
-builds the panels of a block of consecutive passes at once from their rows'
-panel edges (``quadrature._panels``) and scatters each pass into its
-columns; a plan that lays out one row (one interval, or identical rows laid
-out as one) builds its one pass straight from the row's panel edges
-(``QuadPlan.row_pass``).  Row by row, the nonzero-weight (node, weight)
-sequence, the nodes of each far region's last-doubling increment and the
-tail-fit probes must be the same, bit for bit; and a one-row pass must be
-the many-row builder's pass of that row, column for column.  Rows that end
-at 0 with no kink inside are not laid out: ``norm_pow`` integrates them
-from its ladder of whole panels (``quadrature._ladder``), and their values
-and flags must be those of the reference's passes, bit for bit.
+gathers its passes from one table of panels: the whole lattice panels
+every segment can hold, and each row's other panels in closed form
+(``quadrature._pieces``); a plan that lays out one row (one interval, or
+identical rows laid out as one) builds its one pass straight from the
+row's panel edges (``QuadPlan.row_pass``).  Row by row, the nonzero-weight
+(node, weight) sequence, the nodes of each far region's last-doubling
+increment and the tail-fit probes must be the same, bit for bit; and a
+one-row pass must be the many-row gather's pass of that row, column for
+column.  Values and flags of many-row plans must be those of the
+reference's passes, and suprema those of each row alone, bit for bit.
 """
 
 import math
@@ -219,12 +218,11 @@ def test_identical_rows_build_their_row_alone(lo, hi):
 
 
 def test_one_row_paths_use_no_table(monkeypatch):
-    # the one-row paths never reach the many-row builder
+    # the one-row paths never reach the many-row gather
     def fail(*a, **kw):
-        raise AssertionError("a one-row plan used the many-row builder")
+        raise AssertionError("a one-row plan used the many-row gather")
 
-    monkeypatch.setattr(quadrature, "_panels", fail)
-    monkeypatch.setattr(QuadPlan, "_block", fail)
+    monkeypatch.setattr(quadrature, "_pieces", fail)
     r = integral_log(lambda x: np.exp(-x * x), kinks=(0.5,))
     assert r.value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
@@ -266,30 +264,30 @@ def test_one_row_values_are_the_tables(q, bounds):
     assert np.array_equal(one.diverged, table.diverged[:5])
 
 
-def _spy_blocks(monkeypatch):
-    """The panel count of every block the many-row builder builds."""
-    panels, sizes = quadrature._panels, []
+def _spy_gathers(monkeypatch):
+    """The row segments of every many-row gather (``_pieces``)."""
+    pieces, sizes = quadrature._pieces, []
 
-    def spy(*a):
-        out = panels(*a)
-        sizes.append(out[0].size)
-        return out
+    def spy(lo, *a):
+        sizes.append(lo.size)
+        return pieces(lo, *a)
 
-    monkeypatch.setattr(quadrature, "_panels", spy)
+    monkeypatch.setattr(quadrature, "_pieces", spy)
     return sizes
 
 
 def test_gather_budget_counts_probe_and_fill_panels(monkeypatch):
-    # one-panel rows: every pass of two or more rows holds at most
-    # CHUNK_ELEMS values, and the passes are built in blocks of at most about
-    # GL_ORDER * CHUNK_ELEMS nodes (a row bounded by one or two panels, so
-    # 6,000 rows take more than one block)
+    # one- and two-panel rows: every pass of two or more rows holds at most
+    # CHUNK_ELEMS values, the one-panel rows take passes of their own
+    # GL_ORDER columns, and one gather builds the 120 others
     lo = np.linspace(0.0, 0.5, 6000)
     plan = QuadPlan(lo, lo + 0.01)
-    sizes = _spy_blocks(monkeypatch)
+    sizes = _spy_gathers(monkeypatch)
     passes = list(plan._passes())
-    assert len(sizes) > 1 and max(sizes) <= CHUNK_ELEMS
-    assert len(passes) > len(sizes)
+    assert sizes == [120]
+    assert len(passes) == 13
+    assert sum(idx.size for idx, (points, *_) in passes
+               if points.shape[1] == GL_ORDER) == 5880
     for idx, (points, *_) in passes:
         assert idx.size < 2 or points.size <= CHUNK_ELEMS
     r = plan.apply(lambda x, rows: np.ones(x.shape))
@@ -299,17 +297,18 @@ def test_gather_budget_counts_probe_and_fill_panels(monkeypatch):
 def test_plan_of_many_blocks_matches_reference(monkeypatch):
     # sweep-like rows: the head or tail increment of a gap, short or far
     # out, or a restart to the infinite end, each with its own point's kink,
-    # enough for one plan to take several build blocks
+    # in one gather of the live segments of every row but those of one
+    # direct panel
     rng = np.random.default_rng(7)
     x = np.sort(rng.uniform(-60.0, 60.0, 3000))
     gap = rng.choice([0.05, 0.3, 2.5, 40.0, 1e5, math.inf], x.size)
     head = rng.random(x.size) < 0.5
     lo, hi = np.where(head, -gap, 0.0), np.where(head, 0.0, gap)
-    sizes = _spy_blocks(monkeypatch)
+    sizes = _spy_gathers(monkeypatch)
     _assert_same_layout(lo, hi, ppd=64, row_kinks=-x, exp_rate=0.7)
-    assert len(sizes) > 2
-    # head and tail rows share passes: a pass's width is the sum over the
-    # segments of the most panels any of its rows has there
+    assert sizes == [4429]
+    # a pass's width is the sum over the segments of the most panels any of
+    # its rows has there
     for idx, (points, *_) in QuadPlan(lo, hi, ppd=64, row_kinks=-x,
                                       exp_rate=0.7)._passes():
         assert idx.size < 2 or points.size <= CHUNK_ELEMS
@@ -356,10 +355,10 @@ def _ladder_core(kind, q):
 @pytest.mark.parametrize("kind", ["bump", "slow", "grows", "inf"])
 @pytest.mark.parametrize("rate", [0.0, 0.7, -0.7, 1000.0, -1000.0])
 def test_ladder_rows_match_reference(monkeypatch, kind, rate):
-    # rows that end at 0 with no kink inside are integrated from the ladder,
-    # no plan: row by row the bits and flags of the reference layout's
+    # rows that end at 0 with no kink inside, as the inner sweeps hand them
+    # to norm_pow: row by row the bits and flags of the reference layout's
     # passes and of QuadPlan, in one call and in a call of restarts only
-    # (and one row a call, which is laid out); at |rate q| > EXP_ZERO
+    # (and one row a call, which row_pass lays out); at |rate q| > EXP_ZERO
     # e^width the far cut y_cut falls below ln SWITCH = 0, so a far segment
     # is cut away whole
     q = 1.5
@@ -379,16 +378,12 @@ def test_ladder_rows_match_reference(monkeypatch, kind, rate):
                                   quadrature._row_sums)
         plan = QuadPlan(lo, hi, exp_rate=rate * q, **kw).apply(fn)
 
-        def refuse(*a, **k):
-            raise AssertionError("a row that ends at 0 was laid out")
-
         def inside(x, rows):
             # the integrand sees no point outside its row
             assert ((x >= lo[rows, None]) & (x <= hi[rows, None])).all()
             return core(x, rows)
         shapes, reduce = [], quadrature._reduce
         with monkeypatch.context() as m:
-            m.setattr(QuadPlan, "_passes", refuse)
             m.setattr(quadrature, "_reduce", lambda vals, built, *a: (
                 shapes.append(built[0].shape) or reduce(vals, built, *a)))
             got = norm_pow(lo, hi, inside, rate, q, **kw)
@@ -416,3 +411,69 @@ def test_ladder_rows_match_reference(monkeypatch, kind, rate):
             assert grows or not got.diverged.any()
         elif rate == 0.0 or grows:
             assert got.diverged[np.isinf(spans)].all()
+
+
+def _gathered_rows():
+    """(lo, hi, row kinks) of rows whose two ends and kink share one lattice
+    cell (direct, and far on either side), whose ends and kinks lie within
+    1e-9 width before and after a direct or far lattice point or just below
+    hi, and head, tail and two-sided rows, with infinite ends."""
+    w = _width(64)
+    rows = [((k + 0.1) * w, (k + 0.7) * w, (k + 0.4) * w) for k in (-3, 0, 2)]
+    for k in (5, 30):
+        a, b, c = (math.exp((k + f) * w) for f in (0.1, 0.8, 0.5))
+        rows += [(a, b, c), (-b, -a, -c)]
+    for d in (0.0, 0.5e-9, -0.5e-9, 2e-9, -2e-9):
+        for k in (1, 3):
+            rows += [((k + d) * w, 5.5 * w, (k + 1 + d) * w),
+                     (-5.5 * w, -(k + d) * w, -(k + 1 + d) * w),
+                     ((k - 0.5) * w, (k + d) * w, math.nan)]
+            y = [math.exp((k + j + d) * w) for j in (10, 12, 20)]
+            rows += [(y[0], y[2], y[1]), (-y[2], -y[0], -y[1]),
+                     (-y[0] * 0.9, y[1], -y[0])]
+        if d > 0.0:
+            for hi in (3.3 * w, math.exp(17.3 * w)):
+                rows.append((0.2 * w, hi, hi - d * w))
+    rows += [(-math.inf, math.inf, 0.3), (-5.0, 7.0, math.nan),
+             (-1e6, 2.0, -0.5 * w), (-math.inf, 3.0, math.nan),
+             (-2.0, math.inf, w * (1.0 + 0.5e-9)), (-3.0, 0.0, 0.0),
+             (0.0, 40.0, 0.0), (-math.inf, 0.0, -1.5), (0.0, math.inf, 2.5),
+             (-0.3, 0.2, 0.0), (0.1, 0.15, math.nan)]
+    return np.array(rows).T
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.7, 1000.0, -1000.0])
+def test_gathered_rows_match_reference(rate):
+    # one plan of every row: its passes, values and flags bit for bit those
+    # of the reference layout, and each supremum that of the row alone; at
+    # |rate q| = 1500 > EXP_ZERO e^width a far segment is cut away whole
+    lo, hi, row_kinks = _gathered_rows()
+    q, kw = 1.5, dict(ppd=64, kinks=(0.0, -0.3))
+    _assert_same_layout(lo, hi, row_kinks=row_kinks, exp_rate=rate * q, **kw)
+    core = _ladder_core("bump", q)
+    fn = quadrature.powered(core, rate, q)
+    plan = QuadPlan(lo, hi, row_kinks=row_kinks, exp_rate=rate * q, **kw)
+    assert plan.lo.size == lo.size
+    old = ref.ReferenceLayout(lo, hi, row_kinks=row_kinks,
+                              exp_rate=rate * q, **kw)
+    points, weights, _, inc, unbounded = old.build(old.rows)
+    # the reference lays a far segment that y_cut cuts away whole out as a
+    # panel of negative width, whose nodes the plan does not have
+    weights = np.maximum(weights, 0.0)
+    want = quadrature._reduce(fn(points, old.rows),
+                              (points, weights, inc, unbounded),
+                              quadrature._row_sums)
+    got = plan.apply(fn)
+    assert got.value.tobytes() == want[0].tobytes()
+    assert np.array_equal(got.diverged, want[1])
+
+    def sup_fn(x, rows):
+        return quadrature.decay_product(rate * x, core(x, rows))
+    got = QuadPlan(lo, hi, row_kinks=row_kinks, exp_rate=rate, **kw).sup(
+        sup_fn)
+    for i in range(lo.size):
+        alone = QuadPlan(lo[i], hi[i], row_kinks=row_kinks[i:i + 1],
+                         exp_rate=rate, **kw).sup(
+            lambda x, rows, i=i: sup_fn(x, rows + i))
+        assert (got.value[i], got.diverged[i]) == (alone.value,
+                                                    alone.diverged), i
