@@ -219,7 +219,8 @@ def _side_rows(p: PhiParam, x: np.ndarray, span, side: str) -> QuadResult:
     relative coordinates v = w - x with the weight's kink w = 0 at v = -x:
     v in [-span, 0] (head) or [0, span] (tail), the whole side, as
     ``shift_integral`` lays it out, where span is inf.  Every row ends at
-    v = 0, so ``norm_pow`` lays out only those that hold the kink."""
+    v = 0, so all but those that hold the kink take partial panels only at
+    their ends (``quadrature._pieces``)."""
     c = 1.0 - p.theta if side == "head" else -p.theta
     zero = np.zeros(x.size)
     lo, hi = (-span, zero) if side == "head" else (zero, span)
@@ -241,9 +242,9 @@ def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
     v = -x_next.  The first point, and every point where e^{-r d} is
     exactly 0.0, restarts: its row is the whole side, as ``shift_integral``
     lays it out.  Restarts and increments are the rows of one ``norm_pow``
-    call (``_side_rows``), which takes every row but the one holding the
-    kink from its ladder of whole panels, and the gaps of one direct panel
-    (most of them) at their own nodes.  A divergence flag, a restart's or
+    call (``_side_rows``), one plan that gathers its rows from one table of
+    panels and takes the gaps of one direct panel (most of them) at their
+    own nodes.  A divergence flag, a restart's or
     an increment's, carries along the sweep up to the next restart.
     """
     c = 1.0 - p.theta if side == "head" else -p.theta

@@ -26,9 +26,11 @@ rather than an exception because +∞ is a legal quasi-norm value.
 ``QuadPlan`` applies this rule to many intervals at once: it lays out the
 nodes of a batch of rows as one matrix (pass by pass, about ``CHUNK_ELEMS``
 nodes at most), evaluates the integrand once per pass and reduces row by
-row.  ``integral_log`` is its one-row case.  Every pass is built from its
-rows' panel edges (``_panels``, ``QuadPlan.row_pass``), and every row keeps
-the nodes, weights and column order it would get on its own.
+row.  ``integral_log`` is its one-row case.  A pass of one row is built
+from its panel edges (``QuadPlan.row_pass``); many rows are gathered from
+one table of the call's whole lattice panels and each row's other panels
+(``_pieces``).  Every row keeps the nodes, weights and column order it
+would get on its own.
 
 Where its inputs show it, a plan evaluates the integrand once per distinct
 node, not once per row and node.  Rows with identical bounds and no row
@@ -45,11 +47,7 @@ still grows between the tail-fit probes of an infinite bound.
 Every norm in the package, ||χ_[lo,hi](x) e^{c x} g(x)||_q for q in (0, ∞],
 is ``norm_pow``: one plan whose ``apply`` integrates e^{c q x} g^q
 (``powered``) for finite q, and whose ``sup`` takes the supremum of
-e^{c x} g at q = ∞.  For finite q, rows that end at 0 with no kink inside
-(every C2/C3 inner-sweep row but the one that holds the weight's kink) are
-not laid out: ``_ladder`` gathers them from the whole lattice panels,
-computed once per call and side, and one partial panel per row and
-segment, to the bits the plan would give.
+e^{c x} g at q = ∞.
 
 A norm truncated at many cutoffs is ``truncated_pows``: one plan row from
 a fixed end to the farthest cutoff, with every cutoff a kink, evaluated
@@ -472,15 +470,11 @@ class QuadPlan:
     Layout.  Each of a row's three segments (the direct part in x, the
     negative and the positive far region in y = ln|x|) is a run of whole
     lattice panels, cut only at its two bounds and at its kinks
-    (``_row_edges``).  A plan that lays out two or more rows groups rows of
-    similar width into passes of at most ``CHUNK_ELEMS`` values (the bound
-    is on a pass's width), builds the panels of consecutive passes, about
-    GL_ORDER * CHUNK_ELEMS nodes at a time, by one ``_panels`` and one
-    ``_gl_nodes`` call, and scatters each pass into its columns (``_block``).
-    One that lays out one row (one interval, or identical rows) builds its
-    pass from the row's edges (``row_pass``), the same panels in the same
-    columns; ``sup`` reduces the same passes.  (``norm_pow``'s ``_ladder``
-    gathers its sweep rows from whole panels, to the same bits.)
+    (``_row_edges``).  A plan that lays out one row (one interval, or
+    identical rows) builds its pass from the row's edges (``row_pass``); one
+    of two or more rows gathers every pass from one table of panels
+    (``_passes``), the same panels in the same columns.  ``sup`` reduces
+    the same passes.
     """
 
     def __init__(self, lo, hi, *, ppd=DEFAULT_PPD, kinks=(), row_kinks=None,
@@ -521,14 +515,10 @@ class QuadPlan:
         first point with weight 0, so the integrand sees no point outside
         the rule; a pass without nodes has one such column.  Rows of one
         direct panel and nothing else take passes of their GL_ORDER columns
-        alone, with no ``inc``.
-
-        Two or more rows are gathered from one table of panels: every whole
-        lattice panel a segment can hold (direct ones within SWITCH, far
-        ones within ln DEEP_LOG_RANGE), and each row's others, by
-        ``_pieces``.  A pass holds rows that have the same far regions,
-        ordered by their far, probed and direct columns, and at most
-        CHUNK_ELEMS values.
+        alone, with no ``inc``.  The others are gathered from one table:
+        every whole lattice panel a segment can hold, and each row's other
+        panels (``_pieces``); a pass holds at most CHUNK_ELEMS values of rows
+        with the same far regions.
         """
         n = self.lo.size
         if n < 2:
@@ -640,7 +630,7 @@ class QuadPlan:
     def row_pass(self):
         """The one pass of ``_passes`` of a plan that lays out one row,
         built straight from the row's panel edges (``_row_edges``) per
-        segment: the panels ``_block`` would build for the row, so every
+        segment: the panels the many-row gather takes for the row, so every
         column is the same, bit for bit."""
         a, b, counts = [np.zeros(0)], [np.zeros(0)], [0, 0, 0]
         for seg, (lo, hi, kinks) in enumerate(
