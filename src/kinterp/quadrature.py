@@ -218,8 +218,8 @@ def _pieces(lo, hi, kinks, width):
     # (point, row) arrays, a row of m values per point: lo, the kinks
     # inside in order (lo in place of the others: dropped), hi
     inside = (kinks > lo) & (kinks < hi)
-    some = inside.any(axis=1)
-    mid = np.where(inside[some], kinks[some], lo)
+    held = inside.any(axis=1)  # kink columns inside some row
+    mid = np.where(inside[held], kinks[held], lo)
     if mid.shape[0] > 1:
         mid.sort(axis=0)
     pts = np.vstack([lo, mid, hi])
