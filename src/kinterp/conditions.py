@@ -179,17 +179,18 @@ def _outer_trunc_norms(p_out, p_inner, c_exp, side, xs, ppds):
     (``params.carried_min_factors``).
     """
     rate = c_exp if p_out.sup_norm else c_exp * p_out.q
-    nodes = []
+    swept = []  # the inner sweep's nodes and powers
 
     def core(x, rows):
         if rows is not None:  # the points that polish a supremum
-            m = carried_min_factors(p_inner, nodes[0], x)
+            m = carried_min_factors(p_inner, *swept, x)
         else:
             with np.errstate(under="ignore", over="ignore"):
                 live = np.exp(rate * x[0]) > 0.0
-            nodes.append(x[0, live])
+            nodes = x[0, live]
             m = np.full(x.shape, math.inf)
-            m[0, live] = swept_min_factors(p_inner, nodes[0])
+            m[0, live], powers = swept_min_factors(p_inner, nodes)
+            swept[:] = nodes, powers
         with np.errstate(divide="ignore", invalid="ignore",
                          over="ignore", under="ignore"):
             c = eval_sv_log(p_out.b, x) / m

@@ -63,7 +63,7 @@ from .errors import MembershipError, RangeError
 from .quadrature import (DEFAULT_PPD, LogGrid, QuadResult, _lattice_width,
                          hull_pows, norm_pow, powered, truncated_pows)
 from .sv import (Constant, SVDescriptor, eval_sv_log, log_power_form,
-                 rate0_integral, shift_integral, sv_from_json)
+                 rate0_integral, shift_integral, side_rows, sv_from_json)
 
 # Bound here though this module calls neither: perfbench/spans.py wraps
 # these names at this layer boundary and reports a missing one.
@@ -82,8 +82,7 @@ class PhiParam:
     b: SVDescriptor = Constant(1.0)
     #: how error messages refer to the parameter (its scenario field)
     name: str = field(default="phi", compare=False, repr=False)
-    #: kept values: membership of min(1, t), H and T per (side, grid), and
-    #: the powers of the latest sweep of ``swept_min_factors``
+    #: kept values: membership of min(1, t), and H and T per (side, grid)
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
     ppd: ClassVar[int] = DEFAULT_PPD
@@ -177,55 +176,31 @@ def _combine(p: PhiParam, h, t) -> np.ndarray:
     return np.where(np.isinf(h) | np.isinf(t), math.inf, m)
 
 
-def swept_min_factors(p: PhiParam, xs: np.ndarray) -> np.ndarray:
-    """M at the sorted distinct points xs, from H^q and T^q by one sweep per
-    side (``_swept_powers``) for finite q and 0 < theta < 1 with no closed
-    form; otherwise ``min_factors``.  A swept value depends on the other
-    points of xs, so callers pass a node set that their input fixes.  p
-    keeps its latest sweep's powers, for ``carried_min_factors``.
+def swept_min_factors(p: PhiParam, xs: np.ndarray):
+    """(M, powers): M at the sorted distinct points xs, from H^q and T^q by
+    one sweep per side (``_swept_powers``) for finite q and 0 < theta < 1
+    with no closed form, and those powers, [head, tail], for
+    ``carried_min_factors``; otherwise ``min_factors`` and None.  A swept
+    value depends on the other points of xs, so callers pass a node set
+    that their input fixes.
     """
-    if not _sweeps_m(p):
-        return min_factors(p, xs)
+    if (p.sup_norm or not 0.0 < p.theta < 1.0
+            or _closed_min_factor(p) is not None):
+        return min_factors(p, xs), None
     powers = [_swept_powers(p, xs, side) for side in ("head", "tail")]
-    p._memo["sweep"] = (xs, powers)
-    return _combine(p, *(qth_root(p, r) for r in powers))
+    return _combine(p, *(qth_root(p, r) for r in powers)), powers
 
 
-def carried_min_factors(p: PhiParam, xs: np.ndarray, ys) -> np.ndarray:
+def carried_min_factors(p: PhiParam, xs: np.ndarray, powers,
+                        ys) -> np.ndarray:
     """M at the points ys (any shape), each carried by one step of the
-    sweep of ``swept_min_factors`` at the sorted distinct xs, from its
-    powers there (kept by p when xs is the array of its latest sweep, else
-    swept again): ``_carried_powers`` per side.  Where M is not swept,
-    ``min_factors`` at ys."""
-    if not _sweeps_m(p):
+    sweep at the sorted distinct xs whose ``powers`` ``swept_min_factors``
+    gave: ``_carried_powers`` per side.  Where M is not swept (powers
+    None), ``min_factors`` at ys."""
+    if powers is None:
         return min_factors(p, ys)
-    kept = p._memo.get("sweep")
-    if kept is None or kept[0] is not xs:
-        swept_min_factors(p, xs)
-        kept = p._memo["sweep"]
     return _combine(p, *(qth_root(p, _carried_powers(p, xs, g, side, ys))
-                         for g, side in zip(kept[1], ("head", "tail"))))
-
-
-def _sweeps_m(p: PhiParam) -> bool:
-    """Whether ``swept_min_factors`` sweeps: finite q, 0 < theta < 1 and no
-    closed form."""
-    return (not p.sup_norm and 0.0 < p.theta < 1.0
-            and _closed_min_factor(p) is None)
-
-
-def _side_rows(p: PhiParam, x: np.ndarray, span, side: str) -> QuadResult:
-    """``norm_pow`` of the rows that end at the points x on their side, in
-    relative coordinates v = w - x with the weight's kink w = 0 at v = -x:
-    v in [-span, 0] (head) or [0, span] (tail), the whole side, as
-    ``shift_integral`` lays it out, where span is inf.  Every row ends at
-    v = 0, so all but those that hold the kink take partial panels only at
-    their ends (``quadrature._pieces``)."""
-    c = 1.0 - p.theta if side == "head" else -p.theta
-    zero = np.zeros(x.size)
-    lo, hi = (-span, zero) if side == "head" else (zero, span)
-    return norm_pow(lo, hi, lambda v, rows: eval_sv_log(p.b, x[rows, None] + v),
-                    c, p.q, ppd=p.ppd, row_kinks=-x)
+                         for g, side in zip(powers, ("head", "tail"))))
 
 
 def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
@@ -241,10 +216,11 @@ def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
     relative coordinates v = w - x_next, with the weight's kink w = 0 at
     v = -x_next.  The first point, and every point where e^{-r d} is
     exactly 0.0, restarts: its row is the whole side, as ``shift_integral``
-    lays it out.  Restarts and increments are the rows of one ``norm_pow``
-    call (``_side_rows``), one plan that gathers its rows from one table of
-    panels and takes the gaps of one direct panel (most of them) at their
-    own nodes.  A divergence flag, a restart's or
+    lays it out.  Restarts and increments are the rows of one
+    ``sv.side_rows`` call, whose span is the whole side at a restart and
+    the gap before its point at an increment: one plan that gathers its
+    rows from one table of panels and takes the gaps of one direct panel
+    (most of them) at their own nodes.  A divergence flag, a restart's or
     an increment's, carries along the sweep up to the next restart.
     """
     c = 1.0 - p.theta if side == "head" else -p.theta
@@ -257,7 +233,7 @@ def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
     # point k's row: a restart's the whole side, an increment's the gap
     # before it
     span = np.where(restart, math.inf, np.concatenate(([0.0], gap)))
-    r = _side_rows(p, x, span, side)
+    r = side_rows(p.b, p.q, x, c, side, span, p.ppd)
     vals, g = [], 0.0
     for fresh, e, v in zip(restart.tolist(), [1.0] + decay.tolist(),
                            r.value.tolist()):
@@ -280,7 +256,7 @@ def _carried_powers(p: PhiParam, xs: np.ndarray, g: QuadResult, side: str,
     distance d, g(x) e^{-r d} plus the increment over the gap, and x's flag;
     where there is no such point, or e^{-r d} is 0.0, the whole side, as a
     restart.  The increments and restarts are the rows of one
-    ``_side_rows`` call, but a gap too short for a panel of the rule
+    ``sv.side_rows`` call, but a gap too short for a panel of the rule
     (``quadrature._row_edges``), which the rule would read as 0, takes
     d times the integrand at its midpoint.  (Polished points come that
     close to the samples about them.)"""
@@ -295,8 +271,8 @@ def _carried_powers(p: PhiParam, xs: np.ndarray, g: QuadResult, side: str,
         decay = np.exp(-abs(c) * p.q * d)
     fresh = decay == 0.0
     short = d <= 1e-9 * _lattice_width(p.ppd)
-    r = _side_rows(p, y, np.where(fresh, math.inf, np.where(short, 0.0, d)),
-                   side)
+    r = side_rows(p.b, p.q, y, c, side,
+                  np.where(fresh, math.inf, np.where(short, 0.0, d)), p.ppd)
     inc = r.value
     if short.any():
         mid = 0.5 * d[short] * (-1.0 if side == "head" else 1.0)

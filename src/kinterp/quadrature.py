@@ -32,12 +32,6 @@ one table of the call's whole lattice panels and each row's other panels
 (``_pieces``).  Every row keeps the nodes, weights and column order it
 would get on its own.
 
-Where its inputs show it, a plan evaluates the integrand once per distinct
-node, not once per row and node.  Rows with identical bounds and no row
-kinks are laid out as one, and each pass hands the integrand that one row
-of nodes: by numpy broadcasting, only what depends on the row is computed
-per row.
-
 A supremum takes the same layout: ``QuadPlan.sup`` reduces each row to the
 largest of its samples (the points ``apply`` evaluates, its finite bounds
 and its kinks), polished by a ternary search, and ``sup_log`` is its one-row
@@ -462,19 +456,17 @@ class QuadPlan:
     declares that the integrand carries the factor e^{a x} through
     ``decay_product``, so it is exactly 0.0 wherever a x <= -EXP_ZERO: the
     far panels past the first lattice edge beyond that point are skipped,
-    which changes no node value and no divergence rule.  Identical rows
-    (every lo equal, every hi equal, no ``row_kinks``) are laid out as one:
-    ``lo``, ``hi`` and the layout hold that one row, and ``rows`` all of
-    them.
+    which changes no node value and no divergence rule.  Every row with
+    hi > lo is laid out (``lo``, ``hi``), and ``rows`` holds its index into
+    the flattened bounds.
 
     Layout.  Each of a row's three segments (the direct part in x, the
     negative and the positive far region in y = ln|x|) is a run of whole
     lattice panels, cut only at its two bounds and at its kinks
-    (``_row_edges``).  A plan that lays out one row (one interval, or
-    identical rows) builds its pass from the row's edges (``row_pass``); one
-    of two or more rows gathers every pass from one table of panels
-    (``_passes``), the same panels in the same columns.  ``sup`` reduces
-    the same passes.
+    (``_row_edges``).  A plan that lays out one row builds its pass from
+    the row's edges (``row_pass``); one of two or more rows gathers every
+    pass from one table of panels (``_passes``), the same panels in the
+    same columns.  ``sup`` reduces the same passes.
     """
 
     def __init__(self, lo, hi, *, ppd=DEFAULT_PPD, kinks=(), row_kinks=None,
@@ -484,8 +476,6 @@ class QuadPlan:
         self.shape = lo.shape
         self.rows = np.flatnonzero(hi > lo)
         lo, hi = lo.ravel()[self.rows], hi.ravel()[self.rows]
-        if row_kinks is None and (lo == lo[:1]).all() and (hi == hi[:1]).all():
-            lo, hi = lo[:1], hi[:1]  # identical rows: one row laid out
         self.lo, self.hi = lo, hi
         kinks = np.broadcast_to(np.asarray(kinks, dtype=float),
                                 (lo.size, len(kinks)))
@@ -659,30 +649,18 @@ class QuadPlan:
         return (points, weights, _increments(points, counts, limit),
                 self.unbounded)
 
-    def _row_passes(self):
-        """(rows, idx, pass) per pass of ``_passes``: the flat indices of
-        the rows it serves, and its laid-out rows.  Identical rows share
-        their one laid-out row, in blocks of about CHUNK_ELEMS / n rows."""
-        for idx, built in self._passes():
-            if self.lo.size == self.rows.size:
-                yield self.rows[idx], idx, built
-                continue
-            step = max(1, CHUNK_ELEMS // built[0].shape[1])
-            for s in range(0, self.rows.size, step):
-                yield self.rows[s:s + step], idx, built
-
     def apply(self, fn) -> "QuadResult":
         """Integrate ``fn(points, rows)`` over every row.
 
-        ``points`` is an (r, n) array of x values, (1, n) for identical
-        rows, and ``rows`` the indices (into the flattened bounds) of the r
-        rows; ``fn`` returns the nonnegative integrand, one row per entry
-        of ``rows``.  Returns a QuadResult of arrays shaped like the
-        broadcast bounds.
+        ``points`` is an (r, n) array of x values and ``rows`` the indices
+        (into the flattened bounds) of its r rows; ``fn`` returns the
+        nonnegative integrand, one row per entry of ``rows``.  Returns a
+        QuadResult of arrays shaped like the broadcast bounds.
         """
         value = np.zeros(self.shape).ravel()
         diverged = np.zeros(value.shape, dtype=bool)
-        for rows, idx, built in self._row_passes():
+        for idx, built in self._passes():
+            rows = self.rows[idx]
             vals = np.asarray(fn(built[0], rows), dtype=float)
             value[rows], diverged[rows] = _reduce(vals, built, _row_sums)
         return QuadResult(value.reshape(self.shape), diverged.reshape(self.shape))
@@ -705,7 +683,8 @@ class QuadPlan:
         value = np.zeros(self.shape).ravel()
         diverged = np.zeros(value.shape, dtype=bool)
         brackets = []  # (rows, a, b) of the rows to polish, per pass
-        for rows, idx, (points, _, _, unbounded) in self._row_passes():
+        for idx, (points, _, _, unbounded) in self._passes():
+            rows = self.rows[idx]
             lo, hi = self.lo[idx, None], self.hi[idx, None]
             x = np.concatenate([points, lo, hi, self.kinks[idx]], axis=1)
             # a bound beyond DEEP_LOG_RANGE can leave probes outside the row

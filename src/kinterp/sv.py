@@ -188,8 +188,8 @@ def rate0_integral(b: SVDescriptor, q: float, x, side: str, c: float = 0.0):
     """``shift_integral`` in closed form for a weight with a
     ``log_power_form``: at c = 0 for every q in (0, ∞], at every rate c at
     q = inf, and at every rate and q for a constant weight, whose form is
-    (C, 0, 0).  (The name stays from when rate 0 was all it covered.)  None
-    for any other weight or finite-q rate, or where C^q leaves double range.
+    (C, 0, 0).  None for any other weight or finite-q rate, or where C^q
+    leaves double range.
 
     With A = a q, b^q = C^q (1 + |w|)^A, and its tail from x is
     C^q (1 + x)^{A∞+1} / (-A∞-1) for x >= 0 and
@@ -298,8 +298,8 @@ def shift_integral(b: SVDescriptor, q: float, x, c: float,
     factor is absent and the norm is taken in absolute coordinates
     w = x + v (resolving the weight's own scale around w = 0); for c != 0
     relative coordinates keep the exponential factor centred where it
-    matters, and where it decays the far panels on which e^{c v} is
-    exactly 0.0 are skipped.
+    matters (``side_rows`` at span inf), and where it decays the far panels
+    on which e^{c v} is exactly 0.0 are skipped.
 
     ``x`` may be a float or an array; the QuadResult holds arrays of its
     shape, evaluated in batched passes (floats for one point at finite q,
@@ -313,37 +313,45 @@ def shift_integral(b: SVDescriptor, q: float, x, c: float,
     if exact is not None:
         return exact
     xs = np.asarray(x, dtype=float)
-    flat = xs.ravel()
-    inf = np.full(flat.shape, math.inf)
-
-    # per row, the weight's own kink w = 0 (at v = -x in relative coordinates)
-    if c == 0.0:
-        lo, hi = (-inf, flat) if side == "head" else (flat, inf)
-        kinks = np.zeros(flat.shape)
-
-        def core(w, rows):
-            return eval_sv_log(b, w)
-    else:
-        zero = np.zeros(flat.shape)
-        lo, hi = (-inf, zero) if side == "head" else (zero, inf)
-        kinks = -flat
-
-        def core(v, rows):
-            return eval_sv_log(b, flat[rows, None] + v)
-
     if xs.ndim == 0 and not math.isinf(q):
         # one point: integral_log, the one-row case of the same rule.  It
         # skips no panel, but the skipped panels add exact zeros to a
         # left-to-right sum, so the value equals the batched one bit for
         # bit.  The branch exists because perfbench/spans.py counts
         # integral_log calls at this layer boundary.
-        row = np.zeros(1, dtype=np.intp)
-        fn = powered(core, c, q)
-        return integral_log(lambda v: fn(v[None], row)[0], float(lo[0]),
-                            float(hi[0]), ppd=ppd,
-                            kinks=tuple(kinks[np.isfinite(kinks)]))
-    return norm_pow(lo.reshape(xs.shape), hi.reshape(xs.shape), core, c, q,
-                    ppd=ppd, row_kinks=kinks)
+        at = float(xs)
+        # the row's end and the weight's kink w = 0: in absolute
+        # coordinates w at c = 0, else in relative ones v = w - x
+        end, kink = (at, 0.0) if c == 0.0 else (0.0, -at)
+        fn = powered(lambda v, rows: eval_sv_log(b, at + v if c else v), c, q)
+        lo, hi = (-math.inf, end) if side == "head" else (end, math.inf)
+        return integral_log(fn, lo, hi, ppd=ppd,
+                            kinks=(kink,) if math.isfinite(kink) else ())
+    if c != 0.0:
+        return side_rows(b, q, xs, c, side, math.inf, ppd)
+    inf = np.full(xs.shape, math.inf)
+    lo, hi = (-inf, xs) if side == "head" else (xs, inf)
+    return norm_pow(lo, hi, lambda w, rows: eval_sv_log(b, w), c, q, ppd=ppd,
+                    kinks=(0.0,))
+
+
+def side_rows(b: SVDescriptor, q: float, x, c: float, side: str, span,
+              ppd: int = DEFAULT_PPD) -> QuadResult:
+    """``norm_pow`` at rate c of the rows that end at the points x (any
+    shape) on their side, in relative coordinates v = w - x with the
+    weight's kink w = 0 at v = -x: v in [-span, 0] (head) or [0, span]
+    (tail), span one value or one per point; at span inf the whole side,
+    as ``shift_integral`` lays it out.  Every row ends at v = 0, so all but
+    those that hold the kink take partial panels only at their ends
+    (``quadrature._pieces``).  A QuadResult of x's shape."""
+    flat = np.ravel(x)
+    zero = np.zeros(np.shape(x))
+    lo, hi = (-span, zero) if side == "head" else (zero, span)
+
+    def core(v, rows):
+        return eval_sv_log(b, flat[rows, None] + v)
+
+    return norm_pow(lo, hi, core, c, q, ppd=ppd, row_kinks=-flat)
 
 
 @dataclass(frozen=True, eq=False)

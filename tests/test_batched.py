@@ -26,7 +26,7 @@ from kinterp.quadrature import (GL_ORDER, LN10, QuadPlan, decay_product,
                                 integral_log, norm_pow, powered, sup_log)
 from kinterp.runner import bundled_scenario, run_scenario, run_suite
 from kinterp.scenario import scenario_from_json
-from kinterp.sv import eval_sv_log, shift_integral
+from kinterp.sv import eval_sv_log, shift_integral, side_rows
 
 REL = 1e-14
 WIDTH = LN10 / round(64 / GL_ORDER)
@@ -282,7 +282,7 @@ def test_plan_sup_row_does_not_depend_on_its_batch(rate):
     batch = plan.sup(lambda x, rows: calls.append(x.shape) or fn(x, rows))
     assert batch.diverged.any() == (rate == 2.0)
     # one call per pass, then every row's polish at once
-    passes = len(list(plan._row_passes()))
+    passes = len(list(plan._passes()))
     assert 1 < passes and len(calls) <= passes + quadrature._POLISH_ITERS + 1
     for i in range(SUP_LO.size):
         alone = QuadPlan(SUP_LO[i], SUP_HI[i], kinks=(0.5,),
@@ -675,15 +675,13 @@ def test_identical_rows_match_one_row_plans(q, bounds, rate, diverges):
     seen = []
 
     def core(x, rows):
-        seen.append(x.shape)
+        seen.append((x.shape[0], rows.size))
         return _same_core(x, of[rows])
 
     kw = dict(ppd=64, kinks=(0.0, 1.1))
     batch = norm_pow(lo, hi, core, rate, q, **kw)
-    # one row of points per pass; a supremum's polish (2 points and 1 per
-    # row) is row by row
-    assert QuadPlan(lo, hi, **kw).lo.size == 1
-    assert {r for r, n in seen if n > 2} == {1}
+    # one row of points per row, in the passes and in a supremum's polish
+    assert seen and all(r == n for r, n in seen)
     assert np.array_equal(np.flatnonzero(batch.diverged), [4] * diverges)
     assert batch.value[2] == batch.value[6] == 0.0
     for i in (0, 1, 3, 4, 5):
@@ -694,9 +692,8 @@ def test_identical_rows_match_one_row_plans(q, bounds, rate, diverges):
 
 
 def test_identical_rows_polish_at_once():
-    # 729 identical rows take about 5 rows per block of a pass: their
-    # polish is one ternary search for all of them, to the bits of each
-    # row's own plan
+    # 729 identical rows take many passes: their polish is one ternary
+    # search for all of them, to the bits of each row's own plan
     amp = np.linspace(0.5, 2.0, 729)
     mid = np.linspace(-30.0, -0.5, 729)
 
@@ -709,7 +706,7 @@ def test_identical_rows_polish_at_once():
     plan = QuadPlan(np.full(729, -math.inf), np.zeros(729), kinks=(-1.0,),
                     exp_rate=0.7)
     batch = plan.sup(lambda x, rows: calls.append(x.shape) or fn(x, rows))
-    passes = len(list(plan._row_passes()))
+    passes = len(list(plan._passes()))
     assert passes > 10
     assert len(calls) <= passes + quadrature._POLISH_ITERS + 1
     for i in (0, 1, 5, 6, 364, 727, 728):
@@ -877,16 +874,11 @@ def test_sweep_lays_out_only_the_longer_increments(monkeypatch):
     sc = bundled_scenario("broken-log-1")
     increments = []
 
-    def bounded(lo, hi):
-        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
-                                     np.asarray(hi, dtype=float))
-        return int(np.count_nonzero(np.isfinite(lo) & np.isfinite(hi)))
-
-    def counted_norm_pow(lo, hi, *args, **kw):
-        increments.append(bounded(lo, hi))
-        return norm_pow(lo, hi, *args, **kw)
+    def counted_side_rows(b, q, x, c, side, span, ppd):
+        increments.append(int(np.count_nonzero(np.isfinite(span))))
+        return side_rows(b, q, x, c, side, span, ppd)
     kinked = _kink_partials(monkeypatch)
-    monkeypatch.setattr(params, "norm_pow", counted_norm_pow)
+    monkeypatch.setattr(params, "side_rows", counted_side_rows)
     check_C2(sc.phi0, sc.phi1, None, sc.grid, budget=sc.budget)
     assert (sum(kinked), sum(increments)) == (2, 4176)
 

@@ -112,17 +112,15 @@ def test_grid_factors_of_cusp_weights_are_no_worse_than_the_rule(grid):
 
 
 def _restart_rows(monkeypatch):
-    """A list that each ``norm_pow`` call of ``params`` appends its
+    """A list that each ``side_rows`` call of ``params`` appends its
     (restart rows, rows) to: a restart's row is the whole side."""
     seen = []
-    inner = params.norm_pow
+    inner = params.side_rows
 
-    def counted(lo, hi, *a, **kw):
-        lo, hi = np.broadcast_arrays(lo, hi)
-        seen.append((int(np.count_nonzero(np.isinf(lo) | np.isinf(hi))),
-                     lo.size))
-        return inner(lo, hi, *a, **kw)
-    monkeypatch.setattr(params, "norm_pow", counted)
+    def counted(b, q, x, c, side, span, ppd):
+        seen.append((int(np.count_nonzero(np.isinf(span))), np.size(x)))
+        return inner(b, q, x, c, side, span, ppd)
+    monkeypatch.setattr(params, "side_rows", counted)
     return seen
 
 

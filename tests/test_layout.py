@@ -210,10 +210,12 @@ def test_empty_far_segment_is_no_node():
     (1.0, 1.0 + 1e-12),  # test_empty_far_segment_is_no_node's row
 ])
 def test_identical_rows_build_their_row_alone(lo, hi):
+    # identical rows are laid out one by one, each as the reference lays
+    # it out alone
     kw = dict(kinks=(0.0, -0.3, 2.5, -40.0), exp_rate=0.7)
     lo, hi = np.full(4, lo), np.full(4, hi)
     plan = QuadPlan(lo, hi, **kw)
-    assert plan.lo.size == 1 and plan.rows.size == 4
+    assert plan.lo.size == 4 and plan.rows.size == 4
     _assert_same_layout(lo, hi, **kw)
 
 
@@ -236,18 +238,17 @@ def test_one_row_paths_use_no_table(monkeypatch):
     hull_pows(-math.inf, 0.0, core, lambda x: np.exp(-np.abs(x)),
               np.arange(1.0, 4.0), 0.5, 2.0, ppd=64, kinks=(-1.0,),
               hull=(-1.0, 0.0))
-    r = norm_pow(np.full(3, -math.inf), np.zeros(3), core, 0.5, math.inf,
-                 ppd=64, kinks=(-1.0,))
-    # e^{1.5 x} times row i + 1 peaks at the bound x = 0
-    np.testing.assert_allclose(r.value, np.arange(1.0, 4.0), rtol=1e-12)
+    r = norm_pow(-math.inf, 0.0, core, 0.5, math.inf, ppd=64, kinks=(-1.0,))
+    # e^{1.5 x} times row 0 + 1 peaks at the bound x = 0
+    assert r.value == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("q", [1.5, math.inf])
 @pytest.mark.parametrize("bounds", [(-math.inf, 0.0), (-3.0, math.inf),
                                     (-math.inf, math.inf)])
 def test_one_row_values_are_the_tables(q, bounds):
-    # identical rows laid out as one, against the same rows laid out by the
-    # many-row builder beside a second, different row
+    # identical rows, and the first laid out alone, against the same rows
+    # beside a second, different row
     def core(x, rows):
         with np.errstate(under="ignore"):
             return (np.arange(1.0, 7.0)[rows, None]
@@ -258,10 +259,11 @@ def test_one_row_values_are_the_tables(q, bounds):
     one = norm_pow(lo, hi, core, 0.25, q, **kw)
     table = norm_pow(np.append(lo, -3.0), np.append(hi, 5.0), core, 0.25, q,
                      **kw)
-    assert QuadPlan(lo, hi, **kw).lo.size == 1
-    assert QuadPlan(np.append(lo, -3.0), np.append(hi, 5.0), **kw).lo.size == 6
+    alone = norm_pow(*bounds, core, 0.25, q, **kw)
     assert one.value.tobytes() == table.value[:5].tobytes()
     assert np.array_equal(one.diverged, table.diverged[:5])
+    assert alone.value.tobytes() == table.value[:1].tobytes()
+    assert alone.diverged == table.diverged[0]
 
 
 def _spy_gathers(monkeypatch):

@@ -118,3 +118,19 @@ def test_qinf_elp_sup_ratios_are_exact():
     got = {cid: rep.sup_ratio
            for cid, rep in run_checks(sc, sc.checks).items()}
     assert got == PINNED["qinf-elp"]
+
+
+def test_qinf_elp_sweep_has_one_owner():
+    # C3's outer norm at q = inf is the one path that carries the inner M
+    # from its sweep to the points that polish a supremum: the sweep's
+    # powers stay with that caller, and each parameter keeps only its
+    # membership of min(1, t) and its factors per (side, grid)
+    sc = scenario_from_json(QINF_ELP)
+    got = {cid: rep.sup_ratio
+           for cid, rep in run_checks(sc, sc.checks).items()}
+    assert got == PINNED["qinf-elp"]
+    for p in (sc.phi0, sc.phi1):
+        assert p._memo and all(
+            key == "min1" or key in {(side, sc.grid)
+                                     for side in ("head", "tail")}
+            for key in p._memo), list(p._memo)

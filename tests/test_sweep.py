@@ -142,4 +142,5 @@ def test_restarts_where_the_decay_underflows():
 ], ids=["q=inf", "theta=0", "theta=1", "constant"])
 def test_direct_rule_where_there_is_no_sweep(p):
     xs = np.array([-1e6, -20.0, -0.5, 0.0, 0.7, 30.0, 1e6])
-    assert np.array_equal(swept_min_factors(p, xs), min_factors(p, xs))
+    m, powers = swept_min_factors(p, xs)
+    assert powers is None and np.array_equal(m, min_factors(p, xs))
