@@ -17,22 +17,20 @@ sup ratio itself is the interesting output.
 Each parameter computes its factors on the grid once and keeps them, so
 rho, C1 and C4 read the same ones; for finite q at a rate != 0 with no
 closed form, H and T there are one sweep along the grid's points
-(``params._shift_factors``).  The outer norms of C2/C3 at all grid
-points are, at the working and at doubled density, one quadrature row cut
-at every grid point (``quadrature.truncated_pows``), and the outer
-integrand, inner M included, is evaluated once at the sorted distinct nodes
-of both rows.  The rows skip the far panels on which the outer weight
-e^{c q x} (e^{c x} at q = inf) is exactly 0.0, so M is not evaluated
-there, nor can it leave double range there.  For a finite-q inner
-parameter with 0 < theta < 1, H^q and T^q come from one sweep per side
-along the nodes where the outer weight is not 0.0
-(``params.swept_min_factors``; M is +inf, the core 0, at the others, such
-as the tail-fit probes); a swept value depends on the node set, which the
-grid fixes, so reports stay deterministic.  At q_out = inf the row is
-reduced by a running maximum, and the points that polish it read M by one
-step of that sweep from the nearest node (``params.carried_min_factors``).
-The doubled-density row is the refinement check; its drift goes in the
-meta.
+(``params._shift_factors``).  The outer norms of C2/C3 at all grid points
+are, at the working and at doubled density, one quadrature row cut at every
+grid point (``quadrature.truncated_pows``), and the outer integrand, inner
+M included, is evaluated once at the sorted distinct nodes of both rows.
+The rows skip the far panels on which the outer weight e^{c q x} (e^{c x}
+at q = inf) is exactly 0.0, so M is not evaluated there, nor can it leave
+double range there.  For a finite-q inner parameter with 0 < theta < 1, H^q
+and T^q come from one sweep per side along the nodes where the outer weight
+is not 0.0 (``params.swept_min_factors``; M is +inf, the core 0, at the
+others, such as the tail-fit probes); a swept value depends on the node
+set, which the grid fixes, so reports stay deterministic.  At q_out = inf
+the row is reduced by a running maximum, and the points that polish it read
+M from the sweep's carry: one step of it from the nearest node.  The
+doubled-density row is the refinement check; its drift goes in the meta.
 
 ``CHECKS`` is the one list of checks that scenarios and ``--only`` may name;
 ``CONDITION_IDS`` follows from it, and ``estimates.run_checks`` runs them.
@@ -46,9 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergentIntegralError, ScenarioError
-from .params import (PhiParam, carried_min_factors, head_factors,
-                     min_factors, qth_root, require_membership,
-                     swept_min_factors, tail_factors)
+from .params import (PhiParam, head_factors, min_factors, qth_root,
+                     require_membership, swept_min_factors, tail_factors)
 from .quadrature import LogGrid, truncated_pows
 from .sv import eval_sv_log, shift_integral
 
@@ -175,22 +172,21 @@ def _outer_trunc_norms(p_out, p_inner, c_exp, side, xs, ppds):
     weight (e^{c_exp q_out x}, e^{c_exp x} at q_out = inf) is not 0.0 (+inf
     at the others, where the integrand is 0 whatever M is), and at the
     points that polish a supremum at q_out = inf (``core`` called with
-    rows) carried from those nodes by one step of the sweep
-    (``params.carried_min_factors``).
+    rows) carried from those nodes by the sweep's carry
+    (``params.swept_min_factors``).
     """
     rate = c_exp if p_out.sup_norm else c_exp * p_out.q
-    swept = []  # the inner sweep's nodes and powers
+    carry = None  # M at the points that polish, from the latest sweep
 
     def core(x, rows):
+        nonlocal carry
         if rows is not None:  # the points that polish a supremum
-            m = carried_min_factors(p_inner, *swept, x)
+            m = carry(x)
         else:
             with np.errstate(under="ignore", over="ignore"):
                 live = np.exp(rate * x[0]) > 0.0
-            nodes = x[0, live]
             m = np.full(x.shape, math.inf)
-            m[0, live], powers = swept_min_factors(p_inner, nodes)
-            swept[:] = nodes, powers
+            m[0, live], carry = swept_min_factors(p_inner, x[0, live])
         with np.errstate(divide="ignore", invalid="ignore",
                          over="ignore", under="ignore"):
             c = eval_sv_log(p_out.b, x) / m

@@ -21,12 +21,13 @@ every rate at q = inf (the supremum of e^{cv} C (1 + |x + v|)^a, at the
 bound, the kink or its one interior maximum), and a constant weight at
 every rate and q (H = C ((1-theta) q)^{-1/q}, T = C (theta q)^{-1/q}); a
 primitive at q = inf and rate 0 takes that of ``sv.primitive_sup``; every
-other factor is shifted quadrature.  On a
-LogGrid that quadrature is one sweep along the grid's points
-(``_swept_powers``): a restart at the first point of each side and one
-short increment per gap, whose row holds the weight's kink w = 0 that the
-half-line rule puts in its far region once |ln t| > 1; at an array of
-points it is the rule at each.  At the endpoints the min-norm uses its
+other factor is shifted quadrature.  On a LogGrid that quadrature is one
+sweep along the grid's points (``_swept_powers``): a restart at the first
+point of each side and one short increment per gap, whose row holds the
+weight's kink w = 0 that the half-line rule puts in its far region once
+|ln t| > 1; at an array of points it is the rule at each.
+``swept_min_factors`` sweeps M along a node set and carries it to other
+points, one ``_steps`` each.  At the endpoints the min-norm uses its
 dominated representative form (M = T at theta = 0, M = H at theta = 1),
 which matches the full norm up to a constant controlled by slow variation
 and makes the canonical weight take its endpoint-ratio shape exactly.  The
@@ -177,30 +178,45 @@ def _combine(p: PhiParam, h, t) -> np.ndarray:
 
 
 def swept_min_factors(p: PhiParam, xs: np.ndarray):
-    """(M, powers): M at the sorted distinct points xs, from H^q and T^q by
+    """(M, carry): M at the sorted distinct points xs, from H^q and T^q by
     one sweep per side (``_swept_powers``) for finite q and 0 < theta < 1
-    with no closed form, and those powers, [head, tail], for
-    ``carried_min_factors``; otherwise ``min_factors`` and None.  A swept
-    value depends on the other points of xs, so callers pass a node set
-    that their input fixes.
+    with no closed form, and carry(ys), M at the points ys (any shape),
+    each carried from xs by one step of that sweep per side
+    (``_carried_powers``); otherwise ``min_factors`` at xs and at ys.  A
+    swept value depends on the other points of xs, so callers pass a node
+    set that their input fixes.
     """
     if (p.sup_norm or not 0.0 < p.theta < 1.0
             or _closed_min_factor(p) is not None):
-        return min_factors(p, xs), None
-    powers = [_swept_powers(p, xs, side) for side in ("head", "tail")]
-    return _combine(p, *(qth_root(p, r) for r in powers)), powers
+        return min_factors(p, xs), lambda ys: min_factors(p, ys)
+    powers = {side: _swept_powers(p, xs, side) for side in ("head", "tail")}
+
+    def carry(ys):
+        return _combine(p, *(qth_root(p, _carried_powers(p, xs, g, side, ys))
+                             for side, g in powers.items()))
+    return _combine(p, *(qth_root(p, r) for r in powers.values())), carry
 
 
-def carried_min_factors(p: PhiParam, xs: np.ndarray, powers,
-                        ys) -> np.ndarray:
-    """M at the points ys (any shape), each carried by one step of the
-    sweep at the sorted distinct xs whose ``powers`` ``swept_min_factors``
-    gave: ``_carried_powers`` per side.  Where M is not swept (powers
-    None), ``min_factors`` at ys."""
-    if powers is None:
-        return min_factors(p, ys)
-    return _combine(p, *(qth_root(p, _carried_powers(p, xs, g, side, ys))
-                         for g, side in zip(powers, ("head", "tail"))))
+def _steps(p: PhiParam, side: str, y: np.ndarray, d: np.ndarray):
+    """(e^{-r d}, increments) of one step of the sweep (``_swept_powers``)
+    to each of the points y (flat), each a distance d past the point it
+    steps from (inf where there is none).  The increments are the rows of
+    one ``sv.side_rows`` call, one plan: the whole side where e^{-r d} is
+    exactly 0.0 (a restart), the gap otherwise.  A gap too short for a
+    panel, which the rule reads as 0 (``quadrature._row_edges``), takes
+    d times the integrand at its midpoint: the gaps of a grid finer than a
+    panel, and points that polish a supremum next to a node."""
+    c = 1.0 - p.theta if side == "head" else -p.theta
+    with np.errstate(under="ignore"):
+        decay = np.exp(-abs(c) * p.q * d)
+    short = d <= 1e-9 * _lattice_width(p.ppd)
+    r = side_rows(p.b, p.q, y, c, side, np.where(
+        decay == 0.0, math.inf, np.where(short, 0.0, d)), p.ppd)
+    if short.any():
+        mid = 0.5 * d[short] * (-1.0 if side == "head" else 1.0)
+        r.value[short] = d[short] * powered(
+            lambda v, rows: eval_sv_log(p.b, y[short] + v), c, p.q)(mid)
+    return decay, r
 
 
 def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
@@ -214,31 +230,20 @@ def _swept_powers(p: PhiParam, xs: np.ndarray, side: str) -> QuadResult:
 
     the increment by the rule of ``shift_integral`` on a bounded row in
     relative coordinates v = w - x_next, with the weight's kink w = 0 at
-    v = -x_next.  The first point, and every point where e^{-r d} is
-    exactly 0.0, restarts: its row is the whole side, as ``shift_integral``
-    lays it out.  Restarts and increments are the rows of one
-    ``sv.side_rows`` call, whose span is the whole side at a restart and
-    the gap before its point at an increment: one plan that gathers its
-    rows from one table of panels and takes the gaps of one direct panel
-    (most of them) at their own nodes.  A divergence flag, a restart's or
-    an increment's, carries along the sweep up to the next restart.
+    v = -x_next, all in one ``_steps``; the gaps of one direct panel (most
+    of them) take their own nodes.  The first point (at d = inf), and every
+    point where e^{-r d} is exactly 0.0, restarts with the whole side.  A
+    divergence flag, a restart's or an increment's, carries along the
+    sweep up to the next restart.
     """
-    c = 1.0 - p.theta if side == "head" else -p.theta
-    rate = abs(c) * p.q
     x = xs if side == "head" else xs[::-1]
-    gap = np.abs(np.diff(x))
-    with np.errstate(under="ignore"):
-        decay = np.exp(-rate * gap)
-    restart = np.concatenate(([True], decay == 0.0))[:x.size]
-    # point k's row: a restart's the whole side, an increment's the gap
-    # before it
-    span = np.where(restart, math.inf, np.concatenate(([0.0], gap)))
-    r = side_rows(p.b, p.q, x, c, side, span, p.ppd)
+    decay, r = _steps(p, side, x,
+                      np.concatenate(([math.inf], np.abs(np.diff(x)))))
     vals, g = [], 0.0
-    for fresh, e, v in zip(restart.tolist(), [1.0] + decay.tolist(),
-                           r.value.tolist()):
-        g = v if fresh else g * e + v
+    for e, v in zip(decay.tolist(), r.value.tolist()):
+        g = v if e == 0.0 else g * e + v  # a restart where e is 0.0
         vals.append(g)
+    restart = decay == 0.0
     # a flag carries to the next restart: the last flag at or before each
     # point is at or after its restart
     last = np.maximum.accumulate(np.where(r.diverged, np.arange(x.size), -1))
@@ -251,34 +256,21 @@ def _carried_powers(p: PhiParam, xs: np.ndarray, g: QuadResult, side: str,
                     ys) -> QuadResult:
     """H^q (head) or T^q (tail) at the points ys (any shape), from their
     values g at the sorted distinct xs (``_swept_powers``): each y takes one
-    step of the sweep from the nearest point x of xs before it along the
-    sweep (at or below y for the head, at or above it for the tail), at
-    distance d, g(x) e^{-r d} plus the increment over the gap, and x's flag;
-    where there is no such point, or e^{-r d} is 0.0, the whole side, as a
-    restart.  The increments and restarts are the rows of one
-    ``sv.side_rows`` call, but a gap too short for a panel of the rule
-    (``quadrature._row_edges``), which the rule would read as 0, takes
-    d times the integrand at its midpoint.  (Polished points come that
-    close to the samples about them.)"""
-    c = 1.0 - p.theta if side == "head" else -p.theta
+    step of the sweep (``_steps``) from the nearest point x of xs before it
+    along the sweep (at or below y for the head, at or above it for the
+    tail), g(x) e^{-r d} plus the increment, and x's flag; where there is
+    no such point (d = inf), or e^{-r d} is 0.0, the whole side, as a
+    restart."""
     y = np.ravel(np.asarray(ys, dtype=float))
     k = (np.searchsorted(xs, y, "right") - 1 if side == "head"
          else np.searchsorted(xs, y, "left"))
     has = (k >= 0) & (k < xs.size)
     k = np.clip(k, 0, xs.size - 1)
-    with np.errstate(under="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):
         d = np.where(has, np.abs(y - xs[k]), math.inf)
-        decay = np.exp(-abs(c) * p.q * d)
+    decay, r = _steps(p, side, y, d)
     fresh = decay == 0.0
-    short = d <= 1e-9 * _lattice_width(p.ppd)
-    r = side_rows(p.b, p.q, y, c, side,
-                  np.where(fresh, math.inf, np.where(short, 0.0, d)), p.ppd)
-    inc = r.value
-    if short.any():
-        mid = 0.5 * d[short] * (-1.0 if side == "head" else 1.0)
-        inc[short] = d[short] * powered(
-            lambda v, rows: eval_sv_log(p.b, y[short] + v), c, p.q)(mid)
-    value = np.where(fresh, inc, g.value[k] * decay + inc)
+    value = np.where(fresh, r.value, g.value[k] * decay + r.value)
     flag = np.where(fresh, r.diverged, g.diverged[k] | r.diverged)
     shape = np.shape(ys)
     return QuadResult(value.reshape(shape), flag.reshape(shape))

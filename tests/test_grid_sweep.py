@@ -86,6 +86,20 @@ def test_grid_factors_far_from_t_1(grid, bound):
     assert errors[FAR_KINK, "head"][1] > 1e-3
 
 
+def test_grid_factors_on_a_grid_finer_than_a_panel():
+    # 17,373 points on 1..1.000001, 5.8e-11 apart in ln t: every gap is
+    # shorter than 1e-9 of a panel (2.9e-10 at ppd 64), where the rule
+    # reads a row as 0, so each increment takes d times the integrand at
+    # its midpoint.  Read as 0, swept H was off by 1.0e-7 and T by 1.2e-6.
+    p = PhiParam(0.5, 2.0, BrokenLog(1.0, -1.0))
+    grid = LogGrid(1.0, 1.000001, 40_000_000_000)
+    xs = grid.log_points()
+    assert xs.size == 17373
+    for factors in SIDES.values():
+        rule = factors(p, np.array(xs))
+        assert _worst(factors(p, grid), rule) <= 1e-11
+
+
 @pytest.mark.parametrize("aq", [-1.0, -0.99, -1.02])
 @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
 def test_grid_divergence_flags_are_the_rules(aq, q):

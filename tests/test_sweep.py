@@ -142,5 +142,8 @@ def test_restarts_where_the_decay_underflows():
 ], ids=["q=inf", "theta=0", "theta=1", "constant"])
 def test_direct_rule_where_there_is_no_sweep(p):
     xs = np.array([-1e6, -20.0, -0.5, 0.0, 0.7, 30.0, 1e6])
-    m, powers = swept_min_factors(p, xs)
-    assert powers is None and np.array_equal(m, min_factors(p, xs))
+    m, carry = swept_min_factors(p, xs)
+    assert np.array_equal(m, min_factors(p, xs))
+    # where M is not swept, the carry is the rule at the points it is given
+    ys = np.array([[-3e5, -20.0, -7.25], [0.0, 1e-12, 45.5]])
+    assert carry(ys).tobytes() == min_factors(p, ys).tobytes()
